@@ -139,6 +139,12 @@ CacheHierarchy::CacheHierarchy(const CacheHierConfig &config,
         l1_.emplace_back(config.l1);
         l2_.emplace_back(config.l2);
     }
+    if (stats_) {
+        l1Hits_ = &stats_->counter("cache.l1_hits");
+        l2Hits_ = &stats_->counter("cache.l2_hits");
+        llcHits_ = &stats_->counter("cache.llc_hits");
+        llcMisses_ = &stats_->counter("cache.llc_misses");
+    }
 }
 
 MemoryController &
@@ -156,25 +162,25 @@ CacheHierarchy::lookupHierarchy(std::uint32_t core, Addr line,
     latency = config_.l1.latency;
     if (l1_[core].lookup(line)) {
         if (stats_)
-            ++stats_->counter("cache.l1_hits");
+            ++*l1Hits_;
         return true;
     }
     latency += config_.l2.latency;
     if (l2_[core].lookup(line)) {
         if (stats_)
-            ++stats_->counter("cache.l2_hits");
+            ++*l2Hits_;
         fill(core, line, false);
         return true;
     }
     latency += config_.llc.latency;
     if (llc_.lookup(line)) {
         if (stats_)
-            ++stats_->counter("cache.llc_hits");
+            ++*llcHits_;
         fill(core, line, false);
         return true;
     }
     if (stats_)
-        ++stats_->counter("cache.llc_misses");
+        ++*llcMisses_;
     return false;
 }
 

@@ -172,6 +172,16 @@ class CacheHierarchy
     std::vector<MemoryController *> mems_;
     StatSet *stats_;
 
+    /**
+     * Per-access counters resolved once at construction (null without
+     * a StatSet): every core access bumps one, too often for a
+     * name-keyed map lookup.
+     */
+    std::uint64_t *l1Hits_ = nullptr;
+    std::uint64_t *l2Hits_ = nullptr;
+    std::uint64_t *llcHits_ = nullptr;
+    std::uint64_t *llcMisses_ = nullptr;
+
     std::vector<TagArray> l1_;  //!< per core
     std::vector<TagArray> l2_;  //!< per core
     TagArray llc_;

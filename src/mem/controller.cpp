@@ -1,6 +1,7 @@
 #include "mem/controller.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.h"
 #include "mitigation/registry.h"
@@ -52,15 +53,37 @@ MemoryController::MemoryController(const DramSpec &spec,
         nextRefreshAt_[r] =
             spec.timing.tREFI * (r + 1) / spec.org.ranks;
     }
-    hitStreak_.assign(spec.org.totalBanks(), 0);
 
-    // Resolve the queue-occupancy histogram once: enqueue() is too
-    // hot for a per-call map lookup.  Depth in requests, one bucket
-    // per slot.  Shared across channels of one System (one StatSet):
-    // the histogram profiles system-wide queue pressure.
-    if (stats_)
+    pool_.resize(config_.queueCapacity);
+    pending_.resize(config_.queueCapacity);
+    freeSlots_.reserve(config_.queueCapacity);
+    for (std::size_t slot = config_.queueCapacity; slot-- > 0;)
+        freeSlots_.push_back(static_cast<std::uint32_t>(slot));
+
+    const DramOrg &org = spec.org;
+    banks_.resize(org.totalBanks());
+    for (std::uint32_t flat = 0; flat < org.totalBanks(); ++flat) {
+        const std::uint32_t in_rank = flat % org.banksPerRank();
+        banks_[flat].rank = flat / org.banksPerRank();
+        banks_[flat].bankGroup = in_rank / org.banksPerGroup;
+        banks_[flat].bank = in_rank % org.banksPerGroup;
+    }
+    queuedBanks_.assign((org.totalBanks() + 63) / 64, 0);
+    stale_.reserve(org.totalBanks());
+
+    // Resolve the hot stats once.  Queue occupancy is in requests, one
+    // bucket per slot.  Shared across channels of one System (one
+    // StatSet): the histogram profiles system-wide queue pressure.
+    if (stats_) {
         queueOccupancy_ = &stats_->histogram(
             "mem.queue_occupancy", 1.0, config_.queueCapacity + 1);
+        readLatency_ = &stats_->histogram("mem.read_latency_ns");
+        reads_ = &stats_->counter("mem.reads");
+        writes_ = &stats_->counter("mem.writes");
+        rowHits_ = &stats_->counter("mem.row_hits");
+        rowConflicts_ = &stats_->counter("mem.row_conflicts");
+        rowMisses_ = &stats_->counter("mem.row_misses");
+    }
 
     // Single attach choke point for the `--series-out` surfaces:
     // when a SeriesCapture is armed, every controller -- System,
@@ -79,23 +102,29 @@ MemoryController::enqueue(Request request)
     request.daddr = mapper_.map(request.addr);
     if (tap_)
         tap_->onEnqueue(request, now_);
-    queue_.push_back(Entry{std::move(request), nextSeq_++});
+
+    // Requests carry this controller's channel (the caller routes by
+    // it), so the flat bank alone identifies a DRAM bank here.
+    const std::uint32_t flat = mapper_.flatBank(request.daddr);
+    const bool is_read = request.type == ReqType::Read;
+    const std::uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    BankQueue &q = banks_[flat];
+    pending_[slot] = Pending{nextSeq_++, request.daddr.row, kNoSlot, is_read};
+    (q.tail == kNoSlot ? q.head : pending_[q.tail].next) = slot;
+    q.tail = slot;
+    q.invalidate();
+    queuedBanks_[flat / 64] |= std::uint64_t{1} << (flat % 64);
+    pool_[slot] = std::move(request);
+
     nextWorkCacheValid_ = false;
     if (stats_)
-        ++stats_->counter(request.type == ReqType::Read ? "mem.reads"
-                                                        : "mem.writes");
+        ++*(is_read ? reads_ : writes_);
     if (queueOccupancy_)
-        queueOccupancy_->sample(static_cast<double>(queue_.size()));
+        queueOccupancy_->sample(static_cast<double>(queueDepth()));
     if (bus_)
-        bus_->onQueueDepth(queue_.size(), now_);
+        bus_->onQueueDepth(queueDepth(), now_);
     return true;
-}
-
-void
-MemoryController::finishRequest(Entry &entry, Cycle done_at)
-{
-    entry.req.completed = done_at;
-    inFlight_.push_back(InFlight{std::move(entry), done_at});
 }
 
 void
@@ -158,33 +187,37 @@ MemoryController::startRefreshIfNeeded()
     maint_.rank = best_rank;
 }
 
-bool
-MemoryController::issueIfReady(const Command &cmd)
+void
+MemoryController::issue(const Command &cmd)
 {
-    if (!dram_.canIssue(cmd, now_))
-        return false;
     dram_.issue(cmd, now_);
+    // DRAM timing limits only move later as commands issue, so every
+    // cached bound stays a lower bound -- except on the addressed
+    // bank, whose open row, streak or queue may have changed.
+    ++issued_;
+    if (cmd.type == CmdType::ACT || cmd.type == CmdType::PRE ||
+        cmd.type == CmdType::RD || cmd.type == CmdType::WR)
+        banks_[spec_.org.flatBank(cmd.rank,
+                                  cmd.bankGroup * spec_.org.banksPerGroup +
+                                      cmd.bank)]
+            .invalidate();
     if (bus_)
         bus_->onCommand(cmd, now_);
-    return true;
 }
 
 bool
 MemoryController::issueOrTrack(const Command &cmd, Cycle &hint)
 {
-    // issueIfReady plus bound tracking: a declined command's
-    // earliest-legal cycle feeds the next-work hint, so a tick that
-    // issues nothing leaves a ready-made nextWorkAt() cache behind
-    // (structurally illegal commands report kNeverCycle and drop out
-    // of the min).
+    // A declined command's earliest-legal cycle feeds the next-work
+    // hint, so a tick that issues nothing leaves a ready-made
+    // nextWorkAt() cache behind (structurally illegal commands report
+    // kNeverCycle and drop out of the min).
     const Cycle at = dram_.earliestIssue(cmd);
     if (at > now_) {
         hint = std::min(hint, at);
         return false;
     }
-    dram_.issue(cmd, now_);
-    if (bus_)
-        bus_->onCommand(cmd, now_);
+    issue(cmd);
     return true;
 }
 
@@ -296,44 +329,84 @@ MemoryController::tickMaintenance()
     return true;
 }
 
-bool
-MemoryController::hitDeferredAtCap(
-    std::deque<Entry>::const_iterator it, const DramAddress &da) const
+void
+MemoryController::rebuildCandidates(const BankQueue &q) const
 {
-    // A row hit may bypass older requests unless the streak cap is
-    // reached AND an older request is waiting on the same bank with a
-    // different row (the FR-FCFS starvation case the cap exists for).
-    if (hitStreak_[mapper_.flatBank(da)] < config_.frfcfsCap)
-        return false;
-    for (auto older = queue_.begin(); older != it; ++older) {
-        const DramAddress &oda = older->req.daddr;
-        if (oda.sameBank(da) && oda.row != da.row)
-            return true;
+    q.count = 0;
+    auto add = [&](CmdType type, std::uint32_t slot) {
+        q.cands[q.count++] = Candidate{type, slot, pending_[slot].seq};
+    };
+    q.actOnly = !dram_.isOpen(q.rank, q.bankGroup, q.bank);
+    if (q.actOnly) {
+        // Every request needs this ACT; the oldest opens its row.
+        add(CmdType::ACT, q.head);
+        return;
     }
-    return false;
+
+    // A row hit may bypass older requests unless the streak cap is
+    // reached, when hits younger than the oldest conflict wait for it
+    // (the FR-FCFS starvation case the cap exists for).  Open-page
+    // policy holds the conflict's PRE while any request still hits
+    // the open row below the cap.
+    const std::uint32_t open_row =
+        dram_.openRow(q.rank, q.bankGroup, q.bank);
+    const bool capped = q.hitStreak >= config_.frfcfsCap;
+    std::uint32_t rd = kNoSlot;
+    std::uint32_t wr = kNoSlot;
+    std::uint32_t conflict = kNoSlot;
+    for (std::uint32_t slot = q.head; slot != kNoSlot;
+         slot = pending_[slot].next) {
+        const Pending &p = pending_[slot];
+        std::uint32_t &oldest = p.row != open_row ? conflict
+                                : p.isRead        ? rd
+                                                  : wr;
+        if (oldest == kNoSlot)
+            oldest = slot;
+        if (conflict != kNoSlot && capped)
+            break;
+    }
+    if (rd != kNoSlot)
+        add(CmdType::RD, rd);
+    if (wr != kNoSlot)
+        add(CmdType::WR, wr);
+    if (conflict != kNoSlot &&
+        (capped || (rd == kNoSlot && wr == kNoSlot)))
+        add(CmdType::PRE, conflict);
 }
 
-bool
-MemoryController::preDeferredForPendingHit(
-    const DramAddress &da, std::uint32_t open_row) const
+Command
+MemoryController::candidateCommand(const BankQueue &q,
+                                   const Candidate &c) const
 {
-    // Open-page policy: don't close a row another queued request
-    // still hits, as long as the streak cap leaves it headroom.
-    if (hitStreak_[mapper_.flatBank(da)] >= config_.frfcfsCap)
-        return false;
-    for (const Entry &other : queue_)
-        if (other.req.daddr.sameBank(da) &&
-            other.req.daddr.row == open_row)
-            return true;
-    return false;
+    Command cmd{c.type, q.rank, q.bankGroup, q.bank, 0, 0};
+    if (c.type != CmdType::PRE)
+        cmd.row = pending_[c.slot].row;
+    if (c.type == CmdType::RD || c.type == CmdType::WR)
+        cmd.col = pool_[c.slot].daddr.col;
+    return cmd;
 }
 
-bool
-MemoryController::tickDemand()
+void
+MemoryController::refreshBank(std::uint32_t flat) const
 {
-    if (queue_.empty())
-        return false;
+    const BankQueue &q = banks_[flat];
+    if (q.stamp == kRebuild)
+        rebuildCandidates(q);
+    q.bound = kNeverCycle;
+    for (std::uint32_t i = 0; i < q.count; ++i) {
+        Candidate &c = q.cands[i];
+        c.at = dram_.earliestIssue(candidateCommand(q, c));
+        q.bound = std::min(q.bound, c.at);
+    }
+    q.stamp = issued_;
+}
 
+Cycle
+MemoryController::nextDemandIssueAt(DemandPick *pick) const
+{
+    // A maintenance drain holds back demand on the banks it needs (a
+    // refresh drain's rank, an RFMpb drain's bank), and a spent ABOACT
+    // budget blocks new activations.
     const bool refresh_drain = maint_.active && !maint_.isRfm;
     const bool rfmpb_drain =
         maint_.active && maint_.isRfm && maint_.perBank;
@@ -341,91 +414,144 @@ MemoryController::tickDemand()
         prac_->alertAsserted() &&
         prac_->actsSinceAlert() >= spec_.prac.aboAct;
 
-    auto blocked_by_drain = [&](const DramAddress &da) {
-        if (refresh_drain && da.rank == maint_.rank)
-            return true;
-        if (rfmpb_drain && mapper_.flatBank(da) == maint_.flatBank)
-            return true;
+    // Legality: only a bank whose cached bound has come due can hold
+    // a legal candidate.  FR-FCFS takes the oldest legal CAS, else the
+    // oldest legal PRE/ACT.  The pass also splits the other banks'
+    // bounds into fresh (exact) and stale (lower bounds).
+    constexpr std::uint64_t kNone = ~std::uint64_t{0};
+    std::uint64_t cas_seq = kNone;
+    std::uint64_t other_seq = kNone;
+    DemandPick cas_pick;
+    DemandPick other_pick;
+    bool legal = false;
+    Cycle fresh_min = kNeverCycle;
+    stale_.clear();
+
+    // Once a candidate is legal, a bank whose known candidates cannot
+    // beat it (younger CAS, or PRE/ACT against a legal CAS) needs no
+    // re-query: with a pick, no bound is asked for.
+    auto can_win = [&](const BankQueue &q) {
+        for (std::uint32_t i = 0; i < q.count; ++i) {
+            const Candidate &c = q.cands[i];
+            if (c.type == CmdType::RD || c.type == CmdType::WR
+                    ? c.seq < cas_seq
+                    : cas_seq == kNone && c.seq < other_seq)
+                return true;
+        }
         return false;
     };
+    for (std::size_t w = 0; w < queuedBanks_.size(); ++w) {
+        for (std::uint64_t bits = queuedBanks_[w]; bits != 0;
+             bits &= bits - 1) {
+            const auto flat = static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+            const BankQueue &q = banks_[flat];
+            if ((refresh_drain && q.rank == maint_.rank) ||
+                (rfmpb_drain && flat == maint_.flatBank))
+                continue;
+            if (q.lowerBound(acts_blocked) <= now_) {
+                if (q.stamp != issued_) {
+                    if (legal && q.stamp != kRebuild && !can_win(q))
+                        continue;
+                    refreshBank(flat);
+                }
+                for (std::uint32_t i = 0; i < q.count; ++i) {
+                    const Candidate &c = q.cands[i];
+                    if (c.at > now_ ||
+                        (acts_blocked && c.type == CmdType::ACT))
+                        continue;
+                    if (!pick)
+                        return now_;
+                    legal = true;
+                    const bool cas =
+                        c.type == CmdType::RD || c.type == CmdType::WR;
+                    std::uint64_t &best = cas ? cas_seq : other_seq;
+                    if (c.seq < best) {
+                        best = c.seq;
+                        (cas ? cas_pick : other_pick) = DemandPick{flat, i};
+                    }
+                }
+            }
+            const Cycle at = q.lowerBound(acts_blocked);
+            if (q.stamp == issued_)
+                fresh_min = std::min(fresh_min, at);
+            else if (at < fresh_min)
+                stale_.emplace_back(at, flat);
+        }
+    }
+    if (legal) {
+        *pick = cas_seq != kNone ? cas_pick : other_pick;
+        return now_;
+    }
 
-    // Pass 1: oldest ready row-hit, subject to the streak cap.
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
-            continue;
-        if (!dram_.isOpen(da.rank, da.bankGroup, da.bank) ||
-            dram_.openRow(da.rank, da.bankGroup, da.bank) != da.row)
-            continue;
-        const std::uint32_t flat = mapper_.flatBank(da);
-        if (hitDeferredAtCap(it, da))
-            continue; // let the conflicting older request make progress
+    // Nothing is legal.  A stale bound is at most its bank's true next
+    // issue, so re-query the stale bounds below the fresh minimum,
+    // smallest first; once none is left, the minimum is exact.
+    for (;;) {
+        const auto lowest = std::min_element(stale_.begin(), stale_.end());
+        if (lowest == stale_.end() || lowest->first >= fresh_min)
+            return fresh_min;
+        refreshBank(lowest->second);
+        fresh_min = std::min(
+            fresh_min, banks_[lowest->second].lowerBound(acts_blocked));
+        *lowest = stale_.back();
+        stale_.pop_back();
+    }
+}
 
-        const bool is_read = it->req.type == ReqType::Read;
-        Command cas{is_read ? CmdType::RD : CmdType::WR, da.rank,
-                    da.bankGroup, da.bank, da.row, da.col};
-        if (!issueOrTrack(cas, demandHint_))
-            continue;
+bool
+MemoryController::tickDemand()
+{
+    DemandPick pick;
+    demandHint_ = nextDemandIssueAt(&pick);
+    if (demandHint_ > now_)
+        return false;
 
-        ++hitStreak_[flat];
+    BankQueue &q = banks_[pick.bank];
+    const Candidate c = q.cands[pick.index];
+    const Command cmd = candidateCommand(q, c);
+    issue(cmd);
+    switch (c.type) {
+      case CmdType::RD:
+      case CmdType::WR: {
+        ++q.hitStreak;
         if (stats_)
-            ++stats_->counter("mem.row_hits");
-        const Cycle done = is_read
+            ++*rowHits_;
+        const Cycle done = c.type == CmdType::RD
                                ? now_ + spec_.timing.readLatency()
                                : now_ + spec_.timing.writeLatency();
-        Entry entry = std::move(*it);
-        queue_.erase(it);
-        finishRequest(entry, done);
-        return true;
+        pool_[c.slot].completed = done;
+        inFlight_.push_back(InFlight{std::move(pool_[c.slot]), done});
+        freeSlots_.push_back(c.slot);
+
+        // Unlink the slot from its bank's list.
+        std::uint32_t prev = kNoSlot;
+        for (std::uint32_t at = q.head; at != c.slot;
+             at = pending_[at].next)
+            prev = at;
+        (prev == kNoSlot ? q.head : pending_[prev].next) =
+            pending_[c.slot].next;
+        if (q.tail == c.slot)
+            q.tail = prev;
+        if (q.head == kNoSlot)
+            queuedBanks_[pick.bank / 64] &=
+                ~(std::uint64_t{1} << (pick.bank % 64));
+        break;
+      }
+      case CmdType::PRE:
+        // Row conflict: the open row had no hit left below the cap.
+        q.hitStreak = 0;
+        if (stats_)
+            ++*rowConflicts_;
+        break;
+      default:
+        q.hitStreak = 0;
+        mitigation_->onActivate(pick.bank, cmd.row, now_);
+        if (stats_)
+            ++*rowMisses_;
+        break;
     }
-
-    // Pass 2: oldest-first, issue whatever the head-of-line request
-    // needs next (PRE on conflict, ACT on closed bank).
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
-            continue;
-
-        const bool open = dram_.isOpen(da.rank, da.bankGroup, da.bank);
-        const std::uint32_t flat = mapper_.flatBank(da);
-
-        if (open && dram_.openRow(da.rank, da.bankGroup, da.bank) !=
-                        da.row) {
-            // Row conflict: close the current row -- but not while
-            // another queued request still hits it (open-page policy;
-            // the streak cap bounds how long conflicts can starve).
-            const std::uint32_t open_row =
-                dram_.openRow(da.rank, da.bankGroup, da.bank);
-            if (preDeferredForPendingHit(da, open_row))
-                continue;
-            Command pre{CmdType::PRE, da.rank, da.bankGroup, da.bank, 0,
-                        0};
-            if (issueOrTrack(pre, demandHint_)) {
-                hitStreak_[flat] = 0;
-                if (stats_)
-                    ++stats_->counter("mem.row_conflicts");
-                return true;
-            }
-            continue;
-        }
-        if (!open) {
-            if (acts_blocked)
-                continue; // honour the ABOACT budget
-            Command act{CmdType::ACT, da.rank, da.bankGroup, da.bank,
-                        da.row, 0};
-            if (issueOrTrack(act, demandHint_)) {
-                hitStreak_[flat] = 0;
-                mitigation_->onActivate(flat, da.row, now_);
-                if (stats_)
-                    ++stats_->counter("mem.row_misses");
-                return true;
-            }
-            continue;
-        }
-        // Open with the right row but the CAS was not ready in pass 1
-        // (or was capped); nothing else to do for this entry.
-    }
-    return false;
+    return true;
 }
 
 void
@@ -439,15 +565,13 @@ MemoryController::tick()
     // Deliver finished requests.
     for (std::size_t i = 0; i < inFlight_.size();) {
         if (inFlight_[i].doneAt <= now_) {
-            Entry entry = std::move(inFlight_[i].entry);
+            Request req = std::move(inFlight_[i].req);
             inFlight_[i] = std::move(inFlight_.back());
             inFlight_.pop_back();
-            if (stats_ && entry.req.type == ReqType::Read) {
-                stats_->histogram("mem.read_latency_ns")
-                    .sample(cyclesToNs(entry.req.latency()));
-            }
-            if (entry.req.onComplete)
-                entry.req.onComplete(entry.req);
+            if (readLatency_ && req.type == ReqType::Read)
+                readLatency_->sample(cyclesToNs(req.latency()));
+            if (req.onComplete)
+                req.onComplete(req);
         } else {
             ++i;
         }
@@ -585,69 +709,6 @@ MemoryController::nextMaintenanceIssueAt() const
 }
 
 Cycle
-MemoryController::nextDemandIssueAt() const
-{
-    // Demand: the earliest cycle at which any command tickDemand()
-    // would be willing to issue -- CAS on a row hit, PRE on a row
-    // conflict, ACT on a closed bank -- becomes legal under the DRAM
-    // timing state.  The deferral predicates are the same functions
-    // tickDemand() calls: they depend only on queue content,
-    // open-row state, hit streaks, and the drain/Alert blocks, all
-    // of which are frozen while no command issues, so a candidate
-    // declined today stays declined until some other candidate fires
-    // first.
-    if (queue_.empty())
-        return kNeverCycle;
-
-    const bool refresh_drain = maint_.active && !maint_.isRfm;
-    const bool rfmpb_drain =
-        maint_.active && maint_.isRfm && maint_.perBank;
-    const bool acts_blocked =
-        prac_->alertAsserted() &&
-        prac_->actsSinceAlert() >= spec_.prac.aboAct;
-
-    auto blocked_by_drain = [&](const DramAddress &da) {
-        if (refresh_drain && da.rank == maint_.rank)
-            return true;
-        if (rfmpb_drain && mapper_.flatBank(da) == maint_.flatBank)
-            return true;
-        return false;
-    };
-
-    Cycle next = kNeverCycle;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
-            continue;
-        const bool open = dram_.isOpen(da.rank, da.bankGroup, da.bank);
-        Command cmd{CmdType::ACT, da.rank, da.bankGroup, da.bank,
-                    da.row, 0};
-        if (open && dram_.openRow(da.rank, da.bankGroup, da.bank) ==
-                        da.row) {
-            if (hitDeferredAtCap(it, da))
-                continue;
-            cmd = Command{it->req.type == ReqType::Read ? CmdType::RD
-                                                        : CmdType::WR,
-                          da.rank, da.bankGroup, da.bank, da.row,
-                          da.col};
-        } else if (open) {
-            if (preDeferredForPendingHit(
-                    da, dram_.openRow(da.rank, da.bankGroup,
-                                      da.bank)))
-                continue;
-            cmd = Command{CmdType::PRE, da.rank, da.bankGroup,
-                          da.bank, 0, 0};
-        } else if (acts_blocked) {
-            continue; // the ABOACT budget blocks new activations
-        }
-        next = std::min(next, dram_.earliestIssue(cmd));
-        if (next <= now_)
-            return now_;
-    }
-    return next;
-}
-
-Cycle
 MemoryController::nextWorkAt() const
 {
     if (!nextWorkCacheValid_) {
@@ -684,7 +745,7 @@ MemoryController::composeNextWorkAt(Cycle demand_at,
     // the CAS issued, so an unobserved flight (trace replay) needs no
     // wake-up and is collected lazily by a later tick.
     for (const InFlight &flight : inFlight_)
-        if (stats_ || flight.entry.req.onComplete)
+        if (stats_ || flight.req.onComplete)
             next = std::min(next, flight.doneAt);
     next = std::min(next, prac_->nextCounterResetAt());
 

@@ -33,11 +33,12 @@
 #ifndef PRACLEAK_MEM_CONTROLLER_H
 #define PRACLEAK_MEM_CONTROLLER_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -161,7 +162,7 @@ class MemoryController
                      StatSet *stats = nullptr);
 
     /** Whether the request queue can take another entry. */
-    bool canAccept() const { return queue_.size() < config_.queueCapacity; }
+    bool canAccept() const { return !freeSlots_.empty(); }
 
     /** Enqueue a request; returns false when the queue is full. */
     bool enqueue(Request request);
@@ -207,7 +208,10 @@ class MemoryController
     void skipTo(Cycle target);
 
     Cycle now() const { return now_; }
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const
+    {
+        return pool_.size() - freeSlots_.size();
+    }
 
     DramDevice &dram() { return dram_; }
     const DramDevice &dram() const { return dram_; }
@@ -256,10 +260,90 @@ class MemoryController
     const SchedCounters &schedCounters() const { return sched_; }
 
   private:
-    struct Entry
+    /** End of a bank's request list. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** The bank's candidates must be rebuilt before their next use. */
+    static constexpr std::uint64_t kRebuild = ~std::uint64_t{0};
+
+    /**
+     * Scheduling key of the request in one pool slot, linked into its
+     * bank's age-ordered list.
+     */
+    struct Pending
     {
-        Request req;
-        std::uint64_t seq;      //!< age for FCFS ordering
+        std::uint64_t seq;      //!< global age for FCFS ordering
+        std::uint32_t row;
+        std::uint32_t next;     //!< next-younger slot of the bank
+        bool isRead;
+    };
+
+    /**
+     * A command one bank's queued requests need next, the oldest
+     * request it serves, and its cached earliestIssue() bound.
+     */
+    struct Candidate
+    {
+        CmdType type = CmdType::ACT;
+        std::uint32_t slot = 0;   //!< the request it serves
+        std::uint64_t seq = 0;    //!< that request's age
+        Cycle at = kNeverCycle;   //!< exact when fresh, else a lower bound
+    };
+
+    /**
+     * One flat bank's queued requests, oldest first, and its FR-FCFS
+     * candidates: the oldest eligible RD hit, the oldest eligible WR
+     * hit, and one PRE or ACT.  All queued requests of a bank need
+     * the same next command with the same legality, so these (at
+     * most three) stand for the whole list.  The candidate cache is
+     * a memo that the const bound functions refresh in place.
+     */
+    struct BankQueue
+    {
+        std::uint32_t head = kNoSlot;   //!< oldest request's slot
+        std::uint32_t tail = kNoSlot;
+        std::uint32_t hitStreak = 0;    //!< CAS since the last ACT/PRE
+        std::uint32_t rank = 0;
+        std::uint32_t bankGroup = 0;
+        std::uint32_t bank = 0;
+
+        mutable std::array<Candidate, 3> cands{};
+        mutable std::uint32_t count = 0;
+
+        /** issued_ when the bounds were queried, or kRebuild. */
+        mutable std::uint64_t stamp = kRebuild;
+
+        /** Smallest cached bound; 0 while a rebuild is pending. */
+        mutable Cycle bound = 0;
+
+        /** Closed bank: the ACT is the only candidate. */
+        mutable bool actOnly = false;
+
+        /** Drop the candidates: the bank's next commands may differ. */
+        void
+        invalidate()
+        {
+            stamp = kRebuild;
+            bound = 0;
+            actOnly = false;
+        }
+
+        /**
+         * Smallest cached bound over the candidates demand may use (an
+         * Alert's spent ACT budget removes the ACT).
+         */
+        Cycle
+        lowerBound(bool acts_blocked) const
+        {
+            return acts_blocked && actOnly ? kNeverCycle : bound;
+        }
+    };
+
+    /** The FR-FCFS choice: candidate @p index of flat bank @p bank. */
+    struct DemandPick
+    {
+        std::uint32_t bank = 0;
+        std::uint32_t index = 0;
     };
 
     /** Multi-cycle maintenance sequence (precharge-all then RFM/REF). */
@@ -281,31 +365,38 @@ class MemoryController
     bool tickDemand();
 
     /**
-     * FR-FCFS deferral predicates, shared between tickDemand() and
-     * nextWorkAt() so the scheduler and its fast-forward bound
-     * cannot drift: a row hit is declined at the streak cap while an
-     * older same-bank conflict starves, and a conflict PRE is held
-     * while a queued request still hits the open row below the cap.
+     * The single FR-FCFS candidate scan behind both tickDemand() and
+     * nextWorkAt().  Returns now() when a demand command is legal
+     * this cycle -- choosing it into @p pick, when given -- and
+     * otherwise the exact first cycle one becomes legal (kNeverCycle
+     * when none can).  The refresh-drain, RFMpb-drain and ABOACT
+     * blocks are filters inside this scan.
      */
-    bool hitDeferredAtCap(std::deque<Entry>::const_iterator it,
-                          const DramAddress &da) const;
-    bool preDeferredForPendingHit(const DramAddress &da,
-                                  std::uint32_t open_row) const;
+    Cycle nextDemandIssueAt(DemandPick *pick = nullptr) const;
+
+    /** Re-query bank @p flat's bounds, rebuilding stale candidates. */
+    void refreshBank(std::uint32_t flat) const;
+    void rebuildCandidates(const BankQueue &q) const;
+    Command candidateCommand(const BankQueue &q,
+                             const Candidate &c) const;
+
     /**
      * Exact event bounds backing nextWorkAt().  Each returns the
      * first cycle the corresponding tick path could issue a command,
-     * computed from the same predicates the tick path evaluates, so
-     * the scheduler and its bound cannot drift (the fast-forward
+     * so the scheduler and its bound cannot drift (the fast-forward
      * exactness invariant, src/mem/DESIGN.md).
      */
     Cycle nextMaintenanceIssueAt() const;
-    Cycle nextDemandIssueAt() const;
     Cycle computeNextWorkAt() const;
     Cycle composeNextWorkAt(Cycle demand_at, Cycle maint_at) const;
 
-    bool issueIfReady(const Command &cmd);
+    /**
+     * The one issue choke point: every command goes to the DRAM
+     * here, which stales every bank's cached bounds and drops the
+     * candidates of a bank it addresses.
+     */
+    void issue(const Command &cmd);
     bool issueOrTrack(const Command &cmd, Cycle &hint);
-    void finishRequest(Entry &entry, Cycle done_at);
     void countRfm(RfmReason reason, bool per_bank);
 
     DramSpec spec_;
@@ -330,12 +421,26 @@ class MemoryController
 
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::deque<Entry> queue_;
+
+    /** Commands issued so far: the freshness stamp of cached bounds. */
+    std::uint64_t issued_ = 0;
+
+    /** queueCapacity request slots; the free ones are in freeSlots_. */
+    std::vector<Request> pool_;
+    std::vector<Pending> pending_;
+    std::vector<std::uint32_t> freeSlots_;
+
+    /** Indexed by flat bank, with one bit per non-empty bank. */
+    std::vector<BankQueue> banks_;
+    std::vector<std::uint64_t> queuedBanks_;
+
+    /** Work list reused by nextDemandIssueAt(): (stale bound, bank). */
+    mutable std::vector<std::pair<Cycle, std::uint32_t>> stale_;
 
     /** Completed-in-future requests waiting for their done time. */
     struct InFlight
     {
-        Entry entry;
+        Request req;
         Cycle doneAt;
     };
     std::vector<InFlight> inFlight_;
@@ -352,10 +457,8 @@ class MemoryController
     mutable bool nextWorkCacheValid_ = false;
 
     /**
-     * Earliest-issue bounds tracked as a free by-product of the tick
-     * scans: when a tick issues nothing, the scans it ran anyway have
-     * already visited every candidate, so the next-work cache can be
-     * rebuilt from these hints without a second sweep.
+     * Exact next-issue bounds a tick that issued nothing leaves
+     * behind: they rebuild the next-work cache without a second scan.
      */
     Cycle demandHint_ = kNeverCycle;
     Cycle maintHint_ = kNeverCycle;
@@ -363,10 +466,19 @@ class MemoryController
     /** mutable: nextWorkAt() is const but counts hits/rebuilds. */
     mutable SchedCounters sched_;
 
-    /** Cached &stats_->histogram("mem.queue_occupancy") (or null). */
+    /**
+     * Hot StatSet entries resolved once at construction (null without
+     * a StatSet): the enqueue, issue and delivery paths are too hot
+     * for a per-call map lookup.
+     */
     Histogram *queueOccupancy_ = nullptr;
+    Histogram *readLatency_ = nullptr;
+    std::uint64_t *reads_ = nullptr;
+    std::uint64_t *writes_ = nullptr;
+    std::uint64_t *rowHits_ = nullptr;
+    std::uint64_t *rowConflicts_ = nullptr;
+    std::uint64_t *rowMisses_ = nullptr;
 
-    std::vector<std::uint32_t> hitStreak_;
     std::array<std::uint64_t, kRfmReasonCount> rfmCounts_{};
 };
 

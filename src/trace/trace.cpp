@@ -11,6 +11,14 @@ namespace {
 /** 8-byte magic: "PRACTRC" + NUL. */
 constexpr char kMagic[8] = {'P', 'R', 'A', 'C', 'T', 'R', 'C', '\0'};
 
+/**
+ * Header knob limits: channel counts and interleave granularities are
+ * 32-bit powers of two (the address mapper's domain), and the queue
+ * capacity sizes the replay controller's request pool.
+ */
+constexpr std::uint64_t kMaxPowerOfTwo = std::uint64_t{1} << 31;
+constexpr std::uint64_t kMaxQueueCapacity = 4096;
+
 // --- encoding ------------------------------------------------------
 
 void
@@ -100,6 +108,29 @@ struct Cursor
         throw std::runtime_error(
             "corrupt trace file: varint overflow while reading " +
             std::string(what));
+    }
+
+    /**
+     * A varint header knob that must lie in [@p lo, @p hi] and, when
+     * @p power_of_two, be a power of two -- the values the controller
+     * and address mapper accept.  Anything else is rejected here, at
+     * its byte offset, instead of failing later at replay.
+     */
+    std::uint32_t
+    knob(const char *what, std::uint64_t lo, std::uint64_t hi,
+         bool power_of_two)
+    {
+        const std::size_t at = pos;
+        const std::uint64_t value = varint(what);
+        if (value < lo || value > hi ||
+            (power_of_two && (value & (value - 1)) != 0))
+            throw std::runtime_error(
+                "corrupt trace file: " + std::string(what) + " = " +
+                std::to_string(value) + " at byte " +
+                std::to_string(at) + " (must be " +
+                (power_of_two ? "a power of two " : "") + "in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "])");
+        return static_cast<std::uint32_t>(value);
     }
 
     std::string
@@ -278,14 +309,13 @@ TraceReader::parse(const std::string &bytes)
         static_cast<std::uint32_t>(in.varint("cols_per_row"));
     header.nbo = static_cast<std::uint32_t>(in.varint("nbo"));
     header.nmit = static_cast<std::uint32_t>(in.varint("nmit"));
-    header.channels =
-        static_cast<std::uint32_t>(in.varint("channels"));
+    header.channels = in.knob("channels", 1, kMaxPowerOfTwo, true);
     header.granularityBytes =
-        static_cast<std::uint32_t>(in.varint("granularity"));
+        in.knob("granularity", kLineBytes, kMaxPowerOfTwo, true);
     header.xorFold = in.u8("xor_fold") != 0;
     header.mapping = in.u8("mapping");
     header.queueCapacity =
-        static_cast<std::uint32_t>(in.varint("queue_capacity"));
+        in.knob("queue_capacity", 1, kMaxQueueCapacity, false);
     header.frfcfsCap =
         static_cast<std::uint32_t>(in.varint("frfcfs_cap"));
     header.refreshEnabled = in.u8("refresh_enabled") != 0;
@@ -306,9 +336,6 @@ TraceReader::parse(const std::string &bytes)
             std::to_string(header.channels) +
             " channels but the body carries " +
             std::to_string(channels));
-    if (channels == 0)
-        throw std::runtime_error(
-            "corrupt trace file: zero channels");
     // Every channel needs at least its 15 stats varints plus a
     // record count; a larger claim cannot fit the remaining bytes.
     if (channels > (bytes.size() - in.pos) / 16 + 1)

@@ -1,11 +1,19 @@
 /**
  * @file
  * Unit tests for the DDR5 device model: spec defaults (Tables 1 and
- * 3), per-bank state, and enforcement of every timing constraint.
+ * 3), per-bank state, enforcement of every timing constraint, and the
+ * monotonicity of earliestIssue() that the controller's cached bounds
+ * rest on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "dram/dram.h"
 #include "dram/dram_spec.h"
 
@@ -236,6 +244,128 @@ TEST(DramDevice, ReadLatencyIsClPlusBurst)
     DramDevice dev(spec);
     EXPECT_EQ(dev.readDoneAt(100),
               100 + spec.timing.tCL + spec.timing.tBL);
+}
+
+/**
+ * The lower-bound property behind the controller's cached bounds
+ * (src/mem/DESIGN.md): timing limits only move later as commands
+ * issue.  Random legal command streams run on every registered spec;
+ * after each issue, every bank whose open state and row it left alone
+ * must report no earlier earliestIssue() for a fixed ACT, PRE, RD or
+ * WR than before the issue.
+ */
+TEST(DramDevice, EarliestIssueNeverDecreasesWhileBankStateHolds)
+{
+    for (const std::string &name : specNames()) {
+        const DramSpec spec = specByName(name);
+        const DramOrg &org = spec.org;
+        DramDevice dev(spec);
+        Rng rng(0xB0B5ULL + org.totalBanks());
+
+        struct Probe
+        {
+            bool open;
+            std::uint32_t row;
+            std::array<Cycle, 4> at;
+        };
+        auto coords = [&](std::uint32_t flat) {
+            const std::uint32_t in_rank = flat % org.banksPerRank();
+            return std::array<std::uint32_t, 3>{
+                flat / org.banksPerRank(), in_rank / org.banksPerGroup,
+                in_rank % org.banksPerGroup};
+        };
+        auto probe = [&](std::uint32_t flat) {
+            const auto [r, bg, b] = coords(flat);
+            Probe p{dev.isOpen(r, bg, b), dev.openRow(r, bg, b), {}};
+            const std::uint32_t row = p.open ? p.row : 0;
+            p.at = {dev.earliestIssue(act(r, bg, b, 3)),
+                    dev.earliestIssue(pre(r, bg, b)),
+                    dev.earliestIssue(rd(r, bg, b, row)),
+                    dev.earliestIssue(
+                        Command{CmdType::WR, r, bg, b, row, 0})};
+            return p;
+        };
+
+        // Hot banks in two bank groups of the outer ranks: same- and
+        // cross-group pairs keep tRRD, tFAW, tCCD and bus turnaround
+        // limits binding; the other banks serve as closed probes.
+        std::vector<std::uint32_t> hot;
+        for (const std::uint32_t r : {0u, org.ranks - 1})
+            for (std::uint32_t in_rank : {0u, 1u, org.banksPerGroup,
+                                          org.banksPerGroup + 1})
+                hot.push_back(org.flatBank(r, in_rank));
+
+        Cycle now = 0;
+        std::uint64_t issued = 0;
+        std::uint64_t checked = 0;
+        std::string first_failure;
+        std::vector<Probe> before(org.totalBanks());
+        auto issue_checked = [&](const Command &cmd) {
+            for (std::uint32_t f = 0; f < org.totalBanks(); ++f)
+                before[f] = probe(f);
+            now = std::max(now, dev.earliestIssue(cmd)) + rng.range(3);
+            dev.issue(cmd, now);
+            ++issued;
+            for (std::uint32_t f = 0; f < org.totalBanks(); ++f) {
+                const Probe after = probe(f);
+                if (after.open != before[f].open ||
+                    after.row != before[f].row)
+                    continue;
+                for (std::size_t k = 0; k < after.at.size(); ++k) {
+                    ++checked;
+                    if (after.at[k] < before[f].at[k] &&
+                        first_failure.empty())
+                        first_failure =
+                            name + ": bank " + std::to_string(f) +
+                            " probe " + std::to_string(k) +
+                            " moved earlier after " + cmd.str() +
+                            " at " + std::to_string(now);
+                }
+            }
+        };
+
+        for (int step = 0; step < 6000; ++step) {
+            const std::uint32_t flat = hot[rng.range(hot.size())];
+            const auto [r, bg, b] = coords(flat);
+            const bool open = dev.isOpen(r, bg, b);
+            const std::uint64_t pick = rng.range(100);
+            if (pick < 4) {
+                // REF, RFMab or RFMpb, after closing the banks in its
+                // scope -- each PRE a checked issue of its own.
+                const Command cmd =
+                    pick < 2   ? Command{CmdType::REFab, r, 0, 0, 0, 0}
+                    : pick < 3 ? Command{CmdType::RFMab, 0, 0, 0, 0, 0}
+                               : Command{CmdType::RFMpb, r, bg, b, 0, 0};
+                for (const std::uint32_t h : hot) {
+                    const auto [hr, hbg, hb] = coords(h);
+                    const bool in_scope =
+                        cmd.type == CmdType::RFMab ||
+                        (cmd.type == CmdType::REFab && hr == r) ||
+                        h == flat;
+                    if (in_scope && dev.isOpen(hr, hbg, hb))
+                        issue_checked(pre(hr, hbg, hb));
+                }
+                issue_checked(cmd);
+            } else if (!open) {
+                issue_checked(
+                    act(r, bg, b, static_cast<std::uint32_t>(rng.range(4))));
+            } else if (pick < 40) {
+                issue_checked(pre(r, bg, b));
+            } else {
+                issue_checked(Command{
+                    rng.chance(0.5) ? CmdType::WR : CmdType::RD, r, bg, b,
+                    dev.openRow(r, bg, b), 0});
+            }
+        }
+        EXPECT_TRUE(first_failure.empty()) << first_failure;
+        EXPECT_GT(issued, 1000u) << name;
+        EXPECT_GT(checked, 0u) << name;
+        for (CmdType type : {CmdType::ACT, CmdType::PRE, CmdType::RD,
+                             CmdType::WR, CmdType::REFab, CmdType::RFMab,
+                             CmdType::RFMpb})
+            EXPECT_GT(dev.issueCount(type), 0u)
+                << name << " never issued " << cmdName(type);
+    }
 }
 
 } // namespace

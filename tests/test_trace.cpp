@@ -237,6 +237,54 @@ TEST(TraceFormat, RejectsTrailingGarbage)
     }
 }
 
+/**
+ * Header knobs the controller and address mapper would refuse are
+ * rejected by the parser, at their byte offset: a non-power-of-two
+ * channel count or interleave granularity (the mapper exits the
+ * process on those at replay), a granularity below one line, and a
+ * queue capacity outside [1, 4096] (zero builds a controller that
+ * accepts nothing; the bound caps the replay request pool).
+ */
+TEST(TraceFormat, RejectsUnusableHeaderKnobs)
+{
+    struct Case
+    {
+        const char *field;
+        void (*corrupt)(TraceHeader &);
+    };
+    const Case cases[] = {
+        {"channels", [](TraceHeader &h) { h.channels = 3; }},
+        {"granularity", [](TraceHeader &h) { h.granularityBytes = 96; }},
+        {"granularity", [](TraceHeader &h) { h.granularityBytes = 32; }},
+        {"queue_capacity", [](TraceHeader &h) { h.queueCapacity = 0; }},
+        {"queue_capacity",
+         [](TraceHeader &h) { h.queueCapacity = 4097; }},
+    };
+    for (const Case &c : cases) {
+        TraceData data{sampleHeader(1), {}};
+        c.corrupt(data.header);
+        data.channels.resize(data.header.channels);
+        try {
+            TraceReader::parse(trace::serializeTrace(data));
+            FAIL() << c.field << " accepted";
+        } catch (const std::runtime_error &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(c.field), std::string::npos) << what;
+            EXPECT_NE(what.find("at byte"), std::string::npos) << what;
+        }
+    }
+
+    // The limits themselves are legal.
+    for (const std::uint32_t capacity : {1u, 4096u}) {
+        TraceData data{sampleHeader(2), {}};
+        data.header.queueCapacity = capacity;
+        data.header.granularityBytes = kLineBytes;
+        data.channels.resize(2);
+        EXPECT_NO_THROW(TraceReader::parse(trace::serializeTrace(data)))
+            << capacity;
+    }
+}
+
 // --- spec registry -------------------------------------------------
 
 TEST(SpecRegistry, NamesAndLookup)
