@@ -67,7 +67,7 @@ main()
                 100.0 * leak.errorRate());
 
     std::printf("\nsame transmission with the TPRAC defense...\n");
-    params.mode = MitigationMode::Tprac;
+    params.defense = "tprac";
     const CovertResult closed = runActivityCovert(params, message);
     std::printf("  received : \"%s\"\n",
                 fromBits(closed.decoded).c_str());

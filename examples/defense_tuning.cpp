@@ -16,8 +16,8 @@
 #include <cstdio>
 
 #include "mem/controller.h"
+#include "mitigation/registry.h"
 #include "tprac/analysis.h"
-#include "tprac/tb_rfm.h"
 
 using namespace pracleak;
 
@@ -51,8 +51,7 @@ main()
     DramSpec attack_spec = spec;
     attack_spec.prac.nbo = 1024;
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    config.tbRfm = TbRfmConfig::forNbo(1024, true, attack_spec);
+    configureDefense(config, "tprac", attack_spec);
     MemoryController mem(attack_spec, config);
 
     // Aggressive single-bank hammer (stronger than benign traffic,

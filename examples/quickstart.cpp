@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "cpu/system.h"
-#include "tprac/tb_rfm.h"
+#include "mitigation/registry.h"
 #include "workload/suite.h"
 
 using namespace pracleak;
@@ -18,15 +18,15 @@ using namespace pracleak;
 namespace {
 
 RunResult
-runOnce(MitigationMode mode, std::uint32_t nbo,
+runOnce(const char *defense, std::uint32_t nbo,
         std::uint32_t channels = 1)
 {
     SystemConfig config;
     config.spec = DramSpec::ddr5_8000b();
     config.spec.prac.nbo = nbo;
-    config.mem.mode = mode;
-    if (mode == MitigationMode::Tprac)
-        config.mem.tbRfm = TbRfmConfig::forNbo(nbo, true, config.spec);
+    // The registry key names the defense; configureDefense derives
+    // its parameters (here the TPRAC TB-Window) from the spec's NBO.
+    configureDefense(config.mem, defense, config.spec);
     config.warmupInstrs = 20'000;
     config.measureInstrs = 200'000;
 
@@ -49,9 +49,9 @@ main()
 
     std::printf("PRACLeak/TPRAC quickstart (NBO = %u)\n", kNbo);
     std::printf("running baseline (PRAC timings, no mitigation)...\n");
-    const RunResult base = runOnce(MitigationMode::NoMitigation, kNbo);
+    const RunResult base = runOnce("none", kNbo);
     std::printf("running TPRAC (timing-based RFMs)...\n");
-    const RunResult tprac = runOnce(MitigationMode::Tprac, kNbo);
+    const RunResult tprac = runOnce("tprac", kNbo);
 
     std::printf("\n%-12s %10s %10s %8s %8s\n", "config", "IPC-sum",
                 "TB-RFMs", "alerts", "RBMPKI");
@@ -73,7 +73,7 @@ main()
                 static_cast<unsigned long long>(tprac.alerts));
 
     std::printf("\nrunning TPRAC again on two interleaved channels...\n");
-    const RunResult two = runOnce(MitigationMode::Tprac, kNbo, 2);
+    const RunResult two = runOnce("tprac", kNbo, 2);
     std::printf("2-channel IPC-sum %.3f (1-channel %.3f); per-channel "
                 "ACTs:",
                 two.ipcSum(), tprac.ipcSum());

@@ -110,13 +110,12 @@ inline constexpr bool attackerAcceptsFields =
 } // namespace detail
 
 /**
- * Field-count tripwire, same idiom as DesignConfig (sim/design.h).
- * AttackerConfig is consumed positionally in places the compiler
- * cannot audit: attackerConfigToJson()/knob export in
- * adversaries.cpp, the `attacker.<knob>` CLI sub-keys, and the
- * search driver's candidate sampling must each enumerate every knob
- * or a new field silently never gets swept.  Update the count only
- * after auditing those sites.
+ * Field-count tripwire.  AttackerConfig is consumed positionally in
+ * places the compiler cannot audit: attackerConfigToJson()/knob
+ * export in adversaries.cpp, the `attacker.<knob>` CLI sub-keys, and
+ * the search driver's candidate sampling must each enumerate every
+ * knob or a new field silently never gets swept.  Update the count
+ * only after auditing those sites.
  */
 inline constexpr std::size_t kAttackerConfigFieldCount = 8;
 

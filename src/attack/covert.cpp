@@ -7,7 +7,7 @@
 #include "attack/harness.h"
 #include "attack/visible_bus.h"
 #include "common/log.h"
-#include "tprac/analysis.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -41,7 +41,6 @@ ControllerConfig
 covertControllerConfig(const CovertParams &params)
 {
     ControllerConfig config;
-    config.mode = params.mode;
     config.refreshEnabled = params.refreshEnabled;
     // The paper's attack evaluation runs on UPRAC, whose idealized
     // queue mitigates the true per-bank maximum on every RFM.  (A
@@ -49,21 +48,11 @@ covertControllerConfig(const CovertParams &params)
     // burst -- nothing activates while the channel is blocked -- so
     // decoy rows would accumulate stale counts.)
     config.prac.queue = QueueKind::Ideal;
-    if (params.mode == MitigationMode::AboAcb) {
-        const FeintingParams fp = FeintingParams::fromSpec(params.spec);
-        config.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(params.nbo, true, fp));
-    }
-    if (params.mode == MitigationMode::Tprac) {
-        if (params.tbWindowCycles) {
-            config.tbRfm.windowCycles = params.tbWindowCycles;
-        } else {
-            config.tbRfm =
-                TbRfmConfig::forNbo(params.nbo, true, params.spec);
-        }
-    }
-    if (params.mode == MitigationMode::Obfuscation)
-        config.randomRfmPerTrefi = params.randomRfmPerTrefi;
+    config.tbRfm.windowCycles = params.tbWindowCycles;
+    config.randomRfmPerTrefi = params.randomRfmPerTrefi;
+    DramSpec spec = params.spec;
+    spec.prac.nbo = params.nbo;
+    configureDefense(config, params.defense, spec);
     return config;
 }
 

@@ -18,6 +18,7 @@
 #define PRACLEAK_ATTACK_COVERT_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -29,7 +30,9 @@ namespace pracleak {
 struct CovertParams
 {
     DramSpec spec = DramSpec::ddr5_8000b();
-    MitigationMode mode = MitigationMode::AboOnly;
+
+    /** Defense registry key (mitigation/registry.h). */
+    std::string defense = "abo-only";
 
     /** Back-Off threshold (overrides spec.prac.nbo). */
     std::uint32_t nbo = 256;
@@ -37,10 +40,10 @@ struct CovertParams
     /** RFMs per Alert (PRAC level). */
     std::uint32_t nmit = 4;
 
-    /** TPRAC window, only used when mode == Tprac. */
+    /** "tprac" window; 0 derives it from nbo. */
     Cycle tbWindowCycles = 0;
 
-    /** Random-RFM injection rate, only used when mode == Obfuscation. */
+    /** Random-RFM injection rate of the "obfuscation" defense. */
     double randomRfmPerTrefi = 0.5;
 
     /** Auto-refresh on/off (off isolates the channel for unit tests). */

@@ -1,5 +1,6 @@
 #include "attack/side_channel.h"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 
@@ -7,7 +8,7 @@
 #include "attack/visible_bus.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "tprac/analysis.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -230,20 +231,11 @@ ControllerConfig
 sideChannelConfig(const SideChannelParams &params)
 {
     ControllerConfig config;
-    config.mode = params.mode;
     config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
-    if (params.mode == MitigationMode::AboAcb) {
-        const FeintingParams fp = FeintingParams::fromSpec(params.spec);
-        config.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(params.nbo, true, fp));
-    }
-    if (params.mode == MitigationMode::Tprac) {
-        if (params.tbWindowCycles)
-            config.tbRfm.windowCycles = params.tbWindowCycles;
-        else
-            config.tbRfm =
-                TbRfmConfig::forNbo(params.nbo, true, params.spec);
-    }
+    config.tbRfm.windowCycles = params.tbWindowCycles;
+    DramSpec spec = params.spec;
+    spec.prac.nbo = params.nbo;
+    configureDefense(config, params.defense, spec);
     return config;
 }
 
@@ -262,7 +254,7 @@ runAesSideChannel(const SideChannelParams &params)
         cal.probeLag = 0;
         cal.key = Aes128T::Key{}; // all-zero key
         cal.p0 = 0;               // => true trigger row is 0
-        cal.mode = MitigationMode::AboOnly;
+        cal.defense = "abo-only";
         cal.recordTimeline = false;
         const SideChannelResult dry = runAesSideChannel(cal);
         if (dry.spikeObserved)
@@ -378,7 +370,7 @@ calibrateProbeLag(SideChannelParams params)
     params.probeLag = 0;
     params.key = Aes128T::Key{};
     params.p0 = 0;
-    params.mode = MitigationMode::AboOnly;
+    params.defense = "abo-only";
     const SideChannelResult dry = runAesSideChannel(params);
     if (!dry.spikeObserved)
         return 0;

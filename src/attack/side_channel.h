@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "attack/agents.h"
@@ -35,11 +36,13 @@ namespace pracleak {
 struct SideChannelParams
 {
     DramSpec spec = DramSpec::ddr5_8000b();
-    MitigationMode mode = MitigationMode::AboOnly;
+
+    /** Defense registry key (mitigation/registry.h). */
+    std::string defense = "abo-only";
 
     std::uint32_t nbo = 256;
     std::uint32_t nmit = 4;
-    Cycle tbWindowCycles = 0;   //!< 0 = derive from nbo (Tprac mode)
+    Cycle tbWindowCycles = 0;   //!< "tprac" window; 0 = derive from nbo
 
     Aes128T::Key key{};         //!< victim's secret key
     std::uint8_t p0 = 0;        //!< fixed chosen-plaintext byte 0

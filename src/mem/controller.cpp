@@ -9,29 +9,15 @@
 
 namespace pracleak {
 
-const char *
-mitigationModeName(MitigationMode mode)
-{
-    switch (mode) {
-      case MitigationMode::NoMitigation: return "no-mitigation";
-      case MitigationMode::AboOnly: return "abo-only";
-      case MitigationMode::AboAcb: return "abo+acb-rfm";
-      case MitigationMode::Tprac: return "tprac";
-      case MitigationMode::Obfuscation: return "obfuscation";
-    }
-    return "?";
-}
-
 MemoryController::MemoryController(const DramSpec &spec,
                                    const ControllerConfig &config,
                                    StatSet *stats)
     : spec_(spec), config_(config), stats_(stats), dram_(spec),
       mapper_(spec.org, config.mapping, config.interleave)
 {
-    const std::string defense = resolveMitigationName(config_);
-    const MitigationInfo *info = findMitigation(defense);
+    const MitigationInfo *info = findMitigation(config_.mitigation);
     if (!info)
-        fatal("unknown mitigation '" + defense + "'");
+        fatal("unknown mitigation '" + config_.mitigation + "'");
 
     PracEngineConfig prac_config = config.prac;
     if (!info->usesAbo)
@@ -45,7 +31,7 @@ MemoryController::MemoryController(const DramSpec &spec,
     ctx.config = &config_;
     ctx.prac = prac_.get();
     ctx.stats = stats_;
-    mitigation_ = makeMitigation(defense, ctx);
+    mitigation_ = makeMitigation(config_.mitigation, ctx);
 
     nextRefreshAt_.resize(spec.org.ranks);
     for (std::uint32_t r = 0; r < spec.org.ranks; ++r) {
@@ -90,7 +76,7 @@ MemoryController::MemoryController(const DramSpec &spec,
     // AttackHarness, trace replay, tests -- gets its channel's bus
     // observer here, keyed by channelIndex.  Null when disarmed.
     bus_ = telemetry::SeriesCapture::attach(
-        spec_, config_.channelIndex, defense);
+        spec_, config_.channelIndex, config_.mitigation);
 }
 
 bool

@@ -8,22 +8,23 @@
  * bank, at what deadline) to a Mitigation instance resolved from the
  * string-keyed registry.
  *
- * The legacy MitigationMode enum remains the convenient configuration
- * surface for the paper's modes and maps 1:1 onto registry keys:
+ * ControllerConfig::mitigation selects the defense by registry key
+ * (mitigationCatalog() is authoritative):
  *
- *  - NoMitigation ("none") : PRAC timings, no ABO, no RFMs (the
- *    paper's normalization baseline).
- *  - AboOnly ("abo-only")  : DRAM asserts Alert at NBO; controller
- *    services it with Nmit RFMab commands (insecure: ABO-RFMs leak).
- *  - AboAcb ("abo+acb-rfm"): AboOnly plus proactive Activation-Based
- *    RFMs at the Bank Activation Threshold (insecure: ACB-RFMs leak).
- *  - Tprac ("tprac")       : Timing-Based RFMs at a fixed TB-Window,
- *    ABO kept armed only as a safety net.
- *  - Obfuscation           : ABO plus random RFMab injection
- *    (Section 7.1 ablation).
+ *  - "none"        : PRAC timings, no ABO, no RFMs (the paper's
+ *    normalization baseline).
+ *  - "abo-only"    : DRAM asserts Alert at NBO; controller services it
+ *    with Nmit RFMab commands (insecure: ABO-RFMs leak).
+ *  - "abo+acb-rfm" : abo-only plus proactive Activation-Based RFMs at
+ *    the Bank Activation Threshold (insecure: ACB-RFMs leak).
+ *  - "tprac"       : Timing-Based RFMs at a fixed TB-Window, ABO kept
+ *    armed only as a safety net.
+ *  - "obfuscation" : ABO plus random RFMab injection (Section 7.1
+ *    ablation).
+ *  - "para", "graphene", "pb-rfm" : the new-generation defenses.
  *
- * New-generation defenses (PARA, Graphene, PB-RFM) have no enum
- * value; select them via ControllerConfig::mitigation.
+ * configureDefense() (mitigation/registry.h) derives each defense's
+ * parameters from the spec.
  *
  * The controller issues at most one command per cycle, with priority
  * maintenance-over-demand: an in-flight RFM sequence first, then due
@@ -58,25 +59,6 @@ namespace telemetry {
 class BusObserver;
 }
 
-/** Legacy top-level mitigation strategy selector. */
-enum class MitigationMode : std::uint8_t
-{
-    NoMitigation,
-    AboOnly,
-    AboAcb,
-    Tprac,
-
-    /**
-     * Section 7.1 alternative: ABO stays armed, and the controller
-     * additionally injects RFMabs at random (Bernoulli draw once per
-     * tREFI) to obfuscate the timing channel.  Does NOT eliminate
-     * ABO-RFMs -- provided for the leakage-vs-cost ablation.
-     */
-    Obfuscation,
-};
-
-const char *mitigationModeName(MitigationMode mode);
-
 /**
  * Observer of the controller's enqueue boundary.  The trace subsystem
  * (src/trace/) installs one per channel to serialize the accepted
@@ -110,15 +92,8 @@ struct ControllerConfig
     std::uint32_t frfcfsCap = 4;        //!< row-hit streak cap
     bool refreshEnabled = true;
 
-    MitigationMode mode = MitigationMode::NoMitigation;
-
-    /**
-     * String-keyed defense selection (mitigation/registry.h).  When
-     * non-empty it takes precedence over `mode`; the legacy enum maps
-     * onto the keys "none", "abo-only", "abo+acb-rfm", "tprac", and
-     * "obfuscation".
-     */
-    std::string mitigation;
+    /** Defense registry key (mitigation/registry.h). */
+    std::string mitigation = "none";
 
     /**
      * Index of this controller's channel within the system; selects
@@ -127,13 +102,13 @@ struct ControllerConfig
     std::uint32_t channelIndex = 0;
 
     PracEngineConfig prac{};
-    std::uint32_t bat = 0;              //!< ACB threshold (AboAcb mode)
-    TbRfmConfig tbRfm{};                //!< TPRAC window (Tprac mode)
+    std::uint32_t bat = 0;              //!< "abo+acb-rfm" threshold
+    TbRfmConfig tbRfm{};                //!< "tprac" window
     ParaConfig para{};                  //!< "para" defense
     GrapheneConfig graphene{};          //!< "graphene" defense
     PbRfmConfig pbRfm{};                //!< "pb-rfm" defense
 
-    /** Obfuscation mode: P(inject one RFM) per tREFI. */
+    /** "obfuscation": P(inject one RFM) per tREFI. */
     double randomRfmPerTrefi = 0.5;
     std::uint64_t obfuscationSeed = 0xDEC0'D5ULL;
 };

@@ -61,21 +61,6 @@ mitigationNames()
     return names;
 }
 
-std::string
-resolveMitigationName(const ControllerConfig &config)
-{
-    if (!config.mitigation.empty())
-        return config.mitigation;
-    switch (config.mode) {
-      case MitigationMode::NoMitigation: return "none";
-      case MitigationMode::AboOnly: return "abo-only";
-      case MitigationMode::AboAcb: return "abo+acb-rfm";
-      case MitigationMode::Tprac: return "tprac";
-      case MitigationMode::Obfuscation: return "obfuscation";
-    }
-    return "none";
-}
-
 std::unique_ptr<Mitigation>
 makeMitigation(const std::string &name, const MitigationContext &ctx)
 {
@@ -89,12 +74,12 @@ makeMitigation(const std::string &name, const MitigationContext &ctx)
     }
     if (name == "abo+acb-rfm") {
         if (config.bat == 0)
-            fatal("AboAcb mode requires a non-zero BAT");
+            fatal("abo+acb-rfm requires a non-zero BAT");
         return std::make_unique<AcbRfmMitigation>(banks, config.bat);
     }
     if (name == "tprac") {
         if (config.tbRfm.windowCycles == 0)
-            fatal("Tprac mode requires a non-zero TB-Window");
+            fatal("tprac requires a non-zero TB-Window");
         TbRfmConfig tb = config.tbRfm;
         if (tb.perBank) {
             // Rotate through every bank within one window so each

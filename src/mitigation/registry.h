@@ -4,10 +4,10 @@
  *
  * Every defense registers a stable key, a one-line description, and
  * whether it keeps the DRAM's Alert Back-Off substrate armed.  The
- * memory controller resolves its defense here (from
- * ControllerConfig::mitigation, falling back to the legacy
- * MitigationMode enum), and scenario grids sweep the same keys via
- * `pracbench --set mitigation=...`.
+ * key is the only defense selector: the memory controller resolves
+ * ControllerConfig::mitigation here, every layer that picks a defense
+ * derives its parameters through configureDefense(), and scenario
+ * grids sweep the same keys via `pracbench --set mitigation=...`.
  */
 
 #ifndef PRACLEAK_MITIGATION_REGISTRY_H
@@ -39,13 +39,6 @@ const MitigationInfo *findMitigation(const std::string &name);
 
 /** Registered defense keys, in catalog order. */
 std::vector<std::string> mitigationNames();
-
-/**
- * Resolve the effective defense key for a controller configuration:
- * ControllerConfig::mitigation when non-empty, otherwise the key the
- * legacy MitigationMode enum maps to.
- */
-std::string resolveMitigationName(const ControllerConfig &config);
 
 /**
  * Construct the defense named @p name.  Fatals on unknown keys and on

@@ -1,8 +1,6 @@
 #include "sim/design.h"
 
-#include <algorithm>
-
-#include "mitigation/registry.h"
+#include <cstdlib>
 #include <future>
 #include <map>
 #include <mutex>
@@ -10,7 +8,44 @@
 #include <tuple>
 #include <utility>
 
+#include "mitigation/registry.h"
+
 namespace pracleak::sim {
+
+DesignConfig
+designFromLabel(std::string label, std::uint32_t nrh,
+                std::uint32_t nmit)
+{
+    DesignConfig design;
+    design.label = label;
+    design.nbo = nrh;
+    design.nmit = nmit;
+
+    const auto noreset = label.find("-noreset");
+    if (noreset != std::string::npos) {
+        design.counterReset = false;
+        label.erase(noreset, 8);
+    }
+    const auto tref = label.find("+tref/");
+    if (tref != std::string::npos) {
+        design.trefPeriodRefs = static_cast<std::uint32_t>(
+            std::strtoul(label.c_str() + tref + 6, nullptr, 10));
+        label.erase(tref);
+    }
+
+    design.perBankRfm = label == "tprac-pb";
+    if (label == "baseline")
+        design.mitigation = "none";
+    else if (design.perBankRfm)
+        design.mitigation = "tprac";
+    else if (label == "abo-only" || label == "abo+acb-rfm" ||
+             label == "tprac")
+        design.mitigation = label;
+    else
+        throw std::invalid_argument("unknown design label '" + label +
+                                    "'");
+    return design;
+}
 
 SystemConfig
 makeSystemConfig(const DesignConfig &design, const RunBudget &budget)
@@ -28,32 +63,14 @@ makeSystemConfig(const DesignConfig &design, const RunBudget &budget)
     config.warmupInstrs = budget.warmup;
     config.measureInstrs = budget.measure;
 
-    config.mem.mode = design.mode;
     if (design.randomRfmPerTrefi >= 0.0)
         config.mem.randomRfmPerTrefi = design.randomRfmPerTrefi;
     config.mem.prac.queue = QueueKind::SingleEntry;
     config.mem.prac.counterResetAtTrefw = design.counterReset;
     config.mem.prac.trefPeriodRefs = design.trefPeriodRefs;
-
-    if (!design.mitigation.empty()) {
-        configureDefense(config.mem, design.mitigation, config.spec,
-                         design.trefPeriodRefs != 0);
-        if (design.mitigation == "tprac")
-            config.mem.tbRfm.perBank = design.perBankRfm;
-        return config;
-    }
-
-    const FeintingParams fp = FeintingParams::fromSpec(config.spec);
-    if (design.mode == MitigationMode::AboAcb) {
-        config.mem.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(design.nbo, design.counterReset, fp));
-    }
-    if (design.mode == MitigationMode::Tprac) {
-        config.mem.tbRfm = TbRfmConfig::forNbo(
-            design.nbo, design.counterReset, config.spec,
-            design.trefPeriodRefs != 0);
-        config.mem.tbRfm.perBank = design.perBankRfm;
-    }
+    configureDefense(config.mem, design.mitigation, config.spec,
+                     design.trefPeriodRefs != 0);
+    config.mem.tbRfm.perBank = design.perBankRfm;
     return config;
 }
 
@@ -68,46 +85,13 @@ runOne(const SuiteEntry &entry, const DesignConfig &design,
 
 namespace {
 
-/**
- * Every knob a NoMitigation baseline run can observe.  Kept honest
- * by the kDesignConfigFieldCount tripwire (design.h): when a field
- * is added to DesignConfig, decide here whether the baseline can
- * observe it and extend the key if so -- label, mode/mitigation,
- * perBankRfm, randomRfmPerTrefi, and fastForward are deliberately
- * excluded (the baseline forces NoMitigation, and fast-forward is
- * statistics-invariant by the event-scheduler contract).
- */
-static_assert(kDesignConfigFieldCount == 14,
-              "DesignConfig changed: re-audit BaselineKey before "
-              "updating the count");
 using BaselineKey =
-    std::tuple<std::string, std::string, std::uint32_t, std::uint32_t,
-               std::uint32_t, bool, std::uint64_t, std::uint64_t,
-               std::uint32_t, std::uint32_t, std::uint32_t,
-               std::uint32_t>;
+    std::tuple<std::string, DesignConfig, RunBudget, std::uint32_t>;
 
 // shared_future per key: the first thread to claim a key computes
 // it, concurrent claimants wait instead of re-simulating.
 std::mutex g_baselineMutex;
 std::map<BaselineKey, std::shared_future<RunResult>> g_baselineCache;
-
-BaselineKey
-baselineKey(const SuiteEntry &entry, const DesignConfig &design,
-            const RunBudget &budget, std::uint32_t cores)
-{
-    return BaselineKey{entry.params.name,
-                       design.spec,
-                       design.nbo,
-                       design.nmit,
-                       design.trefPeriodRefs,
-                       design.counterReset,
-                       budget.warmup,
-                       budget.measure,
-                       cores,
-                       design.channels,
-                       design.ranks,
-                       design.channelInterleaveBytes};
-}
 
 } // namespace
 
@@ -115,13 +99,16 @@ PairResult
 runNormalizedPair(const SuiteEntry &entry, const DesignConfig &design,
                   const RunBudget &budget, std::uint32_t cores)
 {
+    // Normalize away every knob only the defense reads, so designs
+    // that differ only in their defense share one baseline; whatever
+    // else the baseline run can observe is in the key by construction.
     DesignConfig baseline = design;
     baseline.label = "baseline";
-    baseline.mode = MitigationMode::NoMitigation;
-    baseline.mitigation.clear();
+    baseline.mitigation = "none";
     baseline.perBankRfm = false;
+    baseline.randomRfmPerTrefi = DesignConfig{}.randomRfmPerTrefi;
 
-    const BaselineKey key = baselineKey(entry, design, budget, cores);
+    const BaselineKey key{entry.params.name, baseline, budget, cores};
     std::shared_future<RunResult> future;
     std::promise<RunResult> promise;
     bool owner = false;

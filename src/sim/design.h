@@ -3,20 +3,19 @@
  * Evaluated-design configuration and run helpers shared by every
  * performance scenario (Figs. 10-14, Tables 4-5, ablations).
  *
- * Moved out of bench/perf_common.h so the scenario runner, the bench
- * binaries, and the examples all build the same SystemConfig for a
- * given (design, budget) pair.  Baseline runs are memoized: a sweep
- * that compares N designs against the NoMitigation baseline on the
- * same workload performs one baseline simulation, not N.
+ * The scenario runner, the examples, and the benchmark all build the
+ * same SystemConfig for a given (design, budget) pair.  Baseline runs
+ * are memoized: a sweep that compares N designs against the "none"
+ * baseline on the same workload performs one baseline simulation,
+ * not N.
  */
 
 #ifndef PRACLEAK_SIM_DESIGN_H
 #define PRACLEAK_SIM_DESIGN_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "cpu/system.h"
@@ -31,15 +30,14 @@ namespace pracleak::sim {
 struct DesignConfig
 {
     std::string label;
-    MitigationMode mode = MitigationMode::NoMitigation;
 
     /**
-     * String-keyed defense (mitigation/registry.h).  When non-empty
-     * it overrides `mode` and the registry derives the defense's
-     * parameters (BAT, TB-Window, RAAIMT, Graphene threshold, PARA
-     * probability) from nbo via configureDefense.
+     * Defense registry key (mitigation/registry.h).  The registry
+     * derives the defense's parameters (BAT, TB-Window, RAAIMT,
+     * Graphene threshold, PARA probability) from nbo via
+     * configureDefense.
      */
-    std::string mitigation;
+    std::string mitigation = "none";
 
     /**
      * DRAM spec registry name (dram/dram_spec.h: "ddr5-8000b",
@@ -54,7 +52,7 @@ struct DesignConfig
     bool counterReset = true;
     bool perBankRfm = false;        //!< TPRAC-PB (Section 7.2)
 
-    /** Random-RFM injection rate (Obfuscation mode); <0 = default. */
+    /** Random-RFM injection rate ("obfuscation"); <0 = default. */
     double randomRfmPerTrefi = -1.0;
 
     /** Interleaved memory channels (power of two). */
@@ -68,70 +66,29 @@ struct DesignConfig
 
     /** Idle-cycle fast-forward (wall-clock only; results identical). */
     bool fastForward = true;
+
+    friend auto operator<=>(const DesignConfig &,
+                            const DesignConfig &) = default;
 };
-
-namespace detail {
-
-/** Implicitly convertible to any field type: probes aggregate arity. */
-struct AnyDesignField
-{
-    template <class T> operator T() const;
-};
-
-template <std::size_t> using FieldProbe = AnyDesignField;
-
-template <class T, class... Args>
-auto braceTest(int)
-    -> decltype(T{std::declval<Args>()...}, std::true_type{});
-template <class, class...> auto braceTest(...) -> std::false_type;
-
-template <class T, std::size_t... I>
-constexpr bool
-acceptsFieldsImpl(std::index_sequence<I...>)
-{
-    return decltype(braceTest<T, FieldProbe<I>...>(0))::value;
-}
-
-/** Whether aggregate @p T brace-initializes from exactly N values. */
-template <class T, std::size_t N>
-inline constexpr bool acceptsFields =
-    acceptsFieldsImpl<T>(std::make_index_sequence<N>{});
-
-} // namespace detail
 
 /**
- * Field-count tripwire.  DesignConfig is consumed positionally in
- * several places that the compiler cannot check for completeness --
- * makeSystemConfig() translates every field, and baselineKey()
- * (design.cpp) must enumerate every baseline-visible knob or the
- * memoization cache silently serves stale baselines.  Keeping the
- * struct an aggregate makes designated initializers the construction
- * idiom (`DesignConfig{.label = "x", .channels = 2}`), and the
- * asserts below fail the build the moment a field is added or
- * removed, pointing at the audit list instead of letting a bench go
- * quietly wrong.  Update the count here only after updating
- * makeSystemConfig() and baselineKey().
+ * Decode a design-axis label into a DesignConfig.  Labels are the
+ * paper's: "abo-only", "abo+acb-rfm", "tprac", "tprac-pb" (TPRAC with
+ * per-bank RFMs), or "baseline" (the "none" defense), optionally
+ * suffixed with "+tref/N" (TREF co-design) or "-noreset".  Throws
+ * std::invalid_argument for any other label.
  */
-inline constexpr std::size_t kDesignConfigFieldCount = 14;
-
-static_assert(std::is_aggregate_v<DesignConfig>,
-              "DesignConfig must stay an aggregate: benches and "
-              "scenarios rely on designated initializers, and the "
-              "field-count tripwire probes brace-initialization");
-static_assert(
-    detail::acceptsFields<DesignConfig, kDesignConfigFieldCount> &&
-        !detail::acceptsFields<DesignConfig,
-                               kDesignConfigFieldCount + 1>,
-    "DesignConfig gained or lost a field: audit makeSystemConfig() "
-    "and baselineKey() (design.cpp) -- a baseline-visible knob "
-    "missing from the memoization key serves stale baselines -- "
-    "then update kDesignConfigFieldCount");
+DesignConfig designFromLabel(std::string label, std::uint32_t nrh,
+                             std::uint32_t nmit);
 
 /** Instruction budgets for bench runs (scaled-down from the paper). */
 struct RunBudget
 {
     std::uint64_t warmup = 50'000;
     std::uint64_t measure = 250'000;
+
+    friend auto operator<=>(const RunBudget &,
+                            const RunBudget &) = default;
 };
 
 /** Build the full-system configuration for one design point. */
@@ -143,10 +100,10 @@ RunResult runOne(const SuiteEntry &entry, const DesignConfig &design,
                  const RunBudget &budget, std::uint32_t cores = 4);
 
 /**
- * Run @p design and its NoMitigation baseline on @p entry.  The
- * baseline leg is served from a process-wide memoization cache keyed
- * on every baseline-visible knob, so design sweeps over the same
- * workload pay for it once.
+ * Run @p design and its "none" baseline on @p entry.  The baseline
+ * leg is served from a process-wide memoization cache keyed on the
+ * baseline design itself, so design sweeps over the same workload pay
+ * for it once.
  */
 struct PairResult
 {

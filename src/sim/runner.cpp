@@ -658,15 +658,6 @@ printTables(const SweepResult &result)
                 result.jobs, result.wallSeconds);
 }
 
-void
-runAndPrint(const std::string &name)
-{
-    registerBuiltinScenarios();
-    RunOptions options;
-    options.progress = false;
-    printTables(runScenarioByName(name, options));
-}
-
 bool
 writeFile(const std::string &path, const std::string &contents)
 {

@@ -153,9 +153,6 @@ struct RunOptions
     Steal steal;
 };
 
-/** Deprecated name for RunOptions; new code should spell it out. */
-using SweepOptions = RunOptions;
-
 /** Everything a sweep produced. */
 struct SweepResult
 {
@@ -214,12 +211,6 @@ mergeSweepFromJournals(const std::vector<std::string> &paths,
 
 /** Print rows (and summary, when present) as aligned text tables. */
 void printTables(const SweepResult &result);
-
-/**
- * Convenience for the thin bench binaries: register built-ins, run
- * one scenario with default options, print its tables and notes.
- */
-void runAndPrint(const std::string &name);
 
 /**
  * Write @p contents to @p path, creating parent directories.

@@ -4,8 +4,7 @@
  * any future experiment) registers under a stable name with a
  * declarative parameter grid and a per-point run function.  The
  * sweep runner (sim/runner.h) fans registered grids across the
- * thread pool; the `pracbench` CLI and the thin bench binaries are
- * both clients of this registry.
+ * thread pool; the `pracbench` CLI is its client.
  */
 
 #ifndef PRACLEAK_SIM_SCENARIO_H

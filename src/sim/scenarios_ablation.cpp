@@ -17,9 +17,9 @@
 #include "attack/harness.h"
 #include "common/rng.h"
 #include "mem/controller.h"
+#include "mitigation/registry.h"
 #include "sim/design.h"
 #include "sim/scenario_util.h"
-#include "tprac/tb_rfm.h"
 
 namespace pracleak::sim {
 
@@ -29,20 +29,25 @@ namespace {
 
 struct Defense
 {
-    MitigationMode mode;
-    double p; //!< random-RFM injection probability per tREFI
+    std::string key; //!< mitigation registry key
+    double p;        //!< random-RFM injection probability per tREFI
 };
 
+/**
+ * Decode a defense-axis label.  "none" means no defense beyond the
+ * ABO substrate itself (the "abo-only" key), "tprac" is TPRAC, and
+ * "random-P" is obfuscation at injection probability P.
+ */
 Defense
 parseDefense(const std::string &label)
 {
     if (label == "none")
-        return {MitigationMode::AboOnly, 0.0};
+        return {"abo-only", 0.0};
     if (label == "tprac")
-        return {MitigationMode::Tprac, 0.0};
+        return {"tprac", 0.0};
     const std::string prefix = "random-";
     if (label.rfind(prefix, 0) == 0)
-        return {MitigationMode::Obfuscation,
+        return {"obfuscation",
                 std::strtod(label.c_str() + prefix.size(), nullptr)};
     throw std::invalid_argument("unknown defense '" + label + "'");
 }
@@ -53,7 +58,7 @@ channelAccuracy(const Defense &defense,
 {
     CovertParams params;
     params.nbo = 256;
-    params.mode = defense.mode;
+    params.defense = defense.key;
     params.randomRfmPerTrefi = defense.p;
     const CovertResult result = runActivityCovert(params, message);
     return 1.0 - result.errorRate();
@@ -69,11 +74,11 @@ perfOverhead(const Defense &defense)
 
     DesignConfig design;
     design.label = "obfuscation-ablation";
-    design.mode = defense.mode;
+    design.mitigation = defense.key;
     design.nbo = 1024;
     design.randomRfmPerTrefi = defense.p;
 
-    // All defense points share one memoized NoMitigation baseline.
+    // All defense points share one memoized "none" baseline.
     const PairResult pair = runNormalizedPair(entry, design, budget);
     return 1.0 - normalizedPerf(pair.design, pair.baseline);
 }
@@ -195,11 +200,10 @@ fifoExploit(QueueKind queue, std::uint32_t nbo)
     spec.timing.tREFW = nsToCycles(2.0e6);
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
     config.prac.queue = queue;
     config.prac.fifoThreshold = 16;
     config.prac.counterResetAtTrefw = false; // favour the attacker
-    config.tbRfm = TbRfmConfig::forNbo(nbo, false, spec);
+    configureDefense(config, "tprac", spec);
 
     AttackHarness harness(spec, config);
     FifoOverflowAgent attacker(5000, 16);
@@ -223,10 +227,9 @@ attackQueue(QueueKind queue, std::uint32_t nbo, double window_scale)
     spec.timing.tREFW = nsToCycles(2.0e6);
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
     config.prac.queue = queue;
     config.prac.fifoThreshold = nbo / 8;
-    config.tbRfm = TbRfmConfig::forNbo(nbo, true, spec);
+    configureDefense(config, "tprac", spec);
     config.tbRfm.windowCycles = static_cast<Cycle>(
         config.tbRfm.windowCycles * window_scale);
 
@@ -320,11 +323,9 @@ ablationRfmpb()
         .constant("measure", 150'000);
 
     scenario.runPoint = [](const ParamSet &params) {
-        DesignConfig design;
-        design.label = params.getString("design");
-        design.mode = MitigationMode::Tprac;
-        design.nbo = static_cast<std::uint32_t>(params.getInt("nrh"));
-        design.perBankRfm = design.label == "tprac-pb";
+        const DesignConfig design = designFromLabel(
+            params.getString("design"),
+            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
 
         RunBudget budget;
         budget.warmup =

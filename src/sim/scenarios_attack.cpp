@@ -14,10 +14,12 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 
 #include "attack/agents.h"
 #include "attack/harness.h"
 #include "attack/side_channel.h"
+#include "mitigation/registry.h"
 
 namespace pracleak::sim {
 
@@ -71,7 +73,7 @@ characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
     spec.prac.nmit = nmit;
 
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
     config.refreshEnabled = false;        // isolate ABO effects
     AttackHarness harness(spec, config);
@@ -317,17 +319,19 @@ fig09DefenseValidation()
         const int k0 = static_cast<int>(params.getInt("k0"));
         const int encryptions =
             static_cast<int>(params.getInt("encryptions"));
-        const bool defended = params.getString("mode") == "tprac";
+        const std::string mode = params.getString("mode");
+        if (!findMitigation(mode))
+            throw std::invalid_argument("unknown mitigation '" + mode +
+                                        "'");
 
         SideChannelParams config;
         config.key = Aes128T::Key{};
         config.key[0] = static_cast<std::uint8_t>(k0);
         config.encryptions = encryptions;
         config.seed = 2000 + static_cast<std::uint64_t>(k0);
-        config.mode = defended ? MitigationMode::Tprac
-                               : MitigationMode::AboOnly;
+        config.defense = mode;
         config.probeLag = calibratedLag(encryptions);
-        if (defended) {
+        if (mode == "tprac") {
             // TB-RFMs are single 350 ns RFMabs; the attacker lowers
             // its detection threshold to keep "seeing" RFM events.
             config.spikeThresholdNs = 400.0;

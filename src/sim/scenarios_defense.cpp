@@ -14,7 +14,7 @@
  *    TB-RFM spikes are uncorrelated, PARA and the baseline show
  *    nothing above noise.
  *  - defense_matrix_perf: normalized weighted speedup of every
- *    defense over the Table-4 workload suite (memoized NoMitigation
+ *    defense over the Table-4 workload suite (memoized "none"
  *    baseline), plus RFM/energy telemetry.
  *  - defense_matrix_security: the Feinting stress attacker against
  *    every defense in the scaled 2 ms-tREFW universe; reports the

@@ -60,13 +60,9 @@ perfChannelSweep()
         .constant("measure", 150'000);
 
     scenario.runPoint = [](const ParamSet &params) {
-        DesignConfig design;
-        design.label = params.getString("design");
-        design.mode = params.getString("design") == "tprac"
-                          ? MitigationMode::Tprac
-                          : MitigationMode::AboOnly;
-        design.nbo =
-            static_cast<std::uint32_t>(params.getInt("nrh"));
+        DesignConfig design = designFromLabel(
+            params.getString("design"),
+            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
         design.channels =
             static_cast<std::uint32_t>(params.getInt("channels"));
 
@@ -172,7 +168,7 @@ sidechannelCrossChannel()
             static_cast<std::uint32_t>(params.getInt("nmit"));
 
         ControllerConfig config;
-        config.mode = MitigationMode::AboOnly;
+        config.mitigation = "abo-only";
         config.prac.queue = QueueKind::Ideal;
         config.refreshEnabled = false; // isolate ABO effects
 
@@ -352,7 +348,7 @@ fastforwardBenchmark()
 
         DesignConfig design;
         design.label = "tprac";
-        design.mode = MitigationMode::Tprac;
+        design.mitigation = "tprac";
 
         double wall[2] = {0.0, 0.0};
         RunResult results[2];

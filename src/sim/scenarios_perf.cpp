@@ -3,7 +3,7 @@
  * Performance-evaluation scenarios: Figures 10-14 plus Tables 4 and 5.
  *
  * Each grid point is one (workload entry x design) pair; the runner
- * fans points across the thread pool and the NoMitigation baseline
+ * fans points across the thread pool and the "none" baseline
  * leg is memoized (sim/design.h), so comparing N designs costs one
  * baseline simulation per workload, not N.
  */
@@ -11,9 +11,7 @@
 #include "sim/scenario.h"
 
 #include <array>
-#include <cstdlib>
 #include <map>
-#include <stdexcept>
 
 #include "sim/design.h"
 #include "sim/scenario_util.h"
@@ -21,47 +19,6 @@
 namespace pracleak::sim {
 
 namespace {
-
-/**
- * Decode a design-axis label into a DesignConfig.  Labels are the
- * paper's: "abo-only", "abo+acb-rfm", "tprac", optionally suffixed
- * with "+tref/N" (TREF co-design) or "-noreset".
- */
-DesignConfig
-designFromLabel(std::string label, std::uint32_t nrh,
-                std::uint32_t nmit)
-{
-    DesignConfig design;
-    design.label = label;
-    design.nbo = nrh;
-    design.nmit = nmit;
-
-    const auto noreset = label.find("-noreset");
-    if (noreset != std::string::npos) {
-        design.counterReset = false;
-        label.erase(noreset, 8);
-    }
-    const auto tref = label.find("+tref/");
-    if (tref != std::string::npos) {
-        design.trefPeriodRefs = static_cast<std::uint32_t>(
-            std::strtoul(label.c_str() + tref + 6, nullptr, 10));
-        label.erase(tref);
-    }
-
-    if (label == "abo-only")
-        design.mode = MitigationMode::AboOnly;
-    else if (label == "abo+acb-rfm")
-        design.mode = MitigationMode::AboAcb;
-    else if (label == "tprac" || label == "tprac-pb")
-        design.mode = MitigationMode::Tprac;
-    else if (label == "baseline")
-        design.mode = MitigationMode::NoMitigation;
-    else
-        throw std::invalid_argument("unknown design label '" + label +
-                                    "'");
-    design.perBankRfm = label == "tprac-pb";
-    return design;
-}
 
 RunBudget
 budgetFrom(const ParamSet &params)

@@ -1,7 +1,5 @@
 #include "trace/recorder.h"
 
-#include "mitigation/registry.h"
-
 namespace pracleak::trace {
 
 TraceChannelStats
@@ -30,7 +28,7 @@ makeTraceHeader(const std::string &workload,
     TraceHeader header;
     header.workload = workload;
     header.spec = specName;
-    header.mitigation = resolveMitigationName(config);
+    header.mitigation = config.mitigation;
     header.ranks = spec.org.ranks;
     header.bankGroups = spec.org.bankGroups;
     header.banksPerGroup = spec.org.banksPerGroup;

@@ -17,7 +17,6 @@ ControllerConfig
 quietConfig()
 {
     ControllerConfig config;
-    config.mode = MitigationMode::NoMitigation;
     config.refreshEnabled = false;
     return config;
 }
@@ -60,7 +59,7 @@ TEST(ProbeAgentTest, OpenPageProbingAvoidsSelfActivations)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 64;
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.refreshEnabled = false;
     AttackHarness harness(spec, config);
     ProbeAgent probe(harness.mem().mapper().compose(
@@ -182,7 +181,7 @@ TEST(HarnessTest, AgentTrafficIsTimingClean)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 256;
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     AttackHarness harness(spec, config);
     TimingChecker checker(spec);
     harness.mem().dram().setTraceSink(

@@ -28,7 +28,7 @@ ControllerConfig
 aboOnlyConfig()
 {
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     return config;
 }
 

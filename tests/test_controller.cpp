@@ -136,7 +136,6 @@ TEST(Controller, NoMitigationIssuesNoRfms)
 {
     const DramSpec spec = specWith(64); // tiny NBO
     ControllerConfig config;
-    config.mode = MitigationMode::NoMitigation;
     AttackHarness harness(spec, config);
 
     // Hammer far past NBO via raw requests.
@@ -156,7 +155,7 @@ TEST(Controller, AboServiceIssuesNmitRfms)
 {
     const DramSpec spec = specWith(32, 4);
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.refreshEnabled = false;
     MemoryController mem(spec, config);
     const AddressMapper &mapper = mem.mapper();
@@ -181,7 +180,7 @@ TEST(Controller, AcbIssuesProactiveRfms)
 {
     const DramSpec spec = specWith(1024);
     ControllerConfig config;
-    config.mode = MitigationMode::AboAcb;
+    config.mitigation = "abo+acb-rfm";
     config.bat = 16;
     config.refreshEnabled = false;
     MemoryController mem(spec, config);
@@ -204,7 +203,7 @@ TEST(Controller, TpracIssuesPeriodicRfmsWhenIdle)
 {
     const DramSpec spec = specWith(1024);
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm.windowCycles = spec.timing.tREFI; // 1 tREFI
     MemoryController mem(spec, config);
 
@@ -219,7 +218,7 @@ TEST(Controller, TpracRfmRateIndependentOfLoad)
     const DramSpec spec = specWith(1024);
     auto run_with_traffic = [&](bool traffic) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
+        config.mitigation = "tprac";
         config.tbRfm.windowCycles = spec.timing.tREFI;
         MemoryController mem(spec, config);
         const AddressMapper &mapper = mem.mapper();

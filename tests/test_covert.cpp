@@ -63,7 +63,7 @@ TEST(CovertActivity, TpracClosesChannel)
 {
     CovertParams params;
     params.nbo = 256;
-    params.mode = MitigationMode::Tprac;
+    params.defense = "tprac";
     const auto message = randomBits(16, 11);
     const CovertResult result = runActivityCovert(params, message);
 
@@ -109,7 +109,7 @@ TEST(CovertCount, TpracDestroysSymbols)
 {
     CovertParams params;
     params.nbo = 256;
-    params.mode = MitigationMode::Tprac;
+    params.defense = "tprac";
     const auto symbols = randomSymbols(12, 16, 17);
     const CovertResult result = runCountCovert(params, symbols);
 

@@ -30,10 +30,10 @@ dumpRows(const SweepResult &result)
 }
 
 SweepResult
-runWithJobs(const std::string &name, const SweepOptions &base,
+runWithJobs(const std::string &name, const RunOptions &base,
             unsigned jobs)
 {
-    SweepOptions options = base;
+    RunOptions options = base;
     options.jobs = jobs;
     options.progress = false;
     // Memoized baselines persist across sweeps; drop them so each
@@ -46,7 +46,7 @@ runWithJobs(const std::string &name, const SweepOptions &base,
 TEST(Determinism, PerfSweepIdenticalAcrossJobCounts)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.overrides["channels"] = {JsonValue(std::int64_t{1}),
                                      JsonValue(std::int64_t{2})};
     options.overrides["design"] = {JsonValue("tprac")};
@@ -66,7 +66,7 @@ TEST(Determinism, PerfSweepIdenticalAcrossJobCounts)
 TEST(Determinism, AttackSweepIdenticalAcrossJobCounts)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.overrides["k0"] = {JsonValue(std::int64_t{0}),
                                JsonValue(std::int64_t{64}),
                                JsonValue(std::int64_t{128})};
@@ -86,7 +86,7 @@ TEST(Determinism, DefenseSweepIdenticalAcrossJobCounts)
     // streams (common/rng.h), so a PARA sweep must be byte-identical
     // at any worker count.
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.overrides["mitigation"] = {JsonValue("para"),
                                        JsonValue("graphene")};
     options.overrides["entry"] = {JsonValue("h_rand_heavy"),
@@ -105,7 +105,7 @@ TEST(Determinism, DefenseSweepIdenticalAcrossJobCounts)
 TEST(Determinism, RepeatedRunsIdentical)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.overrides["channels"] = {JsonValue(std::int64_t{2})};
 
     const std::string first =

@@ -54,12 +54,12 @@ expectIdentical(const RunResult &off, const RunResult &on)
 }
 
 RunResult
-runSuiteEntry(const char *entry, MitigationMode mode,
+runSuiteEntry(const char *entry, const char *defense,
               bool fast_forward, std::uint32_t channels = 1)
 {
     sim::DesignConfig design;
     design.label = "ff-test";
-    design.mode = mode;
+    design.mitigation = defense;
     design.fastForward = fast_forward;
     design.channels = channels;
     sim::RunBudget budget;
@@ -73,18 +73,18 @@ TEST(FastForward, MixedWorkloadIdenticalWithTprac)
     // The heterogeneous cloud mix exercises refreshes, TB-RFMs, and
     // four different stall patterns at once.
     const RunResult off =
-        runSuiteEntry("cloud_mix", MitigationMode::Tprac, false);
+        runSuiteEntry("cloud_mix", "tprac", false);
     const RunResult on =
-        runSuiteEntry("cloud_mix", MitigationMode::Tprac, true);
+        runSuiteEntry("cloud_mix", "tprac", true);
     expectIdentical(off, on);
 }
 
 TEST(FastForward, PointerChaseIdenticalAndActuallySkips)
 {
     const RunResult off =
-        runSuiteEntry("h_chase", MitigationMode::Tprac, false);
+        runSuiteEntry("h_chase", "tprac", false);
     const RunResult on =
-        runSuiteEntry("h_chase", MitigationMode::Tprac, true);
+        runSuiteEntry("h_chase", "tprac", true);
     expectIdentical(off, on);
     EXPECT_EQ(off.ffCyclesSkipped, 0u);
     EXPECT_GT(on.ffCyclesSkipped, 0u)
@@ -94,9 +94,9 @@ TEST(FastForward, PointerChaseIdenticalAndActuallySkips)
 TEST(FastForward, MultiChannelIdentical)
 {
     const RunResult off =
-        runSuiteEntry("h_chase", MitigationMode::Tprac, false, 2);
+        runSuiteEntry("h_chase", "tprac", false, 2);
     const RunResult on =
-        runSuiteEntry("h_chase", MitigationMode::Tprac, true, 2);
+        runSuiteEntry("h_chase", "tprac", true, 2);
     expectIdentical(off, on);
 }
 
@@ -111,7 +111,7 @@ TEST(FastForward, CacheResidentChaseSkipsDeepAndStaysExact)
     for (int ff = 0; ff < 2; ++ff) {
         sim::DesignConfig design;
         design.label = "chase";
-        design.mode = MitigationMode::Tprac;
+        design.mitigation = "tprac";
         design.fastForward = ff == 1;
         sim::RunBudget budget;
         budget.warmup = 60'000;
@@ -133,9 +133,9 @@ TEST(FastForward, ObfuscationModeIdentical)
     // Random-RFM injection draws once per tREFI from a controller-
     // owned RNG: the draw schedule must survive fast-forward.
     const RunResult off =
-        runSuiteEntry("m_blend", MitigationMode::Obfuscation, false);
+        runSuiteEntry("m_blend", "obfuscation", false);
     const RunResult on =
-        runSuiteEntry("m_blend", MitigationMode::Obfuscation, true);
+        runSuiteEntry("m_blend", "obfuscation", true);
     expectIdentical(off, on);
 }
 

@@ -55,7 +55,7 @@ expectNear(double actual, double golden, const char *what)
 TEST(Golden, Fig07TmaxAnalysis)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     const SweepResult result =
         runScenarioByName("fig07_tmax_analysis", options);
@@ -99,7 +99,7 @@ TEST(Golden, Fig07TmaxAnalysis)
 TEST(Golden, Table2CovertChannelsSmallGrid)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     options.overrides["nbo"] = {JsonValue(std::int64_t{256})};
     options.overrides["bits"] = {JsonValue(std::int64_t{16})};
@@ -131,7 +131,7 @@ TEST(Golden, Table2CovertChannelsSmallGrid)
 TEST(Golden, AblationObfuscationEndpoints)
 {
     registerBuiltinScenarios();
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     options.overrides["defense"] = {JsonValue("none"),
                                     JsonValue("tprac")};
@@ -158,19 +158,17 @@ TEST(Golden, AblationObfuscationEndpoints)
 }
 
 /**
- * Golden equivalence for the mitigation-subsystem port: every legacy
- * MitigationMode, run through the pluggable defense framework, must
- * reproduce the exact RunResult the pre-refactor seed tree produced
- * (captured on the seed at warmup 5k / measure 30k, h_rand_heavy,
- * NBO 512).  The string-keyed registry path must land on the same
- * numbers as the enum path wherever the two overlap.
+ * Golden equivalence for the mitigation-subsystem port: each of the
+ * seed tree's five mitigation modes, selected by its registry key
+ * and run through the pluggable defense framework, must reproduce
+ * the exact RunResult the pre-refactor seed tree produced (captured
+ * on the seed at warmup 5k / measure 30k, h_rand_heavy, NBO 512).
  */
 TEST(Golden, MitigationPortBitIdentical)
 {
     struct ModeGolden
     {
-        const char *label;          //!< registry key (both paths pinned)
-        MitigationMode mode;
+        const char *label;          //!< registry key
         bool perBank;
         double randomP;             //!< <0 = keep default
         Cycle measureCycles;
@@ -179,17 +177,17 @@ TEST(Golden, MitigationPortBitIdentical)
         double ipcSum;
     };
     const ModeGolden goldens[] = {
-        {"none", MitigationMode::NoMitigation, false, -1.0, 68703,
+        {"none", false, -1.0, 68703,
          7248, 0, 0, 7248, 7134, 18, 0, 2.0489360293490995},
-        {"abo-only", MitigationMode::AboOnly, false, -1.0, 68703,
+        {"abo-only", false, -1.0, 68703,
          7248, 0, 0, 7248, 7134, 18, 0, 2.0489360293490995},
-        {"abo+acb-rfm", MitigationMode::AboAcb, false, -1.0, 69962,
+        {"abo+acb-rfm", false, -1.0, 69962,
          7278, 1, 0, 7278, 7140, 18, 128, 2.0192470280532815},
-        {"tprac", MitigationMode::Tprac, false, -1.0, 80032, 7390, 0,
+        {"tprac", false, -1.0, 80032, 7390, 0,
          7, 7390, 7143, 21, 895, 1.8080590938067311},
-        {"tprac", MitigationMode::Tprac, true, -1.0, 70729, 7318, 0,
+        {"tprac", true, -1.0, 70729, 7318, 0,
          324, 7318, 7163, 18, 284, 1.9985431032256193},
-        {"obfuscation", MitigationMode::Obfuscation, false, 0.5,
+        {"obfuscation", false, 0.5,
          72853, 7386, 0, 0, 7386, 7195, 19, 384,
          1.9574388751809564},
     };
@@ -200,46 +198,32 @@ TEST(Golden, MitigationPortBitIdentical)
     const SuiteEntry &entry = findSuiteEntry("h_rand_heavy");
 
     for (const ModeGolden &golden : goldens) {
-        // Legacy enum path and (where a key exists) registry path.
-        for (const bool by_name : {false, true}) {
-            if (by_name && golden.label[0] == '\0')
-                continue;
-            DesignConfig design;
-            design.label = golden.label;
-            design.nbo = 512;
-            design.perBankRfm = golden.perBank;
-            if (golden.randomP >= 0.0)
-                design.randomRfmPerTrefi = golden.randomP;
-            if (by_name)
-                design.mitigation = golden.label;
-            else
-                design.mode = golden.mode;
+        DesignConfig design;
+        design.label = golden.label;
+        design.mitigation = golden.label;
+        design.nbo = 512;
+        design.perBankRfm = golden.perBank;
+        if (golden.randomP >= 0.0)
+            design.randomRfmPerTrefi = golden.randomP;
 
-            const RunResult result = runOne(entry, design, budget);
-            const char *what =
-                by_name ? "registry path" : "enum path";
-            EXPECT_EQ(result.measureCycles, golden.measureCycles)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.rowMisses, golden.rowMisses)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.acbRfms, golden.acbRfms)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.tbRfms, golden.tbRfms)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.aboRfms, 0u) << golden.label;
-            EXPECT_EQ(result.alerts, 0u) << golden.label;
-            EXPECT_EQ(result.energyCounts.acts, golden.acts)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.energyCounts.reads, golden.reads)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.energyCounts.refreshes,
-                      golden.refreshes)
-                << golden.label << " " << what;
-            EXPECT_EQ(result.energyCounts.mitigatedRows,
-                      golden.mitigatedRows)
-                << golden.label << " " << what;
-            expectNear(result.ipcSum(), golden.ipcSum, "ipcSum");
-        }
+        const RunResult result = runOne(entry, design, budget);
+        EXPECT_EQ(result.measureCycles, golden.measureCycles)
+            << golden.label;
+        EXPECT_EQ(result.rowMisses, golden.rowMisses) << golden.label;
+        EXPECT_EQ(result.acbRfms, golden.acbRfms) << golden.label;
+        EXPECT_EQ(result.tbRfms, golden.tbRfms) << golden.label;
+        EXPECT_EQ(result.aboRfms, 0u) << golden.label;
+        EXPECT_EQ(result.alerts, 0u) << golden.label;
+        EXPECT_EQ(result.energyCounts.acts, golden.acts)
+            << golden.label;
+        EXPECT_EQ(result.energyCounts.reads, golden.reads)
+            << golden.label;
+        EXPECT_EQ(result.energyCounts.refreshes, golden.refreshes)
+            << golden.label;
+        EXPECT_EQ(result.energyCounts.mitigatedRows,
+                  golden.mitigatedRows)
+            << golden.label;
+        expectNear(result.ipcSum(), golden.ipcSum, "ipcSum");
     }
 }
 

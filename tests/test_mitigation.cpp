@@ -48,17 +48,6 @@ TEST(MitigationRegistry, CatalogCoversAllDefenses)
     EXPECT_TRUE(findMitigation("tprac")->usesAbo);
 }
 
-TEST(MitigationRegistry, ResolvesLegacyEnumAndOverride)
-{
-    ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    EXPECT_EQ(resolveMitigationName(config), "tprac");
-    config.mode = MitigationMode::AboAcb;
-    EXPECT_EQ(resolveMitigationName(config), "abo+acb-rfm");
-    config.mitigation = "para";
-    EXPECT_EQ(resolveMitigationName(config), "para");
-}
-
 TEST(MitigationRegistry, ConfigureDefenseDerivesParameters)
 {
     DramSpec spec = DramSpec::ddr5_8000b();

@@ -161,7 +161,7 @@ TEST(MultiChannelMapper, SingleChannelMatchesLegacyMapper)
 struct Golden
 {
     const char *entry;
-    MitigationMode mode;
+    const char *mitigation;
     Cycle measureCycles;
     std::uint64_t tbRfms, alerts, rowMisses;
     std::uint32_t maxCounterSeen;
@@ -173,12 +173,12 @@ struct Golden
 // Captured with: warmup=20000, measure=100000, cores=2, nbo=1024,
 // DramSpec::ddr5_8000b(), on the seed (single-channel) tree.
 const Golden kGolden[] = {
-    {"h_rand_heavy", MitigationMode::Tprac, 135545, 6, 0, 10163, 3,
+    {"h_rand_heavy", "tprac", 135545, 6, 0, 10163, 3,
      10163, 10071, 0, 35, 768, 75341.800000000003, 3072.0, 133621,
      135545},
-    {"m_blend", MitigationMode::NoMitigation, 38808, 0, 0, 1460, 3,
+    {"m_blend", "none", 38808, 0, 0, 1460, 3,
      1460, 3293, 0, 10, 0, 19108.700000000001, 0.0, 38334, 38808},
-    {"l_resident", MitigationMode::AboOnly, 54550, 0, 0, 1334, 14,
+    {"l_resident", "abo-only", 54550, 0, 0, 1334, 14,
      1334, 4483, 0, 14, 0, 25683.900000000001, 0.0, 54550, 52188},
 };
 
@@ -224,7 +224,7 @@ TEST(MultiChannelSystem, SingleChannelMatchesPreRefactorGolden)
         for (const bool fast_forward : {false, true}) {
             sim::DesignConfig design;
             design.label = "equivalence";
-            design.mode = golden.mode;
+            design.mitigation = golden.mitigation;
             design.fastForward = fast_forward;
             sim::RunBudget budget;
             budget.warmup = 20'000;
@@ -244,7 +244,7 @@ TEST(MultiChannelSystem, PerChannelResultsSumToAggregates)
 {
     sim::DesignConfig design;
     design.label = "tprac-2ch";
-    design.mode = MitigationMode::Tprac;
+    design.mitigation = "tprac";
     design.channels = 2;
     sim::RunBudget budget;
     budget.warmup = 10'000;
@@ -283,7 +283,6 @@ TEST(MultiChannelSystem, MoreChannelsMoreBandwidth)
     auto ipc = [&](std::uint32_t channels) {
         sim::DesignConfig design;
         design.label = "bw";
-        design.mode = MitigationMode::NoMitigation;
         design.channels = channels;
         return sim::runOne(sim::findSuiteEntry("h_rand_heavy"),
                            design, budget, 4)
@@ -300,7 +299,6 @@ TEST(MultiChannelSystem, RankSweepRuns)
     for (const std::uint32_t ranks : {1u, 2u}) {
         sim::DesignConfig design;
         design.label = "ranks";
-        design.mode = MitigationMode::NoMitigation;
         design.channels = 2;
         design.ranks = ranks;
         sim::RunBudget budget;

@@ -18,7 +18,7 @@ TEST(Obfuscation, InjectsRfmsAtConfiguredRate)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
     ControllerConfig config;
-    config.mode = MitigationMode::Obfuscation;
+    config.mitigation = "obfuscation";
     config.randomRfmPerTrefi = 0.5;
     MemoryController mem(spec, config);
 
@@ -34,7 +34,7 @@ TEST(Obfuscation, ZeroRateInjectsNothing)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
     ControllerConfig config;
-    config.mode = MitigationMode::Obfuscation;
+    config.mitigation = "obfuscation";
     config.randomRfmPerTrefi = 0.0;
     MemoryController mem(spec, config);
     mem.run(spec.timing.tREFI * 100);
@@ -47,7 +47,7 @@ TEST(Obfuscation, InjectionIndependentOfActivity)
     DramSpec spec = DramSpec::ddr5_8000b();
     auto count = [&](bool traffic) {
         ControllerConfig config;
-        config.mode = MitigationMode::Obfuscation;
+        config.mitigation = "obfuscation";
         config.randomRfmPerTrefi = 0.5;
         config.obfuscationSeed = 99;
         MemoryController mem(spec, config);
@@ -72,7 +72,7 @@ TEST(Obfuscation, DegradesButDoesNotCloseActivityChannel)
 {
     CovertParams params;
     params.nbo = 256;
-    params.mode = MitigationMode::Obfuscation;
+    params.defense = "obfuscation";
     params.randomRfmPerTrefi = 0.5;
 
     Rng rng(31);
@@ -99,7 +99,7 @@ TEST(Obfuscation, AboStillFires)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 64;
     ControllerConfig config;
-    config.mode = MitigationMode::Obfuscation;
+    config.mitigation = "obfuscation";
     config.randomRfmPerTrefi = 0.25;
     config.prac.queue = QueueKind::Ideal;
     MemoryController mem(spec, config);

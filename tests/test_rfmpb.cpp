@@ -58,7 +58,7 @@ TEST(TpracPb, RotatesThroughEveryBank)
     spec.prac.nbo = 1024;
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm = TbRfmConfig::forNbo(1024, true, spec);
     config.tbRfm.perBank = true;
     MemoryController mem(spec, config);
@@ -78,7 +78,7 @@ TEST(TpracPb, StillPreventsAlerts)
     spec.timing.tREFW = nsToCycles(2.0e6); // scaled universe
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm = TbRfmConfig::forNbo(512, true, spec);
     config.tbRfm.perBank = true;
 
@@ -110,7 +110,7 @@ TEST(TpracPb, NeverStallsOtherBanksObservably)
     spec.prac.nbo = 128;
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm = TbRfmConfig::forNbo(128, true, spec);
     config.tbRfm.perBank = true;
     config.refreshEnabled = false;

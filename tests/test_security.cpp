@@ -102,7 +102,7 @@ TEST_P(FeintingVsTprac, NoRowEverReachesNbo)
     spec.timing.tREFW = nsToCycles(2.0e6); // 2 ms
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.prac.queue = QueueKind::SingleEntry;
     config.prac.counterResetAtTrefw = counter_reset;
     config.tbRfm = TbRfmConfig::forNbo(nbo, counter_reset, spec);
@@ -154,7 +154,7 @@ TEST(Security, SingleEntryQueueMatchesIdealUnderFeinting)
 
     auto max_count = [&](QueueKind queue) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
+        config.mitigation = "tprac";
         config.prac.queue = queue;
         config.tbRfm = TbRfmConfig::forNbo(512, true, spec);
         AttackHarness harness(spec, config);
@@ -182,7 +182,7 @@ TEST(Security, AboOnlyIsBreachedByFeinting)
     spec.prac.nbo = 256;
 
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.prac.queue = QueueKind::SingleEntry;
 
     AttackHarness harness(spec, config);
@@ -204,7 +204,7 @@ TEST(Security, FifoQueueWastesMitigations)
 
     auto alerts_with = [&](QueueKind queue) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
+        config.mitigation = "tprac";
         config.prac.queue = queue;
         config.prac.fifoThreshold = 32;
         // Deliberately lax window: 4x the safe one.

@@ -102,7 +102,7 @@ TEST(SideChannel, TpracPreventsLeak)
     for (int t = 0; t < trials; ++t) {
         SideChannelParams params;
         params.key = randomKey(100 + t);
-        params.mode = MitigationMode::Tprac;
+        params.defense = "tprac";
         params.encryptions = 200;
         params.probeLag = 3; // defense run: no calibration oracle
 

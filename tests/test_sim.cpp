@@ -10,6 +10,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/json.h"
 #include "sim/param_grid.h"
@@ -214,6 +215,30 @@ TEST(ScenarioRegistry, BuiltinsCoverEveryFigureAndTable)
         EXPECT_FALSE(scenario->tags.empty()) << scenario->name;
 }
 
+TEST(ScenarioRegistry, DefenseAxesRejectUnknownLabels)
+{
+    // A row must simulate the defense it names: a label no defense
+    // answers to is an error, never a silent fallback defense.
+    registerBuiltinScenarios();
+    const std::pair<const char *, const char *> axes[] = {
+        {"perf_channel_sweep", "design"},
+        {"ablation_rfmpb", "design"},
+        {"fig09_defense_validation", "mode"}};
+    for (const auto &[name, axis] : axes) {
+        const Scenario *scenario =
+            ScenarioRegistry::instance().find(name);
+        ASSERT_NE(scenario, nullptr) << name;
+        RunOptions options;
+        options.jobs = 1;
+        options.progress = false;
+        options.firstPointOnly = true;
+        options.overrides[axis] = {JsonValue("bogus")};
+        EXPECT_THROW(runScenario(*scenario, options),
+                     std::invalid_argument)
+            << name;
+    }
+}
+
 TEST(Runner, SweepMergesParamsAndSummarizes)
 {
     Scenario scenario;
@@ -234,7 +259,7 @@ TEST(Runner, SweepMergesParamsAndSummarizes)
         return std::vector<ResultRow>{std::move(total)};
     };
 
-    SweepOptions options;
+    RunOptions options;
     options.jobs = 2;
     options.progress = false;
     const SweepResult result = runScenario(scenario, options);
@@ -267,7 +292,7 @@ TEST(Runner, OverridesNarrowTheSweepAndBadAxisThrows)
         return std::vector<ResultRow>{std::move(row)};
     };
 
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     options.overrides["x"] = {JsonValue(7), JsonValue(9)};
     const SweepResult result = runScenario(scenario, options);
@@ -293,7 +318,7 @@ TEST(Runner, EmptyPointRowsAreSkipped)
         row.set("kept", true);
         return std::vector<ResultRow>{std::move(row)};
     };
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     const SweepResult result = runScenario(scenario, options);
     EXPECT_EQ(result.rows.size(), 2u);

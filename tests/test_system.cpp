@@ -9,7 +9,7 @@
 #include <set>
 
 #include "cpu/system.h"
-#include "tprac/tb_rfm.h"
+#include "mitigation/registry.h"
 #include "workload/suite.h"
 #include "workload/synthetic.h"
 
@@ -17,13 +17,11 @@ namespace pracleak {
 namespace {
 
 SystemConfig
-smallConfig(MitigationMode mode, std::uint32_t nbo = 1024)
+smallConfig(const char *defense, std::uint32_t nbo = 1024)
 {
     SystemConfig config;
     config.spec.prac.nbo = nbo;
-    config.mem.mode = mode;
-    if (mode == MitigationMode::Tprac)
-        config.mem.tbRfm = TbRfmConfig::forNbo(nbo, true, config.spec);
+    configureDefense(config.mem, defense, config.spec);
     config.warmupInstrs = 5'000;
     config.measureInstrs = 50'000;
     return config;
@@ -120,7 +118,7 @@ TEST(Suite, InstantiateHomogeneousAndHetero)
 TEST(System, RunsAndReportsIpc)
 {
     const SuiteEntry entry = suiteByIntensity(MemIntensity::Medium)[0];
-    System system(smallConfig(MitigationMode::NoMitigation),
+    System system(smallConfig("none"),
                   instantiate(entry, 2));
     const RunResult result = system.run();
 
@@ -137,7 +135,7 @@ TEST(System, RunsAndReportsIpc)
 TEST(System, RbmpkiOrdersCategories)
 {
     auto measure = [](MemIntensity intensity) {
-        SystemConfig config = smallConfig(MitigationMode::NoMitigation);
+        SystemConfig config = smallConfig("none");
         // Categories are calibrated for warmed caches; give the
         // cache-resident workloads time to fill their footprints.
         config.warmupInstrs = 100'000;
@@ -162,9 +160,9 @@ TEST(System, RbmpkiOrdersCategories)
 TEST(System, TpracSlowsDownButStaysSilent)
 {
     const SuiteEntry entry = suiteByIntensity(MemIntensity::High)[0];
-    System baseline(smallConfig(MitigationMode::NoMitigation),
+    System baseline(smallConfig("none"),
                     instantiate(entry, 2));
-    System tprac(smallConfig(MitigationMode::Tprac),
+    System tprac(smallConfig("tprac"),
                  instantiate(entry, 2));
 
     const RunResult base = baseline.run();
@@ -181,9 +179,9 @@ TEST(System, TpracSlowsDownButStaysSilent)
 TEST(System, AboOnlyNearZeroOverheadOnBenignWork)
 {
     const SuiteEntry entry = suiteByIntensity(MemIntensity::High)[0];
-    System baseline(smallConfig(MitigationMode::NoMitigation),
+    System baseline(smallConfig("none"),
                     instantiate(entry, 2));
-    System abo(smallConfig(MitigationMode::AboOnly),
+    System abo(smallConfig("abo-only"),
                instantiate(entry, 2));
 
     const RunResult base = baseline.run();

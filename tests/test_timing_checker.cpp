@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "attack/harness.h"
 #include "common/rng.h"
 #include "dram/timing_checker.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 namespace {
@@ -85,10 +89,10 @@ TEST(TimingChecker, DetectsFawViolation)
 /**
  * Cross-validation property: random multi-agent traffic through the
  * full controller must produce a timing-clean command stream, for
- * every mitigation mode.
+ * every registered defense.
  */
 class ControllerTimingProperty
-    : public ::testing::TestWithParam<MitigationMode>
+    : public ::testing::TestWithParam<std::string>
 {
 };
 
@@ -128,12 +132,12 @@ TEST_P(ControllerTimingProperty, RandomTrafficIsTimingClean)
     spec.prac.nbo = 128; // low threshold: force frequent alerts
     spec.prac.nmit = 2;
 
+    // Aggressive ACB threshold and TB-Window; configureDefense keeps
+    // them and derives every other defense's parameters from NBO.
     ControllerConfig config;
-    config.mode = GetParam();
-    if (config.mode == MitigationMode::AboAcb)
-        config.bat = 64;
-    if (config.mode == MitigationMode::Tprac)
-        config.tbRfm.windowCycles = nsToCycles(2000); // aggressive
+    config.bat = 64;
+    config.tbRfm.windowCycles = nsToCycles(2000);
+    configureDefense(config, GetParam(), spec);
 
     AttackHarness harness(spec, config);
     TimingChecker checker(spec);
@@ -157,11 +161,16 @@ TEST_P(ControllerTimingProperty, RandomTrafficIsTimingClean)
     EXPECT_GT(harness.mem().dram().issueCount(CmdType::REFab), 10u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, ControllerTimingProperty,
-                         ::testing::Values(MitigationMode::NoMitigation,
-                                           MitigationMode::AboOnly,
-                                           MitigationMode::AboAcb,
-                                           MitigationMode::Tprac));
+INSTANTIATE_TEST_SUITE_P(
+    AllDefenses, ControllerTimingProperty,
+    ::testing::ValuesIn(mitigationNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 TEST(ControllerTiming, TpracPerBankRandomTrafficIsClean)
 {
@@ -170,7 +179,7 @@ TEST(ControllerTiming, TpracPerBankRandomTrafficIsClean)
     spec.prac.nbo = 128;
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm.windowCycles = nsToCycles(30000);
     config.tbRfm.perBank = true;
 
