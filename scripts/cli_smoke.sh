@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CLI contract smoke: the subcommand form and the deprecated flat-flag
-# form of every migrated verb produce identical results, and unknown
-# subcommands / flags / scenarios are rejected with exit 2 plus a
-# "did you mean" hint instead of being silently ignored.
+# CLI contract smoke: every verb has exactly one spelling (a
+# subcommand), the retired flat flags and `status` are rejected,
+# numeric flag values are checked, and unknown subcommands / flags /
+# scenarios exit 2 with a "did you mean" hint instead of being
+# silently ignored.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -13,7 +14,6 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-results/cli_smoke}"
 PRACBENCH="${BUILD_DIR}/pracbench"
-SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
 if [[ ! -x "${PRACBENCH}" ]]; then
     echo "error: ${PRACBENCH} not found; build first" >&2
@@ -23,7 +23,7 @@ fi
 rm -rf "${OUT_DIR}"
 mkdir -p "${OUT_DIR}"
 
-# --- a command must FAIL with exit 2 and print the expected hint ---
+# --- a command must FAIL with exit 2 and print the expected text ---
 expect_reject() {
     local needle="$1"
     shift
@@ -42,48 +42,51 @@ expect_reject() {
     echo "    rejected as expected: $*"
 }
 
-echo "==> list: subcommand and flat flag print identical catalogs"
-"${PRACBENCH}" list > "${OUT_DIR}/list_new.txt"
-"${PRACBENCH}" --list > "${OUT_DIR}/list_old.txt" \
-    2> "${OUT_DIR}/list_old.err"
-cmp "${OUT_DIR}/list_new.txt" "${OUT_DIR}/list_old.txt"
-grep -q "deprecated" "${OUT_DIR}/list_old.err"
+SEARCH=(search defense_matrix_adaptive --target-defense para --quiet)
 
-echo "==> run: subcommand and flat flag sweep identically"
+echo "==> the subcommands work"
+"${PRACBENCH}" list > "${OUT_DIR}/list.txt"
+grep -q "fig07_tmax_analysis" "${OUT_DIR}/list.txt"
 "${PRACBENCH}" run fig07_tmax_analysis --smoke --quiet --no-table \
-    --out "${OUT_DIR}/run_new.json"
-"${PRACBENCH}" --scenario fig07_tmax_analysis --smoke --quiet \
-    --no-table --out "${OUT_DIR}/run_old.json" \
-    2> "${OUT_DIR}/run_old.err"
-python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
-    --ignore wall_seconds --ignore generated_at \
-    "${OUT_DIR}/run_new.json" "${OUT_DIR}/run_old.json"
-grep -q "deprecated" "${OUT_DIR}/run_old.err"
+    --jobs 0 --out "${OUT_DIR}/run.json"
+python3 -m json.tool "${OUT_DIR}/run.json" > /dev/null
 
-echo "==> record/replay: subcommand and flat flag round-trip"
-"${PRACBENCH}" record "${OUT_DIR}/traces_new" --workload h_rand_heavy \
-    --set warmup=2000 --set measure=10000 --quiet
-"${PRACBENCH}" --record-trace "${OUT_DIR}/traces_old" \
-    --workload h_rand_heavy --set warmup=2000 --set measure=10000 \
-    --quiet 2> "${OUT_DIR}/record_old.err"
-grep -q "deprecated" "${OUT_DIR}/record_old.err"
-# Replay the SAME trace in both spellings: the emitted JSON embeds
-# the trace path, so replaying two separate recordings would differ
-# on that field alone.
-"${PRACBENCH}" replay "${OUT_DIR}/traces_new/h_rand_heavy.trc" \
-    --verify --quiet --no-table \
-    --out "${OUT_DIR}/replay_new.json"
-"${PRACBENCH}" --replay "${OUT_DIR}/traces_new/h_rand_heavy.trc" \
-    --verify --quiet --no-table \
-    --out "${OUT_DIR}/replay_old.json" 2> "${OUT_DIR}/replay_old.err"
-python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
-    --ignore wall_seconds --ignore generated_at \
-    "${OUT_DIR}/replay_new.json" "${OUT_DIR}/replay_old.json"
-grep -q "deprecated" "${OUT_DIR}/replay_old.err"
-
-echo "==> help exits 0 in both spellings"
+echo "==> help exits 0 as a command and as a flag"
 "${PRACBENCH}" help > /dev/null
 "${PRACBENCH}" --help > /dev/null
+"${PRACBENCH}" -h > /dev/null
+
+echo "==> retired spellings are unknown"
+expect_reject "unknown command" "${PRACBENCH}" --list
+expect_reject "unknown command" \
+    "${PRACBENCH}" --scenario fig07_tmax_analysis --smoke
+expect_reject "unknown command" \
+    "${PRACBENCH}" --record-trace "${OUT_DIR}/traces"
+expect_reject "unknown command" \
+    "${PRACBENCH}" --replay "${OUT_DIR}/missing.trc"
+expect_reject "unknown command" "${PRACBENCH}" status "${OUT_DIR}"
+expect_reject "unknown option" \
+    "${PRACBENCH}" run --scenario fig07_tmax_analysis --smoke
+expect_reject "unknown option" \
+    "${PRACBENCH}" run -s fig07_tmax_analysis --smoke
+
+echo "==> numeric flag values are checked"
+expect_reject "--jobs expects" \
+    "${PRACBENCH}" run fig07_tmax_analysis --jobs -1 --smoke
+expect_reject "--jobs expects" \
+    "${PRACBENCH}" run fig07_tmax_analysis --jobs abc --smoke
+expect_reject "--jobs expects" \
+    "${PRACBENCH}" merge "${OUT_DIR}" --jobs -1
+expect_reject "--jobs expects" "${PRACBENCH}" "${SEARCH[@]}" --jobs 2x
+expect_reject "--budget expects" \
+    "${PRACBENCH}" "${SEARCH[@]}" --budget abc
+expect_reject "--rounds expects" "${PRACBENCH}" "${SEARCH[@]}" --rounds x
+expect_reject "--seed expects" "${PRACBENCH}" "${SEARCH[@]}" --seed -5
+expect_reject "--set attacker.aggressors expects" \
+    "${PRACBENCH}" "${SEARCH[@]}" --set attacker.aggressors=abc
+expect_reject "--shard expects" \
+    "${PRACBENCH}" run fig07_tmax_analysis --smoke \
+    --checkpoint "${OUT_DIR}/ckpt" --shard 0/-1
 
 echo "==> typos are rejected with exit 2 and a hint"
 expect_reject "did you mean 'merge'" "${PRACBENCH}" mrege
@@ -93,6 +96,5 @@ expect_reject "did you mean 'fig07_tmax_analysis'" \
     "${PRACBENCH}" run fig07_tmax_analysiss --smoke
 expect_reject "unknown" \
     "${PRACBENCH}" run fig07_tmax_analysis --frobnicate
-expect_reject "unknown" "${PRACBENCH}" --scenario nope_not_real
 
 echo "cli smoke passed"

@@ -20,9 +20,9 @@
 # --resume, so rerunning this script after a crash continues instead
 # of restarting.  To spread across real hosts, run on each host i:
 #   pracbench run SCENARIO --checkpoint SHARED_DIR --shard i/N --resume
-# and merge from any host once all shards finish -- or use
-# `--steal --worker-id $(hostname)` instead of --shard when hosts
-# are unreliable or unevenly sized.
+# and merge from any host once all shards finish.  A host that dies
+# mid-shard loses nothing journaled: rerun its exact command (the
+# --resume makes it pick up where it stopped).
 
 set -euo pipefail
 

@@ -26,17 +26,17 @@ mkdir -p "${OUT_DIR}"
 
 # Six points (3 defenses x 2 workloads), each heavy enough that the
 # kill lands mid-sweep but the whole exercise stays CI-sized.
-SWEEP=(--scenario defense_matrix_perf --jobs 2 --quiet --no-table
+SWEEP=(defense_matrix_perf --jobs 2 --quiet --no-table
        --set mitigation=none,para,tprac
        --set entry=h_rand_heavy,m_blend
        --set warmup=20000 --set measure=200000)
 JOURNAL="${OUT_DIR}/ckpt/defense_matrix_perf.jsonl"
 
 echo "==> reference (uninterrupted) run"
-"${PRACBENCH}" "${SWEEP[@]}" --out "${OUT_DIR}/reference.json"
+"${PRACBENCH}" run "${SWEEP[@]}" --out "${OUT_DIR}/reference.json"
 
 echo "==> checkpointed run, to be SIGKILLed mid-flight"
-"${PRACBENCH}" "${SWEEP[@]}" --checkpoint "${OUT_DIR}/ckpt" \
+"${PRACBENCH}" run "${SWEEP[@]}" --checkpoint "${OUT_DIR}/ckpt" \
     --out "${OUT_DIR}/resumed.json" &
 VICTIM=$!
 
@@ -75,8 +75,8 @@ if [[ -f "${OUT_DIR}/resumed.json" ]]; then
 fi
 
 echo "==> resuming from $(records) journal records"
-"${PRACBENCH}" "${SWEEP[@]}" --checkpoint "${OUT_DIR}/ckpt" --resume \
-    --out "${OUT_DIR}/resumed.json"
+"${PRACBENCH}" run "${SWEEP[@]}" --checkpoint "${OUT_DIR}/ckpt" \
+    --resume --out "${OUT_DIR}/resumed.json"
 
 echo "==> diffing resumed output against the reference"
 python3 "${SCRIPT_DIR}/diff_sweep_json.py" \

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Fleet smoke: run one sweep as two static shards plus work-stealing
-# workers over a shared checkpoint directory -- the first steal
-# worker is SIGKILLed mid-flight (a dead host) and a forged stale
-# claim is injected -- then `pracbench merge` fuses the journals and
-# the result must be byte-identical to an uninterrupted single-host
-# run (stripping only wall_seconds and the provenance timestamp --
-# scripts/diff_sweep_json.py; the CSV must match byte-for-byte).
+# Fleet smoke: run one sweep as three static shards over a shared
+# checkpoint directory -- shard 2/3 is SIGKILLed mid-flight (a dead
+# host) and then resumed with --resume -- and `pracbench merge` fuses
+# the journals.  The result must be byte-identical to an
+# uninterrupted single-host run (stripping only wall_seconds and the
+# provenance timestamp -- scripts/diff_sweep_json.py; the CSV must
+# match byte-for-byte).
 #
 # Usage: scripts/shard_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -34,28 +34,28 @@ SWEEP=(defense_matrix_perf --jobs 2 --quiet --no-table
        --set entry=h_rand_heavy,m_blend
        --set warmup=20000 --set measure=200000)
 CKPT="${OUT_DIR}/ckpt"
-DEAD_JOURNAL="${CKPT}/defense_matrix_perf.worker-dead.jsonl"
-CLAIMS="${CKPT}/defense_matrix_perf.claims"
+VICTIM_JOURNAL="${CKPT}/defense_matrix_perf.shard-2-of-3.jsonl"
 
 echo "==> single-host reference run"
 "${PRACBENCH}" run "${SWEEP[@]}" \
     --out "${OUT_DIR}/reference.json" --csv "${OUT_DIR}/reference.csv"
 
-echo "==> static shards 0/3 and 1/3 (shard 2/3 never reports in)"
+echo "==> static shards 0/3 and 1/3"
 for index in 0 1; do
     "${PRACBENCH}" run "${SWEEP[@]}" \
         --checkpoint "${CKPT}" --shard "${index}/3"
 done
 
-echo "==> steal worker 'dead', SIGKILLed mid-flight"
-"${PRACBENCH}" run "${SWEEP[@]}" --checkpoint "${CKPT}" \
-    --steal --worker-id dead --claim-ttl 600 &
+echo "==> shard 2/3, SIGKILLed mid-flight"
+# One thread, so the kill lands between the shard's two points.
+"${PRACBENCH}" run "${SWEEP[@]}" --jobs 1 \
+    --checkpoint "${CKPT}" --shard 2/3 &
 VICTIM=$!
-# Kill once the dead worker's journal holds a completed point
-# (header + 1 record): its partial work must survive the merge.
+# Kill once the journal holds a completed point (header + 1 record):
+# the resume must keep it and run only what is missing.
 for _ in $(seq 1 600); do
-    if [[ -f "${DEAD_JOURNAL}" ]] &&
-       [[ "$(wc -l < "${DEAD_JOURNAL}")" -ge 2 ]]; then
+    if [[ -f "${VICTIM_JOURNAL}" ]] &&
+       [[ "$(wc -l < "${VICTIM_JOURNAL}")" -ge 2 ]]; then
         break
     fi
     if ! kill -0 "${VICTIM}" 2>/dev/null; then
@@ -66,41 +66,27 @@ done
 if kill -KILL "${VICTIM}" 2>/dev/null; then
     echo "==> SIGKILLed pid ${VICTIM}"
 else
-    echo "warning: dead worker finished before the kill landed" >&2
+    echo "warning: shard 2/3 finished before the kill landed" >&2
 fi
 wait "${VICTIM}" 2>/dev/null || true
 
-if [[ ! -f "${DEAD_JOURNAL}" ]]; then
-    echo "error: the dead worker never wrote its journal" >&2
+if [[ ! -f "${VICTIM_JOURNAL}" ]]; then
+    echo "error: shard 2/3 never wrote its journal" >&2
     exit 1
 fi
 
-# The dead worker's leftover claims have fresh mtimes (claim-ttl 600
-# would stall the live worker for minutes); age them, and forge one
-# extra stale claim from a host that vanished without journaling
-# anything, so the live worker must exercise the steal path.
-mkdir -p "${CLAIMS}"
-printf 'vanished\n' > "${CLAIMS}/point-0.claim" 2>/dev/null || true
-find "${CLAIMS}" -name '*.claim' \
-    -exec touch -d '2 hours ago' {} + 2>/dev/null || true
-
-echo "==> steal worker 'live' finishes the sweep"
-"${PRACBENCH}" run "${SWEEP[@]}" --checkpoint "${CKPT}" \
-    --steal --worker-id live --claim-ttl 60 \
-    --out "${OUT_DIR}/live.json"
+echo "==> resuming shard 2/3 ($(wc -l < "${VICTIM_JOURNAL}") journal lines)"
+"${PRACBENCH}" run "${SWEEP[@]}" \
+    --checkpoint "${CKPT}" --shard 2/3 --resume
 
 echo "==> merging $(ls "${CKPT}"/*.jsonl | wc -l) journals"
 "${PRACBENCH}" merge "${CKPT}" --jobs 2 --no-table \
     --out "${OUT_DIR}/merged.json" --csv "${OUT_DIR}/merged.csv"
 
-echo "==> diffing merged and live outputs against the reference"
+echo "==> diffing the merged output against the reference"
 python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
     --ignore wall_seconds --ignore generated_at \
     "${OUT_DIR}/reference.json" "${OUT_DIR}/merged.json"
-# A finished steal worker exits holding the complete merged result.
-python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
-    --ignore wall_seconds --ignore generated_at \
-    "${OUT_DIR}/reference.json" "${OUT_DIR}/live.json"
 # The CSV carries no timestamps: byte-identical, full stop.
 cmp "${OUT_DIR}/reference.csv" "${OUT_DIR}/merged.csv"
 echo "shard smoke passed"

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "sim/json.h"
-#include "sim/runner.h"
+#include "telemetry/io.h"
 
 namespace pracleak::sim {
 
@@ -342,7 +342,8 @@ runAnalyzeCommand(const AnalyzeCliOptions &options)
         for (JsonValue &row : summary)
             summaryArray.push(std::move(row));
         root.set("summary", std::move(summaryArray));
-        if (!writeFileAtomic(options.outJson, root.dump(2) + "\n"))
+        if (!telemetry::writeAtomic(options.outJson,
+                                    root.dump(2) + "\n"))
             return 1;
     }
     return 0;

@@ -1,18 +1,12 @@
 #include "sim/checkpoint.h"
 
 #include "sim/provenance.h"
-#include "sim/runner.h"
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fcntl.h>
 #include <filesystem>
 #include <stdexcept>
-#include <unistd.h>
 
 namespace pracleak::sim {
 
@@ -62,25 +56,13 @@ pointLine(std::size_t index, const std::vector<ResultRow> &rows,
     record.set("rows", std::move(rowArray));
     // Record-level telemetry only: loaders read kind/index/rows, so
     // wall clock never reaches result rows (which must stay
-    // byte-identical across job counts, resume, and steal merges).
+    // byte-identical across job counts, resume, and merges).
     if (wallSeconds >= 0.0)
         record.set("wall_seconds", wallSeconds);
     // Round-trip doubles exactly: a resumed row must be bit-identical
     // to the freshly computed one or summaries recomputed from the
     // merged rows (and the final JSON itself) could drift.
     return record.dumpRoundTrip() + '\n';
-}
-
-bool
-validWorkerId(const std::string &worker)
-{
-    if (worker.empty())
-        return false;
-    for (const char c : worker)
-        if (!std::isalnum(static_cast<unsigned char>(c)) &&
-            c != '-' && c != '_' && c != '.')
-            return false;
-    return true;
 }
 
 /** One fully parsed journal: header identity + point records. */
@@ -93,7 +75,6 @@ struct RawJournal
     JsonValue grid;
     std::size_t points = 0;
     ShardSpec shard;
-    std::string worker;
     std::map<std::size_t, std::vector<ResultRow>> rowsByPoint;
     std::size_t validBytes = 0;
     bool droppedTornTail = false;
@@ -145,8 +126,6 @@ extractHeader(const std::string &path, const JsonValue &record,
         out.shard.index = static_cast<unsigned>(index->asInt());
         out.shard.count = static_cast<unsigned>(total->asInt());
     }
-    if (const JsonValue *worker = record.get("worker"))
-        out.worker = worker->asString();
 }
 
 /**
@@ -231,32 +210,6 @@ serializeRows(const std::vector<ResultRow> &rows)
     return array.dumpRoundTrip();
 }
 
-/**
- * Create @p path with O_CREAT|O_EXCL: exactly one concurrent caller
- * wins.  False when the file already exists; throws on any other
- * failure (a vanished claims directory must surface, not spin).
- */
-bool
-tryCreateExclusive(const std::string &path,
-                   const std::string &contents)
-{
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-        if (errno == EEXIST)
-            return false;
-        throw std::runtime_error("claims: cannot create " + path +
-                                 ": " + std::strerror(errno));
-    }
-    // The content (owner + timestamp) is diagnostic only; claim
-    // semantics live in the file's existence and mtime.
-    const ssize_t written =
-        ::write(fd, contents.data(), contents.size());
-    (void)written;
-    ::close(fd);
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -296,26 +249,9 @@ shardJournalPath(const std::string &directory,
            "-of-" + std::to_string(shard.count) + ".jsonl";
 }
 
-std::string
-workerJournalPath(const std::string &directory,
-                  const std::string &scenario,
-                  const std::string &worker)
-{
-    if (!validWorkerId(worker))
-        throw std::invalid_argument(
-            "worker id '" + worker +
-            "' is not filename-safe (use alphanumerics, '-', '_', "
-            "'.')");
-    std::string path = directory;
-    if (!path.empty() && path.back() != '/')
-        path += '/';
-    return path + scenario + ".worker-" + worker + ".jsonl";
-}
-
 JsonValue
 journalHeader(const std::string &scenario, const JsonValue &grid,
-              std::size_t points, const ShardSpec &shard,
-              const std::string &worker)
+              std::size_t points, const ShardSpec &shard)
 {
     JsonValue header = JsonValue::object();
     header.set("kind", "header");
@@ -330,8 +266,6 @@ journalHeader(const std::string &scenario, const JsonValue &grid,
         spec.set("count", static_cast<std::int64_t>(shard.count));
         header.set("shard", std::move(spec));
     }
-    if (!worker.empty())
-        header.set("worker", worker);
     header.set("created_at", utcTimestamp());
     // The grid itself rides along for the merge path (its hash is
     // validated against grid_fnv1a64 before it is trusted) and for
@@ -343,7 +277,7 @@ journalHeader(const std::string &scenario, const JsonValue &grid,
 CheckpointState
 loadJournal(const std::string &path, const std::string &scenario,
             const JsonValue &grid, std::size_t points,
-            const ShardSpec &shard, const std::string &worker)
+            const ShardSpec &shard)
 {
     CheckpointState state;
     std::ifstream in(path, std::ios::binary);
@@ -382,10 +316,6 @@ loadJournal(const std::string &path, const std::string &scenario,
                          (shard.active() ? shard.label()
                                          : "the whole grid") +
                          ") -- per-shard journals must not cross");
-    if (raw.worker != worker)
-        refuse(path, "worker mismatch (journal written by '" +
-                         raw.worker + "', this run is '" + worker +
-                         "')");
 
     state.rowsByPoint = std::move(raw.rowsByPoint);
     state.hasHeader = true;
@@ -419,7 +349,6 @@ readJournalFile(const std::string &path)
     file.grid = std::move(raw.grid);
     file.points = raw.points;
     file.shard = raw.shard;
-    file.worker = std::move(raw.worker);
     file.rowsByPoint = std::move(raw.rowsByPoint);
     file.droppedTornTail = raw.droppedTornTail;
     return file;
@@ -437,7 +366,7 @@ journalFilesFor(const std::string &directory,
             entry.path().extension() != ".jsonl")
             continue;
         // Peek at the first line only: files without a complete
-        // header (a worker killed mid-header) hold no point records
+        // header (a shard killed mid-header) hold no point records
         // and are skipped, not errors.
         std::ifstream in(entry.path(), std::ios::binary);
         std::string first;
@@ -514,7 +443,8 @@ mergeJournals(const std::vector<std::string> &paths)
                 ownerPath[index] = path;
                 continue;
             }
-            // Overlap is legal (work stealing may run a point twice)
+            // Overlap is legal (a whole-grid journal beside the
+            // shard journals of the same sweep repeats their points)
             // but only when the duplicate rows are byte-identical:
             // the runs are deterministic, so a conflict means the
             // journals do not describe the same computation.
@@ -638,123 +568,6 @@ JournalWriter::warnIfFailedLocked()
                  "warning: checkpoint journal write failed (disk "
                  "full? directory removed?); points completed from "
                  "here on will NOT be resumable\n");
-}
-
-PointClaims::PointClaims(const std::string &directory,
-                         const std::string &scenario,
-                         std::string worker, double claimTtlSeconds)
-    : worker_(std::move(worker)), ttlSeconds_(claimTtlSeconds)
-{
-    if (!validWorkerId(worker_))
-        throw std::invalid_argument(
-            "worker id '" + worker_ +
-            "' is not filename-safe (use alphanumerics, '-', '_', "
-            "'.')");
-    claimsDir_ = directory;
-    if (!claimsDir_.empty() && claimsDir_.back() != '/')
-        claimsDir_ += '/';
-    claimsDir_ += scenario + ".claims";
-    std::error_code ec;
-    std::filesystem::create_directories(claimsDir_, ec);
-    if (ec || !std::filesystem::is_directory(claimsDir_))
-        throw std::runtime_error("claims: cannot create " +
-                                 claimsDir_ +
-                                 (ec ? ": " + ec.message() : ""));
-}
-
-std::string
-PointClaims::claimPath(std::size_t point) const
-{
-    return claimsDir_ + "/point-" + std::to_string(point) + ".claim";
-}
-
-std::string
-PointClaims::donePath(std::size_t point) const
-{
-    return claimsDir_ + "/point-" + std::to_string(point) + ".done";
-}
-
-bool
-PointClaims::isDone(std::size_t point) const
-{
-    std::error_code ec;
-    return std::filesystem::exists(donePath(point), ec);
-}
-
-bool
-PointClaims::tryClaim(std::size_t point, bool *stolen)
-{
-    if (stolen)
-        *stolen = false;
-    if (isDone(point))
-        return false;
-    const std::string path = claimPath(point);
-    const std::string contents =
-        worker_ + "\n" + utcTimestamp() + "\n";
-    if (tryCreateExclusive(path, contents)) {
-        // A racer may have finished the point between our done check
-        // and the claim; don't keep ownership of finished work.
-        if (isDone(point)) {
-            release(point);
-            return false;
-        }
-        return true;
-    }
-
-    // An existing claim: respect it while fresh, steal it once its
-    // mtime ages past the TTL (the owner is presumed dead).
-    std::error_code ec;
-    const auto mtime =
-        std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return false; // vanished mid-look: the next pass decides
-    const auto age =
-        std::filesystem::file_time_type::clock::now() - mtime;
-    const double ageSeconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            age)
-            .count();
-    if (ageSeconds <= ttlSeconds_)
-        return false;
-
-    // Steal: rename to a per-stealer tombstone first -- rename's
-    // atomicity guarantees exactly one stealer wins the right to
-    // re-claim, and a fresh claim taken meanwhile is never clobbered
-    // (we only ever remove the tombstone we own).
-    const std::string tombstone = path + ".stale-" + worker_;
-    std::filesystem::rename(path, tombstone, ec);
-    if (ec)
-        return false; // lost the steal race (or the owner released)
-    std::filesystem::remove(tombstone, ec);
-    if (!tryCreateExclusive(path, contents))
-        return false;
-    if (isDone(point)) {
-        release(point);
-        return false;
-    }
-    if (stolen)
-        *stolen = true;
-    return true;
-}
-
-void
-PointClaims::release(std::size_t point)
-{
-    std::error_code ec;
-    std::filesystem::remove(claimPath(point), ec);
-}
-
-void
-PointClaims::markDone(std::size_t point)
-{
-    // Published via temp + atomic rename (writeFileAtomic): other
-    // workers must never observe a half-created marker.  Failure is
-    // fatal -- a lost marker stalls every other worker until the
-    // claim TTL, and the "all done" exit condition would never hold.
-    if (!writeFileAtomic(donePath(point), worker_ + "\n"))
-        throw std::runtime_error(
-            "claims: cannot publish done marker for point " +
-            std::to_string(point) + " under " + claimsDir_);
 }
 
 } // namespace pracleak::sim

@@ -8,27 +8,22 @@
  *
  * Line 1 is a header record pinning the identity the journal belongs
  * to -- scenario name, FNV-1a hash of the effective grid, building
- * git revision, point count, and (for distributed runs) the shard
- * spec or work-stealing worker id -- and every later line is one
- * completed point: `{"kind": "point", "index": I, "rows": [...]}`
- * with the point's parameters already merged into its rows.  Records
+ * git revision, point count, and (for a sharded run) the shard spec
+ * -- and every later line is one completed point:
+ * `{"kind": "point", "index": I, "rows": [...]}` with the point's
+ * parameters already merged into its rows.  Records
  * land in completion order (workers finish out of order); the loader
  * keys them by grid index, so the merged output is identical to an
  * uninterrupted run regardless of `--jobs` or kill timing.
  *
- * Distribution is built from three pieces, all defined here:
+ * Distribution is built from two pieces, both defined here:
  *  - ShardSpec / shardOwns(): a deterministic round-robin partition
  *    of the grid-point index space, so N hosts journal disjoint
  *    ranges against per-shard journals;
  *  - readJournalFile() / mergeJournals(): fuse any set of shard and
- *    worker journals back into one result, refusing on identity
+ *    whole-grid journals back into one result, refusing on identity
  *    mismatch, overlapping ownership with *conflicting* rows, or
- *    missing points;
- *  - PointClaims: a work-stealing claim protocol over a shared
- *    checkpoint directory -- workers claim points via O_EXCL claim
- *    files, publish completion via atomically renamed done markers,
- *    and steal claims whose mtime is older than a TTL so a crashed
- *    host's points get re-run.
+ *    missing points.
  *
  * Robustness contract:
  *  - a torn final record (crash mid-write; no trailing newline) is
@@ -36,7 +31,7 @@
  *    the last complete record before appending resumes;
  *  - duplicate records for one index are legal, last wins;
  *  - any header mismatch (scenario, grid hash, git revision, point
- *    count, shard spec, worker id, format version) refuses to resume
+ *    count, shard spec, format version) refuses to resume
  *    with a clear error rather than merging rows from a different
  *    sweep;
  *  - a newline-terminated record that fails to parse is corruption,
@@ -63,7 +58,7 @@ namespace pracleak::sim {
 
 /**
  * Journal format version; bump on any incompatible record change.
- * v2 added the optional "shard"/"worker" header identity fields.
+ * v2 added the optional "shard" header identity field.
  */
 inline constexpr std::int64_t kJournalVersion = 2;
 
@@ -107,25 +102,13 @@ std::string shardJournalPath(const std::string &directory,
                              const ShardSpec &shard);
 
 /**
- * Per-worker journal for work-stealing runs:
- * DIR/<scenario>.worker-<id>.jsonl.  Throws std::invalid_argument
- * when @p worker contains characters unsafe in a file name (allowed:
- * alphanumerics, '-', '_', '.').
- */
-std::string workerJournalPath(const std::string &directory,
-                              const std::string &scenario,
-                              const std::string &worker);
-
-/**
  * Build the header record pinning a sweep's identity.  An active
- * @p shard adds a {"index", "count"} object under "shard"; a
- * non-empty @p worker adds a "worker" field -- both are validated on
- * resume exactly like the scenario name and grid hash.
+ * @p shard adds a {"index", "count"} object under "shard", validated
+ * on resume exactly like the scenario name and grid hash.
  */
 JsonValue journalHeader(const std::string &scenario,
                         const JsonValue &grid, std::size_t points,
-                        const ShardSpec &shard = {},
-                        const std::string &worker = {});
+                        const ShardSpec &shard = {});
 
 /** What loadJournal() recovered from an existing journal. */
 struct CheckpointState
@@ -148,8 +131,8 @@ struct CheckpointState
 
 /**
  * Read @p path and validate it against the sweep about to run
- * (@p scenario / @p grid / @p points / @p shard / @p worker describe
- * the *effective* sweep, after overrides).  A missing or empty file
+ * (@p scenario / @p grid / @p points / @p shard describe the
+ * *effective* sweep, after overrides).  A missing or empty file
  * -- including one whose only content is a torn header -- yields an
  * empty state (fresh start).  Throws std::runtime_error with a
  * path-prefixed message on any identity mismatch or interior
@@ -160,8 +143,7 @@ CheckpointState loadJournal(const std::string &path,
                             const std::string &scenario,
                             const JsonValue &grid,
                             std::size_t points,
-                            const ShardSpec &shard = {},
-                            const std::string &worker = {});
+                            const ShardSpec &shard = {});
 
 /**
  * One journal read without an expected identity (the merge path):
@@ -176,8 +158,7 @@ struct JournalFile
     std::string gridHash;
     JsonValue grid;
     std::size_t points = 0;
-    ShardSpec shard;    //!< inactive when the journal is unsharded
-    std::string worker; //!< "" when not a work-stealing journal
+    ShardSpec shard; //!< inactive when the journal is unsharded
     std::map<std::size_t, std::vector<ResultRow>> rowsByPoint;
     bool droppedTornTail = false;
 };
@@ -187,7 +168,7 @@ struct JournalFile
  * embedded grid consistent with the header's own grid hash (tamper
  * check), every point record shaped correctly, in range, and -- for
  * a shard journal -- owned by the declared shard.  A torn final
- * record is dropped (a crashed worker's journal must still merge);
+ * record is dropped (a crashed shard's journal must still merge);
  * any complete line that fails these checks throws
  * std::runtime_error.
  */
@@ -197,14 +178,14 @@ JournalFile readJournalFile(const std::string &path);
  * The `*.jsonl` files under @p directory whose first line is a valid
  * journal header -- for @p scenario when non-empty, else for any
  * scenario -- sorted by path.  Files without a complete header line
- * (e.g. a worker killed mid-header) are skipped: they cannot contain
+ * (e.g. a shard killed mid-header) are skipped: they cannot contain
  * any point records.
  */
 std::vector<std::string>
 journalFilesFor(const std::string &directory,
                 const std::string &scenario = {});
 
-/** What mergeJournals() fused out of a set of shard/worker journals. */
+/** What mergeJournals() fused out of a set of journals. */
 struct MergedJournals
 {
     std::string scenario;
@@ -214,16 +195,16 @@ struct MergedJournals
 };
 
 /**
- * Fuse @p paths -- any mix of whole-sweep, per-shard, and per-worker
- * journals -- into one complete point map.  Throws
- * std::runtime_error when:
+ * Fuse @p paths -- any mix of whole-sweep and per-shard journals --
+ * into one complete point map.  Throws std::runtime_error when:
  *  - the set is empty, or any journal fails readJournalFile();
  *  - the journals disagree on scenario, grid hash, point count, or
  *    format version, or were written by a different git revision
  *    than this build (results from different code must not fuse);
  *  - two journals cover the same point with *conflicting* rows
- *    (byte-identical duplicates are legal -- work stealing may run a
- *    point twice);
+ *    (byte-identical duplicates are legal -- a whole-grid journal
+ *    left beside the shard journals of the same sweep repeats every
+ *    point);
  *  - any grid point is covered by no journal (the merged result
  *    would silently claim completeness it does not have).
  */
@@ -262,8 +243,8 @@ class JournalWriter
      * field -- straggler telemetry for the fleet tooling.  Loaders
      * ignore it (they read only kind/index/rows), so rows merged
      * from journals stay byte-identical to a live run's and
-     * duplicate points from work stealing still fuse: wall clock
-     * never contaminates result rows.
+     * duplicate points still fuse: wall clock never contaminates
+     * result rows.
      */
     void writePoint(std::size_t index,
                     const std::vector<ResultRow> &rows,
@@ -280,77 +261,6 @@ class JournalWriter
     std::size_t flushEvery_ = 1;
     std::size_t sinceFlush_ = 0;
     bool warnedFailed_ = false;
-};
-
-/**
- * Work-stealing claim protocol over a shared checkpoint directory
- * (DIR/<scenario>.claims/).  Claims are an optimization, not the
- * correctness mechanism: the journal tolerates duplicate records and
- * mergeJournals() accepts byte-identical overlap, so a lost race or
- * a stolen-but-still-running claim costs duplicated work, never a
- * wrong result.  Done markers, by contrast, are authoritative: one
- * is created only after the point's journal record is flushed, so a
- * marker guarantees some journal in the directory durably holds the
- * point.
- *
- * Atomicity discipline (same as writeFileAtomic): claims are taken
- * with O_CREAT|O_EXCL -- exactly one creator wins; stale claims
- * (mtime older than the TTL) are stolen by renaming to a
- * per-stealer tombstone first, so exactly one stealer wins the right
- * to re-claim; done markers are published via temp + rename.
- *
- * Safe for concurrent use from multiple threads *and* multiple
- * processes sharing one directory (a coherent local or network
- * filesystem is assumed).
- */
-class PointClaims
-{
-  public:
-    /**
-     * @p claimTtlSeconds: a claim older than this is presumed dead
-     * and may be stolen.  Set it above the slowest expected point
-     * runtime -- a premature steal only duplicates work, but
-     * needlessly.  Throws std::runtime_error when the claims
-     * directory cannot be created, std::invalid_argument on a
-     * path-unsafe @p worker.
-     */
-    PointClaims(const std::string &directory,
-                const std::string &scenario, std::string worker,
-                double claimTtlSeconds);
-
-    /**
-     * Try to take ownership of @p point.  False when the point is
-     * already done, freshly claimed by someone else, or lost in a
-     * race; true means this worker should run the point, then call
-     * markDone() and release().  When @p stolen is non-null it is
-     * set to whether the claim was taken by stealing a stale one
-     * (telemetry: steals mean a worker is presumed dead).
-     */
-    bool tryClaim(std::size_t point, bool *stolen = nullptr);
-
-    /** Drop this worker's claim file (after markDone()). */
-    void release(std::size_t point);
-
-    /**
-     * Publish @p point as durably journaled.  Callers must flush the
-     * journal record first -- other workers trust the marker.
-     * Throws std::runtime_error on failure (a silently lost marker
-     * would stall every other worker until the TTL).
-     */
-    void markDone(std::size_t point);
-
-    /** Has any worker published @p point as done? */
-    bool isDone(std::size_t point) const;
-
-    const std::string &claimsDirectory() const { return claimsDir_; }
-
-  private:
-    std::string claimPath(std::size_t point) const;
-    std::string donePath(std::size_t point) const;
-
-    std::string claimsDir_;
-    std::string worker_;
-    double ttlSeconds_ = 300.0;
 };
 
 } // namespace pracleak::sim

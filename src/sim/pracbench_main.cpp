@@ -9,29 +9,27 @@
  *   pracbench run fig13_nrh_sweep --set nrh=512,1024 --set measure=50000
  *   pracbench run defense_matrix_perf --checkpoint ckpt/ --resume
  *   pracbench run defense_matrix_perf --checkpoint ckpt/ --shard 0/4
- *   pracbench run defense_matrix_perf --checkpoint ckpt/ --steal \
- *       --worker-id host1
  *   pracbench merge ckpt/ --out results/defense_matrix_perf.json
  *   pracbench record traces/ --workload h_rand_heavy
  *   pracbench replay traces/h_rand_heavy.trc --set mitigation=none,tprac
  *
- * The pre-subcommand flat flags (--list, --scenario, --record-trace,
- * --replay) still work as deprecated aliases: a leading flag is
- * translated to the matching subcommand, with a one-line note on
- * stderr.  Unknown flags and subcommands are hard errors with a
- * "did you mean" hint -- a typo'd axis or mode must never silently
- * burn a fleet-sized sweep.
+ * Every verb has exactly one spelling.  Unknown flags and subcommands
+ * are hard errors with a "did you mean" hint, and a numeric flag value
+ * that is not a number in range is rejected -- a typo'd axis, mode or
+ * count must never silently burn a fleet-sized sweep.
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "attack/adversaries.h"
@@ -44,9 +42,10 @@
 #include "sim/search.h"
 #include "sim/suggest.h"
 #include "sim/trace_support.h"
-#include "telemetry/fleet_status.h"
+#include "telemetry/io.h"
 
 using namespace pracleak::sim;
+using pracleak::telemetry::writeAtomic;
 
 namespace {
 
@@ -68,8 +67,8 @@ printUsage()
         "                         (its spec/nbo/window_ms constants), "
         "e.g.\n"
         "                         defense_matrix_adaptive\n"
-        "  merge DIR|FILE...      fuse shard/worker checkpoint "
-        "journals into the\n"
+        "  merge DIR|FILE...      fuse shard checkpoint journals "
+        "into the\n"
         "                         result an uninterrupted single-host "
         "run would emit\n"
         "  record DIR             record memory-request traces into "
@@ -82,16 +81,12 @@ printUsage()
         "distinguishability of\n"
         "                         the bus-visible mitigation "
         "traffic, per defense\n"
-        "  status DIR             live fleet status for a --steal "
-        "checkpoint dir:\n"
-        "                         points done/claimed/stale/"
-        "remaining, per-worker\n"
-        "                         throughput from heartbeats, ETA\n"
         "  help                   this message\n"
         "\n"
         "run options:\n"
-        "  --jobs N               worker threads (default: hardware "
-        "concurrency)\n"
+        "  --jobs N               worker threads, 0-4096 (default 0: "
+        "hardware\n"
+        "                         concurrency)\n"
         "  --out PATH             write JSON results; a .json path "
         "for a single\n"
         "                         scenario, else a directory "
@@ -116,19 +111,6 @@ printUsage()
         "to\n"
         "                         DIR/<scenario>.shard-I-of-N.jsonl "
         "for `merge`\n"
-        "  --steal                work-stealing worker over a shared "
-        "--checkpoint DIR:\n"
-        "                         claim points via atomic claim "
-        "files, re-run a\n"
-        "                         crashed worker's claims after "
-        "--claim-ttl\n"
-        "  --worker-id ID         unique filename-safe id for "
-        "--steal (default:\n"
-        "                         <hostname>-<pid>)\n"
-        "  --claim-ttl SECONDS    steal claims older than this "
-        "(default: 300)\n"
-        "  --heartbeat-seconds S  steal-worker heartbeat cadence "
-        "(default: 5)\n"
         "  --smoke                one-point sweep with a tiny "
         "budget (CI smoke)\n"
         "  --quiet                suppress per-point progress lines\n"
@@ -160,10 +142,11 @@ printUsage()
         "including the oblivious\n"
         "                         baseline (default: the scenario's "
         "'budget' constant)\n"
-        "  --rounds N             successive-halving rounds; the "
-        "last runs the full\n"
-        "                         window (default: the scenario's "
-        "'rounds' constant)\n"
+        "  --rounds N             successive-halving rounds, 0-32; the "
+        "last runs the\n"
+        "                         full window (default: the scenario's "
+        "'rounds'\n"
+        "                         constant)\n"
         "  --seed S               candidate-sampling seed\n"
         "  --set attacker.K=V     pin knob K (aggressors, pool_size, "
         "burst_spacing,\n"
@@ -205,22 +188,9 @@ printUsage()
         "JSON\n"
         "  --no-table             skip the text tables on stdout\n"
         "\n"
-        "status options:\n"
-        "  --scenario NAME        show only NAME (default: every "
-        "scenario with\n"
-        "                         fleet state under DIR)\n"
-        "  --ttl SECONDS          a claim or heartbeat older than "
-        "this is stale\n"
-        "                         (default: 60; use the fleet's "
-        "--claim-ttl to match\n"
-        "                         the workers' own stealing "
-        "judgement)\n"
-        "\n"
-        "The old flat flags (--list, --scenario NAME, --record-trace "
-        "DIR,\n"
-        "--replay FILE) keep working as deprecated aliases for the "
-        "commands\n"
-        "above.\n");
+        "Numeric flag values are checked: anything but a decimal "
+        "integer in range\n"
+        "exits 2.\n");
 }
 
 bool
@@ -346,51 +316,6 @@ applySmokeBudgets(RunOptions &options)
             options.softOverrides[axis] = {value};
 }
 
-/** Parse "I/N" (0-based, I < N); exits 2 with a message when bad. */
-ShardSpec
-parseShardSpec(const std::string &spec)
-{
-    const std::size_t slash = spec.find('/');
-    bool ok = slash != std::string::npos && slash > 0 &&
-              slash + 1 < spec.size();
-    unsigned long index = 0;
-    unsigned long count = 0;
-    if (ok) {
-        char *end = nullptr;
-        index = std::strtoul(spec.c_str(), &end, 10);
-        ok = end == spec.c_str() + slash;
-        count = std::strtoul(spec.c_str() + slash + 1, &end, 10);
-        ok = ok && end == spec.c_str() + spec.size();
-    }
-    if (!ok || count == 0 || index >= count) {
-        std::fprintf(stderr,
-                     "pracbench: --shard expects I/N with 0 <= I < "
-                     "N (e.g. --shard 0/4), got '%s'\n",
-                     spec.c_str());
-        std::exit(2);
-    }
-    ShardSpec shard;
-    shard.index = static_cast<unsigned>(index);
-    shard.count = static_cast<unsigned>(count);
-    return shard;
-}
-
-/** <hostname>-<pid>, restricted to filename-safe characters. */
-std::string
-defaultWorkerId()
-{
-    char host[256] = "host";
-    if (::gethostname(host, sizeof(host) - 1) != 0)
-        std::strcpy(host, "host");
-    host[sizeof(host) - 1] = '\0';
-    std::string id(host);
-    for (char &c : id)
-        if (!std::isalnum(static_cast<unsigned char>(c)) &&
-            c != '-' && c != '_' && c != '.')
-            c = '_';
-    return id + "-" + std::to_string(::getpid());
-}
-
 /** Fetch the value after a flag; exits 2 when it is missing. */
 std::string
 nextValue(const std::vector<std::string> &args, std::size_t &i,
@@ -404,6 +329,79 @@ nextValue(const std::vector<std::string> &args, std::size_t &i,
     return args[++i];
 }
 
+/** Worker threads a --jobs value may ask for (0 = hardware). */
+constexpr std::uint64_t kMaxJobs = 4096;
+
+/**
+ * The one integer parser behind every numeric flag: @p text as a
+ * decimal integer in [0, @p max], or nothing when it is anything else
+ * (empty, a sign, trailing junk, overflow).
+ */
+std::optional<std::uint64_t>
+parseDecimal(std::string_view text, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end || value > max)
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * parseDecimal() for the value of @p flag; bad input exits 2 naming
+ * the flag.  A mistyped count must never fall back to a default or
+ * wrap into a huge thread pool.
+ */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t max)
+{
+    const std::optional<std::uint64_t> value = parseDecimal(text, max);
+    if (!value) {
+        std::fprintf(stderr,
+                     "pracbench: %s expects an integer from 0 to "
+                     "%llu, got '%s'\n",
+                     flag.c_str(), static_cast<unsigned long long>(max),
+                     text.c_str());
+        std::exit(2);
+    }
+    return *value;
+}
+
+/** Parse "I/N" (0-based, I < N); exits 2 with a message when bad. */
+ShardSpec
+parseShardSpec(const std::string &spec)
+{
+    const std::string_view text(spec);
+    const std::size_t slash = text.find('/');
+    std::optional<std::uint64_t> index;
+    std::optional<std::uint64_t> count;
+    if (slash != std::string_view::npos) {
+        index = parseDecimal(text.substr(0, slash), UINT32_MAX);
+        count = parseDecimal(text.substr(slash + 1), UINT32_MAX);
+    }
+    if (!index || !count || *index >= *count) {
+        std::fprintf(stderr,
+                     "pracbench: --shard expects I/N with 0 <= I < "
+                     "N (e.g. --shard 0/4), got '%s'\n",
+                     spec.c_str());
+        std::exit(2);
+    }
+    ShardSpec shard;
+    shard.index = static_cast<unsigned>(*index);
+    shard.count = static_cast<unsigned>(*count);
+    return shard;
+}
+
+/** The value after a numeric flag, checked by parseCount(). */
+std::uint64_t
+nextCount(const std::vector<std::string> &args, std::size_t &i,
+          const std::string &flag, std::uint64_t max)
+{
+    return parseCount(flag, nextValue(args, i, flag), max);
+}
+
 /**
  * Parse the sweep flags every data-producing command shares.
  * Returns false when @p arg is not one of them (positional or a
@@ -414,12 +412,9 @@ parseCommonFlag(RunCli &cli, const std::vector<std::string> &args,
                 std::size_t &i)
 {
     const std::string &arg = args[i];
-    if (arg == "--scenario" || arg == "-s") {
-        cli.names.push_back(nextValue(args, i, arg));
-    } else if (arg == "--jobs" || arg == "-j") {
-        cli.options.jobs = static_cast<unsigned>(
-            std::strtoul(nextValue(args, i, arg).c_str(), nullptr,
-                         10));
+    if (arg == "--jobs" || arg == "-j") {
+        cli.options.jobs =
+            static_cast<unsigned>(nextCount(args, i, arg, kMaxJobs));
     } else if (arg == "--out" || arg == "-o") {
         cli.outJson = nextValue(args, i, arg);
     } else if (arg == "--csv") {
@@ -505,15 +500,12 @@ int
 commandRun(const std::vector<std::string> &args)
 {
     RunCli cli;
-    bool stealWorkerGiven = false;
     static const std::vector<std::string> known = {
-        "--scenario", "--jobs",       "--out",
-        "--csv",      "--set",        "--try-set",
-        "--smoke",    "--quiet",      "--no-table",
-        "--checkpoint", "--resume",   "--shard",
-        "--steal",    "--worker-id",  "--claim-ttl",
-        "--heartbeat-seconds", "--trace-out", "--series-out",
-        "--log-level", "--help"};
+        "--jobs",       "--out",       "--csv",
+        "--set",        "--try-set",   "--smoke",
+        "--quiet",      "--no-table",  "--checkpoint",
+        "--resume",     "--shard",     "--trace-out",
+        "--series-out", "--log-level", "--help"};
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (parseCommonFlag(cli, args, i))
@@ -525,19 +517,6 @@ commandRun(const std::vector<std::string> &args)
         } else if (arg == "--shard") {
             cli.options.shard =
                 parseShardSpec(nextValue(args, i, arg));
-        } else if (arg == "--steal") {
-            cli.options.steal.enabled = true;
-        } else if (arg == "--worker-id") {
-            cli.options.steal.workerId = nextValue(args, i, arg);
-            stealWorkerGiven = true;
-        } else if (arg == "--claim-ttl") {
-            cli.options.steal.claimTtlSeconds =
-                std::strtod(nextValue(args, i, arg).c_str(),
-                            nullptr);
-        } else if (arg == "--heartbeat-seconds") {
-            cli.options.telemetry.heartbeatSeconds =
-                std::strtod(nextValue(args, i, arg).c_str(),
-                            nullptr);
         } else if (arg == "--help" || arg == "-h") {
             printUsage();
             return 0;
@@ -555,17 +534,6 @@ commandRun(const std::vector<std::string> &args)
                      "pracbench: --resume requires --checkpoint\n");
         return 2;
     }
-    if ((stealWorkerGiven ||
-         cli.options.steal.claimTtlSeconds != 300.0) &&
-        !cli.options.steal.enabled) {
-        std::fprintf(stderr,
-                     "pracbench: --worker-id/--claim-ttl require "
-                     "--steal\n");
-        return 2;
-    }
-    if (cli.options.steal.enabled &&
-        cli.options.steal.workerId.empty())
-        cli.options.steal.workerId = defaultWorkerId();
     cli.options.checkpoint.directory = cli.checkpointDir;
 
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
@@ -630,8 +598,8 @@ commandRun(const std::vector<std::string> &args)
             if (!cli.outJson.empty()) {
                 const std::string path = outputPath(
                     cli.outJson, name, ".json", single);
-                if (!writeFileAtomic(path,
-                                     result.toJson().dump(2) + "\n"))
+                if (!writeAtomic(path,
+                                 result.toJson().dump(2) + "\n"))
                     return 1;
                 std::fprintf(stderr, "pracbench: wrote %s\n",
                              path.c_str());
@@ -639,7 +607,7 @@ commandRun(const std::vector<std::string> &args)
             if (!cli.outCsv.empty()) {
                 const std::string path =
                     outputPath(cli.outCsv, name, ".csv", single);
-                if (!writeFileAtomic(path, result.toCsv()))
+                if (!writeAtomic(path, result.toCsv()))
                     return 1;
                 std::fprintf(stderr, "pracbench: wrote %s\n",
                              path.c_str());
@@ -668,10 +636,10 @@ commandSearch(const std::vector<std::string> &args)
     std::string checkpointDir;
     std::string outJson;
     pracleak::AttackerConfig base;
-    long budget = -1;
-    long rounds = -1;
-    long long seedValue = -1;
-    int jobs = -1;
+    std::optional<std::uint32_t> budget;
+    std::optional<std::uint32_t> rounds;
+    std::optional<std::uint64_t> seed;
+    std::optional<int> jobs;
     bool resume = false;
     bool quiet = false;
     static const std::vector<std::string> known = {
@@ -689,17 +657,17 @@ commandSearch(const std::vector<std::string> &args)
         } else if (arg == "--attacker") {
             attackerFlag = nextValue(args, i, arg);
         } else if (arg == "--budget") {
-            budget = std::strtol(nextValue(args, i, arg).c_str(),
-                                 nullptr, 10);
+            budget = static_cast<std::uint32_t>(
+                nextCount(args, i, arg, UINT32_MAX));
         } else if (arg == "--rounds") {
-            rounds = std::strtol(nextValue(args, i, arg).c_str(),
-                                 nullptr, 10);
+            // Round r of R runs window / 2^(R-r): R must keep that
+            // shift inside 32 bits.
+            rounds =
+                static_cast<std::uint32_t>(nextCount(args, i, arg, 32));
         } else if (arg == "--seed") {
-            seedValue = std::strtoll(
-                nextValue(args, i, arg).c_str(), nullptr, 0);
+            seed = nextCount(args, i, arg, UINT64_MAX);
         } else if (arg == "--jobs" || arg == "-j") {
-            jobs = static_cast<int>(std::strtol(
-                nextValue(args, i, arg).c_str(), nullptr, 10));
+            jobs = static_cast<int>(nextCount(args, i, arg, kMaxJobs));
         } else if (arg == "--checkpoint") {
             checkpointDir = nextValue(args, i, arg);
         } else if (arg == "--resume") {
@@ -725,7 +693,7 @@ commandSearch(const std::vector<std::string> &args)
                        key == "attacker.burst_spacing" ||
                        key == "attacker.phase") {
                 const auto parsed = static_cast<std::uint32_t>(
-                    std::strtoul(value.c_str(), nullptr, 10));
+                    parseCount("--set " + key, value, UINT32_MAX));
                 if (key == "attacker.aggressors")
                     base.aggressors = parsed;
                 else if (key == "attacker.pool_size")
@@ -831,14 +799,10 @@ commandSearch(const std::vector<std::string> &args)
     if (!attackerFlag.empty())
         options.attacker =
             attackerFlag == "auto" ? "" : attackerFlag;
-    if (budget >= 0)
-        options.budget = static_cast<std::uint32_t>(budget);
-    if (rounds >= 0)
-        options.rounds = static_cast<std::uint32_t>(rounds);
-    if (seedValue >= 0)
-        options.seed = static_cast<std::uint64_t>(seedValue);
-    if (jobs >= 0)
-        options.jobs = jobs;
+    options.budget = budget.value_or(options.budget);
+    options.rounds = rounds.value_or(options.rounds);
+    options.seed = seed.value_or(options.seed);
+    options.jobs = jobs.value_or(options.jobs);
 
     try {
         const SearchResult result = runAttackerSearch(options);
@@ -846,7 +810,7 @@ commandSearch(const std::vector<std::string> &args)
         if (outJson.empty()) {
             std::fputs(text.c_str(), stdout);
         } else {
-            if (!writeFileAtomic(outJson, text))
+            if (!writeAtomic(outJson, text))
                 return 1;
             std::fprintf(stderr, "pracbench: wrote %s\n",
                          outJson.c_str());
@@ -885,8 +849,8 @@ commandMerge(const std::vector<std::string> &args)
         if (arg == "--scenario" || arg == "-s") {
             scenarioFilter = nextValue(args, i, arg);
         } else if (arg == "--jobs" || arg == "-j") {
-            jobs = static_cast<unsigned>(std::strtoul(
-                nextValue(args, i, arg).c_str(), nullptr, 10));
+            jobs =
+                static_cast<unsigned>(nextCount(args, i, arg, kMaxJobs));
         } else if (arg == "--out" || arg == "-o") {
             outJson = nextValue(args, i, arg);
         } else if (arg == "--csv") {
@@ -947,8 +911,7 @@ commandMerge(const std::vector<std::string> &args)
         if (!outJson.empty()) {
             const std::string path = outputPath(
                 outJson, result.scenario, ".json", /*single=*/true);
-            if (!writeFileAtomic(path,
-                                 result.toJson().dump(2) + "\n"))
+            if (!writeAtomic(path, result.toJson().dump(2) + "\n"))
                 return 1;
             std::fprintf(stderr, "pracbench: wrote %s\n",
                          path.c_str());
@@ -956,7 +919,7 @@ commandMerge(const std::vector<std::string> &args)
         if (!outCsv.empty()) {
             const std::string path = outputPath(
                 outCsv, result.scenario, ".csv", /*single=*/true);
-            if (!writeFileAtomic(path, result.toCsv()))
+            if (!writeAtomic(path, result.toCsv()))
                 return 1;
             std::fprintf(stderr, "pracbench: wrote %s\n",
                          path.c_str());
@@ -985,8 +948,8 @@ commandRecord(const std::vector<std::string> &args)
             printUsage();
             return 0;
         } else if (parseCommonFlag(cli, args, i)) {
-            // --out/--csv/--scenario/--jobs parse but make no sense
-            // here; reject below for a precise message.
+            // --out/--csv/--jobs parse but make no sense here;
+            // --out/--csv are rejected below for a precise message.
         } else if (!arg.empty() && arg[0] == '-') {
             rejectUnknown("option for `record`", arg, known);
         } else {
@@ -999,11 +962,10 @@ commandRecord(const std::vector<std::string> &args)
                      "directory\n");
         return 2;
     }
-    if (!cli.outJson.empty() || !cli.outCsv.empty() ||
-        !cli.names.empty()) {
+    if (!cli.outJson.empty() || !cli.outCsv.empty()) {
         std::fprintf(stderr,
                      "pracbench: record writes DIR/<workload>.trc; "
-                     "--out/--csv/--scenario do not apply\n");
+                     "--out/--csv do not apply\n");
         return 2;
     }
     if (cli.smoke)
@@ -1060,10 +1022,9 @@ commandReplay(const std::vector<std::string> &args)
                      "file\n");
         return 2;
     }
-    if (!cli.outCsv.empty() || !cli.names.empty()) {
+    if (!cli.outCsv.empty()) {
         std::fprintf(stderr,
-                     "pracbench: --csv/--scenario do not apply to "
-                     "replay\n");
+                     "pracbench: --csv does not apply to replay\n");
         return 2;
     }
 
@@ -1151,112 +1112,6 @@ commandAnalyze(const std::vector<std::string> &args)
     return runAnalyzeCommand(options);
 }
 
-int
-commandStatus(const std::vector<std::string> &args)
-{
-    std::string dir;
-    std::string scenarioFilter;
-    double ttl = 60.0;
-    static const std::vector<std::string> known = {
-        "--scenario", "--ttl", "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--scenario" || arg == "-s") {
-            scenarioFilter = nextValue(args, i, arg);
-        } else if (arg == "--ttl") {
-            ttl = std::strtod(nextValue(args, i, arg).c_str(),
-                              nullptr);
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `status`", arg, known);
-        } else if (dir.empty()) {
-            dir = arg;
-        } else {
-            std::fprintf(stderr,
-                         "pracbench: status takes exactly one "
-                         "checkpoint directory\n");
-            return 2;
-        }
-    }
-    if (dir.empty()) {
-        std::fprintf(stderr,
-                     "pracbench: status needs the fleet's "
-                     "--checkpoint directory\n");
-        return 2;
-    }
-
-    try {
-        std::vector<std::string> scenarios;
-        if (!scenarioFilter.empty())
-            scenarios.push_back(scenarioFilter);
-        else
-            scenarios = pracleak::telemetry::fleetScenarios(dir);
-        if (scenarios.empty()) {
-            std::fprintf(stderr,
-                         "pracbench: no fleet state (journals, "
-                         "claims, heartbeats) under %s\n",
-                         dir.c_str());
-            return 2;
-        }
-        for (const std::string &scenario : scenarios) {
-            const pracleak::telemetry::FleetStatus status =
-                pracleak::telemetry::collectFleetStatus(dir, scenario,
-                                                        ttl);
-            std::fputs(
-                pracleak::telemetry::renderFleetStatus(status)
-                    .c_str(),
-                stdout);
-        }
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
-    }
-    return 0;
-}
-
-/**
- * Map a pre-subcommand flat command line onto a subcommand.  The
- * mode flag (--list/--record-trace/--replay, default run) is
- * removed from @p args; everything else parses unchanged because
- * the subcommands kept every flat flag as an alias.
- */
-std::string
-translateLegacy(std::vector<std::string> &args)
-{
-    std::string command = "run";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--help" || arg == "-h")
-            return "help";
-        if (arg == "--list") {
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "list";
-            break;
-        }
-        if (arg == "--record-trace") {
-            // Keep the DIR value: it becomes record's positional.
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "record";
-            break;
-        }
-        if (arg == "--replay") {
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "replay";
-            break;
-        }
-    }
-    std::fprintf(stderr,
-                 "pracbench: note: flat flags are deprecated; use "
-                 "`pracbench %s ...` (see `pracbench help`)\n",
-                 command.c_str());
-    return command;
-}
-
 } // namespace
 
 int
@@ -1270,15 +1125,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string command;
-    if (args[0][0] != '-') {
-        command = args[0];
-        args.erase(args.begin());
-    } else {
-        command = translateLegacy(args);
-    }
-
-    if (command == "help") {
+    const std::string command = args[0];
+    args.erase(args.begin());
+    if (command == "help" || command == "--help" || command == "-h") {
         printUsage();
         return 0;
     }
@@ -1296,9 +1145,7 @@ main(int argc, char **argv)
         return commandReplay(args);
     if (command == "analyze")
         return commandAnalyze(args);
-    if (command == "status")
-        return commandStatus(args);
     rejectUnknown("command", command,
                   {"run", "list", "search", "merge", "record",
-                   "replay", "analyze", "status", "help"});
+                   "replay", "analyze", "help"});
 }

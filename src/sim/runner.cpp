@@ -3,20 +3,14 @@
 #include "common/log.h"
 #include "sim/checkpoint.h"
 #include "sim/provenance.h"
-#include "telemetry/heartbeat.h"
 #include "telemetry/stopwatch.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 namespace pracleak::sim {
 
@@ -80,29 +74,14 @@ collectColumns(const std::vector<ResultRow> &rows)
 void
 validateRunOptions(const RunOptions &options)
 {
-    if (options.shard.active() && options.steal.enabled)
-        throw std::invalid_argument(
-            "--shard and --steal are mutually exclusive: a static "
-            "partition and dynamic claiming cannot both own the "
-            "point space");
     if (options.shard.active() &&
         options.shard.index >= options.shard.count)
         throw std::invalid_argument(
             "shard index must satisfy 0 <= I < N in --shard I/N");
-    if ((options.shard.active() || options.steal.enabled) &&
-        options.checkpoint.directory.empty())
+    if (options.shard.active() && options.checkpoint.directory.empty())
         throw std::invalid_argument(
-            "--shard/--steal require a checkpoint directory: the "
-            "journals are how the fleet's partial results meet "
-            "again");
-    if (options.steal.enabled && options.checkpoint.resume)
-        throw std::invalid_argument(
-            "--resume is implied by --steal (a worker always "
-            "resumes its own journal); drop the flag");
-    if (options.steal.enabled && options.steal.workerId.empty())
-        throw std::invalid_argument(
-            "--steal requires a worker id unique within the "
-            "checkpoint directory");
+            "--shard requires a checkpoint directory: the journals "
+            "are how the fleet's partial results meet again");
 }
 
 /** The scenario's grid with all of @p options' overrides applied. */
@@ -267,180 +246,6 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
     return result;
 }
 
-/**
- * Work-stealing execution over a shared checkpoint directory.  Each
- * pool thread scans the grid claiming points (sim/checkpoint.h
- * PointClaims); every completed point is journaled, flushed, then
- * published via a done marker.  When every point carries a marker,
- * the worker fuses *all* journals in the directory -- its own and
- * its peers' -- into the complete result, so any worker can emit
- * the final artifacts.
- */
-SweepResult
-runSweepStealing(const Scenario &scenario, const ParamGrid &grid,
-                 const RunOptions &options,
-                 telemetry::TraceSession *trace)
-{
-    ThreadPool pool(options.jobs);
-    const std::size_t n = grid.size();
-    const std::string &directory = options.checkpoint.directory;
-    const std::string &worker = options.steal.workerId;
-    const JsonValue gridJson = grid.toJson();
-
-    const std::string path =
-        workerJournalPath(directory, scenario.name, worker);
-    // A restarted worker always continues its own journal: its
-    // previous points are durable and must not be re-run (or worse,
-    // the journal truncated and their done markers orphaned).
-    const CheckpointState restored =
-        loadJournal(path, scenario.name, gridJson, n, {}, worker);
-    // flushEvery = 1 regardless of Scenario::checkpointEvery: the
-    // done marker published after each point promises other workers
-    // the journal record is durable, so it must be flushed first.
-    JournalWriter journal(
-        path, journalHeader(scenario.name, gridJson, n, {}, worker),
-        restored.hasHeader, restored.validBytes, 1);
-    PointClaims claims(directory, scenario.name, worker,
-                       options.steal.claimTtlSeconds);
-
-    // A previous incarnation may have died between flushing a record
-    // and publishing its marker; (re-)publish everything the journal
-    // proves durable.
-    for (const auto &[index, rows] : restored.rowsByPoint) {
-        (void)rows;
-        claims.markDone(index);
-    }
-    const std::string context = scenario.name + " worker " + worker;
-    if (options.progress && !restored.rowsByPoint.empty())
-        progress(context,
-                 "resumed " +
-                     std::to_string(restored.rowsByPoint.size()) +
-                     " journaled points");
-
-    // Heartbeats are always on in steal mode: `pracbench status` is
-    // how an operator tells a slow fleet from a dead one.
-    const std::size_t restoredCount = restored.rowsByPoint.size();
-    telemetry::HeartbeatWriter heartbeats(
-        directory, scenario.name, worker,
-        static_cast<std::int64_t>(n),
-        options.telemetry.heartbeatSeconds);
-    heartbeats.beat(static_cast<std::int64_t>(restoredCount), -1,
-                    true);
-
-    const telemetry::Stopwatch sweepClock;
-    std::atomic<std::size_t> ranHere{0};
-
-    std::vector<std::function<void()>> tasks;
-    for (unsigned t = 0; t < pool.threadCount(); ++t) {
-        tasks.push_back([&] {
-            while (true) {
-                bool allDone = true;
-                bool claimedAny = false;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (claims.isDone(i))
-                        continue;
-                    allDone = false;
-                    bool stolen = false;
-                    if (!claims.tryClaim(i, &stolen))
-                        continue;
-                    claimedAny = true;
-                    const int lane = ThreadPool::currentLane();
-                    const auto idx = static_cast<std::int64_t>(i);
-                    if (trace) {
-                        JsonValue claimArgs = JsonValue::object();
-                        claimArgs.set("index", idx);
-                        trace->instant(stolen ? "steal" : "claim",
-                                       "claims", lane,
-                                       std::move(claimArgs));
-                    }
-                    heartbeats.beat(
-                        static_cast<std::int64_t>(
-                            restoredCount +
-                            ranHere.load(std::memory_order_relaxed)),
-                        idx);
-                    const ParamSet params = grid.point(i);
-                    JsonValue spanArgs;
-                    if (trace) {
-                        spanArgs = JsonValue::object();
-                        spanArgs.set("index", idx);
-                    }
-                    telemetry::SeriesCapture::setLabel(
-                        params.label());
-                    telemetry::TraceSpan pointSpan(
-                        trace, params.label(), "point", lane,
-                        std::move(spanArgs));
-                    const telemetry::Stopwatch pointClock;
-                    const std::uint64_t simStartUs =
-                        trace ? trace->nowMicros() : 0;
-                    telemetry::TraceSpan simSpan(trace, "sim",
-                                                 "phase", lane);
-                    std::vector<ResultRow> rows =
-                        scenario.runPoint(params);
-                    simSpan.end();
-                    if (trace)
-                        telemetry::SeriesCapture::emitTraceCounters(
-                            trace, lane, simStartUs,
-                            trace->nowMicros());
-                    const double wall = pointClock.seconds();
-                    for (ResultRow &row : rows)
-                        row = mergeParams(params, std::move(row));
-                    {
-                        telemetry::TraceSpan flushSpan(
-                            trace, "journal-flush", "phase", lane);
-                        // flushed before the marker (every=1)
-                        journal.writePoint(i, rows, wall);
-                    }
-                    claims.markDone(i);
-                    claims.release(i);
-                    if (trace)
-                        trace->instant("done-marker", "claims", lane);
-                    pointSpan.end();
-                    const std::size_t done =
-                        ranHere.fetch_add(
-                            1, std::memory_order_relaxed) +
-                        1;
-                    heartbeats.beat(
-                        static_cast<std::int64_t>(restoredCount +
-                                                  done),
-                        -1);
-                    if (options.progress)
-                        progress(context,
-                                 "point " + std::to_string(i + 1) +
-                                     "/" + std::to_string(n) + " " +
-                                     params.label() + " (" +
-                                     std::to_string(done) +
-                                     " run here)");
-                }
-                if (allDone)
-                    break;
-                // Everything unfinished is claimed by someone else:
-                // back off instead of hammering the filesystem.
-                if (!claimedAny)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            options.steal.pollSeconds));
-            }
-        });
-    }
-    pool.run(std::move(tasks));
-    journal.flush();
-    heartbeats.beat(
-        static_cast<std::int64_t>(
-            restoredCount + ranHere.load(std::memory_order_relaxed)),
-        -1, true);
-
-    // Every point now carries a done marker, and markers guarantee a
-    // flushed journal record somewhere in the directory.
-    telemetry::TraceSpan mergeSpan(trace, "merge", "phase", -1);
-    SweepResult result = assembleMergedResult(
-        scenario,
-        mergeJournals(journalFilesFor(directory, scenario.name)),
-        pool.threadCount());
-    mergeSpan.end();
-    result.wallSeconds = sweepClock.seconds();
-    return result;
-}
-
 } // namespace
 
 std::string
@@ -533,9 +338,7 @@ runScenario(const Scenario &scenario, const RunOptions &options)
     const SeriesCaptureScope series(
         !options.telemetry.seriesOut.empty());
     SweepResult result =
-        options.steal.enabled
-            ? runSweepStealing(scenario, grid, options, trace.get())
-            : runSweepLocal(scenario, grid, options, trace.get());
+        runSweepLocal(scenario, grid, options, trace.get());
     if (series.enabled &&
         !telemetry::SeriesCapture::writeAll(
             options.telemetry.seriesOut))
@@ -656,44 +459,6 @@ printTables(const SweepResult &result)
         std::printf("\n(%s)\n", result.notes.c_str());
     std::printf("[%zu points, %u jobs, %.1fs]\n\n", result.points,
                 result.jobs, result.wallSeconds);
-}
-
-bool
-writeFile(const std::string &path, const std::string &contents)
-{
-    std::error_code ec;
-    const std::filesystem::path target(path);
-    if (target.has_parent_path())
-        std::filesystem::create_directories(target.parent_path(), ec);
-    std::ofstream out(target, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "pracbench: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    out << contents;
-    out.close();
-    return out.good();
-}
-
-bool
-writeFileAtomic(const std::string &path, const std::string &contents)
-{
-    // The temporary lives next to the target so the rename stays on
-    // one filesystem (and therefore atomic).
-    const std::string temporary = path + ".tmp";
-    if (!writeFile(temporary, contents))
-        return false;
-    std::error_code ec;
-    std::filesystem::rename(temporary, path, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "pracbench: cannot finalize %s: %s\n",
-                     path.c_str(), ec.message().c_str());
-        std::filesystem::remove(temporary, ec);
-        return false;
-    }
-    return true;
 }
 
 } // namespace pracleak::sim

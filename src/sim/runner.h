@@ -4,11 +4,9 @@
  * the points across a thread pool, collect per-point result rows,
  * and emit machine-readable JSON / CSV plus an aligned text table.
  *
- * A sweep can run on one host, as one deterministic shard of an
- * N-host fleet (RunOptions::shard), or as a work-stealing worker
- * over a shared checkpoint directory (RunOptions::steal); the
- * journals any of those modes leave behind fuse back into one
- * byte-identical result via mergeSweepFromJournals().
+ * A sweep runs the whole grid on one host or one deterministic shard
+ * of an N-host fleet (RunOptions::shard); the shard journals fuse
+ * back into one byte-identical result via mergeSweepFromJournals().
  */
 
 #ifndef PRACLEAK_SIM_RUNNER_H
@@ -61,10 +59,9 @@ struct RunOptions
         /**
          * Journal each completed point to an append-only JSONL file
          * (sim/checkpoint.h) under this directory as workers finish;
-         * "" disables.  The file name encodes the execution mode:
-         * `<scenario>.jsonl` for a whole-grid run,
-         * `<scenario>.shard-I-of-N.jsonl` for a shard, and
-         * `<scenario>.worker-<id>.jsonl` for a work-stealing worker.
+         * "" disables.  The file is `<scenario>.jsonl` for a
+         * whole-grid run and `<scenario>.shard-I-of-N.jsonl` for a
+         * shard.
          */
         std::string directory;
 
@@ -86,8 +83,7 @@ struct RunOptions
      * Static fleet partition: run only the grid points this shard
      * owns (round-robin by index; see shardOwns()).  Requires
      * checkpoint.directory -- a shard's whole purpose is the journal
-     * it leaves for `pracbench merge`.  Mutually exclusive with
-     * steal.
+     * it leaves for `pracbench merge`.
      */
     ShardSpec shard;
 
@@ -98,8 +94,7 @@ struct RunOptions
          * Write a Chrome trace-event JSON (Perfetto-loadable) of the
          * sweep here: one lane per pool worker, a span per grid
          * point with nested sim / journal-flush phases, instants for
-         * checkpoint writes, claims, steals, and done markers.  ""
-         * disables (no timing calls, no allocation).  Tracing
+         * checkpoint writes.  "" disables (no timing calls, no allocation).  Tracing
          * observes the harness only -- sweep output is byte-identical
          * with it on or off.
          */
@@ -115,42 +110,8 @@ struct RunOptions
          * sweep JSON/CSV output is byte-identical with it on or off.
          */
         std::string seriesOut;
-
-        /**
-         * Heartbeat-file write interval for work-stealing workers
-         * (telemetry/heartbeat.h); heartbeats are always on in steal
-         * mode since `pracbench status` depends on them.
-         */
-        double heartbeatSeconds = 5.0;
     };
     Telemetry telemetry;
-
-    /** Dynamic fleet partition: work stealing over a shared dir. */
-    struct Steal
-    {
-        /**
-         * Claim points via O_EXCL claim files in
-         * checkpoint.directory instead of a static shard: any number
-         * of workers share one directory, stragglers don't gate the
-         * fleet, and a crashed worker's claims expire (claimTtl) and
-         * get re-run.  Requires checkpoint.directory and a workerId;
-         * the worker's own journal is always resumed, so
-         * checkpoint.resume must stay false.  Every point is flushed
-         * individually (done markers promise durability to other
-         * workers), overriding Scenario::checkpointEvery.
-         */
-        bool enabled = false;
-
-        /** Filename-safe unique id (alphanumerics, '-', '_', '.'). */
-        std::string workerId;
-
-        /** A claim older than this is presumed dead and stolen. */
-        double claimTtlSeconds = 300.0;
-
-        /** Idle backoff between scans when nothing was claimable. */
-        double pollSeconds = 0.05;
-    };
-    Steal steal;
 };
 
 /** Everything a sweep produced. */
@@ -172,10 +133,9 @@ struct SweepResult
 
 /**
  * Run @p scenario under @p options.  Throws std::invalid_argument
- * for bad axis overrides or an inconsistent option set (shard and
- * steal together, shard/steal without a checkpoint directory, shard
- * index out of range, steal without a worker id); exceptions from
- * scenario points propagate.
+ * for bad axis overrides or an inconsistent option set (a shard
+ * without a checkpoint directory, or its index out of range);
+ * exceptions from scenario points propagate.
  */
 SweepResult runScenario(const Scenario &scenario,
                         const RunOptions &options = {});
@@ -199,7 +159,7 @@ SweepResult assembleMergedResult(const Scenario &scenario,
 
 /**
  * mergeJournals() + registry lookup + assembleMergedResult(): fuse
- * shard/worker journals into the result the equivalent single-host
+ * shard journals into the result the equivalent single-host
  * sweep would have produced (byte-identical modulo wall_seconds and
  * the provenance timestamp).  Throws std::runtime_error when the
  * journals are inconsistent (see mergeJournals) or name a scenario
@@ -211,21 +171,6 @@ mergeSweepFromJournals(const std::vector<std::string> &paths,
 
 /** Print rows (and summary, when present) as aligned text tables. */
 void printTables(const SweepResult &result);
-
-/**
- * Write @p contents to @p path, creating parent directories.
- * Returns false (and prints to stderr) on I/O failure.
- */
-bool writeFile(const std::string &path, const std::string &contents);
-
-/**
- * writeFile via a same-directory temporary plus atomic rename: a
- * crash mid-emission leaves either the previous artifact or the new
- * one, never a torn file -- required for anything a later --resume
- * (or a results consumer) will trust.
- */
-bool writeFileAtomic(const std::string &path,
-                     const std::string &contents);
 
 /** Render rows as CSV (union of keys, first-seen column order). */
 std::string rowsToCsv(const std::vector<ResultRow> &rows);

@@ -35,7 +35,7 @@ struct Scenario
     std::string notes;
 
     /**
-     * Catalog labels shown by `pracbench --list` (e.g. "attack",
+     * Catalog labels shown by `pracbench list` (e.g. "attack",
      * "perf", "defense") so the 20+ scenario catalog stays
      * navigable; purely informational.
      */

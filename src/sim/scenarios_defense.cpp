@@ -569,7 +569,7 @@ defenseMatrixPerf()
         // Scheduler-efficiency telemetry (design run, measure
         // window): where the event-driven scheduler's speedup comes
         // from for this defense/workload.  Deterministic, so the
-        // rows stay byte-identical across --jobs and work stealing.
+        // rows stay byte-identical across --jobs, shards and merge.
         row.set("ticks_fired", pair.design.sched.ticksFired);
         row.set("cycles_jumped", pair.design.sched.cyclesJumped);
         row.set("nextwork_cache_hits",

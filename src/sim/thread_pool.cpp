@@ -74,19 +74,6 @@ ThreadPool::tryRunOne()
 }
 
 void
-ThreadPool::run(std::vector<std::function<void()>> jobs)
-{
-    std::vector<std::function<int()>> wrapped;
-    wrapped.reserve(jobs.size());
-    for (auto &job : jobs)
-        wrapped.push_back([job = std::move(job)] {
-            job();
-            return 0;
-        });
-    map(std::move(wrapped));
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {

@@ -97,9 +97,6 @@ class ThreadPool
         return results;
     }
 
-    /** map() for void jobs. */
-    void run(std::vector<std::function<void()>> jobs);
-
   private:
     void workerLoop();
     void waitForCount(const std::atomic<std::size_t> &done,

@@ -9,6 +9,7 @@
 #include "mitigation/registry.h"
 #include "sim/provenance.h"
 #include "sim/runner.h"
+#include "telemetry/io.h"
 #include "telemetry/stopwatch.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
@@ -200,7 +201,7 @@ runRecordTraceCommand(const RecordCliOptions &options)
                     .string();
             const std::string image =
                 trace::serializeTrace(recorded.trace);
-            if (!writeFileAtomic(path, image))
+            if (!telemetry::writeAtomic(path, image))
                 return 1;
             if (options.progress) {
                 std::uint64_t requests = 0;
@@ -316,8 +317,8 @@ runReplayCommand(const ReplayCliOptions &options)
             root.set("recorded_mitigation",
                      trace.header.mitigation);
             root.set("spec", trace.header.spec);
-            if (!writeFileAtomic(options.outJson,
-                                 root.dump(2) + "\n"))
+            if (!telemetry::writeAtomic(options.outJson,
+                                        root.dump(2) + "\n"))
                 return 1;
             std::fprintf(stderr, "pracbench: wrote %s\n",
                          options.outJson.c_str());

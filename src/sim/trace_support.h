@@ -3,7 +3,7 @@
  * Bridge between the scenario/CLI layer and the trace subsystem
  * (src/trace/): record a suite workload once, replay it under any
  * registered defense, and flatten replay stats into result rows.
- * Shared by `pracbench --record-trace` / `--replay` and the
+ * Shared by `pracbench record` / `pracbench replay` and the
  * trace_replay_defense_sweep scenario.
  */
 
@@ -45,7 +45,7 @@ ResultRow recordedStatsRow(const trace::TraceData &trace);
 
 // --- pracbench subcommands -----------------------------------------
 
-/** `pracbench --record-trace` settings. */
+/** `pracbench record` settings. */
 struct RecordCliOptions
 {
     std::string dir;                    //!< output directory
@@ -68,7 +68,7 @@ struct RecordCliOptions
 /** Record traces per workload into dir/<workload>.trc; 0 on success. */
 int runRecordTraceCommand(const RecordCliOptions &options);
 
-/** `pracbench --replay` settings. */
+/** `pracbench replay` settings. */
 struct ReplayCliOptions
 {
     std::string tracePath;

@@ -1,6 +1,5 @@
 #include "telemetry/io.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,14 +22,14 @@ writeAtomic(const std::string &path, const std::string &contents)
         std::ofstream out(temporary,
                           std::ios::binary | std::ios::trunc);
         if (!out) {
-            std::fprintf(stderr, "telemetry: cannot write %s\n",
+            std::fprintf(stderr, "pracleak: cannot write %s\n",
                          temporary.c_str());
             return false;
         }
         out << contents;
         out.close();
         if (!out.good()) {
-            std::fprintf(stderr, "telemetry: write to %s failed\n",
+            std::fprintf(stderr, "pracleak: write to %s failed\n",
                          temporary.c_str());
             std::filesystem::remove(temporary, ec);
             return false;
@@ -38,26 +37,12 @@ writeAtomic(const std::string &path, const std::string &contents)
     }
     std::filesystem::rename(temporary, path, ec);
     if (ec) {
-        std::fprintf(stderr, "telemetry: cannot finalize %s: %s\n",
+        std::fprintf(stderr, "pracleak: cannot finalize %s: %s\n",
                      path.c_str(), ec.message().c_str());
         std::filesystem::remove(temporary, ec);
         return false;
     }
     return true;
-}
-
-double
-fileAgeSeconds(const std::string &path)
-{
-    std::error_code ec;
-    const auto mtime = std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return -1.0;
-    const auto age =
-        std::filesystem::file_time_type::clock::now() - mtime;
-    return std::chrono::duration_cast<std::chrono::duration<double>>(
-               age)
-        .count();
 }
 
 } // namespace pracleak::telemetry

@@ -1,9 +1,10 @@
 /**
  * @file
- * Small filesystem helpers shared by the telemetry surfaces (trace
- * export, heartbeats, fleet status).  Kept separate from sim/runner.h
- * so the telemetry layer stays below the sweep runner in the include
- * graph.
+ * The one atomic file writer: trace export, series export, and every
+ * artifact `pracbench` emits (sweep JSON/CSV, search, replay and
+ * analyze results) go through it.  It lives in the telemetry layer,
+ * the lowest one that writes files, so the sweep runner above can
+ * share it.
  */
 
 #ifndef PRACLEAK_TELEMETRY_IO_H
@@ -17,17 +18,11 @@ namespace pracleak::telemetry {
  * Write @p contents to @p path via a same-directory temporary plus
  * atomic rename, creating parent directories.  A crash mid-write
  * leaves either the previous file or the new one, never a torn one
- * -- readers (fleet status, Perfetto) always see a complete
- * artifact.  Returns false (with a message on stderr) on failure.
+ * -- readers (a later --resume, Perfetto, results consumers) always
+ * see a complete artifact.  On failure the temporary is removed and
+ * false returned, with a message on stderr.
  */
 bool writeAtomic(const std::string &path, const std::string &contents);
-
-/**
- * Age of @p path's last modification in seconds.  Returns a negative
- * value when the file does not exist or cannot be stat'd -- callers
- * distinguish "no heartbeat yet" from "stale heartbeat".
- */
-double fileAgeSeconds(const std::string &path);
 
 } // namespace pracleak::telemetry
 

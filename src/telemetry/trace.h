@@ -1,10 +1,9 @@
 /**
  * @file
  * Chrome trace-event export for sweep runs: one lane per pool
- * worker, a span per grid point and per phase (sim / record / replay
- * / journal-flush / merge), and instant events for checkpoint
- * writes, claim acquisitions/steals, and done-marker publishes.  The
- * emitted JSON loads in Perfetto / chrome://tracing, so fleet
+ * worker, a span per grid point and per phase (sim / journal-flush),
+ * a span per recorded workload or replayed defense, and instant
+ * events for checkpoint writes.  The emitted JSON loads in Perfetto / chrome://tracing, so
  * scheduling gaps and straggler points are visible at a glance.
  *
  * Zero-cost-when-off contract: every call site holds a

@@ -1,7 +1,7 @@
 /**
  * @file
  * Memory-request trace capture format: the versioned, delta-encoded
- * binary container behind `pracbench --record-trace` / `--replay`.
+ * binary container behind `pracbench record` / `pracbench replay`.
  *
  * A trace captures the per-channel stream of requests accepted at the
  * MemoryController enqueue boundary ({cycle, type, addr, coreId}),

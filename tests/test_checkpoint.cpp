@@ -387,22 +387,6 @@ TEST_F(CheckpointTest, FreshRunOverwritesStaleJournal)
     EXPECT_EQ(journalText().find("\"kind\": \"header\""), 1u);
 }
 
-TEST(WriteFileAtomic, ReplacesExistingFileOrLeavesItAlone)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "pracleak_atomic_test.json")
-            .string();
-    ASSERT_TRUE(writeFileAtomic(path, "first\n"));
-    ASSERT_TRUE(writeFileAtomic(path, "second\n"));
-    std::ifstream in(path, std::ios::binary);
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_EQ(text, "second\n");
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-    std::filesystem::remove(path);
-}
-
 TEST(ParseJson, RoundTripsRunnerOutput)
 {
     JsonValue root = JsonValue::object();

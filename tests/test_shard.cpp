@@ -2,23 +2,18 @@
  * @file
  * Distributed-sweep tests: shard partition properties (disjoint,
  * exhaustive, stable across worker counts), merge byte-identity
- * against a single-host golden, merge rejections (mismatched grid
- * hash, overlapping ownership with conflicting rows, missing
- * points, tampered embedded grid), the work-stealing claim protocol
- * (O_EXCL exclusivity, stale-claim theft, done markers), and a
- * saturated-pool work-stealing run with an injected dead worker and
- * stale claims.
+ * against a single-host golden (including a whole-grid journal that
+ * overlaps the shards), merge rejections (mismatched grid hash,
+ * overlapping ownership with conflicting rows, missing points,
+ * tampered embedded grid), and run-option validation.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -31,11 +26,9 @@ namespace pracleak::sim {
 namespace {
 
 /**
- * A deterministic scenario whose rows *embed their own parameters*
- * (x, tag first), so a journal record hand-written from runPoint's
- * output is byte-identical to one the runner would write -- which
- * lets tests forge a dead worker's journal.  Keeps the awkward
- * corners: one point emits two rows, one emits none.
+ * A deterministic scenario with the awkward corners: one point emits
+ * two rows, one emits none, and the doubles do not terminate in
+ * decimal, so any drift through a journal shows in the byte-compare.
  */
 Scenario
 shardScenario()
@@ -227,22 +220,32 @@ TEST_F(ShardTest, MergeMatchesSingleHostGolden)
     const Scenario scenario = shardScenario();
     const std::string reference = canonical(run(baseOptions(2)));
 
+    std::vector<std::string> shardPaths;
     for (unsigned index = 0; index < 3; ++index) {
         RunOptions options = baseOptions(2);
         options.checkpoint.directory = directory_;
         options.shard = ShardSpec{index, 3};
         run(options);
+        shardPaths.push_back(shardJournalPath(
+            directory_, scenario.name, options.shard));
     }
+    // A whole-grid journal of the same sweep in the same directory
+    // repeats every shard's points byte for byte: the one legitimate
+    // source of overlap, which must fuse to the same result.
+    RunOptions whole = baseOptions(2);
+    whole.checkpoint.directory = directory_;
+    run(whole);
     const std::vector<std::string> paths =
         journalFilesFor(directory_, scenario.name);
-    ASSERT_EQ(paths.size(), 3u);
+    ASSERT_EQ(paths.size(), 4u);
 
     SweepResult merged =
         assembleMergedResult(scenario, mergeJournals(paths), 2);
     EXPECT_EQ(canonical(merged), reference);
 
     // Kill-and-resume one shard (keep only its header plus one
-    // record), re-run it, merge again: still byte-identical.
+    // record), re-run it, merge the shards alone (the whole-grid
+    // journal would cover any gap): still byte-identical.
     const std::string shard0 =
         shardJournalPath(directory_, scenario.name, ShardSpec{0, 3});
     std::string text;
@@ -262,10 +265,8 @@ TEST_F(ShardTest, MergeMatchesSingleHostGolden)
     resumed.checkpoint.resume = true;
     resumed.shard = ShardSpec{0, 3};
     run(resumed);
-    merged = assembleMergedResult(
-        scenario,
-        mergeJournals(journalFilesFor(directory_, scenario.name)),
-        2);
+    merged = assembleMergedResult(scenario, mergeJournals(shardPaths),
+                                  2);
     EXPECT_EQ(canonical(merged), reference);
 }
 
@@ -294,16 +295,26 @@ TEST_F(ShardTest, MergeRefusesMismatchedGridHash)
 
 TEST_F(ShardTest, MergeRefusesConflictingOverlap)
 {
+    // A whole-grid journal and a shard-0-of-2 journal both cover
+    // point 0; write it into each with the given marker.
     const JsonValue grid = gridJson();
-    for (const char *worker : {"wa", "wb"}) {
-        JournalWriter journal(
-            workerJournalPath(directory_, "unit_shard", worker),
-            journalHeader("unit_shard", grid, kPoints, {}, worker),
-            /*append=*/false, 0, 1);
-        ResultRow row = JsonValue::object();
-        row.set("marker", worker); // differs per journal
-        journal.writePoint(0, {row});
-    }
+    const auto writeBoth = [&](const char *wholeMarker,
+                               const char *shardMarker) {
+        const ShardSpec shard{0, 2};
+        for (const bool sharded : {false, true}) {
+            JournalWriter journal(
+                sharded ? shardJournalPath(directory_, "unit_shard",
+                                           shard)
+                        : journalPath(directory_, "unit_shard"),
+                journalHeader("unit_shard", grid, kPoints,
+                              sharded ? shard : ShardSpec{}),
+                /*append=*/false, 0, 1);
+            ResultRow row = JsonValue::object();
+            row.set("marker", sharded ? shardMarker : wholeMarker);
+            journal.writePoint(0, {row});
+        }
+    };
+    writeBoth("whole", "shard");
     try {
         mergeJournals(journalFilesFor(directory_, "unit_shard"));
         FAIL() << "merged conflicting rows for one point";
@@ -313,10 +324,9 @@ TEST_F(ShardTest, MergeRefusesConflictingOverlap)
             << error.what();
     }
 
-    // Byte-identical overlap, by contrast, is legal -- but these
-    // two journals cover only point 0, so coverage must refuse.
-    std::filesystem::remove(
-        workerJournalPath(directory_, "unit_shard", "wb"));
+    // Byte-identical overlap, by contrast, is legal -- but the two
+    // journals cover only point 0, so coverage must refuse.
+    writeBoth("same", "same");
     try {
         mergeJournals(journalFilesFor(directory_, "unit_shard"));
         FAIL() << "merged an incomplete point set";
@@ -378,158 +388,9 @@ TEST_F(ShardTest, ShardJournalRefusesForeignPoints)
                  std::runtime_error);
 }
 
-TEST_F(ShardTest, WorkerJournalPinsWorkerIdentity)
-{
-    const JsonValue grid = gridJson();
-    const std::string path =
-        workerJournalPath(directory_, "unit_shard", "w1");
-    {
-        JournalWriter journal(
-            path, journalHeader("unit_shard", grid, kPoints, {}, "w1"),
-            false, 0, 1);
-    }
-    // The right worker resumes; a different worker is refused.
-    EXPECT_TRUE(loadJournal(path, "unit_shard", grid, kPoints, {},
-                            "w1")
-                    .hasHeader);
-    EXPECT_THROW(
-        loadJournal(path, "unit_shard", grid, kPoints, {}, "w2"),
-        std::runtime_error);
-    // Path-unsafe worker ids never reach the filesystem.
-    EXPECT_THROW(workerJournalPath(directory_, "unit_shard",
-                                   "../escape"),
-                 std::invalid_argument);
-    EXPECT_THROW(workerJournalPath(directory_, "unit_shard", ""),
-                 std::invalid_argument);
-}
-
-TEST_F(ShardTest, PointClaimsProtocol)
-{
-    PointClaims mine(directory_, "unit_shard", "w1", 60.0);
-    PointClaims theirs(directory_, "unit_shard", "w2", 60.0);
-
-    // O_EXCL: exactly one claimant wins; release frees the point.
-    EXPECT_TRUE(mine.tryClaim(3));
-    EXPECT_FALSE(theirs.tryClaim(3));
-    mine.release(3);
-    EXPECT_TRUE(theirs.tryClaim(3));
-
-    // A done point is never claimed again.
-    theirs.markDone(3);
-    theirs.release(3);
-    EXPECT_TRUE(mine.isDone(3));
-    EXPECT_FALSE(mine.tryClaim(3));
-
-    // A stale claim (mtime beyond the TTL) is stolen...
-    ASSERT_TRUE(mine.tryClaim(4));
-    const std::string claim =
-        mine.claimsDirectory() + "/point-4.claim";
-    std::filesystem::last_write_time(
-        claim, std::filesystem::file_time_type::clock::now() -
-                   std::chrono::hours(2));
-    EXPECT_TRUE(theirs.tryClaim(4));
-    // ...and the thief holds a *fresh* claim others respect.
-    EXPECT_FALSE(mine.tryClaim(4));
-}
-
-TEST_F(ShardTest, StealCompletesWithDeadWorkerAndStaleClaims)
-{
-    const Scenario scenario = shardScenario();
-    const JsonValue grid = gridJson();
-    const std::string reference = canonical(run(baseOptions(8)));
-
-    // Forge a dead worker: points 0 and 5 journaled and flushed,
-    // done markers published, then the host vanished -- leaving its
-    // journal behind but never finishing the sweep.
-    {
-        ParamGrid liveGrid = scenario.grid;
-        JournalWriter dead(
-            workerJournalPath(directory_, scenario.name, "w-dead"),
-            journalHeader(scenario.name, grid, kPoints, {},
-                          "w-dead"),
-            false, 0, 1);
-        PointClaims claims(directory_, scenario.name, "w-dead",
-                           60.0);
-        for (const std::size_t i : {std::size_t{0}, std::size_t{5}}) {
-            dead.writePoint(i,
-                            scenario.runPoint(liveGrid.point(i)));
-            claims.markDone(i);
-        }
-    }
-    // Inject a stale claim on point 3, as if a third worker died
-    // mid-point two hours ago: the live worker must steal and run
-    // it rather than wait forever.
-    const std::string claimsDir =
-        directory_ + "/" + scenario.name + ".claims";
-    const std::string staleClaim = claimsDir + "/point-3.claim";
-    {
-        std::ofstream out(staleClaim, std::ios::binary);
-        out << "w-vanished\n";
-    }
-    std::filesystem::last_write_time(
-        staleClaim, std::filesystem::file_time_type::clock::now() -
-                        std::chrono::hours(2));
-
-    RunOptions live = baseOptions(8); // saturated pool
-    live.checkpoint.directory = directory_;
-    live.steal.enabled = true;
-    live.steal.workerId = "w-live";
-    live.steal.claimTtlSeconds = 60.0; // fresh claims stay owned
-    live.steal.pollSeconds = 0.005;
-    const SweepResult result = run(live);
-
-    // The returned result is the *complete* merged sweep -- the
-    // dead worker's points fused with the live ones -- and matches
-    // the single-host golden byte for byte.
-    EXPECT_EQ(canonical(result), reference);
-    // The stale claim was stolen (and released after completion).
-    EXPECT_FALSE(std::filesystem::exists(staleClaim));
-    // An explicit merge over the directory agrees.
-    const SweepResult merged = assembleMergedResult(
-        scenario,
-        mergeJournals(journalFilesFor(directory_, scenario.name)),
-        8);
-    EXPECT_EQ(canonical(merged), reference);
-}
-
-TEST_F(ShardTest, ConcurrentStealWorkersRace)
-{
-    const Scenario scenario = shardScenario();
-    const std::string reference = canonical(run(baseOptions(2)));
-
-    // Two workers race over one directory, each on its own pool.
-    // Claims arbitrate ownership; both exit holding the complete
-    // byte-identical result regardless of who ran what.
-    SweepResult resultA;
-    SweepResult resultB;
-    const auto worker = [&](const char *id, SweepResult &out) {
-        RunOptions options = baseOptions(2);
-        options.checkpoint.directory = directory_;
-        options.steal.enabled = true;
-        options.steal.workerId = id;
-        options.steal.claimTtlSeconds = 60.0;
-        options.steal.pollSeconds = 0.005;
-        out = runScenario(shardScenario(), options);
-    };
-    std::thread threadA(worker, "w-a", std::ref(resultA));
-    std::thread threadB(worker, "w-b", std::ref(resultB));
-    threadA.join();
-    threadB.join();
-
-    EXPECT_EQ(canonical(resultA), reference);
-    EXPECT_EQ(canonical(resultB), reference);
-}
-
 TEST_F(ShardTest, RunOptionValidation)
 {
-    // Inconsistent mode combinations die before any work runs.
-    RunOptions both = baseOptions(1);
-    both.checkpoint.directory = directory_;
-    both.shard = ShardSpec{0, 2};
-    both.steal.enabled = true;
-    both.steal.workerId = "w";
-    EXPECT_THROW(run(both), std::invalid_argument);
-
+    // Inconsistent shard options die before any work runs.
     RunOptions noDir = baseOptions(1);
     noDir.shard = ShardSpec{0, 2};
     EXPECT_THROW(run(noDir), std::invalid_argument);
@@ -539,17 +400,13 @@ TEST_F(ShardTest, RunOptionValidation)
     badIndex.shard = ShardSpec{2, 2};
     EXPECT_THROW(run(badIndex), std::invalid_argument);
 
-    RunOptions noWorker = baseOptions(1);
-    noWorker.checkpoint.directory = directory_;
-    noWorker.steal.enabled = true;
-    EXPECT_THROW(run(noWorker), std::invalid_argument);
-
-    RunOptions stealResume = baseOptions(1);
-    stealResume.checkpoint.directory = directory_;
-    stealResume.steal.enabled = true;
-    stealResume.steal.workerId = "w";
-    stealResume.checkpoint.resume = true;
-    EXPECT_THROW(run(stealResume), std::invalid_argument);
+    // A shard with its journal directory is the valid form.
+    RunOptions valid = baseOptions(1);
+    valid.checkpoint.directory = directory_;
+    valid.shard = ShardSpec{1, 2};
+    EXPECT_NO_THROW(run(valid));
+    EXPECT_TRUE(std::filesystem::exists(
+        shardJournalPath(directory_, "unit_shard", valid.shard)));
 }
 
 } // namespace

@@ -3,16 +3,13 @@
  * Telemetry subsystem tests: Histogram JSON round-trip through the
  * strict parser, sweep-output invariance under tracing (the
  * zero-interference contract), Chrome-trace structure and span
- * nesting, heartbeat round-trip/throttling, and fleet status over a
- * real work-stealing checkpoint directory including mtime-based
- * staleness.
+ * nesting, the atomic file writer, and log-level parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -27,8 +24,6 @@
 #include "sim/json.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
-#include "telemetry/fleet_status.h"
-#include "telemetry/heartbeat.h"
 #include "telemetry/io.h"
 #include "telemetry/trace.h"
 
@@ -108,18 +103,6 @@ class TelemetryTest : public ::testing::Test
         std::ifstream in(path, std::ios::binary);
         return std::string(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
-    }
-
-    /** Shift a file's mtime @p seconds into the past. */
-    static void ageFile(const std::string &path, double seconds)
-    {
-        const auto mtime = std::filesystem::last_write_time(path);
-        std::filesystem::last_write_time(
-            path, mtime - std::chrono::duration_cast<
-                              std::filesystem::file_time_type::
-                                  duration>(
-                              std::chrono::duration<double>(
-                                  seconds)));
     }
 
     std::string directory_;
@@ -268,119 +251,44 @@ TEST_F(TelemetryTest, TraceJsonParsesAndSpansNestPerLane)
     }
 }
 
-TEST_F(TelemetryTest, HeartbeatRoundTripAndThrottle)
-{
-    telemetry::Heartbeat beat;
-    beat.worker = "w1";
-    beat.pid = 4242;
-    beat.scenario = "unit_telemetry";
-    beat.totalPoints = 10;
-    beat.pointsDone = 3;
-    beat.currentPoint = 7;
-    beat.pointsPerSec = 1.5;
-    beat.uptimeSeconds = 2.0;
-
-    telemetry::Heartbeat parsed;
-    std::string error;
-    ASSERT_TRUE(
-        telemetry::Heartbeat::fromJson(beat.toJson(), &parsed,
-                                       &error))
-        << error;
-    EXPECT_EQ(parsed.worker, "w1");
-    EXPECT_EQ(parsed.pid, 4242);
-    EXPECT_EQ(parsed.totalPoints, 10);
-    EXPECT_EQ(parsed.pointsDone, 3);
-    EXPECT_EQ(parsed.currentPoint, 7);
-    EXPECT_DOUBLE_EQ(parsed.pointsPerSec, 1.5);
-
-    EXPECT_FALSE(telemetry::Heartbeat::fromJson(
-        JsonValue::object(), &parsed, &error));
-
-    // A huge interval throttles unforced beats; force always writes.
-    telemetry::HeartbeatWriter writer(directory_, "unit_telemetry",
-                                      "w1", 10, 3600.0);
-    writer.beat(1, 0, true);
-    std::string first = readFile(writer.path());
-    EXPECT_NE(first.find("\"points_done\": 1"), std::string::npos);
-    writer.beat(2, 1); // throttled: within the interval
-    EXPECT_EQ(readFile(writer.path()), first);
-    writer.beat(2, 1, true);
-    EXPECT_NE(readFile(writer.path()).find("\"points_done\": 2"),
-              std::string::npos);
-}
-
-TEST_F(TelemetryTest, FleetStatusCountsDoneClaimsAndStaleness)
-{
-    // A real single-worker stealing sweep leaves journals, done
-    // markers, and a heartbeat behind.
-    RunOptions options;
-    options.jobs = 1;
-    options.progress = false;
-    options.checkpoint.directory = directory_;
-    options.steal.enabled = true;
-    options.steal.workerId = "w1";
-    runScenario(telemetryScenario(), options);
-
-    const std::vector<std::string> scenarios =
-        telemetry::fleetScenarios(directory_);
-    ASSERT_EQ(scenarios.size(), 1u);
-    EXPECT_EQ(scenarios[0], "unit_telemetry");
-
-    telemetry::FleetStatus status = telemetry::collectFleetStatus(
-        directory_, "unit_telemetry", 60.0);
-    EXPECT_EQ(status.points, 6u);
-    EXPECT_EQ(status.done, 6u);
-    EXPECT_EQ(status.remaining(), 0u);
-    EXPECT_EQ(status.claimedFresh, 0u);
-    EXPECT_EQ(status.claimedStale, 0u);
-    ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_EQ(status.workers[0].beat.worker, "w1");
-    EXPECT_FALSE(status.workers[0].stale);
-    EXPECT_NE(telemetry::renderFleetStatus(status).find("live"),
-              std::string::npos);
-
-    // Age the heartbeat past the TTL and plant an aged claim file:
-    // exactly what a SIGKILLed worker leaves behind (the atomic
-    // rename means the last heartbeat is always complete -- it just
-    // stops getting younger).
-    ageFile(telemetry::heartbeatPath(directory_, "unit_telemetry",
-                                     "w1"),
-            3600.0);
-    const std::string claim =
-        directory_ + "/unit_telemetry.claims/point-99.claim";
-    {
-        std::ofstream out(claim, std::ios::binary);
-        out << "w1\n";
-    }
-    ageFile(claim, 3600.0);
-
-    status = telemetry::collectFleetStatus(directory_,
-                                           "unit_telemetry", 60.0);
-    ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_TRUE(status.workers[0].stale);
-    EXPECT_EQ(status.claimedStale, 1u);
-    EXPECT_DOUBLE_EQ(status.livePointsPerSec, 0.0);
-    EXPECT_NE(telemetry::renderFleetStatus(status).find("STALE"),
-              std::string::npos);
-
-    EXPECT_THROW(telemetry::collectFleetStatus(
-                     directory_ + "/does_not_exist",
-                     "unit_telemetry", 60.0),
-                 std::runtime_error);
-}
-
 TEST_F(TelemetryTest, WriteAtomicAndFileAge)
 {
+    // Parent directories are created on the way.
     const std::string path = directory_ + "/nested/dir/file.json";
     ASSERT_TRUE(telemetry::writeAtomic(path, "{\"ok\": true}\n"));
     EXPECT_EQ(readFile(path), "{\"ok\": true}\n");
-    EXPECT_GE(telemetry::fileAgeSeconds(path), 0.0);
-    EXPECT_LT(telemetry::fileAgeSeconds(directory_ + "/missing"),
-              0.0);
 
-    // Overwrite through the same temp+rename path.
+    // Push the file an hour into the past; an overwrite through the
+    // same temp+rename path lands a fresh file with the new bytes.
+    using Clock = std::filesystem::file_time_type::clock;
+    std::filesystem::last_write_time(
+        path, Clock::now() - std::chrono::hours(1));
     ASSERT_TRUE(telemetry::writeAtomic(path, "{}\n"));
     EXPECT_EQ(readFile(path), "{}\n");
+    EXPECT_LT(Clock::now() - std::filesystem::last_write_time(path),
+              std::chrono::minutes(1));
+}
+
+/** The atomic writer's replace-or-leave-alone contract. */
+class WriteFileAtomic : public TelemetryTest
+{
+};
+
+TEST_F(WriteFileAtomic, ReplacesExistingFileOrLeavesItAlone)
+{
+    const std::string path = directory_ + "/atomic.json";
+    ASSERT_TRUE(telemetry::writeAtomic(path, "first\n"));
+    ASSERT_TRUE(telemetry::writeAtomic(path, "second\n"));
+    EXPECT_EQ(readFile(path), "second\n");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    // A rename that cannot land (the target is a non-empty
+    // directory) fails, leaves the target alone, and cleans up.
+    const std::string blocked = directory_ + "/blocked";
+    std::filesystem::create_directories(blocked + "/child");
+    EXPECT_FALSE(telemetry::writeAtomic(blocked, "lost\n"));
+    EXPECT_TRUE(std::filesystem::is_directory(blocked + "/child"));
+    EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
 }
 
 TEST(ParseLogLevel, MapsNamesAndDigits)
