@@ -50,6 +50,12 @@ hammerDecoys(const DramOrg &org, const AttackerConfig &config)
 ProbeAgent::ProbeAgent(Addr probe_addr, bool record_all)
     : addr_(probe_addr), recordAll_(record_all)
 {
+    // A full timeline holds one sample per read, up to ~55k per
+    // simulated millisecond.  Reserving them up front skips a dozen
+    // grow-and-copy steps whose freed buffers fragment the heap over
+    // a long series of experiments.
+    if (record_all)
+        samples_.reserve(1 << 16);
 }
 
 ProbeAgent::ProbeAgent(const MemoryController &mem,

@@ -35,7 +35,7 @@ AttackHarness::step()
     for (const Pinned &pinned : agents_)
         pinned.agent->tick(*mems_[pinned.channel], now);
     for (auto &mem : mems_)
-        mem->tick();
+        mem->advanceTo(now + 1);
 }
 
 void

@@ -8,10 +8,15 @@
  * how the paper runs spy/trojan/victim traces in Ramulator2.
  *
  * The harness can own several interleaved channels (one controller
- * per channel, lockstep clock); each agent is pinned to one channel,
- * which is how cross-channel experiments place a victim and a spy on
- * different PRAC engines.  The default is the classic single-channel
- * harness.
+ * per channel); each agent is pinned to one channel, which is how
+ * cross-channel experiments place a victim and a spy on different
+ * PRAC engines.  The default is the classic single-channel harness.
+ *
+ * Every step() moves all channels one cycle on the event clock
+ * (MemoryController::advanceTo), so a cycle on which a controller
+ * provably has no work costs one comparison instead of a tick.  The
+ * result is bit-identical to ticking every channel every cycle
+ * (src/mem/DESIGN.md, "Drivers").
  */
 
 #ifndef PRACLEAK_ATTACK_HARNESS_H
@@ -32,7 +37,11 @@ class MemAgent
   public:
     virtual ~MemAgent() = default;
 
-    /** Called once per cycle before the controller ticks. */
+    /**
+     * Called once per cycle, before any channel advances past
+     * @p now.  The controller state it sees equals what a per-cycle
+     * tick() loop would show.
+     */
     virtual void tick(MemoryController &mem, Cycle now) = 0;
 };
 
@@ -64,7 +73,10 @@ class AttackHarness
             step();
     }
 
-    /** Single cycle. */
+    /**
+     * One cycle: tick every agent at now(), then advance every
+     * channel to now() + 1.
+     */
     void step();
 
     MemoryController &mem() { return *mems_[0]; }

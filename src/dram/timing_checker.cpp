@@ -1,11 +1,29 @@
 #include "dram/timing_checker.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace pracleak {
 
+namespace {
+
+/** The largest minimum gap among the rules observe() checks. */
+Cycle
+longestRule(const DramTiming &t)
+{
+    return std::max({t.tRC, t.tRRD_S, t.tRRD_L, t.tFAW, t.tRP, t.tRFC,
+                     t.tRFMab, t.tRFMpb, t.tRAS, t.tRTP,
+                     t.writeLatency() + t.tWR, t.tRCD, t.tCCD_S,
+                     t.tCCD_L, t.writeLatency() + t.tRTW,
+                     t.writeLatency() + t.tWTR,
+                     t.readLatency() + t.tRTW});
+}
+
+} // namespace
+
 TimingChecker::TimingChecker(const DramSpec &spec)
     : spec_(spec),
+      window_(longestRule(spec.timing)),
       open_(spec.org.totalBanks(), false),
       openRow_(spec.org.totalBanks(), 0)
 {
@@ -57,7 +75,10 @@ TimingChecker::observe(const Command &cmd, Cycle now)
             spec_.org.banksPerGroup +
         cmd.bank;
 
-    // Pairwise distance checks against the recent history.
+    // Pairwise distance checks against the history, which is in
+    // issue order: drop what has aged out of every rule first.
+    while (!history_.empty() && now - history_.front().at >= window_)
+        history_.pop_front();
     std::uint32_t acts_in_faw = 0;
     for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
         const Command &prev = it->cmd;
@@ -176,8 +197,6 @@ TimingChecker::observe(const Command &cmd, Cycle now)
     }
 
     history_.push_back({cmd, now});
-    if (history_.size() > kHistory)
-        history_.pop_front();
 }
 
 } // namespace pracleak

@@ -51,14 +51,19 @@ class TimingChecker
     void require(bool ok, const std::string &what, const Command &cmd,
                  Cycle now);
 
-    /** History window large enough to cover the longest constraint. */
-    static constexpr std::size_t kHistory = 4096;
-
     bool sameBank(const Command &a, const Command &b) const;
     bool sameRank(const Command &a, const Command &b) const;
     bool sameBankGroup(const Command &a, const Command &b) const;
 
     DramSpec spec_;
+
+    /**
+     * Longest distance any rule in observe() checks.  A past command
+     * at least this old cannot fail a rule, so it leaves the history.
+     */
+    Cycle window_;
+
+    /** Commands younger than window_, in issue order. */
     std::deque<Issued> history_;
     std::vector<bool> open_;
     std::vector<std::uint32_t> openRow_;

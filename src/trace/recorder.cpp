@@ -91,27 +91,12 @@ TraceRecorder::attach(System &system)
 }
 
 void
-TraceRecorder::attach(AttackHarness &harness)
-{
-    for (std::uint32_t c = 0; c < harness.channels(); ++c)
-        armTap(harness.mem(c), c);
-}
-
-void
 TraceRecorder::finish(System &system)
 {
     for (std::size_t c = 0; c < system.channelCount(); ++c)
         finishChannel(system.channel(c),
                       static_cast<std::uint32_t>(c));
     writer_.setEndCycle(system.channel(0).now());
-}
-
-void
-TraceRecorder::finish(AttackHarness &harness)
-{
-    for (std::uint32_t c = 0; c < harness.channels(); ++c)
-        finishChannel(harness.mem(c), c);
-    writer_.setEndCycle(harness.now());
 }
 
 } // namespace pracleak::trace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Trace capture: installs a RequestTap on every channel controller of
- * a System or AttackHarness, streams the accepted requests into a
- * TraceWriter, and snapshots the run's cumulative controller stats
- * when recording finishes.
+ * a System, streams the accepted requests into a TraceWriter, and
+ * snapshots the run's cumulative controller stats when recording
+ * finishes.
  *
  * Usage (the order matters -- taps must be armed before the run):
  *
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/harness.h"
 #include "cpu/system.h"
 #include "mem/controller.h"
 #include "trace/trace.h"
@@ -51,11 +50,9 @@ class TraceRecorder
 
     /** Arm the taps on every channel controller (before run()). */
     void attach(System &system);
-    void attach(AttackHarness &harness);
 
     /** Snapshot stats + end cycle after the run; disarms the taps. */
     void finish(System &system);
-    void finish(AttackHarness &harness);
 
     TraceWriter &writer() { return writer_; }
     const TraceWriter &writer() const { return writer_; }

@@ -3,20 +3,26 @@
  * Event-driven per-channel scheduling correctness: the event path
  * (MemoryController::advanceTo + the exact nextWorkAt() bound) must
  * be byte-identical to the lockstep per-cycle tick under every
- * registered defense, in multi-channel configurations, for both the
- * full-system and trace-replay drivers.  Any divergence here is a
- * bug in the next-work bookkeeping -- most likely a bound that went
- * stale (missed invalidation) or optimistic (skipped an effective
- * tick), the class of bug that motivated the maintenance-drain
- * fast-forward fix (src/mem/DESIGN.md).
+ * registered defense, in multi-channel configurations, for the
+ * full-system, trace-replay and attack-harness drivers.  Any
+ * divergence here is a bug in the next-work bookkeeping -- most
+ * likely a bound that went stale (missed invalidation) or optimistic
+ * (skipped an effective tick), the class of bug that motivated the
+ * maintenance-drain fast-forward fix (src/mem/DESIGN.md).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "attack/agents.h"
+#include "attack/harness.h"
 #include "cpu/system.h"
+#include "dram/timing_checker.h"
+#include "mitigation/registry.h"
 #include "sim/design.h"
 #include "sim/trace_support.h"
 #include "trace/replay.h"
@@ -24,16 +30,6 @@
 
 namespace pracleak {
 namespace {
-
-/** The full registered-defense catalog (scenarios_defense order). */
-const std::vector<std::string> &
-allDefenses()
-{
-    static const std::vector<std::string> defenses = {
-        "none",  "abo-only", "abo+acb-rfm", "tprac",
-        "para",  "graphene", "pb-rfm"};
-    return defenses;
-}
 
 void
 expectReplaysIdentical(const trace::ReplayResult &lockstep,
@@ -111,7 +107,7 @@ TEST(EventQueue, EveryDefenseMultiChannelReplayIdentical)
     const sim::RecordedRun recorded = sim::recordSuiteRun(
         sim::findSuiteEntry("h_scan_mix"), design, budget);
 
-    for (const std::string &defense : allDefenses()) {
+    for (const std::string &defense : mitigationNames()) {
         trace::ReplayOptions options;
         options.mitigation = defense;
         options.fastForward = false;
@@ -183,6 +179,162 @@ TEST(EventQueue, SaturatedEightThreadEventPathDeterministic)
     const RunResult event_b = run(true);
     expectRunsIdentical(lockstep, event_a);
     expectRunsIdentical(event_a, event_b);
+}
+
+/** One DRAM command as the channel's trace sink saw it. */
+struct IssuedCommand
+{
+    CmdType type = CmdType::ACT;
+    std::uint32_t rank = 0, bankGroup = 0, bank = 0, row = 0, col = 0;
+    Cycle at = 0;
+
+    bool operator==(const IssuedCommand &) const = default;
+};
+
+/** Everything a PRACLeak experiment can observe from one run. */
+struct HarnessRun
+{
+    std::vector<std::pair<Cycle, Cycle>> nearSamples; //!< doneAt, latency
+    std::vector<std::pair<Cycle, Cycle>> farSamples;
+    std::vector<std::vector<IssuedCommand>> commands; //!< per channel
+    std::vector<std::array<std::uint64_t, kRfmReasonCount>> rfms;
+    std::vector<std::uint64_t> alerts;
+    std::vector<std::uint64_t> mitigationEvents; //!< PARA's only trace
+    Cycle endCycle = 0;
+};
+
+std::vector<std::pair<Cycle, Cycle>>
+sampleTimes(const ProbeAgent &probe)
+{
+    std::vector<std::pair<Cycle, Cycle>> out;
+    for (const LatencySample &sample : probe.samples())
+        out.emplace_back(sample.doneAt, sample.latency);
+    return out;
+}
+
+/**
+ * The defense_matrix_leakage shape with refresh on: a victim hammers
+ * bank 18 of channel 0 in ON/OFF bursts while a same-bank probe
+ * watches on channel 0 and a bank-0 probe on the last channel.  With
+ * @p event the harness steps the channels; otherwise the lockstep
+ * reference: a local loop ticks the agents, then tick()s every
+ * channel.
+ */
+HarnessRun
+runLeakShape(const std::string &defense, std::uint32_t channels,
+             bool event)
+{
+    DramSpec spec = DramSpec::ddr5_8000b();
+    spec.prac.nbo = 64;
+    ControllerConfig config;
+    configureDefense(config, defense, spec);
+
+    // Declared before the harness: its trace sinks write into both.
+    HarnessRun run;
+    run.commands.resize(channels);
+    std::vector<TimingChecker> checkers(channels, TimingChecker(spec));
+    AttackHarness harness(spec, config, channels);
+    for (std::uint32_t c = 0; c < channels; ++c)
+        harness.mem(c).dram().setTraceSink(
+            [&run, &checkers, c](const Command &cmd, Cycle now) {
+                run.commands[c].push_back(IssuedCommand{
+                    cmd.type, cmd.rank, cmd.bankGroup, cmd.bank,
+                    cmd.row, cmd.col, now});
+                checkers[c].observe(cmd, now);
+            });
+
+    AttackerConfig victim_config;
+    victim_config.targetBank = 18;
+    victim_config.targetRow = 0x100;
+    victim_config.poolSize = 4;
+    victim_config.burstSpacing = 0x100;
+    HammerAgent victim(harness.mem(), victim_config);
+    AttackerConfig near_config;
+    near_config.targetBank = 18;
+    near_config.targetRow = 3;
+    ProbeAgent near_probe(harness.mem(), near_config);
+    const std::uint32_t last = channels - 1;
+    DramAddress far_row{};
+    far_row.row = 3;
+    far_row.channel = last;
+    ProbeAgent far_probe(harness.mem(last).mapper().compose(far_row));
+
+    const std::vector<std::pair<MemAgent *, std::uint32_t>> agents = {
+        {&victim, 0}, {&near_probe, 0}, {&far_probe, last}};
+    if (event)
+        for (const auto &[agent, channel] : agents)
+            harness.add(agent, channel);
+    auto step = [&] {
+        if (event) {
+            harness.step();
+            return;
+        }
+        const Cycle now = harness.now();
+        for (const auto &[agent, channel] : agents)
+            agent->tick(harness.mem(channel), now);
+        for (std::uint32_t c = 0; c < channels; ++c)
+            harness.mem(c).tick();
+    };
+
+    const Cycle phase = nsToCycles(20'000);
+    for (int burst = 0; burst < 3; ++burst) {
+        const Cycle on_end = harness.now() + phase;
+        while (harness.now() < on_end) {
+            if (victim.done())
+                victim.startHammer(spec.prac.nbo + spec.prac.aboAct +
+                                   4);
+            step();
+        }
+        victim.stop();
+        const Cycle off_end = harness.now() + phase;
+        while (harness.now() < off_end)
+            step();
+    }
+
+    run.nearSamples = sampleTimes(near_probe);
+    run.farSamples = sampleTimes(far_probe);
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const MemoryController &mem = harness.mem(c);
+        EXPECT_EQ(mem.now(), harness.now());
+        std::array<std::uint64_t, kRfmReasonCount> rfms{};
+        for (std::size_t r = 0; r < kRfmReasonCount; ++r)
+            rfms[r] = mem.rfmCount(static_cast<RfmReason>(r));
+        run.rfms.push_back(rfms);
+        run.alerts.push_back(mem.prac().alerts());
+        run.mitigationEvents.push_back(mem.mitigationEvents());
+        EXPECT_TRUE(checkers[c].clean())
+            << (event ? "event" : "lockstep") << " channel " << c
+            << ": " << checkers[c].violations().front();
+    }
+    run.endCycle = harness.now();
+    return run;
+}
+
+/**
+ * Golden: the attack harness on the event clock against a lockstep
+ * reference loop, under every registered defense on one and two
+ * channels.  Agents see controller state between cycles, so any
+ * skipped effective tick would show up as a shifted probe sample.
+ */
+TEST(EventQueue, AttackHarnessMatchesLockstep)
+{
+    for (const std::string &defense : mitigationNames()) {
+        for (const std::uint32_t channels : {1u, 2u}) {
+            SCOPED_TRACE(defense + " x" + std::to_string(channels));
+            const HarnessRun lockstep =
+                runLeakShape(defense, channels, false);
+            const HarnessRun event = runLeakShape(defense, channels, true);
+            EXPECT_FALSE(lockstep.nearSamples.empty());
+            EXPECT_FALSE(lockstep.farSamples.empty());
+            EXPECT_EQ(lockstep.nearSamples, event.nearSamples);
+            EXPECT_EQ(lockstep.farSamples, event.farSamples);
+            EXPECT_TRUE(lockstep.commands == event.commands);
+            EXPECT_EQ(lockstep.rfms, event.rfms);
+            EXPECT_EQ(lockstep.alerts, event.alerts);
+            EXPECT_EQ(lockstep.mitigationEvents, event.mitigationEvents);
+            EXPECT_EQ(lockstep.endCycle, event.endCycle);
+        }
+    }
 }
 
 } // namespace

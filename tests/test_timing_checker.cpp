@@ -87,6 +87,44 @@ TEST(TimingChecker, DetectsFawViolation)
 }
 
 /**
+ * The checker forgets commands older than its longest rule, tRFC.  A
+ * REFab followed by hundreds of reads to other ranks must still fail
+ * a same-rank ACT one cycle early, and pass it on time.
+ */
+TEST(TimingChecker, LongestRuleSurvivesBusyHistory)
+{
+    const DramSpec spec = DramSpec::ddr5_8000b();
+    const DramTiming &t = spec.timing;
+    auto busy_checker = [&] {
+        TimingChecker checker(spec);
+        checker.observe(Command{CmdType::REFab, 0, 0, 0, 0, 0}, 0);
+        for (std::uint32_t rank = 1; rank <= 3; ++rank)
+            checker.observe(act(rank, 0, 0, 1), rank);
+        // Round-robin reads over ranks 1-3; same-rank reads sit three
+        // tCCD_S apart, which clears tCCD_L.
+        std::uint32_t reads = 0;
+        for (Cycle at = 3 + t.tRCD; at < t.tRFC - 1; at += t.tCCD_S) {
+            checker.observe(
+                Command{CmdType::RD, 1 + reads % 3, 0, 0, 1, 0}, at);
+            ++reads;
+        }
+        EXPECT_GT(reads, 150u);
+        EXPECT_TRUE(checker.clean()) << checker.violations().front();
+        return checker;
+    };
+
+    TimingChecker early = busy_checker();
+    early.observe(act(0, 0, 0, 1), t.tRFC - 1);
+    ASSERT_EQ(early.violations().size(), 1u);
+    EXPECT_EQ(early.violations().front().rfind("tRFC ", 0), 0u)
+        << early.violations().front();
+
+    TimingChecker on_time = busy_checker();
+    on_time.observe(act(0, 0, 0, 1), t.tRFC);
+    EXPECT_TRUE(on_time.clean()) << on_time.violations().front();
+}
+
+/**
  * Cross-validation property: random multi-agent traffic through the
  * full controller must produce a timing-clean command stream, for
  * every registered defense.
