@@ -201,9 +201,19 @@ CacheHierarchy::writeback(Addr line)
     }
 }
 
+std::uint64_t
+CacheHierarchy::retryStamp() const
+{
+    std::uint64_t stamp = changes_;
+    for (const MemoryController *mem : mems_)
+        stamp += mem->dequeued();
+    return stamp;
+}
+
 void
 CacheHierarchy::fill(std::uint32_t core, Addr line, bool dirty)
 {
+    ++changes_;
     // Fill into every level; only LLC evictions touch DRAM
     // (non-inclusive hierarchy, L1/L2 victims are clean or will be
     // re-fetched through the LLC).
@@ -238,6 +248,7 @@ CacheHierarchy::missToDram(std::uint32_t core, Addr line, Waiter waiter)
         auto node = mshrs_.extract(line);
         if (node.empty())
             panic("MSHR completion without entry");
+        ++changes_;
         for (Waiter &w : node.mapped().waiters) {
             fill(w.core, line, false);
             if (w.isStore) {
@@ -253,6 +264,7 @@ CacheHierarchy::missToDram(std::uint32_t core, Addr line, Waiter waiter)
     if (!mem.enqueue(std::move(req)))
         return false;
     mshrs_.emplace(line, std::move(entry));
+    ++changes_;
     return true;
 }
 
@@ -287,6 +299,7 @@ void
 CacheHierarchy::flush(Addr addr)
 {
     const Addr line = addr >> kLineShift;
+    ++changes_;
     bool dirty = false;
     for (std::size_t c = 0; c < l1_.size(); ++c) {
         if (auto d = l1_[c].invalidate(line))

@@ -125,8 +125,8 @@ class CacheHierarchy
     /**
      * Issue a load.  On a cache hit @p done fires synchronously with
      * the hit latency; on a miss it fires when DRAM data returns.
-     * Returns false (and does nothing) when MSHRs or the controller
-     * queue are exhausted -- the caller retries next cycle.
+     * Returns false when MSHRs or the controller queue are exhausted,
+     * after counting the LLC miss -- the caller retries next cycle.
      */
     bool tryLoad(std::uint32_t core, Addr addr,
                  std::function<void(Cycle latency)> done);
@@ -145,6 +145,26 @@ class CacheHierarchy
     void flush(Addr addr);
 
     std::size_t outstandingMisses() const { return mshrs_.size(); }
+
+    /**
+     * Changes whenever a refused tryLoad()/tryStore() could succeed: a
+     * fill or flush, an MSHR allocated or retired, or a request
+     * leaving any controller's queue.  A refused access missed every
+     * level and changed nothing but cache.llc_misses, so while the
+     * stamp holds still a retry would be refused the same way.
+     */
+    std::uint64_t retryStamp() const;
+
+    /**
+     * Book the one cache.llc_misses of a refused retry skipped because
+     * retryStamp() held still.
+     */
+    void
+    countSkippedRetry()
+    {
+        if (stats_)
+            ++*llcMisses_;
+    }
 
   private:
     struct Waiter
@@ -188,6 +208,9 @@ class CacheHierarchy
 
     std::unordered_map<Addr, Mshr> mshrs_;
     std::size_t mshrCapacity_;
+
+    /** Fills, flushes, MSHR allocations and retirements so far. */
+    std::uint64_t changes_ = 0;
 };
 
 } // namespace pracleak

@@ -84,16 +84,7 @@ TraceCore::tick(Cycle now)
         }
 
         // One memory instruction; costs one retire slot.
-        if (pending_.isWrite) {
-            if (!hier_->tryStore(id_, pending_.addr))
-                return; // resource-blocked; retry next cycle
-            havePendingMem_ = false;
-            ++instrs_;
-            --budget;
-            continue;
-        }
-
-        if (outstanding_ >= params_.mlp) {
+        if (!pending_.isWrite && outstanding_ >= params_.mlp) {
             // Out of MLP: only a completion unblocks us.  DRAM-miss
             // completions surface via the controller, not
             // completions_, so kNeverCycle here defers the wake-up
@@ -101,29 +92,44 @@ TraceCore::tick(Cycle now)
             nextEventAt_ = earliestCompletion();
             return;
         }
-
-        const Cycle issue_cycle = now;
-        const bool dependent = pending_.dependent;
-        const bool accepted = hier_->tryLoad(
-            id_, pending_.addr,
-            [this, issue_cycle, dependent](Cycle latency) {
-                onLoadDone(issue_cycle, latency, dependent);
-            });
-        if (!accepted)
+        if (!tryAccess(now))
             return; // MSHRs/queue full; retry next cycle
-
-        ++outstanding_;
-        if (dependent)
-            ++dependentOutstanding_;
         havePendingMem_ = false;
         ++instrs_;
         --budget;
-        if (dependent) {
+        if (pending_.isWrite)
+            continue;
+        ++outstanding_;
+        if (pending_.dependent) {
             // Nothing issues past a dependent load.
+            ++dependentOutstanding_;
             nextEventAt_ = earliestCompletion();
             return;
         }
     }
+}
+
+bool
+TraceCore::tryAccess(Cycle now)
+{
+    // A refused access changed nothing but one LLC miss count, so
+    // until the hierarchy's retry stamp moves a retry would be refused
+    // again: book its miss without the lookup.
+    if (refusedAt_ == hier_->retryStamp()) {
+        hier_->countSkippedRetry();
+        return false;
+    }
+    const bool dependent = pending_.dependent;
+    const bool accepted =
+        pending_.isWrite
+            ? hier_->tryStore(id_, pending_.addr)
+            : hier_->tryLoad(id_, pending_.addr,
+                             [this, now, dependent](Cycle latency) {
+                                 onLoadDone(now, latency, dependent);
+                             });
+    if (!accepted)
+        refusedAt_ = hier_->retryStamp();
+    return accepted;
 }
 
 } // namespace pracleak

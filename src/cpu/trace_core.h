@@ -68,7 +68,8 @@ class TraceCore
     /**
      * Earliest future cycle at which this core could make progress,
      * valid after tick().  now+1 when the core still has retirable
-     * work (or must retry a resource-blocked access); the earliest
+     * work (or must retry a resource-blocked access, even one whose
+     * retry it will skip); the earliest
      * in-core load completion when it is stalled on memory; and
      * kNeverCycle when the wake-up event lives in the memory system
      * (an outstanding DRAM miss).  Cycles strictly before the
@@ -82,6 +83,12 @@ class TraceCore
     const std::string &workloadName() const { return source_->name(); }
 
   private:
+    /**
+     * Offer the pending memory op to the hierarchy; false when it was
+     * refused.  A retry is skipped while the hierarchy's retryStamp()
+     * holds the value it had at the last refusal.
+     */
+    bool tryAccess(Cycle now);
     void onLoadDone(Cycle issue_cycle, Cycle latency, bool dependent);
     void drainCompletions(Cycle now);
     Cycle earliestCompletion() const;
@@ -100,6 +107,9 @@ class TraceCore
 
     std::uint32_t outstanding_ = 0;
     std::uint32_t dependentOutstanding_ = 0;
+
+    /** The hierarchy's retryStamp() at the last refused access. */
+    std::uint64_t refusedAt_ = ~std::uint64_t{0};
 
     struct Completion
     {

@@ -55,7 +55,10 @@ MemoryController::MemoryController(const DramSpec &spec,
         banks_[flat].bank = in_rank % org.banksPerGroup;
     }
     queuedBanks_.assign((org.totalBanks() + 63) / 64, 0);
-    stale_.reserve(org.totalBanks());
+    dueBanks_.assign(queuedBanks_.size(), 0);
+    bound_.assign(org.totalBanks(), 0);
+    stamp_.assign(org.totalBanks(), kRebuild);
+    tickets_.assign(org.totalBanks(), 0);
 
     // Resolve the hot stats once.  Queue occupancy is in requests, one
     // bucket per slot.  Shared across channels of one System (one
@@ -99,8 +102,8 @@ MemoryController::enqueue(Request request)
     pending_[slot] = Pending{nextSeq_++, request.daddr.row, kNoSlot, is_read};
     (q.tail == kNoSlot ? q.head : pending_[q.tail].next) = slot;
     q.tail = slot;
-    q.invalidate();
-    queuedBanks_[flat / 64] |= std::uint64_t{1} << (flat % 64);
+    queuedBanks_[flat / 64] |= bankBit(flat);
+    invalidate(flat);
     pool_[slot] = std::move(request);
 
     nextWorkCacheValid_ = false;
@@ -183,12 +186,59 @@ MemoryController::issue(const Command &cmd)
     ++issued_;
     if (cmd.type == CmdType::ACT || cmd.type == CmdType::PRE ||
         cmd.type == CmdType::RD || cmd.type == CmdType::WR)
-        banks_[spec_.org.flatBank(cmd.rank,
-                                  cmd.bankGroup * spec_.org.banksPerGroup +
-                                      cmd.bank)]
-            .invalidate();
+        invalidate(spec_.org.flatBank(
+            cmd.rank, cmd.bankGroup * spec_.org.banksPerGroup + cmd.bank));
     if (bus_)
         bus_->onCommand(cmd, now_);
+}
+
+void
+MemoryController::invalidate(std::uint32_t flat)
+{
+    stamp_[flat] = kRebuild;
+    markDue(flat);
+}
+
+void
+MemoryController::markDue(std::uint32_t flat) const
+{
+    dueBanks_[flat / 64] |= queuedBanks_[flat / 64] & bankBit(flat);
+    ++tickets_[flat];
+}
+
+void
+MemoryController::park(std::uint32_t flat) const
+{
+    dueBanks_[flat / 64] &= ~bankBit(flat);
+    parked_.push_back(Parked{bound_[flat], flat, tickets_[flat]});
+    std::push_heap(parked_.begin(), parked_.end(), std::greater<>());
+}
+
+void
+MemoryController::popParked() const
+{
+    std::pop_heap(parked_.begin(), parked_.end(), std::greater<>());
+    parked_.pop_back();
+}
+
+void
+MemoryController::reparkTop() const
+{
+    // The key only rose, so sift it down: one pass instead of a pop
+    // and a push.
+    Parked item = parked_.front();
+    item.at = bound_[item.bank];
+    const std::size_t size = parked_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+        if (child + 1 < size && parked_[child + 1].at < parked_[child].at)
+            ++child;
+        if (parked_[child].at >= item.at)
+            break;
+        parked_[hole] = parked_[child];
+        hole = child;
+    }
+    parked_[hole] = item;
 }
 
 bool
@@ -322,8 +372,7 @@ MemoryController::rebuildCandidates(const BankQueue &q) const
     auto add = [&](CmdType type, std::uint32_t slot) {
         q.cands[q.count++] = Candidate{type, slot, pending_[slot].seq};
     };
-    q.actOnly = !dram_.isOpen(q.rank, q.bankGroup, q.bank);
-    if (q.actOnly) {
+    if (!dram_.isOpen(q.rank, q.bankGroup, q.bank)) {
         // Every request needs this ACT; the oldest opens its row.
         add(CmdType::ACT, q.head);
         return;
@@ -376,15 +425,16 @@ void
 MemoryController::refreshBank(std::uint32_t flat) const
 {
     const BankQueue &q = banks_[flat];
-    if (q.stamp == kRebuild)
+    if (stamp_[flat] == kRebuild)
         rebuildCandidates(q);
-    q.bound = kNeverCycle;
+    Cycle bound = kNeverCycle;
     for (std::uint32_t i = 0; i < q.count; ++i) {
         Candidate &c = q.cands[i];
         c.at = dram_.earliestIssue(candidateCommand(q, c));
-        q.bound = std::min(q.bound, c.at);
+        bound = std::min(bound, c.at);
     }
-    q.stamp = issued_;
+    bound_[flat] = bound;
+    stamp_[flat] = issued_;
 }
 
 Cycle
@@ -392,30 +442,35 @@ MemoryController::nextDemandIssueAt(DemandPick *pick) const
 {
     // A maintenance drain holds back demand on the banks it needs (a
     // refresh drain's rank, an RFMpb drain's bank), and a spent ABOACT
-    // budget blocks new activations.
+    // budget holds every closed bank: its only candidate is an ACT.
     const bool refresh_drain = maint_.active && !maint_.isRfm;
     const bool rfmpb_drain =
         maint_.active && maint_.isRfm && maint_.perBank;
     const bool acts_blocked =
         prac_->alertAsserted() &&
         prac_->actsSinceAlert() >= spec_.prac.aboAct;
+    auto drained = [&](std::uint32_t flat) {
+        return (refresh_drain && banks_[flat].rank == maint_.rank) ||
+               (rfmpb_drain && flat == maint_.flatBank);
+    };
+    auto act_held = [&](std::uint32_t flat) {
+        return acts_blocked && banks_[flat].cands[0].type == CmdType::ACT;
+    };
 
-    // Legality: only a bank whose cached bound has come due can hold
-    // a legal candidate.  FR-FCFS takes the oldest legal CAS, else the
-    // oldest legal PRE/ACT.  The pass also splits the other banks'
-    // bounds into fresh (exact) and stale (lower bounds).
+    // Legality: only a bank whose cached bound has come due -- one in
+    // the due set, or a parked one whose key is <= now -- can hold a
+    // legal candidate.  FR-FCFS takes the oldest legal CAS, else the
+    // oldest legal PRE/ACT.
     constexpr std::uint64_t kNone = ~std::uint64_t{0};
     std::uint64_t cas_seq = kNone;
     std::uint64_t other_seq = kNone;
     DemandPick cas_pick;
     DemandPick other_pick;
     bool legal = false;
-    Cycle fresh_min = kNeverCycle;
-    stale_.clear();
 
-    // Once a candidate is legal, a bank whose known candidates cannot
-    // beat it (younger CAS, or PRE/ACT against a legal CAS) needs no
-    // re-query: with a pick, no bound is asked for.
+    // Once a candidate is legal the scan returns now(), so a bank
+    // whose known candidates cannot beat it (younger CAS, or PRE/ACT
+    // against a legal CAS) needs no re-query.
     auto can_win = [&](const BankQueue &q) {
         for (std::uint32_t i = 0; i < q.count; ++i) {
             const Candidate &c = q.cands[i];
@@ -426,63 +481,98 @@ MemoryController::nextDemandIssueAt(DemandPick *pick) const
         }
         return false;
     };
-    for (std::size_t w = 0; w < queuedBanks_.size(); ++w) {
-        for (std::uint64_t bits = queuedBanks_[w]; bits != 0;
+    // Re-query a bank whose bound has come due, unless it is held or
+    // pruned: false leaves it in (or moves it to) the due set as is.
+    auto requery = [&](std::uint32_t flat) {
+        if (drained(flat))
+            return false;
+        if (stamp_[flat] != issued_) {
+            if (legal && stamp_[flat] != kRebuild &&
+                !can_win(banks_[flat]))
+                return false;
+            refreshBank(flat);
+        }
+        return !act_held(flat);
+    };
+    // Take a fresh due bank's legal candidates into the choice.
+    auto offer = [&](std::uint32_t flat) {
+        const BankQueue &q = banks_[flat];
+        for (std::uint32_t i = 0; i < q.count; ++i) {
+            const Candidate &c = q.cands[i];
+            if (c.at > now_)
+                continue;
+            legal = true;
+            const bool cas =
+                c.type == CmdType::RD || c.type == CmdType::WR;
+            std::uint64_t &best = cas ? cas_seq : other_seq;
+            if (c.seq < best) {
+                best = c.seq;
+                (cas ? cas_pick : other_pick) = DemandPick{flat, i};
+            }
+        }
+    };
+
+    // The due set first: a bank with no legal candidate is parked.
+    for (std::size_t w = 0; w < dueBanks_.size(); ++w) {
+        for (std::uint64_t bits = dueBanks_[w]; bits != 0;
              bits &= bits - 1) {
             const auto flat = static_cast<std::uint32_t>(
                 w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-            const BankQueue &q = banks_[flat];
-            if ((refresh_drain && q.rank == maint_.rank) ||
-                (rfmpb_drain && flat == maint_.flatBank))
+            if (!requery(flat))
                 continue;
-            if (q.lowerBound(acts_blocked) <= now_) {
-                if (q.stamp != issued_) {
-                    if (legal && q.stamp != kRebuild && !can_win(q))
-                        continue;
-                    refreshBank(flat);
-                }
-                for (std::uint32_t i = 0; i < q.count; ++i) {
-                    const Candidate &c = q.cands[i];
-                    if (c.at > now_ ||
-                        (acts_blocked && c.type == CmdType::ACT))
-                        continue;
-                    if (!pick)
-                        return now_;
-                    legal = true;
-                    const bool cas =
-                        c.type == CmdType::RD || c.type == CmdType::WR;
-                    std::uint64_t &best = cas ? cas_seq : other_seq;
-                    if (c.seq < best) {
-                        best = c.seq;
-                        (cas ? cas_pick : other_pick) = DemandPick{flat, i};
-                    }
-                }
+            if (bound_[flat] > now_) {
+                park(flat);
+                continue;
             }
-            const Cycle at = q.lowerBound(acts_blocked);
-            if (q.stamp == issued_)
-                fresh_min = std::min(fresh_min, at);
-            else if (at < fresh_min)
-                stale_.emplace_back(at, flat);
+            offer(flat);
         }
     }
+
+    // Then the parked banks whose key has come due, where they sit:
+    // while its bound still lies past now a bank's key rises in
+    // place; otherwise it joins the due set.
+    while (!parked_.empty() && parked_.front().at <= now_) {
+        const std::uint32_t flat = parked_.front().bank;
+        if (parked_.front().ticket != tickets_[flat]) {
+            popParked();
+            continue;
+        }
+        const bool queried = requery(flat);
+        if (queried && bound_[flat] > now_) {
+            reparkTop();
+            continue;
+        }
+        popParked();
+        markDue(flat);
+        if (queried)
+            offer(flat);
+    }
     if (legal) {
-        *pick = cas_seq != kNone ? cas_pick : other_pick;
+        if (pick)
+            *pick = cas_seq != kNone ? cas_pick : other_pick;
         return now_;
     }
 
-    // Nothing is legal.  A stale bound is at most its bank's true next
-    // issue, so re-query the stale bounds below the fresh minimum,
-    // smallest first; once none is left, the minimum is exact.
-    for (;;) {
-        const auto lowest = std::min_element(stale_.begin(), stale_.end());
-        if (lowest == stale_.end() || lowest->first >= fresh_min)
-            return fresh_min;
-        refreshBank(lowest->second);
-        fresh_min = std::min(
-            fresh_min, banks_[lowest->second].lowerBound(acts_blocked));
-        *lowest = stale_.back();
-        stale_.pop_back();
+    // Nothing is legal, so every bank that is not held is parked.  The
+    // smallest live key is the exact next demand issue once its bank
+    // is fresh: every other key is at most its bank's true next
+    // issue.  A stale top is re-queried and re-parked; a held bank
+    // that surfaces moves to the due set, out of the bound.
+    while (!parked_.empty()) {
+        const std::uint32_t flat = parked_.front().bank;
+        if (parked_.front().ticket != tickets_[flat]) {
+            popParked();
+        } else if (drained(flat) || act_held(flat)) {
+            popParked();
+            markDue(flat);
+        } else if (stamp_[flat] != issued_) {
+            refreshBank(flat);
+            reparkTop();
+        } else {
+            return parked_.front().at;
+        }
     }
+    return kNeverCycle;
 }
 
 bool
@@ -519,9 +609,10 @@ MemoryController::tickDemand()
             pending_[c.slot].next;
         if (q.tail == c.slot)
             q.tail = prev;
-        if (q.head == kNoSlot)
-            queuedBanks_[pick.bank / 64] &=
-                ~(std::uint64_t{1} << (pick.bank % 64));
+        if (q.head == kNoSlot) {
+            queuedBanks_[pick.bank / 64] &= ~bankBit(pick.bank);
+            dueBanks_[pick.bank / 64] &= ~bankBit(pick.bank);
+        }
         break;
       }
       case CmdType::PRE:

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -188,6 +189,9 @@ class MemoryController
         return pool_.size() - freeSlots_.size();
     }
 
+    /** Requests that have left the queue so far (never decreases). */
+    std::uint64_t dequeued() const { return nextSeq_ - queueDepth(); }
+
     DramDevice &dram() { return dram_; }
     const DramDevice &dram() const { return dram_; }
     PracEngine &prac() { return *prac_; }
@@ -241,6 +245,13 @@ class MemoryController
     /** The bank's candidates must be rebuilt before their next use. */
     static constexpr std::uint64_t kRebuild = ~std::uint64_t{0};
 
+    /** Bit of flat bank @p flat in a per-bank mask word. */
+    static constexpr std::uint64_t
+    bankBit(std::uint32_t flat)
+    {
+        return std::uint64_t{1} << (flat % 64);
+    }
+
     /**
      * Scheduling key of the request in one pool slot, linked into its
      * bank's age-ordered list.
@@ -268,10 +279,11 @@ class MemoryController
     /**
      * One flat bank's queued requests, oldest first, and its FR-FCFS
      * candidates: the oldest eligible RD hit, the oldest eligible WR
-     * hit, and one PRE or ACT.  All queued requests of a bank need
-     * the same next command with the same legality, so these (at
-     * most three) stand for the whole list.  The candidate cache is
-     * a memo that the const bound functions refresh in place.
+     * hit, and one PRE or ACT (a closed bank's ACT is its only
+     * candidate).  All queued requests of a bank need the same next
+     * command with the same legality, so these (at most three) stand
+     * for the whole list.  The candidate cache is a memo that the
+     * const bound functions refresh in place.
      */
     struct BankQueue
     {
@@ -284,33 +296,24 @@ class MemoryController
 
         mutable std::array<Candidate, 3> cands{};
         mutable std::uint32_t count = 0;
+    };
 
-        /** issued_ when the bounds were queried, or kRebuild. */
-        mutable std::uint64_t stamp = kRebuild;
+    /**
+     * A queued bank parked in the heap until its cached bound comes
+     * due.  Live while @c ticket equals the bank's current ticket:
+     * leaving the heap for the due set retires it.
+     */
+    struct Parked
+    {
+        Cycle at;
+        std::uint32_t bank;
+        std::uint32_t ticket;
 
-        /** Smallest cached bound; 0 while a rebuild is pending. */
-        mutable Cycle bound = 0;
-
-        /** Closed bank: the ACT is the only candidate. */
-        mutable bool actOnly = false;
-
-        /** Drop the candidates: the bank's next commands may differ. */
-        void
-        invalidate()
+        /** Ordered by bound alone (std::greater makes a min-heap). */
+        friend bool
+        operator>(const Parked &a, const Parked &b)
         {
-            stamp = kRebuild;
-            bound = 0;
-            actOnly = false;
-        }
-
-        /**
-         * Smallest cached bound over the candidates demand may use (an
-         * Alert's spent ACT budget removes the ACT).
-         */
-        Cycle
-        lowerBound(bool acts_blocked) const
-        {
-            return acts_blocked && actOnly ? kNeverCycle : bound;
+            return a.at > b.at;
         }
     };
 
@@ -344,13 +347,36 @@ class MemoryController
      * nextWorkAt().  Returns now() when a demand command is legal
      * this cycle -- choosing it into @p pick, when given -- and
      * otherwise the exact first cycle one becomes legal (kNeverCycle
-     * when none can).  The refresh-drain, RFMpb-drain and ABOACT
-     * blocks are filters inside this scan.
+     * when none can).  It visits only the due set and the parked
+     * banks whose key has come due (src/mem/DESIGN.md, "Cached
+     * bounds").  The refresh-drain, RFMpb-drain and ABOACT blocks are
+     * filters inside this scan.
      */
     Cycle nextDemandIssueAt(DemandPick *pick = nullptr) const;
 
     /** Re-query bank @p flat's bounds, rebuilding stale candidates. */
     void refreshBank(std::uint32_t flat) const;
+
+    /**
+     * Drop bank @p flat's candidates (its next commands may differ)
+     * and move it to the due set.
+     */
+    void invalidate(std::uint32_t flat);
+
+    /** Move queued bank @p flat to the due set, retiring its entry. */
+    void markDue(std::uint32_t flat) const;
+
+    /** Park due bank @p flat in the heap under its cached bound. */
+    void park(std::uint32_t flat) const;
+
+    /** Drop the heap's top entry. */
+    void popParked() const;
+
+    /**
+     * Re-key the heap's top under its bank's re-queried bound, which
+     * never lies below the old key, and restore the heap order.
+     */
+    void reparkTop() const;
     void rebuildCandidates(const BankQueue &q) const;
     Command candidateCommand(const BankQueue &q,
                              const Candidate &c) const;
@@ -409,8 +435,25 @@ class MemoryController
     std::vector<BankQueue> banks_;
     std::vector<std::uint64_t> queuedBanks_;
 
-    /** Work list reused by nextDemandIssueAt(): (stale bound, bank). */
-    mutable std::vector<std::pair<Cycle, std::uint32_t>> stale_;
+    /**
+     * Per flat bank: the smallest cached candidate bound, and issued_
+     * when it was queried (kRebuild once the candidates are dropped).
+     * The bound is exact while its stamp is current, else a lower
+     * bound.
+     */
+    mutable std::vector<Cycle> bound_;
+    mutable std::vector<std::uint64_t> stamp_;
+
+    /**
+     * Every queued bank is either in the due set (one bit per bank:
+     * its bound is <= now, unknown, or held by a drain or a spent ACT
+     * budget) or has exactly one live entry in parked_, a binary
+     * min-heap on the bound.  Entries of banks that left the heap
+     * stay behind, dead, until they surface (lazy deletion).
+     */
+    mutable std::vector<std::uint64_t> dueBanks_;
+    mutable std::vector<Parked> parked_;
+    mutable std::vector<std::uint32_t> tickets_;
 
     /** Completed-in-future requests waiting for their done time. */
     struct InFlight

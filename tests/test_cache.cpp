@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the cache hierarchy: tag arrays, LRU, MSHR merging,
- * writebacks, and clflush.
+ * writebacks, clflush, and the retry stamp of refused accesses.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +174,75 @@ TEST_F(CacheHierarchyTest, MshrCapacityBounded)
     // The controller queue (64) backpressures before MSHRs run out.
     EXPECT_LE(hier_->outstandingMisses(), 128u);
     EXPECT_LT(accepted, 200);
+}
+
+TEST_F(CacheHierarchyTest, RetryStampMovesWhenARefusalCouldEnd)
+{
+    // Fill the 64-entry queue with misses; the next miss is refused.
+    for (Addr i = 0; hier_->tryLoad(0, 0x6000000 + (i << 20), nullptr);)
+        ++i;
+    std::uint64_t stamp = hier_->retryStamp();
+    const std::uint64_t misses = stats_.get("cache.llc_misses");
+    EXPECT_FALSE(hier_->tryLoad(1, 0x40000000, nullptr));
+    EXPECT_EQ(stats_.get("cache.llc_misses"), misses + 1);
+    EXPECT_EQ(hier_->retryStamp(), stamp); // a refusal changes nothing
+
+    // A request leaving the queue.
+    while (!mem_->canAccept())
+        mem_->tick();
+    EXPECT_NE(hier_->retryStamp(), stamp);
+
+    // An MSHR allocated.
+    stamp = hier_->retryStamp();
+    ASSERT_TRUE(hier_->tryLoad(1, 0x40000000, nullptr));
+    EXPECT_NE(hier_->retryStamp(), stamp);
+
+    // An MSHR retired, filling its line.
+    const std::size_t outstanding = hier_->outstandingMisses();
+    stamp = hier_->retryStamp();
+    while (hier_->outstandingMisses() == outstanding &&
+           hier_->retryStamp() == stamp)
+        mem_->tick();
+    EXPECT_LT(hier_->outstandingMisses(), outstanding);
+    EXPECT_NE(hier_->retryStamp(), stamp);
+
+    // A flush.
+    stamp = hier_->retryStamp();
+    hier_->flush(0x6000000);
+    EXPECT_NE(hier_->retryStamp(), stamp);
+}
+
+TEST(CacheRetryStamp, MovesWhenAnotherCoreRefillsTheLlc)
+{
+    // One-set L1 and LLC of two ways: core 0's third line pushes the
+    // first out of both, but it stays in core 0's L2.
+    CacheHierConfig caches;
+    caches.l1 = {2 * kLineBytes, 2, 5};
+    caches.llc = {2 * kLineBytes, 2, 20};
+    ControllerConfig config;
+    config.refreshEnabled = false;
+    config.queueCapacity = 2;
+    MemoryController mem(DramSpec::ddr5_8000b(), config);
+    CacheHierarchy hier(caches, 2, &mem);
+    const Addr x = 0x1000000, y = 0x2000000, z = 0x3000000;
+    for (const Addr addr : {x, y, z}) {
+        ASSERT_TRUE(hier.tryLoad(0, addr, nullptr));
+        while (hier.outstandingMisses() > 0)
+            mem.tick();
+    }
+    for (const Addr addr : {y, z}) {
+        Request req;
+        req.addr = addr;
+        ASSERT_TRUE(mem.enqueue(std::move(req)));
+    }
+
+    // Core 1 misses everywhere and finds the queue full.
+    ASSERT_FALSE(hier.tryLoad(1, x, nullptr));
+    const std::uint64_t stamp = hier.retryStamp();
+    // Core 0 hits its L2, which refills the shared LLC.
+    ASSERT_TRUE(hier.tryLoad(0, x, nullptr));
+    EXPECT_NE(hier.retryStamp(), stamp);
+    EXPECT_TRUE(hier.tryLoad(1, x, nullptr));
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Integration tests for the memory controller: request service,
  * open-page behaviour, refresh cadence, the RFM flows of every
- * mitigation mode, and a seeded stress golden over the FR-FCFS
- * scheduler's deep-queue corners.
+ * mitigation mode, and seeded stress goldens over the FR-FCFS
+ * scheduler's deep-queue corners and over traffic to many banks.
  */
 
 #include <gtest/gtest.h>
@@ -291,21 +291,28 @@ fnvMix(std::uint64_t hash, std::uint64_t value)
  * few rows of a few banks, so the queue holds row hits, conflicts and
  * capped streaks, reads and writes at once.  Event-mode seeds step
  * with advanceTo() and nextWorkAt()/skipTo() jumps between enqueues.
+ *
+ * A @p wide run draws from its own RNG stream and spreads its traffic
+ * over 8 hot (bank, row) pairs up to one per bank of the spec, plus
+ * 30% of requests to random rows of random banks, behind deeper
+ * queues: many banks wait on the scheduler at once.
  */
 StressRun
-runStress(std::uint64_t seed)
+runStress(std::uint64_t seed, bool wide = false)
 {
-    Rng rng(deriveRngStream(0x5EED'C0DEULL, seed));
+    Rng rng(
+        deriveRngStream(wide ? 0x5EED'0B1DULL : 0x5EED'C0DEULL, seed));
     const std::vector<std::string> specs = specNames();
     const std::string spec_name = specs[rng.range(specs.size())];
     DramSpec spec = specByName(spec_name);
-    spec.prac.nbo = 16 + static_cast<std::uint32_t>(rng.range(32));
+    spec.prac.nbo =
+        16 + static_cast<std::uint32_t>(rng.range(wide ? 64 : 32));
     const std::vector<std::string> defenses = mitigationNames();
     const std::string defense = defenses[rng.range(defenses.size())];
 
     ControllerConfig config;
-    constexpr std::size_t kCapacities[] = {4, 16, 64};
-    config.queueCapacity = kCapacities[rng.range(3)];
+    constexpr std::size_t kCapacities[2][3] = {{4, 16, 64}, {16, 64, 128}};
+    config.queueCapacity = kCapacities[wide][rng.range(3)];
     config.frfcfsCap = 1 + static_cast<std::uint32_t>(rng.range(6));
     config.refreshEnabled = rng.chance(0.5);
     configureDefense(config, defense, spec);
@@ -330,19 +337,42 @@ runStress(std::uint64_t seed)
         ++run.outcome.commands;
     });
 
-    std::vector<DramAddress> rows;
-    const std::uint64_t banks = 1 + rng.range(4);
-    for (std::uint64_t b = 0; b < banks; ++b) {
+    auto random_bank = [&] {
         DramAddress da;
         da.rank = static_cast<std::uint32_t>(rng.range(spec.org.ranks));
         da.bankGroup =
             static_cast<std::uint32_t>(rng.range(spec.org.bankGroups));
         da.bank = static_cast<std::uint32_t>(
             rng.range(spec.org.banksPerGroup));
-        const std::uint64_t hot = 1 + rng.range(3);
-        for (std::uint64_t r = 0; r < hot; ++r) {
+        return da;
+    };
+    std::vector<DramAddress> rows;
+    if (wide) {
+        const std::uint32_t total = spec.org.totalBanks();
+        std::vector<std::uint32_t> flats(total);
+        for (std::uint32_t flat = 0; flat < total; ++flat)
+            flats[flat] = flat;
+        const std::uint64_t pairs = 8 + rng.range(total - 7);
+        for (std::uint64_t p = 0; p < pairs; ++p) {
+            std::swap(flats[p], flats[p + rng.range(total - p)]);
+            const std::uint32_t in_rank =
+                flats[p] % spec.org.banksPerRank();
+            DramAddress da;
+            da.rank = flats[p] / spec.org.banksPerRank();
+            da.bankGroup = in_rank / spec.org.banksPerGroup;
+            da.bank = in_rank % spec.org.banksPerGroup;
             da.row = static_cast<std::uint32_t>(rng.range(1024));
             rows.push_back(da);
+        }
+    } else {
+        const std::uint64_t banks = 1 + rng.range(4);
+        for (std::uint64_t b = 0; b < banks; ++b) {
+            DramAddress da = random_bank();
+            const std::uint64_t hot = 1 + rng.range(3);
+            for (std::uint64_t r = 0; r < hot; ++r) {
+                da.row = static_cast<std::uint32_t>(rng.range(1024));
+                rows.push_back(da);
+            }
         }
     }
 
@@ -352,7 +382,14 @@ runStress(std::uint64_t seed)
             rng.chance(0.05) ? config.queueCapacity
                              : static_cast<std::size_t>(rng.chance(0.5));
         for (std::size_t i = 0; i < burst && mem.canAccept(); ++i) {
-            DramAddress da = rows[rng.range(rows.size())];
+            DramAddress da;
+            if (wide && rng.chance(0.3)) {
+                da = random_bank();
+                da.row = static_cast<std::uint32_t>(
+                    rng.range(spec.org.rowsPerBank));
+            } else {
+                da = rows[rng.range(rows.size())];
+            }
             da.col = static_cast<std::uint32_t>(
                 rng.range(spec.org.colsPerRow));
             Request req;
@@ -389,7 +426,8 @@ runStress(std::uint64_t seed)
     run.outcome.commandHash = fnvMix(hash, completions);
     run.outcome.sched = mem.schedCounters();
     run.violations = checker.violations();
-    run.describe = spec_name + " " + defense + " q" +
+    run.describe = spec_name + " " + defense + " pairs " +
+                   std::to_string(rows.size()) + " q" +
                    std::to_string(config.queueCapacity) + " cap" +
                    std::to_string(config.frfcfsCap) +
                    (config.refreshEnabled ? " ref" : " noref") +
@@ -476,23 +514,60 @@ const StressGolden kStressGoldens[] = {
     {48, 0x814e4b745031b12aULL, 363, {2146, 37854, 906, 109, 1783}},
 };
 
+/**
+ * runStress(seed, wide = true), captured from the scheduler that
+ * walked every queued bank on each scan.  Seeds 1-16 include an
+ * Alert, RFMpb drains, and refresh drains on multi-rank specs; 32,
+ * 282 and 309 add Alerts under the event clock.
+ */
+const StressGolden kWideStressGoldens[] = {
+    {1, 0xab2b37f0491a222cULL, 6084, {13146, 26854, 821, 1183, 7062}},
+    {2, 0xc318a0bad109e22dULL, 4211, {40000, 0, 0, 0, 35789}},
+    {3, 0xdc673acfd8c01ca8ULL, 4023, {8548, 31452, 892, 932, 4525}},
+    {4, 0x58672a8b9d8df79bULL, 3453, {7713, 32287, 905, 809, 4260}},
+    {5, 0x85e4fda9c5c54c54ULL, 4049, {40000, 0, 0, 0, 35951}},
+    {6, 0xfe70b0ea91c7be33ULL, 5253, {40000, 0, 0, 0, 34747}},
+    {7, 0x4acf696bd9e46f14ULL, 4039, {10060, 29940, 972, 858, 6021}},
+    {8, 0xa7526549da2210d0ULL, 6263, {40000, 0, 0, 0, 33737}},
+    {9, 0xe5ab8eb3e734d4c8ULL, 3975, {9186, 30814, 961, 962, 5211}},
+    {10, 0xd8f435780f806855ULL, 5452, {13224, 26776, 937, 1049, 7772}},
+    {11, 0x512957831f3da9feULL, 3380, {40000, 0, 0, 0, 36620}},
+    {12, 0xfe4d9614e92eb9fcULL, 5429, {10898, 29102, 827, 1055, 5469}},
+    {13, 0x0fec1ddd47d3f346ULL, 4995, {40000, 0, 0, 0, 35005}},
+    {14, 0x1428dce3068bf8fdULL, 4028, {40000, 0, 0, 0, 35972}},
+    {15, 0x624bbced60fc7e58ULL, 8587, {40000, 0, 0, 0, 31413}},
+    {16, 0xd0490a07c295fa20ULL, 5667, {13622, 26378, 990, 1098, 7955}},
+    {32, 0x6d0b834c5cc8f0c0ULL, 6202, {13082, 26918, 834, 1154, 6880}},
+    {282, 0x6876dce1a97dd23eULL, 4724, {10372, 29628, 887, 918, 5648}},
+    {309, 0x413eb8adceb431edULL, 6422, {12382, 27618, 751, 1196, 5960}},
+};
+
+void
+expectGolden(const StressRun &run, const StressGolden &golden)
+{
+    const StressGolden &got = run.outcome;
+    const SchedCounters &s = got.sched;
+    SCOPED_TRACE(run.describe + "\n  got " + goldenRow(got));
+    EXPECT_TRUE(run.violations.empty()) << run.violations.front();
+    EXPECT_EQ(got.commandHash, golden.commandHash);
+    EXPECT_EQ(got.commands, golden.commands);
+    EXPECT_EQ(s.ticksFired, golden.sched.ticksFired);
+    EXPECT_EQ(s.cyclesJumped, golden.sched.cyclesJumped);
+    EXPECT_EQ(s.nextWorkCacheHits, golden.sched.nextWorkCacheHits);
+    EXPECT_EQ(s.nextWorkRebuilds, golden.sched.nextWorkRebuilds);
+    EXPECT_EQ(s.nextWorkHintRebuilds, golden.sched.nextWorkHintRebuilds);
+}
+
 TEST(ControllerStress, SeededGoldensAndTimingClean)
 {
-    for (const StressGolden &golden : kStressGoldens) {
-        const StressRun run = runStress(golden.seed);
-        const StressGolden &got = run.outcome;
-        const SchedCounters &s = got.sched;
-        SCOPED_TRACE(run.describe + "\n  got " + goldenRow(got));
-        EXPECT_TRUE(run.violations.empty()) << run.violations.front();
-        EXPECT_EQ(got.commandHash, golden.commandHash);
-        EXPECT_EQ(got.commands, golden.commands);
-        EXPECT_EQ(s.ticksFired, golden.sched.ticksFired);
-        EXPECT_EQ(s.cyclesJumped, golden.sched.cyclesJumped);
-        EXPECT_EQ(s.nextWorkCacheHits, golden.sched.nextWorkCacheHits);
-        EXPECT_EQ(s.nextWorkRebuilds, golden.sched.nextWorkRebuilds);
-        EXPECT_EQ(s.nextWorkHintRebuilds,
-                  golden.sched.nextWorkHintRebuilds);
-    }
+    for (const StressGolden &golden : kStressGoldens)
+        expectGolden(runStress(golden.seed), golden);
+}
+
+TEST(ControllerStress, WideTrafficGoldensAndTimingClean)
+{
+    for (const StressGolden &golden : kWideStressGoldens)
+        expectGolden(runStress(golden.seed, /*wide=*/true), golden);
 }
 
 } // namespace

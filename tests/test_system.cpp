@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <utility>
 
+#include "common/log.h"
 #include "cpu/system.h"
 #include "mitigation/registry.h"
 #include "workload/suite.h"
@@ -189,6 +192,87 @@ TEST(System, AboOnlyNearZeroOverheadOnBenignWork)
     // Benign workloads never reach NBO=1024 (Section 6.2).
     EXPECT_EQ(abod.alerts, 0u);
     EXPECT_NEAR(normalizedPerf(abod, base), 1.0, 0.02);
+}
+
+/** One StatSet counter of a golden System run, per clock mode. */
+struct CounterGolden
+{
+    const char *name;
+    std::uint64_t lockstep;    //!< fast-forward off
+    std::uint64_t fastForward; //!< fast-forward on
+};
+
+/**
+ * Four h_rand_heavy cores under TPRAC against an 8-entry queue: 97% of
+ * core cycles end in a refused access.  Cores tick in index order, so
+ * cores 0 and 1 take nearly every freed slot and cores 2 and 3 starve;
+ * the run ends at maxCycles.  No access merges into an MSHR, so
+ * cache.mshr_merges is absent.  Captured from the core that re-ran the
+ * lookup of every refused access each cycle: a skipped retry must book
+ * its one cache.llc_misses and move nothing else.
+ */
+const CounterGolden kRefusedRetryCounters[] = {
+    {"cache.l1_hits", 0, 0},
+    {"cache.l2_hits", 1, 1},
+    {"cache.llc_hits", 0, 0},
+    {"cache.llc_misses", 194602, 194602},
+    {"mem.reads", 1486, 1486},
+    {"mem.refreshes", 12, 12},
+    {"mem.row_conflicts", 992, 992},
+    {"mem.row_hits", 1478, 1478},
+    {"mem.row_misses", 1494, 1494},
+    {"mem.tb_rfms", 1, 1},
+    {"mem.writes", 0, 0},
+    {"prac.mitigated_rows", 127, 127},
+    {"sched.cycles_jumped", 0, 41895},
+    {"sched.nextwork_cache_hits", 0, 0},
+    {"sched.nextwork_hint_rebuilds", 45618, 3723},
+    {"sched.nextwork_rebuilds", 0, 0},
+    {"sched.ticks_fired", 50000, 8105},
+};
+
+/** Each core's measured {instructions, cycles}, both clock modes. */
+const std::pair<std::uint64_t, Cycle> kRefusedRetryCores[] = {
+    {4000, 3785},
+    {918, 50000},
+    {49, 50000},
+    {65, 50000},
+};
+
+TEST(System, RefusedRetriesBookedExactly)
+{
+    SuiteEntry entry;
+    for (const SuiteEntry &candidate : standardSuite())
+        if (candidate.params.name == "h_rand_heavy")
+            entry = candidate;
+    for (const bool fast_forward : {false, true}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "lockstep");
+        SystemConfig config = smallConfig("tprac");
+        config.mem.queueCapacity = 8;
+        config.warmupInstrs = 0;
+        config.measureInstrs = 4'000;
+        config.maxCycles = 50'000;
+        config.fastForward = fast_forward;
+        System system(config, instantiate(entry, 4));
+        const int level = setLogLevel(0); // the run ends at maxCycles
+        const RunResult result = system.run();
+        setLogLevel(level);
+
+        const auto &counters = system.stats().counters();
+        EXPECT_EQ(counters.size(), std::size(kRefusedRetryCounters));
+        for (const CounterGolden &golden : kRefusedRetryCounters) {
+            const auto it = counters.find(golden.name);
+            ASSERT_NE(it, counters.end()) << golden.name;
+            EXPECT_EQ(it->second, fast_forward ? golden.fastForward
+                                               : golden.lockstep)
+                << golden.name;
+        }
+        ASSERT_EQ(result.cores.size(), std::size(kRefusedRetryCores));
+        for (std::size_t i = 0; i < result.cores.size(); ++i) {
+            EXPECT_EQ(result.cores[i].instrs, kRefusedRetryCores[i].first);
+            EXPECT_EQ(result.cores[i].cycles, kRefusedRetryCores[i].second);
+        }
+    }
 }
 
 TEST(System, WeightedSpeedupIdentity)

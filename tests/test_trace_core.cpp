@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the trace-driven core model: retirement mechanics,
- * MLP bounds, and dependent-load serialization.
+ * MLP bounds, dependent-load serialization, and refused accesses.
  */
 
 #include <gtest/gtest.h>
@@ -214,6 +214,44 @@ TEST_F(TraceCoreTest, IndependentLoadsDoNotSerialize)
     }
     // A serialized core would need ~16 x ~300 cycles just to issue.
     EXPECT_LT(t, 1500u);
+}
+
+TEST(TraceCore, RefusedAccessSleepsUntilASlotFrees)
+{
+    // Two requests fill a 2-entry queue; the core's load is refused
+    // until the controller's first CAS frees a slot.
+    ControllerConfig config;
+    config.refreshEnabled = false;
+    config.queueCapacity = 2;
+    StatSet stats;
+    MemoryController mem(DramSpec::ddr5_8000b(), config, &stats);
+    CacheHierarchy hier(CacheHierConfig{}, 1, &mem, &stats);
+    for (int i = 1; i <= 2; ++i) {
+        Request req;
+        req.addr = spreadAddr(i);
+        ASSERT_TRUE(mem.enqueue(std::move(req)));
+    }
+    ScriptedWorkload workload({TraceOp{0, true, false, false, spreadAddr(0)}});
+    TraceCore core(0, &workload, &hier, CoreParams{});
+
+    const std::uint64_t &misses = stats.counter("cache.llc_misses");
+    std::uint64_t refused = 0;
+    while (!mem.canAccept()) {
+        core.tick(mem.now());
+        ++refused;
+        EXPECT_EQ(misses, refused); // one LLC miss per refused cycle
+        EXPECT_EQ(core.instrsRetired(), 0u);
+        EXPECT_EQ(core.nextEventAt(), mem.now() + 1);
+        mem.tick();
+    }
+    EXPECT_GT(refused, 10u); // ACT, tRCD, then the CAS
+
+    // The CAS of the last cycle freed a slot: this cycle's retry wins.
+    core.tick(mem.now());
+    EXPECT_TRUE(workload.scriptDone());
+    EXPECT_EQ(core.instrsRetired() - workload.idleOps(), 1u);
+    EXPECT_EQ(misses, refused + 1);
+    EXPECT_EQ(mem.queueDepth(), 2u);
 }
 
 } // namespace
