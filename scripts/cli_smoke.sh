@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CLI contract smoke: every verb has exactly one spelling (a
-# subcommand), the retired flat flags and `status` are rejected,
-# numeric flag values are checked, and unknown subcommands / flags /
-# scenarios exit 2 with a "did you mean" hint instead of being
-# silently ignored.
+# subcommand), the retired flat flags, `status`, `merge` and `--shard`
+# are rejected, numeric flag values are checked, an empty flag value
+# is refused, and unknown subcommands / flags / scenarios exit 2 with
+# a "did you mean" hint instead of being silently ignored.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -65,18 +65,24 @@ expect_reject "unknown command" \
 expect_reject "unknown command" \
     "${PRACBENCH}" --replay "${OUT_DIR}/missing.trc"
 expect_reject "unknown command" "${PRACBENCH}" status "${OUT_DIR}"
+expect_reject "unknown command" "${PRACBENCH}" merge "${OUT_DIR}"
 expect_reject "unknown option" \
     "${PRACBENCH}" run --scenario fig07_tmax_analysis --smoke
 expect_reject "unknown option" \
     "${PRACBENCH}" run -s fig07_tmax_analysis --smoke
+expect_reject "unknown option" \
+    "${PRACBENCH}" run fig07_tmax_analysis --smoke \
+    --checkpoint "${OUT_DIR}/ckpt" --shard 0/2
+if "${PRACBENCH}" help | grep -q -e '^  merge ' -e '--shard'; then
+    echo "error: help still lists merge or --shard" >&2
+    exit 1
+fi
 
 echo "==> numeric flag values are checked"
 expect_reject "--jobs expects" \
     "${PRACBENCH}" run fig07_tmax_analysis --jobs -1 --smoke
 expect_reject "--jobs expects" \
     "${PRACBENCH}" run fig07_tmax_analysis --jobs abc --smoke
-expect_reject "--jobs expects" \
-    "${PRACBENCH}" merge "${OUT_DIR}" --jobs -1
 expect_reject "--jobs expects" "${PRACBENCH}" "${SEARCH[@]}" --jobs 2x
 expect_reject "--budget expects" \
     "${PRACBENCH}" "${SEARCH[@]}" --budget abc
@@ -84,14 +90,20 @@ expect_reject "--rounds expects" "${PRACBENCH}" "${SEARCH[@]}" --rounds x
 expect_reject "--seed expects" "${PRACBENCH}" "${SEARCH[@]}" --seed -5
 expect_reject "--set attacker.aggressors expects" \
     "${PRACBENCH}" "${SEARCH[@]}" --set attacker.aggressors=abc
-expect_reject "--shard expects" \
-    "${PRACBENCH}" run fig07_tmax_analysis --smoke \
-    --checkpoint "${OUT_DIR}/ckpt" --shard 0/-1
+
+echo "==> an empty path value is refused, not read as \"off\""
+for flag in --out --csv --checkpoint --trace-out --series-out; do
+    expect_reject "${flag} needs a non-empty value" \
+        "${PRACBENCH}" run fig07_tmax_analysis --smoke "${flag}" ""
+done
+expect_reject "--checkpoint needs a non-empty value" \
+    "${PRACBENCH}" run fig07_tmax_analysis --smoke --checkpoint "" \
+    --resume
 
 echo "==> typos are rejected with exit 2 and a hint"
-expect_reject "did you mean 'merge'" "${PRACBENCH}" mrege
-expect_reject "did you mean '--shard'" \
-    "${PRACBENCH}" run fig07_tmax_analysis --shrad 0/2
+expect_reject "did you mean 'replay'" "${PRACBENCH}" replya
+expect_reject "did you mean '--checkpoint'" \
+    "${PRACBENCH}" run fig07_tmax_analysis --chekpoint "${OUT_DIR}/ckpt"
 expect_reject "did you mean 'fig07_tmax_analysis'" \
     "${PRACBENCH}" run fig07_tmax_analysiss --smoke
 expect_reject "unknown" \

@@ -24,7 +24,7 @@ fi
 rm -rf "${OUT_DIR}"
 mkdir -p "${OUT_DIR}"
 
-# Same CI-sized sweep as the shard/resume smokes: six points.
+# Same CI-sized sweep as the resume smoke: six points.
 SWEEP=(defense_matrix_perf --jobs 2 --quiet --no-table
        --set mitigation=none,para,tprac
        --set entry=h_rand_heavy,m_blend

@@ -29,8 +29,8 @@ void inform(const std::string &msg);
 
 /**
  * User-facing progress line (level >= 1): `[context] msg`.  Sweep
- * runners use the context to identify the scenario and shard, so
- * interleaved output from a fleet stays attributable.  Deliberately
+ * runners use the context to identify the scenario, so output from
+ * a multi-scenario run stays attributable.  Deliberately
  * visible at the default level -- progress is the product for a
  * long-running sweep, not debug chatter -- but silenced by --quiet
  * (level 0).

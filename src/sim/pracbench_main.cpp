@@ -8,18 +8,16 @@
  *   pracbench run all --out results/ --csv results/
  *   pracbench run fig13_nrh_sweep --set nrh=512,1024 --set measure=50000
  *   pracbench run defense_matrix_perf --checkpoint ckpt/ --resume
- *   pracbench run defense_matrix_perf --checkpoint ckpt/ --shard 0/4
- *   pracbench merge ckpt/ --out results/defense_matrix_perf.json
  *   pracbench record traces/ --workload h_rand_heavy
  *   pracbench replay traces/h_rand_heavy.trc --set mitigation=none,tprac
  *
  * Every verb has exactly one spelling.  Unknown flags and subcommands
- * are hard errors with a "did you mean" hint, and a numeric flag value
- * that is not a number in range is rejected -- a typo'd axis, mode or
- * count must never silently burn a fleet-sized sweep.
+ * are hard errors with a "did you mean" hint, a numeric flag value
+ * that is not a number in range is rejected, and so is an empty flag
+ * value -- a typo'd axis, mode, count or unset path variable must
+ * never silently run the wrong sweep or write nothing.
  */
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -28,15 +26,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "attack/adversaries.h"
 #include "common/log.h"
 #include "mitigation/registry.h"
 #include "sim/analyze_support.h"
-#include "sim/checkpoint.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/search.h"
@@ -67,10 +62,6 @@ printUsage()
         "                         (its spec/nbo/window_ms constants), "
         "e.g.\n"
         "                         defense_matrix_adaptive\n"
-        "  merge DIR|FILE...      fuse shard checkpoint journals "
-        "into the\n"
-        "                         result an uninterrupted single-host "
-        "run would emit\n"
         "  record DIR             record memory-request traces into "
         "DIR/<name>.trc\n"
         "  replay FILE            replay a recorded trace against "
@@ -105,12 +96,6 @@ printUsage()
         "already journaled by\n"
         "                         an earlier (killed) run and merge "
         "their rows back in\n"
-        "  --shard I/N            run only the grid points shard I "
-        "of N owns\n"
-        "                         (0-based, round-robin); journals "
-        "to\n"
-        "                         DIR/<scenario>.shard-I-of-N.jsonl "
-        "for `merge`\n"
         "  --smoke                one-point sweep with a tiny "
         "budget (CI smoke)\n"
         "  --quiet                suppress per-point progress lines\n"
@@ -161,16 +146,6 @@ printUsage()
         "and across a\n"
         "                         kill + --resume cycle\n"
         "\n"
-        "merge options:\n"
-        "  --scenario NAME        merge only NAME's journals from "
-        "the given DIRs\n"
-        "  --jobs N               value stamped into the output's "
-        "'jobs' field so it\n"
-        "                         byte-matches a single-host run "
-        "(default: hardware\n"
-        "                         concurrency, like run)\n"
-        "  --out/--csv/--no-table as for run\n"
-        "\n"
         "record options: --workload NAME (repeatable), --set/--try-"
         "set, --quiet,\n"
         "                --trace-out PATH, --series-out PATH\n"
@@ -188,9 +163,9 @@ printUsage()
         "JSON\n"
         "  --no-table             skip the text tables on stdout\n"
         "\n"
-        "Numeric flag values are checked: anything but a decimal "
-        "integer in range\n"
-        "exits 2.\n");
+        "Flag values are checked: an empty value, or a numeric value "
+        "that is not a\n"
+        "decimal integer in range, exits 2.\n");
 }
 
 bool
@@ -316,13 +291,17 @@ applySmokeBudgets(RunOptions &options)
             options.softOverrides[axis] = {value};
 }
 
-/** Fetch the value after a flag; exits 2 when it is missing. */
+/**
+ * Fetch the value after a flag; exits 2 when it is missing or empty.
+ * An empty value is what an unset shell variable expands to, and
+ * for a path flag it would otherwise silently mean "off".
+ */
 std::string
 nextValue(const std::vector<std::string> &args, std::size_t &i,
           const std::string &flag)
 {
-    if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "pracbench: %s needs a value\n",
+    if (i + 1 >= args.size() || args[i + 1].empty()) {
+        std::fprintf(stderr, "pracbench: %s needs a non-empty value\n",
                      flag.c_str());
         std::exit(2);
     }
@@ -334,31 +313,18 @@ constexpr std::uint64_t kMaxJobs = 4096;
 
 /**
  * The one integer parser behind every numeric flag: @p text as a
- * decimal integer in [0, @p max], or nothing when it is anything else
- * (empty, a sign, trailing junk, overflow).
- */
-std::optional<std::uint64_t>
-parseDecimal(std::string_view text, std::uint64_t max)
-{
-    std::uint64_t value = 0;
-    const char *end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    if (error != std::errc() || stop != end || value > max)
-        return std::nullopt;
-    return value;
-}
-
-/**
- * parseDecimal() for the value of @p flag; bad input exits 2 naming
- * the flag.  A mistyped count must never fall back to a default or
- * wrap into a huge thread pool.
+ * decimal integer in [0, @p max].  Anything else (empty, a sign,
+ * trailing junk, overflow) exits 2 naming @p flag -- a mistyped count
+ * must never fall back to a default or wrap into a huge thread pool.
  */
 std::uint64_t
 parseCount(const std::string &flag, const std::string &text,
            std::uint64_t max)
 {
-    const std::optional<std::uint64_t> value = parseDecimal(text, max);
-    if (!value) {
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end || value > max) {
         std::fprintf(stderr,
                      "pracbench: %s expects an integer from 0 to "
                      "%llu, got '%s'\n",
@@ -366,32 +332,7 @@ parseCount(const std::string &flag, const std::string &text,
                      text.c_str());
         std::exit(2);
     }
-    return *value;
-}
-
-/** Parse "I/N" (0-based, I < N); exits 2 with a message when bad. */
-ShardSpec
-parseShardSpec(const std::string &spec)
-{
-    const std::string_view text(spec);
-    const std::size_t slash = text.find('/');
-    std::optional<std::uint64_t> index;
-    std::optional<std::uint64_t> count;
-    if (slash != std::string_view::npos) {
-        index = parseDecimal(text.substr(0, slash), UINT32_MAX);
-        count = parseDecimal(text.substr(slash + 1), UINT32_MAX);
-    }
-    if (!index || !count || *index >= *count) {
-        std::fprintf(stderr,
-                     "pracbench: --shard expects I/N with 0 <= I < "
-                     "N (e.g. --shard 0/4), got '%s'\n",
-                     spec.c_str());
-        std::exit(2);
-    }
-    ShardSpec shard;
-    shard.index = static_cast<unsigned>(*index);
-    shard.count = static_cast<unsigned>(*count);
-    return shard;
+    return value;
 }
 
 /** The value after a numeric flag, checked by parseCount(). */
@@ -504,8 +445,8 @@ commandRun(const std::vector<std::string> &args)
         "--jobs",       "--out",       "--csv",
         "--set",        "--try-set",   "--smoke",
         "--quiet",      "--no-table",  "--checkpoint",
-        "--resume",     "--shard",     "--trace-out",
-        "--series-out", "--log-level", "--help"};
+        "--resume",     "--trace-out", "--series-out",
+        "--log-level",  "--help"};
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (parseCommonFlag(cli, args, i))
@@ -514,9 +455,6 @@ commandRun(const std::vector<std::string> &args)
             cli.checkpointDir = nextValue(args, i, arg);
         } else if (arg == "--resume") {
             cli.options.checkpoint.resume = true;
-        } else if (arg == "--shard") {
-            cli.options.shard =
-                parseShardSpec(nextValue(args, i, arg));
         } else if (arg == "--help" || arg == "-h") {
             printUsage();
             return 0;
@@ -549,7 +487,7 @@ commandRun(const std::vector<std::string> &args)
             cli.names.push_back(scenario->name);
     }
     // Validate every name before running anything: a typo in the
-    // third of five scenarios must not surface hours into the first.
+    // third of five scenarios must not surface after the first ran.
     std::vector<std::string> knownNames;
     for (const Scenario *scenario : registry.all())
         knownNames.push_back(scenario->name);
@@ -833,105 +771,6 @@ commandSearch(const std::vector<std::string> &args)
 }
 
 int
-commandMerge(const std::vector<std::string> &args)
-{
-    std::vector<std::string> sources;
-    std::string scenarioFilter;
-    std::string outJson;
-    std::string outCsv;
-    unsigned jobs = 0;
-    bool table = true;
-    static const std::vector<std::string> known = {
-        "--scenario", "--jobs", "--out", "--csv", "--no-table",
-        "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--scenario" || arg == "-s") {
-            scenarioFilter = nextValue(args, i, arg);
-        } else if (arg == "--jobs" || arg == "-j") {
-            jobs =
-                static_cast<unsigned>(nextCount(args, i, arg, kMaxJobs));
-        } else if (arg == "--out" || arg == "-o") {
-            outJson = nextValue(args, i, arg);
-        } else if (arg == "--csv") {
-            outCsv = nextValue(args, i, arg);
-        } else if (arg == "--no-table") {
-            table = false;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `merge`", arg, known);
-        } else {
-            sources.push_back(arg);
-        }
-    }
-    if (sources.empty()) {
-        std::fprintf(stderr,
-                     "pracbench: merge needs checkpoint "
-                     "directories and/or journal files\n");
-        return 2;
-    }
-
-    try {
-        std::vector<std::string> paths;
-        for (const std::string &source : sources) {
-            std::error_code ec;
-            if (std::filesystem::is_directory(source, ec)) {
-                for (std::string &path :
-                     journalFilesFor(source, scenarioFilter))
-                    paths.push_back(std::move(path));
-            } else {
-                // An explicit file bypasses the scenario filter:
-                // naming it IS the filter.
-                paths.push_back(source);
-            }
-        }
-        if (paths.empty()) {
-            std::fprintf(stderr,
-                         "pracbench: no%s%s journals found under "
-                         "the given directories\n",
-                         scenarioFilter.empty() ? "" : " ",
-                         scenarioFilter.c_str());
-            return 2;
-        }
-
-        // Stamp the same 'jobs' the equivalent single-host run
-        // would record (0 resolves exactly like ThreadPool does),
-        // so the merged JSON can byte-match it.
-        if (jobs == 0)
-            jobs =
-                std::max(2u, std::thread::hardware_concurrency());
-        const SweepResult result = mergeSweepFromJournals(paths, jobs);
-        if (table)
-            printTables(result);
-        if (!prepareOutputDir(outJson, ".json", /*single=*/true) ||
-            !prepareOutputDir(outCsv, ".csv", /*single=*/true))
-            return 2;
-        if (!outJson.empty()) {
-            const std::string path = outputPath(
-                outJson, result.scenario, ".json", /*single=*/true);
-            if (!writeAtomic(path, result.toJson().dump(2) + "\n"))
-                return 1;
-            std::fprintf(stderr, "pracbench: wrote %s\n",
-                         path.c_str());
-        }
-        if (!outCsv.empty()) {
-            const std::string path = outputPath(
-                outCsv, result.scenario, ".csv", /*single=*/true);
-            if (!writeAtomic(path, result.toCsv()))
-                return 1;
-            std::fprintf(stderr, "pracbench: wrote %s\n",
-                         path.c_str());
-        }
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
-    }
-    return 0;
-}
-
-int
 commandRecord(const std::vector<std::string> &args)
 {
     RunCli cli;
@@ -1137,8 +976,6 @@ main(int argc, char **argv)
         return commandRun(args);
     if (command == "search")
         return commandSearch(args);
-    if (command == "merge")
-        return commandMerge(args);
     if (command == "record")
         return commandRecord(args);
     if (command == "replay")
@@ -1146,6 +983,6 @@ main(int argc, char **argv)
     if (command == "analyze")
         return commandAnalyze(args);
     rejectUnknown("command", command,
-                  {"run", "list", "search", "merge", "record",
-                   "replay", "analyze", "help"});
+                  {"run", "list", "search", "record", "replay",
+                   "analyze", "help"});
 }

@@ -70,20 +70,6 @@ collectColumns(const std::vector<ResultRow> &rows)
     return columns;
 }
 
-/** Reject option combinations that cannot mean anything coherent. */
-void
-validateRunOptions(const RunOptions &options)
-{
-    if (options.shard.active() &&
-        options.shard.index >= options.shard.count)
-        throw std::invalid_argument(
-            "shard index must satisfy 0 <= I < N in --shard I/N");
-    if (options.shard.active() && options.checkpoint.directory.empty())
-        throw std::invalid_argument(
-            "--shard requires a checkpoint directory: the journals "
-            "are how the fleet's partial results meet again");
-}
-
 /** The scenario's grid with all of @p options' overrides applied. */
 ParamGrid
 effectiveGrid(const Scenario &scenario, const RunOptions &options)
@@ -102,20 +88,17 @@ effectiveGrid(const Scenario &scenario, const RunOptions &options)
 }
 
 /**
- * Whole-grid and static-shard execution: run every owned,
- * not-yet-journaled point through the pool, journaling as workers
- * finish.  Both restored and live rows land in per-point slots, so
- * the output is ordered by grid index -- independent of --jobs,
- * kill timing, and completion order.
+ * Run every not-yet-journaled point through the pool, journaling as
+ * workers finish.  Both restored and live rows land in per-point
+ * slots, so the output is ordered by grid index -- independent of
+ * --jobs, kill timing, and completion order.
  */
 SweepResult
-runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
-              const RunOptions &options,
-              telemetry::TraceSession *trace)
+runSweep(const Scenario &scenario, const ParamGrid &grid,
+         const RunOptions &options, telemetry::TraceSession *trace)
 {
     ThreadPool pool(options.jobs);
     const std::size_t n = grid.size();
-    const ShardSpec shard = options.shard;
 
     SweepResult result;
     result.scenario = scenario.name;
@@ -125,45 +108,26 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
     result.jobs = pool.threadCount();
     result.points = n;
 
-    std::vector<std::size_t> owned;
-    owned.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (shardOwns(i, shard))
-            owned.push_back(i);
-
     CheckpointState restored;
     std::unique_ptr<JournalWriter> journal;
     if (!options.checkpoint.directory.empty()) {
         const std::string path =
-            shard.active()
-                ? shardJournalPath(options.checkpoint.directory,
-                                   scenario.name, shard)
-                : journalPath(options.checkpoint.directory,
-                              scenario.name);
+            journalPath(options.checkpoint.directory, scenario.name);
         if (options.checkpoint.resume)
-            restored = loadJournal(path, scenario.name, result.grid,
-                                   n, shard);
+            restored =
+                loadJournal(path, scenario.name, result.grid, n);
         journal = std::make_unique<JournalWriter>(
-            path,
-            journalHeader(scenario.name, result.grid, n, shard),
-            restored.hasHeader, restored.validBytes,
-            scenario.checkpointEvery);
+            path, journalHeader(scenario.name, result.grid, n),
+            restored.hasHeader, restored.validBytes);
     }
 
-    // Log context identifies this run among interleaved fleet output.
-    std::string context = scenario.name;
-    if (shard.active())
-        context += " shard " + std::to_string(shard.index) + "/" +
-                   std::to_string(shard.count);
-
     const telemetry::Stopwatch sweepClock;
-    const std::size_t total = owned.size();
     std::atomic<std::size_t> completed{restored.rowsByPoint.size()};
 
     std::vector<std::vector<ResultRow>> rowsPerPoint(n);
     std::vector<std::size_t> pendingPoints;
-    pendingPoints.reserve(total);
-    for (const std::size_t i : owned) {
+    pendingPoints.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
         const auto it = restored.rowsByPoint.find(i);
         if (it == restored.rowsByPoint.end())
             pendingPoints.push_back(i);
@@ -171,10 +135,9 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
             rowsPerPoint[i] = std::move(it->second);
     }
     if (options.progress && !restored.rowsByPoint.empty())
-        progress(context,
+        progress(scenario.name,
                  std::to_string(restored.rowsByPoint.size()) + "/" +
-                     std::to_string(total) +
-                     " resumed from checkpoint" +
+                     std::to_string(n) + " resumed from checkpoint" +
                      (restored.droppedTornTail
                           ? " (torn final record re-run)"
                           : ""));
@@ -197,7 +160,6 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
             telemetry::TraceSpan pointSpan(trace, params.label(),
                                            "point", lane,
                                            std::move(spanArgs));
-            const telemetry::Stopwatch pointClock;
             const std::uint64_t simStartUs =
                 trace ? trace->nowMicros() : 0;
             telemetry::TraceSpan simSpan(trace, "sim", "phase", lane);
@@ -206,7 +168,6 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
             if (trace)
                 telemetry::SeriesCapture::emitTraceCounters(
                     trace, lane, simStartUs, trace->nowMicros());
-            const double wall = pointClock.seconds();
             for (ResultRow &row : rows)
                 row = mergeParams(params, std::move(row));
             // Journal before reporting done: a kill after the
@@ -214,7 +175,7 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
             if (journal) {
                 telemetry::TraceSpan flushSpan(trace, "journal-flush",
                                                "phase", lane);
-                journal->writePoint(i, rows, wall);
+                journal->writePoint(i, rows);
                 flushSpan.end();
                 if (trace)
                     trace->instant("checkpoint-write", "checkpoint",
@@ -223,18 +184,15 @@ runSweepLocal(const Scenario &scenario, const ParamGrid &grid,
             const std::size_t done =
                 completed.fetch_add(1, std::memory_order_relaxed) + 1;
             if (options.progress)
-                progress(context, std::to_string(done) + "/" +
-                                      std::to_string(total) + " " +
-                                      params.label());
+                progress(scenario.name, std::to_string(done) + "/" +
+                                            std::to_string(n) + " " +
+                                            params.label());
             return rows;
         });
     }
     auto rowsPerJob = pool.map(std::move(jobs));
     for (std::size_t k = 0; k < pendingPoints.size(); ++k)
         rowsPerPoint[pendingPoints[k]] = std::move(rowsPerJob[k]);
-
-    if (journal)
-        journal->flush();
 
     for (auto &rows : rowsPerPoint)
         for (ResultRow &row : rows)
@@ -329,7 +287,6 @@ struct SeriesCaptureScope
 SweepResult
 runScenario(const Scenario &scenario, const RunOptions &options)
 {
-    validateRunOptions(options);
     const ParamGrid grid = effectiveGrid(scenario, options);
     std::unique_ptr<telemetry::TraceSession> trace;
     if (!options.telemetry.traceOut.empty())
@@ -338,7 +295,7 @@ runScenario(const Scenario &scenario, const RunOptions &options)
     const SeriesCaptureScope series(
         !options.telemetry.seriesOut.empty());
     SweepResult result =
-        runSweepLocal(scenario, grid, options, trace.get());
+        runSweep(scenario, grid, options, trace.get());
     if (series.enabled &&
         !telemetry::SeriesCapture::writeAll(
             options.telemetry.seriesOut))
@@ -358,52 +315,6 @@ runScenarioByName(const std::string &name, const RunOptions &options)
         throw std::invalid_argument("unknown scenario '" + name +
                                     "' (try `pracbench list`)");
     return runScenario(*scenario, options);
-}
-
-SweepResult
-assembleMergedResult(const Scenario &scenario,
-                     const MergedJournals &merged, unsigned jobs)
-{
-    if (scenario.name != merged.scenario)
-        throw std::invalid_argument(
-            "merged journals are for scenario '" + merged.scenario +
-            "', not '" + scenario.name + "'");
-
-    SweepResult result;
-    result.scenario = scenario.name;
-    result.title = scenario.title;
-    result.notes = scenario.notes;
-    // The grid comes from the journal header (hash-verified against
-    // the header's own pin), not from the live scenario: the sweep
-    // may have run with --set overrides the merge never sees.
-    result.grid = merged.grid;
-    result.jobs = jobs;
-    result.points = merged.points;
-    // rowsByPoint is an ordered map, so rows land in grid-index
-    // order -- exactly the order a single-host run concatenates.
-    for (const auto &[index, rows] : merged.rowsByPoint) {
-        (void)index;
-        for (const ResultRow &row : rows)
-            result.rows.push_back(row);
-    }
-    if (scenario.summarize)
-        result.summary = scenario.summarize(result.rows);
-    return result;
-}
-
-SweepResult
-mergeSweepFromJournals(const std::vector<std::string> &paths,
-                       unsigned jobs)
-{
-    MergedJournals merged = mergeJournals(paths);
-    const Scenario *scenario =
-        ScenarioRegistry::instance().find(merged.scenario);
-    if (!scenario)
-        throw std::runtime_error(
-            "journals name scenario '" + merged.scenario +
-            "', which this build does not register -- merge with "
-            "the build that ran the sweep");
-    return assembleMergedResult(*scenario, merged, jobs);
 }
 
 namespace {

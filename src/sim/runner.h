@@ -3,10 +3,6 @@
  * Parallel sweep runner: enumerate a scenario's parameter grid, fan
  * the points across a thread pool, collect per-point result rows,
  * and emit machine-readable JSON / CSV plus an aligned text table.
- *
- * A sweep runs the whole grid on one host or one deterministic shard
- * of an N-host fleet (RunOptions::shard); the shard journals fuse
- * back into one byte-identical result via mergeSweepFromJournals().
  */
 
 #ifndef PRACLEAK_SIM_RUNNER_H
@@ -16,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/checkpoint.h"
 #include "sim/scenario.h"
 #include "sim/thread_pool.h"
 
@@ -38,8 +33,8 @@ struct RunOptions
 
     /**
      * Like overrides, but silently skipped when the scenario has no
-     * such axis (CLI --try-set) -- lets one flag set apply across a
-     * fleet of scenarios with different grids.
+     * such axis (CLI --try-set) -- lets one flag set apply across
+     * scenarios with different grids.
      */
     std::map<std::string, std::vector<JsonValue>> softOverrides;
 
@@ -57,11 +52,9 @@ struct RunOptions
     struct Checkpoint
     {
         /**
-         * Journal each completed point to an append-only JSONL file
-         * (sim/checkpoint.h) under this directory as workers finish;
-         * "" disables.  The file is `<scenario>.jsonl` for a
-         * whole-grid run and `<scenario>.shard-I-of-N.jsonl` for a
-         * shard.
+         * Journal each completed point to an append-only JSONL file,
+         * `<scenario>.jsonl` (sim/checkpoint.h), under this
+         * directory as workers finish; "" disables.
          */
         std::string directory;
 
@@ -72,20 +65,12 @@ struct RunOptions
          * timestamp) to an uninterrupted run.  Without it an
          * existing journal is overwritten.  Throws
          * std::runtime_error when the journal belongs to a different
-         * sweep (scenario, grid hash, git revision, shard spec).  A
-         * missing journal is a fresh start.
+         * sweep (scenario, grid hash, git revision).  A missing
+         * journal is a fresh start.
          */
         bool resume = false;
     };
     Checkpoint checkpoint;
-
-    /**
-     * Static fleet partition: run only the grid points this shard
-     * owns (round-robin by index; see shardOwns()).  Requires
-     * checkpoint.directory -- a shard's whole purpose is the journal
-     * it leaves for `pracbench merge`.
-     */
-    ShardSpec shard;
 
     /** Observability knobs; all off/default means zero overhead. */
     struct Telemetry
@@ -124,7 +109,7 @@ struct SweepResult
     std::vector<ResultRow> rows;     //!< point params merged in
     std::vector<ResultRow> summary;
     unsigned jobs = 0;
-    std::size_t points = 0;          //!< full grid size, even sharded
+    std::size_t points = 0;          //!< grid size
     double wallSeconds = 0.0;
 
     JsonValue toJson() const;
@@ -133,9 +118,8 @@ struct SweepResult
 
 /**
  * Run @p scenario under @p options.  Throws std::invalid_argument
- * for bad axis overrides or an inconsistent option set (a shard
- * without a checkpoint directory, or its index out of range);
- * exceptions from scenario points propagate.
+ * for bad axis overrides and std::runtime_error for a journal that
+ * cannot resume; exceptions from scenario points propagate.
  */
 SweepResult runScenario(const Scenario &scenario,
                         const RunOptions &options = {});
@@ -143,31 +127,6 @@ SweepResult runScenario(const Scenario &scenario,
 /** runScenario by registry name; throws when the name is unknown. */
 SweepResult runScenarioByName(const std::string &name,
                               const RunOptions &options = {});
-
-/**
- * Build a SweepResult from journals fused by mergeJournals(): rows
- * in grid-index order, summary recomputed by the scenario's own
- * summarize hook, grid taken from the (hash-verified) journal
- * header.  @p jobs is stamped into the result verbatim so the JSON
- * can be byte-compared against a single-host run's.  wallSeconds is
- * left 0 -- merge does no sweeping.  Throws std::invalid_argument
- * when @p merged belongs to a different scenario.
- */
-SweepResult assembleMergedResult(const Scenario &scenario,
-                                 const MergedJournals &merged,
-                                 unsigned jobs);
-
-/**
- * mergeJournals() + registry lookup + assembleMergedResult(): fuse
- * shard journals into the result the equivalent single-host
- * sweep would have produced (byte-identical modulo wall_seconds and
- * the provenance timestamp).  Throws std::runtime_error when the
- * journals are inconsistent (see mergeJournals) or name a scenario
- * this build does not register.
- */
-SweepResult
-mergeSweepFromJournals(const std::vector<std::string> &paths,
-                       unsigned jobs);
 
 /** Print rows (and summary, when present) as aligned text tables. */
 void printTables(const SweepResult &result);

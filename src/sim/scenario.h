@@ -45,19 +45,6 @@ struct Scenario
     ParamGrid grid;
 
     /**
-     * Checkpoint granularity: when a sweep journals to a checkpoint
-     * (RunOptions::checkpoint.directory), flush the journal to the OS
-     * every N completed points.  Scenarios whose points cost seconds
-     * to minutes (the defense matrices, the Table-4 perf suite, the
-     * trace bake-off) set 1 -- every finished point is worth a
-     * syscall -- while dense analytic grids whose points cost
-     * microseconds batch flushes to keep journaling off the sweep's
-     * critical path.  A torn final record is recovered on resume
-     * either way; at most N-1 cheap points are re-run after a kill.
-     */
-    std::size_t checkpointEvery = 16;
-
-    /**
      * Run one grid point and return its result rows.  Must be
      * thread-safe against concurrent invocations on other points.
      * Returning an empty vector skips the point (for grids whose

@@ -246,8 +246,6 @@ defenseMatrixLeakage()
 {
     Scenario scenario;
     scenario.name = "defense_matrix_leakage";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"defense", "attack"};
     scenario.title = "Defense bake-off: RFM-latency leakage of every "
                      "registered mitigation (ON/OFF victim bursts, "
@@ -337,8 +335,6 @@ leakageTimeline()
 {
     Scenario scenario;
     scenario.name = "leakage_timeline";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"defense", "attack", "telemetry"};
     scenario.title = "Per-window bus time series of every registered "
                      "mitigation over the ON/OFF hammer workload";
@@ -514,8 +510,6 @@ defenseMatrixPerf()
 {
     Scenario scenario;
     scenario.name = "defense_matrix_perf";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"defense", "perf", "energy"};
     scenario.title = "Defense bake-off: normalized performance and "
                      "energy of every registered mitigation over the "
@@ -569,7 +563,7 @@ defenseMatrixPerf()
         // Scheduler-efficiency telemetry (design run, measure
         // window): where the event-driven scheduler's speedup comes
         // from for this defense/workload.  Deterministic, so the
-        // rows stay byte-identical across --jobs, shards and merge.
+        // rows stay byte-identical across --jobs and --resume.
         row.set("ticks_fired", pair.design.sched.ticksFired);
         row.set("cycles_jumped", pair.design.sched.cyclesJumped);
         row.set("nextwork_cache_hits",
@@ -639,8 +633,6 @@ defenseMatrixSecurity()
 {
     Scenario scenario;
     scenario.name = "defense_matrix_security";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"defense", "security"};
     scenario.title = "Defense bake-off: Feinting stress attack vs "
                      "every registered mitigation (scaled 2 ms "
@@ -770,7 +762,6 @@ defenseMatrixAdaptive()
 {
     Scenario scenario;
     scenario.name = "defense_matrix_adaptive";
-    scenario.checkpointEvery = 1;
     scenario.tags = {"defense", "security", "search"};
     scenario.title = "Best-known-attack table: searched per-defense "
                      "adversary vs the oblivious stressor (scaled "

@@ -1,7 +1,7 @@
 /**
  * @file
- * Multi-channel and fast-forward scenarios (extensions beyond the
- * paper's single-channel evaluation):
+ * Multi-channel scenarios (extensions beyond the paper's
+ * single-channel evaluation):
  *
  *  - perf_channel_sweep: throughput and mitigation overhead vs the
  *    number of interleaved channels.
@@ -10,20 +10,14 @@
  *    is per-channel, so the leak does not cross the interleave.
  *  - covert_channel_parallel: aggregate covert capacity when one
  *    sender/receiver pair runs on every channel in parallel.
- *  - fastforward_benchmark: wall-clock win of idle-cycle
- *    fast-forward on low-RBMPKI pointer-chase workloads, with a
- *    built-in check that no reported statistic moves.
  */
 
 #include "sim/scenario.h"
 
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "telemetry/stopwatch.h"
 
 #include "attack/agents.h"
 #include "attack/covert.h"
@@ -31,7 +25,6 @@
 #include "cpu/system.h"
 #include "sim/design.h"
 #include "sim/scenario_util.h"
-#include "workload/synthetic.h"
 
 namespace pracleak::sim {
 
@@ -305,109 +298,6 @@ covertChannelParallel()
     return scenario;
 }
 
-// --- Fast-forward wall-clock benchmark -----------------------------
-
-WorkloadParams
-chaseWorkload(const std::string &name)
-{
-    // Low-RBMPKI by construction: the chase footprint stays cache
-    // resident, so stalls come from cache latency, not DRAM misses.
-    WorkloadParams params =
-        pointerChaseParams(name == "chase_l2" ? 4096 : 12288);
-    params.name = name;
-    return params;
-}
-
-Scenario
-fastforwardBenchmark()
-{
-    Scenario scenario;
-    scenario.name = "fastforward_benchmark";
-    scenario.tags = {"perf"};
-    scenario.title = "Idle-cycle fast-forward: wall-clock speedup on "
-                     "low-RBMPKI pointer chases (results identical)";
-    scenario.notes = "run with --jobs 1 for clean wall-clock "
-                     "numbers; 'identical' must always be true -- "
-                     "fast-forward may never change a statistic";
-    scenario.grid
-        .axis("workload", {"chase_l2", "chase_llc"})
-        .axis("cores", {1, 2})
-        .constant("warmup", 200'000)
-        .constant("measure", 12'000'000);
-
-    scenario.runPoint = [](const ParamSet &params) {
-        const auto cores =
-            static_cast<std::uint32_t>(params.getInt("cores"));
-        RunBudget budget;
-        budget.warmup =
-            static_cast<std::uint64_t>(params.getInt("warmup"));
-        budget.measure =
-            static_cast<std::uint64_t>(params.getInt("measure"));
-        const WorkloadParams workload =
-            chaseWorkload(params.getString("workload"));
-
-        DesignConfig design;
-        design.label = "tprac";
-        design.mitigation = "tprac";
-
-        double wall[2] = {0.0, 0.0};
-        RunResult results[2];
-        for (int ff = 0; ff < 2; ++ff) {
-            design.fastForward = ff == 1;
-            std::vector<std::unique_ptr<WorkloadSource>> sources;
-            for (std::uint32_t i = 0; i < cores; ++i)
-                sources.push_back(makeWorkload(workload, i));
-            System system(makeSystemConfig(design, budget),
-                          std::move(sources));
-            const telemetry::Stopwatch clock;
-            results[ff] = system.run();
-            wall[ff] = clock.seconds();
-        }
-
-        const RunResult &off = results[0];
-        const RunResult &on = results[1];
-        const bool identical =
-            off.measureCycles == on.measureCycles &&
-            off.rowMisses == on.rowMisses &&
-            off.tbRfms == on.tbRfms && off.alerts == on.alerts &&
-            off.aboRfms == on.aboRfms &&
-            off.energyCounts.acts == on.energyCounts.acts &&
-            off.energyCounts.reads == on.energyCounts.reads &&
-            off.ipcSum() == on.ipcSum();
-
-        ResultRow row = JsonValue::object();
-        row.set("rbmpki", on.rbmpki());
-        row.set("wall_off_s", wall[0]);
-        row.set("wall_on_s", wall[1]);
-        row.set("speedup", wall[0] / wall[1]);
-        row.set("cycles_skipped", on.ffCyclesSkipped);
-        // Skipped cycles still advance the clock, so they are a
-        // subset of the measure window.
-        row.set("skip_fraction",
-                static_cast<double>(on.ffCyclesSkipped) /
-                    static_cast<double>(on.measureCycles));
-        row.set("identical", identical);
-        return std::vector<ResultRow>{std::move(row)};
-    };
-
-    scenario.summarize = [](const std::vector<ResultRow> &rows) {
-        double off = 0.0, on = 0.0;
-        std::int64_t broken = 0;
-        for (const ResultRow &row : rows) {
-            off += row.get("wall_off_s")->asDouble();
-            on += row.get("wall_on_s")->asDouble();
-            broken += row.get("identical")->asBool() ? 0 : 1;
-        }
-        ResultRow row = JsonValue::object();
-        row.set("sweep_wall_off_s", off);
-        row.set("sweep_wall_on_s", on);
-        row.set("sweep_speedup", off / on);
-        row.set("non_identical_points", broken);
-        return std::vector<ResultRow>{std::move(row)};
-    };
-    return scenario;
-}
-
 } // namespace
 
 void
@@ -416,7 +306,6 @@ registerMultichannelScenarios(ScenarioRegistry &registry)
     registry.add(perfChannelSweep());
     registry.add(sidechannelCrossChannel());
     registry.add(covertChannelParallel());
-    registry.add(fastforwardBenchmark());
 }
 
 } // namespace pracleak::sim

@@ -119,8 +119,6 @@ fig10Performance()
 {
     Scenario scenario;
     scenario.name = "fig10_performance";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"perf"};
     scenario.title = "Figure 10: normalized performance at NRH=1024";
     scenario.notes = "paper: tprac mean 0.966 (worst 0.917), abo+acb "
@@ -347,8 +345,6 @@ table4Rbmpki()
 {
     Scenario scenario;
     scenario.name = "table4_rbmpki";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"perf"};
     scenario.title = "Table 4: RBMPKI categorization of the workload "
                      "suite";
@@ -401,8 +397,6 @@ table5Energy()
 {
     Scenario scenario;
     scenario.name = "table5_energy";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"perf", "energy"};
     scenario.title = "Table 5: TPRAC energy overhead (high+medium "
                      "subset)";

@@ -8,18 +8,17 @@
  * taps armed (under "none"), then the recorded request stream is
  * replayed against every registered bake-off defense on a fresh
  * controller + mitigation stack.  Both legs run per grid point so the
- * emitted rows carry a measured wall-clock speedup, and the
- * same-defense replay is checked bit-identical against the recording
- * (the fidelity contract; cross-defense replays are the standard
- * open-loop approximation).
+ * rows compare each replay with the full simulation it stands in
+ * for, and the same-defense replay is checked bit-identical against
+ * the recording (the fidelity contract; cross-defense replays are the
+ * standard open-loop approximation).  Each row also carries the
+ * replay's exact scheduler work (ticks fired, cycles jumped).
  */
 
 #include "sim/scenario.h"
 
 #include <string>
 #include <vector>
-
-#include "telemetry/stopwatch.h"
 
 #include "sim/design.h"
 #include "sim/scenario_util.h"
@@ -44,21 +43,18 @@ traceReplayDefenseSweep()
 {
     Scenario scenario;
     scenario.name = "trace_replay_defense_sweep";
-    // Minutes-per-point sweep: checkpoint every finished point.
-    scenario.checkpointEvery = 1;
     scenario.tags = {"trace", "defense", "perf"};
     scenario.title =
         "Trace record/replay: per-workload defense sweep via one "
         "recorded simulation + cheap replays, vs the equivalent "
         "full-simulation sweep";
     scenario.notes =
-        "speedup = full-simulation sweep time / (record + replays): "
-        "both legs produce all 7 defense results -- the recorded run "
-        "IS the none-defense simulation, so the replay leg replays "
-        "only the other 6; the separately-run none replay must "
-        "reproduce the recorded controller stats bit-identically, "
-        "cross-defense replays are open-loop approximations (the "
-        "stream cannot react to added maintenance back-pressure)";
+        "the none replay must reproduce the recorded controller "
+        "stats bit-identically; cross-defense replays are open-loop "
+        "approximations (the stream cannot react to added "
+        "maintenance back-pressure); replay_ticks_fired and "
+        "replay_cycles_jumped count the replay's exact scheduler "
+        "work";
     scenario.grid.axis("entry", toValues(suiteEntryNames()))
         .constant("spec", "ddr5-8000b")
         .constant("nbo", 1024)
@@ -81,7 +77,6 @@ traceReplayDefenseSweep()
 
         // Leg 1: the conventional sweep -- one full simulation per
         // defense.  Keep the results for the fidelity columns.
-        const telemetry::Stopwatch full_clock;
         std::vector<RunResult> full_runs;
         full_runs.reserve(sweepDefenses().size());
         for (const std::string &defense : sweepDefenses()) {
@@ -90,11 +85,8 @@ traceReplayDefenseSweep()
             per_defense.mitigation = defense;
             full_runs.push_back(runOne(entry, per_defense, budget));
         }
-        const double full_seconds = full_clock.seconds();
 
-        // Leg 2: record once (under "none" -- that simulation IS the
-        // none-defense sweep point), replay the other defenses.
-        const telemetry::Stopwatch replay_clock;
+        // Leg 2: record once under "none", replay every defense.
         DesignConfig record_design = design;
         record_design.label = "none";
         record_design.mitigation = "none";
@@ -103,34 +95,11 @@ traceReplayDefenseSweep()
         std::vector<trace::ReplayResult> replays;
         replays.reserve(sweepDefenses().size());
         for (const std::string &defense : sweepDefenses()) {
-            if (defense == "none") {
-                // Placeholder; replaced by the fidelity replay below
-                // (outside the timed leg -- it validates, it does not
-                // produce new sweep data).
-                replays.emplace_back();
-                continue;
-            }
             trace::ReplayOptions options;
             options.mitigation = defense;
             replays.push_back(
                 trace::replayTrace(recorded.trace, options));
         }
-        const double replay_seconds = replay_clock.seconds();
-
-        // Fidelity contract, untimed: a same-defense replay must be
-        // bit-identical to the recording.
-        {
-            trace::ReplayOptions options;
-            options.mitigation = "none";
-            for (std::size_t i = 0; i < sweepDefenses().size(); ++i)
-                if (sweepDefenses()[i] == "none")
-                    replays[i] =
-                        trace::replayTrace(recorded.trace, options);
-        }
-
-        const double speedup =
-            replay_seconds > 0.0 ? full_seconds / replay_seconds
-                                 : 0.0;
 
         std::vector<ResultRow> rows;
         for (std::size_t i = 0; i < sweepDefenses().size(); ++i) {
@@ -159,17 +128,14 @@ traceReplayDefenseSweep()
             if (sweepDefenses()[i] == "none")
                 row.set("bit_identical",
                         replay.matchesRecorded(recorded.trace));
-            row.set("full_seconds", full_seconds);
-            row.set("replay_seconds", replay_seconds);
-            row.set("speedup", speedup);
+            row.set("replay_ticks_fired", replay.sched.ticksFired);
+            row.set("replay_cycles_jumped", replay.sched.cyclesJumped);
             rows.push_back(std::move(row));
         }
         return rows;
     };
 
     scenario.summarize = [](const std::vector<ResultRow> &rows) {
-        double full = 0.0, replay = 0.0;
-        double min_speedup = 0.0;
         std::int64_t entries = 0;
         bool identical = true;
         std::string last_entry;
@@ -178,179 +144,13 @@ traceReplayDefenseSweep()
             if (entry != last_entry) {
                 last_entry = entry;
                 ++entries;
-                full += row.get("full_seconds")->asDouble();
-                replay += row.get("replay_seconds")->asDouble();
-                const double speedup =
-                    row.get("speedup")->asDouble();
-                if (entries == 1 || speedup < min_speedup)
-                    min_speedup = speedup;
             }
             if (const JsonValue *bit = row.get("bit_identical"))
                 identical = identical && bit->asBool();
         }
         ResultRow summary = JsonValue::object();
         summary.set("workloads", entries);
-        summary.set("full_sweep_seconds", full);
-        summary.set("record_replay_seconds", replay);
-        summary.set("speedup",
-                    replay > 0.0 ? full / replay : 0.0);
-        summary.set("min_point_speedup", min_speedup);
         summary.set("all_bit_identical", identical);
-        return std::vector<ResultRow>{std::move(summary)};
-    };
-    return scenario;
-}
-
-/**
- * eventqueue_benchmark: event-driven vs lockstep replay scheduling.
- *
- * Replays one recorded multi-channel trace under every bake-off
- * defense twice -- once with the lockstep per-cycle loop (fastForward
- * off) and once with the per-channel event loop (fastForward on) --
- * and asserts the two paths produce byte-identical per-channel stats.
- * The emitted speedup is the number CI guards (scripts/perf_smoke.sh)
- * and results/eventqueue_bench.json records.
- */
-Scenario
-eventqueueBenchmark()
-{
-    Scenario scenario;
-    scenario.name = "eventqueue_benchmark";
-    scenario.checkpointEvery = 1;
-    scenario.tags = {"trace", "perf"};
-    scenario.title =
-        "Event-driven per-channel replay scheduling vs the lockstep "
-        "per-cycle tick: wall-clock speedup on a defense sweep "
-        "(stats byte-identical)";
-    scenario.notes =
-        "run with --jobs 1 for clean wall-clock numbers; 'identical' "
-        "must always be true -- the event scheduler may never change "
-        "a statistic -- and the same-defense event replay must stay "
-        "bit-identical to the recording; the win grows with channel "
-        "count (each channel advances independently while lockstep "
-        "ticks all of them every cycle)";
-    // One grid point on purpose: the whole sweep runs inside a
-    // single pool task, so the wall-clock legs never interleave with
-    // another point's work (the pool's calling thread participates
-    // in map(), so even --jobs 1 would otherwise overlap two points
-    // and contaminate the per-leg timings).
-    scenario.grid
-        .constant("channels", 8)
-        .constant("spec", "ddr5-8000b")
-        .constant("nbo", 1024)
-        .constant("warmup", 20'000)
-        .constant("measure", 120'000);
-
-    scenario.runPoint = [](const ParamSet &params) {
-        DesignConfig design;
-        design.label = "none";
-        design.mitigation = "none";
-        design.spec = params.getString("spec");
-        design.nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
-        design.channels =
-            static_cast<std::uint32_t>(params.getInt("channels"));
-        RunBudget budget;
-        budget.warmup =
-            static_cast<std::uint64_t>(params.getInt("warmup"));
-        budget.measure =
-            static_cast<std::uint64_t>(params.getInt("measure"));
-
-        auto bench_entry = [&](const char *entry_name,
-                               std::vector<ResultRow> &rows) {
-            const RecordedRun recorded = recordSuiteRun(
-                findSuiteEntry(entry_name), design, budget);
-
-            std::vector<ResultRow> entry_rows;
-            double lockstep_total = 0.0, event_total = 0.0;
-            for (const std::string &defense : sweepDefenses()) {
-                trace::ReplayOptions options;
-                options.mitigation = defense;
-
-                options.fastForward = false;
-                const telemetry::Stopwatch lockstep_clock;
-                const trace::ReplayResult lockstep =
-                    trace::replayTrace(recorded.trace, options);
-                const double lockstep_seconds =
-                    lockstep_clock.seconds();
-
-                options.fastForward = true;
-                const telemetry::Stopwatch event_clock;
-                const trace::ReplayResult event =
-                    trace::replayTrace(recorded.trace, options);
-                const double event_seconds = event_clock.seconds();
-
-                lockstep_total += lockstep_seconds;
-                event_total += event_seconds;
-
-                // The equivalence contract: every per-channel
-                // statistic, the horizon, and the drain status must
-                // match exactly.
-                bool identical =
-                    lockstep.endCycle == event.endCycle &&
-                    lockstep.replayedRequests ==
-                        event.replayedRequests &&
-                    lockstep.fullyDrained == event.fullyDrained &&
-                    lockstep.channels.size() ==
-                        event.channels.size();
-                if (identical)
-                    for (std::size_t c = 0;
-                         c < event.channels.size(); ++c)
-                        identical = identical &&
-                                    lockstep.channels[c] ==
-                                        event.channels[c];
-
-                ResultRow row = JsonValue::object();
-                row.set("entry", entry_name);
-                row.set("mitigation", defense);
-                row.set("lockstep_seconds", lockstep_seconds);
-                row.set("event_seconds", event_seconds);
-                row.set("speedup",
-                        event_seconds > 0.0
-                            ? lockstep_seconds / event_seconds
-                            : 0.0);
-                row.set("identical", identical);
-                if (defense == "none")
-                    row.set("bit_identical",
-                            event.matchesRecorded(recorded.trace));
-                entry_rows.push_back(std::move(row));
-            }
-            for (ResultRow &row : entry_rows) {
-                row.set("entry_lockstep_seconds", lockstep_total);
-                row.set("entry_event_seconds", event_total);
-                row.set("entry_speedup",
-                        event_total > 0.0
-                            ? lockstep_total / event_total
-                            : 0.0);
-                rows.push_back(std::move(row));
-            }
-        };
-
-        std::vector<ResultRow> rows;
-        for (const char *entry_name :
-             {"h_rand_heavy", "m_blend", "l_compute"})
-            bench_entry(entry_name, rows);
-        return rows;
-    };
-
-    scenario.summarize = [](const std::vector<ResultRow> &rows) {
-        double lockstep = 0.0, event = 0.0;
-        std::int64_t broken = 0;
-        bool bit_identical = true;
-        for (const ResultRow &row : rows) {
-            lockstep += row.get("lockstep_seconds")->asDouble();
-            event += row.get("event_seconds")->asDouble();
-            broken += row.get("identical")->asBool() ? 0 : 1;
-            if (const JsonValue *bit = row.get("bit_identical"))
-                bit_identical = bit_identical && bit->asBool();
-        }
-        ResultRow summary = JsonValue::object();
-        summary.set("sweep_lockstep_seconds", lockstep);
-        summary.set("sweep_event_seconds", event);
-        summary.set("speedup",
-                    event > 0.0 ? lockstep / event : 0.0);
-        summary.set("non_identical_points", broken);
-        summary.set("all_bit_identical", bit_identical);
         return std::vector<ResultRow>{std::move(summary)};
     };
     return scenario;
@@ -362,7 +162,6 @@ void
 registerTraceScenarios(ScenarioRegistry &registry)
 {
     registry.add(traceReplayDefenseSweep());
-    registry.add(eventqueueBenchmark());
 }
 
 } // namespace pracleak::sim

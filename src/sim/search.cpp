@@ -211,7 +211,6 @@ runAttackerSearch(const SearchOptions &options)
                      options.targetDefense + ".r" +
                      std::to_string(round);
         inner.title = "attacker search round";
-        inner.checkpointEvery = 1;
         std::vector<JsonValue> axis;
         for (const std::uint32_t id : surviving)
             axis.emplace_back(static_cast<std::int64_t>(id));

@@ -177,6 +177,13 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
         result.channels.push_back(stats);
         result.replayedRequests += cores[c].replayed();
         result.fullyDrained = result.fullyDrained && cores[c].done();
+        const SchedCounters &sched = mems[c]->schedCounters();
+        result.sched.ticksFired += sched.ticksFired;
+        result.sched.cyclesJumped += sched.cyclesJumped;
+        result.sched.nextWorkCacheHits += sched.nextWorkCacheHits;
+        result.sched.nextWorkRebuilds += sched.nextWorkRebuilds;
+        result.sched.nextWorkHintRebuilds +=
+            sched.nextWorkHintRebuilds;
     }
     return result;
 }

@@ -49,6 +49,13 @@ struct ReplayResult
 
     std::vector<TraceChannelStats> channels;
 
+    /**
+     * Scheduler work summed over channels, read once after the
+     * replay: exact and deterministic, so a scheduler regression
+     * shows up as a changed count.
+     */
+    SchedCounters sched;
+
     /** Field-wise sum over channels (max for maxCounterSeen). */
     TraceChannelStats total() const;
 

@@ -79,8 +79,8 @@ makeWorkload(const WorkloadParams &params, std::uint32_t core_id);
  * Serialized pointer-chase parameters: every load is dependent and
  * random within @p footprint_lines, with no stores.  Cache-resident
  * footprints give a low-RBMPKI workload whose stalls come from cache
- * latency -- the idle-cycle fast-forward stress case shared by the
- * fastforward_benchmark scenario, its tests, and the microbenchmarks.
+ * latency -- the idle-cycle fast-forward stress case of
+ * tests/test_fastforward.cpp and tests/test_mitigation.cpp.
  */
 WorkloadParams pointerChaseParams(std::uint64_t footprint_lines);
 

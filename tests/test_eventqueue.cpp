@@ -92,35 +92,42 @@ expectRunsIdentical(const RunResult &lockstep, const RunResult &event)
  * the lockstep and the event scheduler; all per-channel stats, the
  * horizon, and the drain status must match exactly.  Cross-defense
  * replays exercise back-pressure (the blocked-core skip) and every
- * drain flavour (RFMab, RFMpb, refresh) against the bound.
+ * drain flavour (RFMab, RFMpb, refresh) against the bound, on 2 and
+ * on 8 channels.
  */
 TEST(EventQueue, EveryDefenseMultiChannelReplayIdentical)
 {
-    sim::DesignConfig design;
-    design.label = "eventqueue";
-    design.mitigation = "none";
-    design.nbo = 1024;
-    design.channels = 2;
-    sim::RunBudget budget;
-    budget.warmup = 5'000;
-    budget.measure = 40'000;
-    const sim::RecordedRun recorded = sim::recordSuiteRun(
-        sim::findSuiteEntry("h_scan_mix"), design, budget);
+    for (const std::uint32_t channels : {2u, 8u}) {
+        sim::DesignConfig design;
+        design.label = "eventqueue";
+        design.mitigation = "none";
+        design.nbo = 1024;
+        design.channels = channels;
+        sim::RunBudget budget;
+        budget.warmup = 5'000;
+        budget.measure = 40'000;
+        const sim::RecordedRun recorded = sim::recordSuiteRun(
+            sim::findSuiteEntry("h_scan_mix"), design, budget);
 
-    for (const std::string &defense : mitigationNames()) {
-        trace::ReplayOptions options;
-        options.mitigation = defense;
-        options.fastForward = false;
-        const trace::ReplayResult lockstep =
-            trace::replayTrace(recorded.trace, options);
-        options.fastForward = true;
-        const trace::ReplayResult event =
-            trace::replayTrace(recorded.trace, options);
-        expectReplaysIdentical(lockstep, event, defense);
-        if (defense == "none")
-            EXPECT_TRUE(event.matchesRecorded(recorded.trace))
-                << "same-defense event replay must reproduce the "
-                   "recording bit-for-bit";
+        for (const std::string &defense : mitigationNames()) {
+            const std::string label =
+                defense + " on " + std::to_string(channels) +
+                " channels";
+            trace::ReplayOptions options;
+            options.mitigation = defense;
+            options.fastForward = false;
+            const trace::ReplayResult lockstep =
+                trace::replayTrace(recorded.trace, options);
+            options.fastForward = true;
+            const trace::ReplayResult event =
+                trace::replayTrace(recorded.trace, options);
+            expectReplaysIdentical(lockstep, event, label);
+            if (defense == "none")
+                EXPECT_TRUE(event.matchesRecorded(recorded.trace))
+                    << label
+                    << ": same-defense event replay must reproduce "
+                       "the recording bit-for-bit";
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/system.h"
@@ -102,30 +103,38 @@ TEST(FastForward, MultiChannelIdentical)
 
 TEST(FastForward, CacheResidentChaseSkipsDeepAndStaysExact)
 {
-    // An LLC-resident pointer chase is the fast-forward sweet spot:
-    // long all-core stalls with no DRAM work due.  The majority of
+    // A cache-resident pointer chase is the fast-forward sweet spot:
+    // long all-core stalls with no DRAM work due.  Over L2- and
+    // LLC-sized footprints on one and two cores, a deep share of the
     // cycles must be skipped and every statistic must still match.
-    const WorkloadParams params = pointerChaseParams(4096);
-
-    RunResult results[2];
-    for (int ff = 0; ff < 2; ++ff) {
-        sim::DesignConfig design;
-        design.label = "chase";
-        design.mitigation = "tprac";
-        design.fastForward = ff == 1;
-        sim::RunBudget budget;
-        budget.warmup = 60'000;
-        budget.measure = 200'000;
-        std::vector<std::unique_ptr<WorkloadSource>> sources;
-        sources.push_back(makeWorkload(params, 0));
-        System system(sim::makeSystemConfig(design, budget),
-                      std::move(sources));
-        results[ff] = system.run();
+    for (const std::uint64_t lines : {4096u, 12288u}) {
+        for (const std::uint32_t cores : {1u, 2u}) {
+            const WorkloadParams params = pointerChaseParams(lines);
+            RunResult results[2];
+            for (int ff = 0; ff < 2; ++ff) {
+                sim::DesignConfig design;
+                design.label = "chase";
+                design.mitigation = "tprac";
+                design.fastForward = ff == 1;
+                sim::RunBudget budget;
+                budget.warmup = 60'000;
+                budget.measure = 200'000;
+                std::vector<std::unique_ptr<WorkloadSource>> sources;
+                for (std::uint32_t core = 0; core < cores; ++core)
+                    sources.push_back(makeWorkload(params, core));
+                System system(sim::makeSystemConfig(design, budget),
+                              std::move(sources));
+                results[ff] = system.run();
+            }
+            SCOPED_TRACE(std::to_string(lines) + " lines, " +
+                         std::to_string(cores) + " cores");
+            expectIdentical(results[0], results[1]);
+            EXPECT_GT(results[1].ffCyclesSkipped,
+                      results[1].measureCycles / 4)
+                << "expected deep skips on a serialized cache-hit "
+                   "chase";
+        }
     }
-    expectIdentical(results[0], results[1]);
-    EXPECT_GT(results[1].ffCyclesSkipped,
-              results[1].measureCycles / 4)
-        << "expected deep skips on a serialized cache-hit chase";
 }
 
 TEST(FastForward, ObfuscationModeIdentical)

@@ -270,9 +270,9 @@ TEST(MitigationFastForward, ResultsIdenticalForNewDefenses)
     budget.warmup = 5'000;
     budget.measure = 100'000;
 
-    // Low-RBMPKI pointer chase: the workload fast-forward measurably
-    // accelerates (see fastforward_benchmark), so nextMaintenanceAt
-    // of every new defense is exercised for real.
+    // Low-RBMPKI pointer chase: fast-forward skips most of its
+    // cycles (FastForward.CacheResidentChaseSkipsDeepAndStaysExact),
+    // so nextMaintenanceAt of every new defense is exercised for real.
     auto run = [&](const char *defense, bool fast_forward) {
         DesignConfig design;
         design.label = defense;

@@ -200,10 +200,9 @@ TEST(ScenarioRegistry, BuiltinsCoverEveryFigureAndTable)
         "table2_covert_channels", "table4_rbmpki", "table5_energy",
         "ablation_obfuscation", "ablation_queues", "ablation_rfmpb",
         "perf_channel_sweep", "sidechannel_cross_channel",
-        "covert_channel_parallel", "fastforward_benchmark",
-        "defense_matrix_adaptive", "defense_matrix_leakage",
-        "defense_matrix_perf", "defense_matrix_security",
-        "trace_replay_defense_sweep", "eventqueue_benchmark",
+        "covert_channel_parallel", "defense_matrix_adaptive",
+        "defense_matrix_leakage", "defense_matrix_perf",
+        "defense_matrix_security", "trace_replay_defense_sweep",
         "leakage_timeline"};
     EXPECT_EQ(registry.size(), std::size(names));
     for (const char *name : names)

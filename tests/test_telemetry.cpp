@@ -48,7 +48,6 @@ telemetryScenario()
     scenario.title = "telemetry unit scenario";
     scenario.grid.axis("x", {1, 2, 3})
         .axis("tag", {JsonValue("a"), JsonValue("b")});
-    scenario.checkpointEvery = 1;
     scenario.runPoint = [](const ParamSet &params) {
         ResultRow row = JsonValue::object();
         row.set("ratio",
