@@ -80,14 +80,14 @@ ProbeAgent::spikeThreshold()
 void
 ProbeAgent::tick(MemoryController &mem, Cycle)
 {
-    if (inFlight_)
+    if (asleep_)
         return;
 
     Request req;
     req.type = ReqType::Read;
     req.addr = addr_;
     req.onComplete = [this](const Request &done) {
-        inFlight_ = false;
+        asleep_ = false;
         ++completed_;
         const LatencySample sample{done.completed, done.latency()};
         if (sample.latency >= spikeThreshold())
@@ -95,8 +95,9 @@ ProbeAgent::tick(MemoryController &mem, Cycle)
         if (recordAll_ || sample.latency >= spikeThreshold())
             samples_.push_back(sample);
     };
-    if (mem.enqueue(std::move(req)))
-        inFlight_ = true;
+    // A refused read retries next cycle, so only an accepted one
+    // puts the probe to sleep.
+    asleep_ = mem.enqueue(std::move(req));
 }
 
 bool
@@ -141,8 +142,8 @@ HammerAgent::startHammer(std::uint32_t target_acts)
     active_ = true;
     nextIsTarget_ = true;
     targetBudget_ = target_acts;
-    targetIssued_ = 0;
     targetDone_ = 0;
+    updateSleep();
 }
 
 void
@@ -150,6 +151,7 @@ HammerAgent::stop()
 {
     active_ = false;
     targetBudget_ = 0;
+    updateSleep();
 }
 
 bool
@@ -173,17 +175,23 @@ HammerAgent::nextAddress()
 }
 
 void
+HammerAgent::updateSleep()
+{
+    // Idle, pipeline full, or the burst's last reads draining: only a
+    // completion callback, startHammer() or stop() changes that.
+    asleep_ = !active_ || outstanding_ >= maxOutstanding_ ||
+              (targetBudget_ == 0 && nextIsTarget_ && outstanding_ > 0);
+}
+
+void
 HammerAgent::tick(MemoryController &mem, Cycle)
 {
-    if (!active_)
-        return;
-
-    while (outstanding_ < maxOutstanding_) {
+    while (active_ && outstanding_ < maxOutstanding_) {
         if (targetBudget_ == 0 && nextIsTarget_) {
             // Burst complete once in-flight reads drain.
             if (outstanding_ == 0)
                 active_ = false;
-            return;
+            break;
         }
 
         const bool is_target = nextIsTarget_;
@@ -196,6 +204,7 @@ HammerAgent::tick(MemoryController &mem, Cycle)
             --outstanding_;
             if (is_target)
                 ++targetDone_;
+            updateSleep();
         };
         if (!mem.enqueue(std::move(req))) {
             // Queue full: undo the sequencing step and retry later.
@@ -203,35 +212,27 @@ HammerAgent::tick(MemoryController &mem, Cycle)
             if (!is_target)
                 decoyIdx_ = (decoyIdx_ + decoyAddrs_.size() - 1) %
                             decoyAddrs_.size();
-            return;
+            break;
         }
         ++outstanding_;
-        if (is_target) {
+        if (is_target)
             --targetBudget_;
-            ++targetIssued_;
-        }
     }
+    updateSleep();
 }
 
 // --------------------------------------------------------- FeintingAgent
 
 FeintingAgent::FeintingAgent(MemoryController &mem,
-                             std::uint32_t pool_size,
-                             std::uint32_t target_row)
-    : mem_(mem), targetRow_(target_row)
-{
-    for (std::uint32_t i = 0; i < pool_size; ++i)
-        pool_.push_back(target_row + 1 + i);
-    pool_.push_back(target_row);
-}
-
-FeintingAgent::FeintingAgent(MemoryController &mem,
                              const AttackerConfig &config)
-    : FeintingAgent(mem,
-                    config.poolSize == 0 ? deriveFeintingPool(mem)
-                                         : config.poolSize,
-                    config.targetRow)
+    : mem_(mem), targetRow_(config.targetRow)
 {
+    const std::uint32_t pool_size = config.poolSize == 0
+                                        ? deriveFeintingPool(mem)
+                                        : config.poolSize;
+    for (std::uint32_t i = 0; i < pool_size; ++i)
+        pool_.push_back(targetRow_ + 1 + i);
+    pool_.push_back(targetRow_);
 }
 
 std::uint32_t
@@ -256,15 +257,17 @@ FeintingAgent::nextRow()
 void
 FeintingAgent::tick(MemoryController &mem, Cycle)
 {
-    while (outstanding_ < 2) {
+    // Draw a row only for a request the controller takes: a refused
+    // draw would skip that row for the rest of the wave, and the
+    // wave-end pruning would then drop it as mitigated.
+    while (outstanding_ < 2 && mem.canAccept()) {
         Request req;
         req.addr = mem.mapper().compose(
             DramAddress{0, 0, 0, nextRow(), 0});
         req.onComplete = [this](const Request &) {
             --outstanding_;
         };
-        if (!mem.enqueue(std::move(req)))
-            return;
+        mem.enqueue(std::move(req));
         ++outstanding_;
     }
 }

@@ -9,6 +9,10 @@
  *    between a target row and decoy rows in the same bank so every
  *    target read forces a row conflict and hence exactly one ACT of
  *    the target.
+ *
+ * Both sleep (MemAgent::asleep()) while their tick() has nothing to
+ * do until one of their reads completes or their owner calls in;
+ * FeintingAgent ticks every cycle.
  */
 
 #ifndef PRACLEAK_ATTACK_AGENTS_H
@@ -31,7 +35,10 @@ struct LatencySample
     Cycle latency = 0;
 };
 
-/** Spy that measures its own memory-access latency continuously. */
+/**
+ * Spy that measures its own memory-access latency continuously.
+ * Asleep exactly while its read is in flight.
+ */
 class ProbeAgent : public MemAgent
 {
   public:
@@ -77,7 +84,6 @@ class ProbeAgent : public MemAgent
   private:
     Addr addr_;
     bool recordAll_;
-    bool inFlight_ = false;
     std::uint64_t completed_ = 0;
     std::vector<LatencySample> samples_;
     Cycle lastSpikeAt_ = 0;
@@ -96,23 +102,11 @@ class FeintingAgent : public MemAgent
 {
   public:
     /**
-     * @param mem        Controller whose PRAC counters steer pruning.
-     * @param pool_size  Initial decoy-row count.
-     * @param target_row Row being driven toward NBO (same bank 0).
-     *
-     * Deprecated entry point: prefer the AttackerConfig overload (or
-     * attackerByName("feinting", ...)), which derives the pool from
-     * the controller's spec when the knob is left at zero.
-     */
-    FeintingAgent(MemoryController &mem, std::uint32_t pool_size,
-                  std::uint32_t target_row);
-
-    /**
-     * Registry-style construction: @p config.poolSize decoys around
-     * @p config.targetRow; poolSize 0 derives the TB-RFM-safe
+     * @p config.poolSize decoys at rows targetRow + 1 .. + poolSize
+     * around @p config.targetRow, all in bank 0 of @p mem (whose PRAC
+     * counters steer pruning); poolSize 0 derives the TB-RFM-safe
      * worst-case pool from @p mem's spec (the defense bake-off's
-     * sizing).  The wave stays pinned to bank 0 like the legacy
-     * constructor.
+     * sizing).
      */
     FeintingAgent(MemoryController &mem, const AttackerConfig &config);
 
@@ -175,6 +169,9 @@ class HammerAgent : public MemAgent
   private:
     Addr nextAddress();
 
+    /** Re-derive asleep_ after any change to the burst state. */
+    void updateSleep();
+
     const AddressMapper &mapper_;
     Addr targetAddr_;
     std::vector<Addr> decoyAddrs_;
@@ -184,7 +181,6 @@ class HammerAgent : public MemAgent
     bool nextIsTarget_ = true;
     std::size_t decoyIdx_ = 0;
     std::uint32_t targetBudget_ = 0;   //!< target reads left to issue
-    std::uint32_t targetIssued_ = 0;
     std::uint32_t targetDone_ = 0;
     std::uint32_t outstanding_ = 0;
 };

@@ -33,7 +33,8 @@ AttackHarness::step()
 {
     const Cycle now = mems_[0]->now();
     for (const Pinned &pinned : agents_)
-        pinned.agent->tick(*mems_[pinned.channel], now);
+        if (!pinned.agent->asleep())
+            pinned.agent->tick(*mems_[pinned.channel], now);
     for (auto &mem : mems_)
         mem->advanceTo(now + 1);
 }

@@ -12,11 +12,13 @@
  * cross-channel experiments place a victim and a spy on different
  * PRAC engines.  The default is the classic single-channel harness.
  *
- * Every step() moves all channels one cycle on the event clock
- * (MemoryController::advanceTo), so a cycle on which a controller
- * provably has no work costs one comparison instead of a tick.  The
- * result is bit-identical to ticking every channel every cycle
- * (src/mem/DESIGN.md, "Drivers").
+ * Every step() ticks only the agents that are awake
+ * (MemAgent::asleep()) and moves all channels one cycle on the event
+ * clock (MemoryController::advanceTo), so a cycle on which a
+ * controller provably has no work costs one comparison instead of a
+ * tick.  The result is bit-identical to ticking every agent and
+ * every channel every cycle (src/mem/DESIGN.md, "Drivers";
+ * src/attack/DESIGN.md).
  */
 
 #ifndef PRACLEAK_ATTACK_HARNESS_H
@@ -39,10 +41,23 @@ class MemAgent
 
     /**
      * Called once per cycle, before any channel advances past
-     * @p now.  The controller state it sees equals what a per-cycle
-     * tick() loop would show.
+     * @p now, unless the agent is asleep().  The controller state it
+     * sees equals what a per-cycle tick() loop would show.  A tick of
+     * an asleep agent must change nothing, so a loop that ticks every
+     * agent every cycle stays a valid reference.
      */
     virtual void tick(MemoryController &mem, Cycle now) = 0;
+
+    /**
+     * Whether tick() would change nothing until one of this agent's
+     * own completion callbacks runs or its owner calls into it.  The
+     * agent alone sets the flag, so agents that never touch it tick
+     * every cycle.
+     */
+    bool asleep() const { return asleep_; }
+
+  protected:
+    bool asleep_ = false;
 };
 
 /** Owns one controller per channel and steps agents against them. */
@@ -74,8 +89,8 @@ class AttackHarness
     }
 
     /**
-     * One cycle: tick every agent at now(), then advance every
-     * channel to now() + 1.
+     * One cycle: tick every agent that is not asleep() at now(), then
+     * advance every channel to now() + 1.
      */
     void step();
 

@@ -868,7 +868,7 @@ MemoryController::skipTo(Cycle target)
 }
 
 void
-MemoryController::advanceTo(Cycle target)
+MemoryController::advanceBySteps(Cycle target)
 {
     // Skip only on a cached bound.  When the cache is invalid (the
     // last tick issued, or a request arrived), tick immediately

@@ -159,7 +159,19 @@ class MemoryController
      * tick() and a successful enqueue() -- so a quiescent channel
      * advances in O(1) per call instead of O(queue) per cycle.
      */
-    void advanceTo(Cycle target);
+    void
+    advanceTo(Cycle target)
+    {
+        // Inline for the common attack-harness call: the cached bound
+        // already covers the whole span.
+        if (nextWorkCacheValid_ && nextWorkCache_ >= target &&
+            target > now_) {
+            sched_.cyclesJumped += target - now_;
+            now_ = target;
+            return;
+        }
+        advanceBySteps(target);
+    }
 
     /**
      * Earliest cycle >= now() at which tick() could have any effect:
@@ -335,6 +347,9 @@ class MemoryController
         std::uint32_t flatBank = 0; //!< RFMpb target
         std::uint32_t rfmsRemaining = 0;
     };
+
+    /** advanceTo() past its inline fast path: jump or tick per span. */
+    void advanceBySteps(Cycle target);
 
     void startAboServiceIfNeeded();
     void startProactiveRfmIfNeeded();

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the attack building-block agents (probe, hammer)
- * and the AttackHarness itself.
+ * Unit tests for the attack building-block agents (probe, hammer,
+ * Feinting wave) and the AttackHarness itself.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "attack/agents.h"
 #include "attack/harness.h"
@@ -159,6 +161,32 @@ TEST(HammerAgentTest, RateApproachesBankPipelineLimit)
     const Cycle per_act =
         2 * (spec.timing.tRP + spec.timing.tRCD + spec.timing.tRTP);
     EXPECT_LT(elapsed, 200 * per_act * 12 / 10);
+}
+
+TEST(FeintingAgentTest, RefusedEnqueueSkipsNoRow)
+{
+    // A one-entry queue refuses most of the wave's requests.  Every
+    // row of the pool must still be activated: a row drawn for a
+    // refused request would be skipped for the rest of the wave and
+    // then pruned as mitigated (its counter still 0).
+    ControllerConfig config = quietConfig();
+    config.queueCapacity = 1;
+    AttackHarness harness(DramSpec::ddr5_8000b(), config);
+    std::map<std::uint32_t, std::uint32_t> acts; // bank 0 row -> ACTs
+    harness.mem().dram().setTraceSink([&](const Command &cmd, Cycle) {
+        if (cmd.type == CmdType::ACT && cmd.rank == 0 &&
+            cmd.bankGroup == 0 && cmd.bank == 0)
+            ++acts[cmd.row];
+    });
+    AttackerConfig wave_config;
+    wave_config.poolSize = 8;
+    wave_config.targetRow = 5000;
+    FeintingAgent wave(harness.mem(), wave_config);
+    harness.add(&wave);
+    harness.run(20000);
+
+    for (std::uint32_t row = 5000; row <= 5008; ++row)
+        EXPECT_GE(acts[row], 5u) << "row " << row;
 }
 
 TEST(HarnessTest, RunUntilStopsOnPredicate)

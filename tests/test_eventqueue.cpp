@@ -207,6 +207,7 @@ struct HarnessRun
     std::vector<std::array<std::uint64_t, kRfmReasonCount>> rfms;
     std::vector<std::uint64_t> alerts;
     std::vector<std::uint64_t> mitigationEvents; //!< PARA's only trace
+    std::uint64_t fullSteps = 0; //!< steps begun with channel 0 full
     Cycle endCycle = 0;
 };
 
@@ -223,17 +224,18 @@ sampleTimes(const ProbeAgent &probe)
  * The defense_matrix_leakage shape with refresh on: a victim hammers
  * bank 18 of channel 0 in ON/OFF bursts while a same-bank probe
  * watches on channel 0 and a bank-0 probe on the last channel.  With
- * @p event the harness steps the channels; otherwise the lockstep
- * reference: a local loop ticks the agents, then tick()s every
- * channel.
+ * @p event the harness steps the channels, skipping asleep agents;
+ * otherwise the lockstep reference: a local loop ticks every agent,
+ * then tick()s every channel.
  */
 HarnessRun
 runLeakShape(const std::string &defense, std::uint32_t channels,
-             bool event)
+             bool event, std::size_t queue_capacity)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 64;
     ControllerConfig config;
+    config.queueCapacity = queue_capacity;
     configureDefense(config, defense, spec);
 
     // Declared before the harness: its trace sinks write into both.
@@ -272,6 +274,7 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
         for (const auto &[agent, channel] : agents)
             harness.add(agent, channel);
     auto step = [&] {
+        run.fullSteps += !harness.mem().canAccept();
         if (event) {
             harness.step();
             return;
@@ -318,19 +321,21 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
 }
 
 /**
- * Golden: the attack harness on the event clock against a lockstep
- * reference loop, under every registered defense on one and two
- * channels.  Agents see controller state between cycles, so any
- * skipped effective tick would show up as a shifted probe sample.
+ * The leak shape under every registered defense on one and two
+ * channels, on the harness and on the lockstep reference.  Returns
+ * the lockstep runs' total count of steps begun with channel 0 full.
  */
-TEST(EventQueue, AttackHarnessMatchesLockstep)
+std::uint64_t
+expectHarnessMatchesLockstep(std::size_t queue_capacity)
 {
+    std::uint64_t full_steps = 0;
     for (const std::string &defense : mitigationNames()) {
         for (const std::uint32_t channels : {1u, 2u}) {
             SCOPED_TRACE(defense + " x" + std::to_string(channels));
             const HarnessRun lockstep =
-                runLeakShape(defense, channels, false);
-            const HarnessRun event = runLeakShape(defense, channels, true);
+                runLeakShape(defense, channels, false, queue_capacity);
+            const HarnessRun event =
+                runLeakShape(defense, channels, true, queue_capacity);
             EXPECT_FALSE(lockstep.nearSamples.empty());
             EXPECT_FALSE(lockstep.farSamples.empty());
             EXPECT_EQ(lockstep.nearSamples, event.nearSamples);
@@ -339,9 +344,35 @@ TEST(EventQueue, AttackHarnessMatchesLockstep)
             EXPECT_EQ(lockstep.rfms, event.rfms);
             EXPECT_EQ(lockstep.alerts, event.alerts);
             EXPECT_EQ(lockstep.mitigationEvents, event.mitigationEvents);
+            EXPECT_EQ(lockstep.fullSteps, event.fullSteps);
             EXPECT_EQ(lockstep.endCycle, event.endCycle);
+            full_steps += lockstep.fullSteps;
         }
     }
+    return full_steps;
+}
+
+/**
+ * Golden: the attack harness on the event clock, with sleeping
+ * agents, against a lockstep reference loop that ticks every agent
+ * every cycle.  Agents see controller state between cycles, so any
+ * skipped effective tick or missed wake-up would show up as a
+ * shifted probe sample.
+ */
+TEST(EventQueue, AttackHarnessMatchesLockstep)
+{
+    expectHarnessMatchesLockstep(ControllerConfig{}.queueCapacity);
+}
+
+/**
+ * The same under back-pressure: a two-entry queue refuses enqueues,
+ * so the agents take their refused-enqueue paths, on which an agent
+ * must stay awake to retry.
+ */
+TEST(EventQueue, AttackHarnessMatchesLockstepUnderBackPressure)
+{
+    EXPECT_GT(expectHarnessMatchesLockstep(2), 0u)
+        << "the queue never filled";
 }
 
 } // namespace

@@ -10,8 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include "attack/agents.h"
 #include "attack/harness.h"
 #include "mem/controller.h"
 #include "tprac/analysis.h"
@@ -20,68 +19,15 @@
 namespace pracleak {
 namespace {
 
-/**
- * Memory-level Feinting attacker: uniformly sweeps a decoy pool each
- * round, drops mitigated rows (it knows the queue state by assumption
- * of full system knowledge), and finally concentrates on the target.
- */
-class FeintingAgent : public MemAgent
+/** The Feinting wave: @p pool decoys above target row 5000 of bank 0. */
+AttackerConfig
+feinting(std::uint32_t pool)
 {
-  public:
-    FeintingAgent(MemoryController &mem, std::uint32_t pool_size,
-                  std::uint32_t target_row)
-        : mem_(mem), targetRow_(target_row)
-    {
-        for (std::uint32_t i = 0; i < pool_size; ++i)
-            pool_.push_back(target_row + 1 + i);
-        pool_.push_back(target_row);
-    }
-
-    void
-    tick(MemoryController &mem, Cycle) override
-    {
-        while (outstanding_ < 2) {
-            const std::uint32_t row = nextRow();
-            Request req;
-            req.addr = mem.mapper().compose(
-                DramAddress{0, 0, 0, row, 0});
-            req.onComplete = [this](const Request &) {
-                --outstanding_;
-            };
-            if (!mem.enqueue(std::move(req)))
-                return;
-            ++outstanding_;
-        }
-    }
-
-  private:
-    std::uint32_t
-    nextRow()
-    {
-        // Refresh the pool from the engine's view: drop mitigated
-        // rows (counter returned to zero) except the target.
-        if (cursor_ >= pool_.size()) {
-            cursor_ = 0;
-            std::vector<std::uint32_t> alive;
-            const std::uint32_t bank = 0;
-            for (const std::uint32_t row : pool_) {
-                if (row == targetRow_ ||
-                    mem_.prac().counters().get(bank, row) > 0)
-                    alive.push_back(row);
-            }
-            pool_ = std::move(alive);
-        }
-        if (pool_.size() <= 1)
-            return targetRow_; // final phase: hammer the target
-        return pool_[cursor_++];
-    }
-
-    MemoryController &mem_;
-    std::uint32_t targetRow_;
-    std::vector<std::uint32_t> pool_;
-    std::size_t cursor_ = 0;
-    std::uint32_t outstanding_ = 0;
-};
+    AttackerConfig config;
+    config.poolSize = pool;
+    config.targetRow = 5000;
+    return config;
+}
 
 /** Feinting vs TPRAC across NBO values and reset policies. */
 class FeintingVsTprac
@@ -120,7 +66,7 @@ TEST_P(FeintingVsTprac, NoRowEverReachesNbo)
             fp.rowsPerBank),
         2048));
 
-    FeintingAgent attacker(harness.mem(), pool, 5000);
+    FeintingAgent attacker(harness.mem(), feinting(pool));
     harness.add(&attacker);
 
     // Run the complete attack: every decoy must be eliminated plus
@@ -158,7 +104,7 @@ TEST(Security, SingleEntryQueueMatchesIdealUnderFeinting)
         config.prac.queue = queue;
         config.tbRfm = TbRfmConfig::forNbo(512, true, spec);
         AttackHarness harness(spec, config);
-        FeintingAgent attacker(harness.mem(), 256, 5000);
+        FeintingAgent attacker(harness.mem(), feinting(256));
         harness.add(&attacker);
         harness.run(config.tbRfm.windowCycles * 48);
         EXPECT_EQ(harness.mem().prac().alerts(), 0u);
@@ -186,7 +132,7 @@ TEST(Security, AboOnlyIsBreachedByFeinting)
     config.prac.queue = QueueKind::SingleEntry;
 
     AttackHarness harness(spec, config);
-    FeintingAgent attacker(harness.mem(), 64, 5000);
+    FeintingAgent attacker(harness.mem(), feinting(64));
     harness.add(&attacker);
     harness.run(nsToCycles(2.0e6));
 
@@ -211,7 +157,7 @@ TEST(Security, FifoQueueWastesMitigations)
         config.tbRfm.windowCycles =
             TbRfmConfig::forNbo(256, true, spec).windowCycles * 4;
         AttackHarness harness(spec, config);
-        FeintingAgent attacker(harness.mem(), 128, 5000);
+        FeintingAgent attacker(harness.mem(), feinting(128));
         harness.add(&attacker);
         harness.run(config.tbRfm.windowCycles * 32);
         return harness.mem().prac().counters().maxEverSeen();
