@@ -108,5 +108,7 @@ expect_reject "did you mean 'fig07_tmax_analysis'" \
     "${PRACBENCH}" run fig07_tmax_analysiss --smoke
 expect_reject "unknown" \
     "${PRACBENCH}" run fig07_tmax_analysis --frobnicate
+expect_reject "did you mean 'attacker.pool_size'" \
+    "${PRACBENCH}" "${SEARCH[@]}" --set attacker.pool_sise=3
 
 echo "cli smoke passed"

@@ -7,18 +7,28 @@
 
 namespace pracleak {
 
-DramAddress
-attackerBankAddress(const DramOrg &org, std::uint32_t flat_bank,
-                    std::uint32_t row)
+Addr
+attackerAddress(const MemoryController &mem, std::uint32_t flat_bank,
+                std::uint32_t row)
 {
+    const DramOrg &org = mem.dram().spec().org;
     DramAddress daddr{};
     daddr.rank = flat_bank / org.banksPerRank();
     const std::uint32_t in_rank = flat_bank % org.banksPerRank();
     daddr.bankGroup = in_rank / org.banksPerGroup;
     daddr.bank = in_rank % org.banksPerGroup;
     daddr.row = row;
-    daddr.col = 0;
-    return daddr;
+    daddr.channel = mem.config().channelIndex;
+    return mem.mapper().compose(daddr);
+}
+
+const AttackerField *
+findAttackerField(const std::string &name)
+{
+    for (const AttackerField &field : kAttackerFields)
+        if (name == field.name)
+            return &field;
+    return nullptr;
 }
 
 namespace {
@@ -193,27 +203,23 @@ class GrapheneThrashAttacker final : public AttackerAgent
     bool
     issueOne(MemoryController &mem)
     {
-        const DramOrg &org = mem.dram().spec().org;
         const bool target_lane =
             noiseBanks_.empty() || slot_ % (1 + ratio_) == 0;
 
-        DramAddress daddr{};
+        Request req;
+        req.type = ReqType::Read;
         if (target_lane) {
             if (cursor_ >= pool_.size())
                 endWave(mem);
-            daddr = attackerBankAddress(org, config_.targetBank,
-                                pool_[cursor_]);
+            req.addr = attackerAddress(mem, config_.targetBank,
+                                       pool_[cursor_]);
         } else {
             const std::uint32_t lane =
                 noiseCursor_ % noiseBanks_.size();
             const std::uint32_t row =
                 config_.targetRow + (noiseFlip_ ? 1 : 0);
-            daddr = attackerBankAddress(org, noiseBanks_[lane], row);
+            req.addr = attackerAddress(mem, noiseBanks_[lane], row);
         }
-
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = mem.mapper().compose(daddr);
         req.onComplete = [this](const Request &) { --outstanding_; };
         if (!mem.enqueue(std::move(req)))
             return false;
@@ -334,7 +340,6 @@ class ParaRetryAttacker final : public AttackerAgent
     bool
     issueOne(MemoryController &mem)
     {
-        const DramOrg &org = mem.dram().spec().org;
         const Candidate &candidate =
             candidates_[focus_[focusCursor_ % focus_.size()]];
         // Alternate the candidate row with a same-bank decoy so
@@ -344,8 +349,7 @@ class ParaRetryAttacker final : public AttackerAgent
 
         Request req;
         req.type = ReqType::Read;
-        req.addr = mem.mapper().compose(
-            attackerBankAddress(org, candidate.bank, row));
+        req.addr = attackerAddress(mem, candidate.bank, row);
         req.onComplete = [this](const Request &) { --outstanding_; };
         if (!mem.enqueue(std::move(req)))
             return false;
@@ -463,7 +467,6 @@ class PbParallelAttacker final : public AttackerAgent
     bool
     issueOne(MemoryController &mem)
     {
-        const DramOrg &org = mem.dram().spec().org;
         std::uint32_t bank;
         std::uint32_t row;
         // One slot in ratio_ hammers the target bank (alternating
@@ -492,8 +495,7 @@ class PbParallelAttacker final : public AttackerAgent
 
         Request req;
         req.type = ReqType::Read;
-        req.addr = mem.mapper().compose(
-            attackerBankAddress(org, bank, row));
+        req.addr = attackerAddress(mem, bank, row);
         req.onComplete = [this](const Request &) { --outstanding_; };
         if (!mem.enqueue(std::move(req)))
             return false;

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -48,8 +47,9 @@ namespace pracleak {
  * value means "derive a sensible default from the controller's spec
  * and defense configuration"; the per-attacker meaning of each knob
  * is documented in attackerCatalog() and src/attack/DESIGN.md.
- * The search driver walks exactly the knobs listed in
- * attackerKnobSpace().
+ * kAttackerFields names the knobs; the search driver samples those
+ * listed in attackerKnobSpace().  Agents are placed only through
+ * this aggregate (targetBank/targetRow on the controller's channel).
  */
 struct AttackerConfig
 {
@@ -78,61 +78,37 @@ struct AttackerConfig
     std::uint64_t seed = 0xA77AC0DEULL;
 };
 
-namespace detail {
-
-/** Implicitly convertible to any field type: probes aggregate arity. */
-struct AnyAttackerField
+/** One AttackerConfig knob under its external name. */
+struct AttackerField
 {
-    template <class T> operator T() const;
+    const char *name;   //!< CLI sub-key suffix and JSON column
+    std::uint32_t AttackerConfig::*field;
+
+    /**
+     * Searched, and settable as `attacker.<name>`; the other knobs
+     * only place the attack.
+     */
+    bool tunable;
 };
 
-template <std::size_t> using AttackerFieldProbe = AnyAttackerField;
-
-template <class T, class... Args>
-auto attackerBraceTest(int)
-    -> decltype(T{std::declval<Args>()...}, std::true_type{});
-template <class, class...>
-auto attackerBraceTest(...) -> std::false_type;
-
-template <class T, std::size_t... I>
-constexpr bool
-attackerAcceptsFieldsImpl(std::index_sequence<I...>)
-{
-    return decltype(attackerBraceTest<T, AttackerFieldProbe<I>...>(
-        0))::value;
-}
-
-/** Whether aggregate @p T brace-initializes from exactly N values. */
-template <class T, std::size_t N>
-inline constexpr bool attackerAcceptsFields =
-    attackerAcceptsFieldsImpl<T>(std::make_index_sequence<N>{});
-
-} // namespace detail
-
 /**
- * Field-count tripwire.  AttackerConfig is consumed positionally in
- * places the compiler cannot audit: attackerConfigToJson()/knob
- * export in adversaries.cpp, the `attacker.<knob>` CLI sub-keys, and
- * the search driver's candidate sampling must each enumerate every
- * knob or a new field silently never gets swept.  Update the count
- * only after auditing those sites.
+ * The one list of AttackerConfig's knobs (all but the registry key
+ * and the RNG seed), in output order.  Every knob list walks it: the
+ * search driver's sampling, candidate JSON and result rows, the
+ * `pracbench search --set attacker.<knob>` keys, and the defense
+ * scenarios' `attacker.*` constants and `best_*` columns.
  */
-inline constexpr std::size_t kAttackerConfigFieldCount = 8;
+inline constexpr AttackerField kAttackerFields[] = {
+    {"aggressors", &AttackerConfig::aggressors, true},
+    {"pool_size", &AttackerConfig::poolSize, true},
+    {"burst_spacing", &AttackerConfig::burstSpacing, true},
+    {"phase", &AttackerConfig::phase, true},
+    {"target_bank", &AttackerConfig::targetBank, false},
+    {"target_row", &AttackerConfig::targetRow, false},
+};
 
-static_assert(std::is_aggregate_v<AttackerConfig>,
-              "AttackerConfig must stay an aggregate: scenarios and "
-              "the search driver rely on designated initializers, "
-              "and the field-count tripwire probes "
-              "brace-initialization");
-static_assert(
-    detail::attackerAcceptsFields<AttackerConfig,
-                                  kAttackerConfigFieldCount> &&
-        !detail::attackerAcceptsFields<AttackerConfig,
-                                       kAttackerConfigFieldCount + 1>,
-    "AttackerConfig gained or lost a field: audit the knob export, "
-    "the attacker.<knob> CLI sub-keys, and the search driver's "
-    "candidate sampler (sim/search.cpp), then update "
-    "kAttackerConfigFieldCount");
+/** The kAttackerFields entry named @p name; nullptr when unknown. */
+const AttackerField *findAttackerField(const std::string &name);
 
 /** A registry-constructed attack actor. */
 class AttackerAgent : public MemAgent
@@ -166,7 +142,7 @@ struct AttackerInfo
 /** Inclusive sampling range of one searchable knob. */
 struct AttackerKnob
 {
-    const char *knob;       //!< "aggressors", "pool_size", ...
+    const char *knob;       //!< a kAttackerFields name
     std::uint32_t lo = 0;
     std::uint32_t hi = 0;
 };
@@ -204,13 +180,14 @@ attackerByName(const std::string &name, const AttackerConfig &config,
                MemoryController &mem);
 
 /**
- * Inverse of AddressMapper::flatBank: the DramAddress of @p row in
- * @p flat_bank.  Attackers compose lane addresses from flat banks so
- * knobs stay organization-independent.
+ * Inverse of AddressMapper::flatBank: the address of @p row in
+ * @p flat_bank on @p mem's own channel.  The probe, hammer and
+ * Feinting agents and every registry attacker place their rows
+ * through it, so knobs stay organization-independent and an agent
+ * pinned to channel c emits addresses that channelOf() maps to c.
  */
-DramAddress attackerBankAddress(const DramOrg &org,
-                                std::uint32_t flat_bank,
-                                std::uint32_t row);
+Addr attackerAddress(const MemoryController &mem,
+                     std::uint32_t flat_bank, std::uint32_t row);
 
 } // namespace pracleak
 

@@ -28,27 +28,14 @@ deriveFeintingPool(const MemoryController &mem)
         maxActsPerTrefw(cadence_ns, fp) / act_w, 2048));
 }
 
-/** Decoy layout for the config-constructed HammerAgent. */
-std::vector<DramAddress>
-hammerDecoys(const DramOrg &org, const AttackerConfig &config)
-{
-    const std::uint32_t count =
-        config.poolSize == 0 ? 2 : config.poolSize;
-    const std::uint32_t stride =
-        config.burstSpacing == 0 ? 1000 : config.burstSpacing;
-    std::vector<DramAddress> decoys;
-    for (std::uint32_t i = 0; i < count; ++i)
-        decoys.push_back(attackerBankAddress(
-            org, config.targetBank, config.targetRow + stride + i));
-    return decoys;
-}
-
 } // namespace
 
 // ------------------------------------------------------------ ProbeAgent
 
-ProbeAgent::ProbeAgent(Addr probe_addr, bool record_all)
-    : addr_(probe_addr), recordAll_(record_all)
+ProbeAgent::ProbeAgent(const MemoryController &mem,
+                       const AttackerConfig &config, bool record_all)
+    : addr_(attackerAddress(mem, config.targetBank, config.targetRow)),
+      recordAll_(record_all)
 {
     // A full timeline holds one sample per read, up to ~55k per
     // simulated millisecond.  Reserving them up front skips a dozen
@@ -56,15 +43,6 @@ ProbeAgent::ProbeAgent(Addr probe_addr, bool record_all)
     // a long series of experiments.
     if (record_all)
         samples_.reserve(1 << 16);
-}
-
-ProbeAgent::ProbeAgent(const MemoryController &mem,
-                       const AttackerConfig &config, bool record_all)
-    : ProbeAgent(mem.mapper().compose(attackerBankAddress(
-                     mem.dram().spec().org, config.targetBank,
-                     config.targetRow)),
-                 record_all)
-{
 }
 
 Cycle
@@ -114,26 +92,19 @@ ProbeAgent::clearSamples()
 
 // ----------------------------------------------------------- HammerAgent
 
-HammerAgent::HammerAgent(const AddressMapper &mapper,
-                         const DramAddress &target,
-                         std::vector<DramAddress> decoys,
-                         std::uint32_t max_outstanding)
-    : mapper_(mapper), maxOutstanding_(max_outstanding)
-{
-    targetAddr_ = mapper.compose(target);
-    decoyAddrs_.reserve(decoys.size());
-    for (const auto &decoy : decoys)
-        decoyAddrs_.push_back(mapper.compose(decoy));
-}
-
 HammerAgent::HammerAgent(const MemoryController &mem,
                          const AttackerConfig &config)
-    : HammerAgent(mem.mapper(),
-                  attackerBankAddress(mem.dram().spec().org,
-                                      config.targetBank,
-                                      config.targetRow),
-                  hammerDecoys(mem.dram().spec().org, config))
+    : targetAddr_(
+          attackerAddress(mem, config.targetBank, config.targetRow))
 {
+    const std::uint32_t count =
+        config.poolSize == 0 ? 2 : config.poolSize;
+    const std::uint32_t stride =
+        config.burstSpacing == 0 ? 1000 : config.burstSpacing;
+    decoyAddrs_.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i)
+        decoyAddrs_.push_back(attackerAddress(
+            mem, config.targetBank, config.targetRow + stride + i));
 }
 
 void
@@ -179,14 +150,14 @@ HammerAgent::updateSleep()
 {
     // Idle, pipeline full, or the burst's last reads draining: only a
     // completion callback, startHammer() or stop() changes that.
-    asleep_ = !active_ || outstanding_ >= maxOutstanding_ ||
+    asleep_ = !active_ || outstanding_ >= kMaxOutstanding ||
               (targetBudget_ == 0 && nextIsTarget_ && outstanding_ > 0);
 }
 
 void
 HammerAgent::tick(MemoryController &mem, Cycle)
 {
-    while (active_ && outstanding_ < maxOutstanding_) {
+    while (active_ && outstanding_ < kMaxOutstanding) {
         if (targetBudget_ == 0 && nextIsTarget_) {
             // Burst complete once in-flight reads drain.
             if (outstanding_ == 0)
@@ -262,8 +233,7 @@ FeintingAgent::tick(MemoryController &mem, Cycle)
     // wave-end pruning would then drop it as mitigated.
     while (outstanding_ < 2 && mem.canAccept()) {
         Request req;
-        req.addr = mem.mapper().compose(
-            DramAddress{0, 0, 0, nextRow(), 0});
+        req.addr = attackerAddress(mem, 0, nextRow());
         req.onComplete = [this](const Request &) {
             --outstanding_;
         };

@@ -10,6 +10,11 @@
  *    target read forces a row conflict and hence exactly one ACT of
  *    the target.
  *
+ * Each is placed by an AttackerConfig (targetBank, targetRow and, for
+ * the hammer, its decoy layout) on the channel of the controller it
+ * is constructed against, which must be the channel it is added to
+ * the harness on.
+ *
  * Both sleep (MemAgent::asleep()) while their tick() has nothing to
  * do until one of their reads completes or their owner calls in;
  * FeintingAgent ticks every cycle.
@@ -24,7 +29,6 @@
 #include "attack/adversaries.h"
 #include "attack/harness.h"
 #include "common/types.h"
-#include "mem/address_mapper.h"
 
 namespace pracleak {
 
@@ -43,21 +47,12 @@ class ProbeAgent : public MemAgent
 {
   public:
     /**
-     * @param probe_addr Address the spy reads in a loop (its own bank;
-     *                   open-page keeps the row open, so the spy's own
-     *                   activation counters stay parked).
-     * @param record_all Keep the full timeline (Fig. 3 needs it);
-     *                   otherwise only recent samples are retained.
+     * Read @p config.targetRow of flat bank @p config.targetBank in a
+     * loop (its own bank: open-page keeps the row open, so the spy's
+     * own activation counters stay parked).
      *
-     * Deprecated entry point: prefer the AttackerConfig overload (or
-     * attackerByName("probe", ...)), which names the probe placement
-     * instead of passing a pre-composed physical address.
-     */
-    explicit ProbeAgent(Addr probe_addr, bool record_all = true);
-
-    /**
-     * Registry-style construction: probe @p config.targetRow in flat
-     * bank @p config.targetBank of @p mem's address space.
+     * @param record_all Keep the full timeline (Fig. 3 needs it);
+     *                   otherwise only spike samples are retained.
      */
     ProbeAgent(const MemoryController &mem,
                const AttackerConfig &config, bool record_all = true);
@@ -127,27 +122,11 @@ class HammerAgent : public MemAgent
 {
   public:
     /**
-     * @param mapper  Translator used to build conflict addresses.
-     * @param target  Row to hammer.
-     * @param decoys  Same-bank rows alternated with the target to
-     *                force row conflicts.  More than one decoy keeps
-     *                the decoys' own counters well below the target's.
-     * @param max_outstanding Reads kept in flight (2 saturates the
-     *                bank's tRC pipeline).
-     *
-     * Deprecated entry point: prefer the AttackerConfig overload (or
-     * attackerByName("hammer", ...)), which derives the decoy layout
-     * from named knobs instead of explicit address lists.
-     */
-    HammerAgent(const AddressMapper &mapper, const DramAddress &target,
-                std::vector<DramAddress> decoys,
-                std::uint32_t max_outstanding = 2);
-
-    /**
-     * Registry-style construction: hammer @p config.targetRow in flat
-     * bank @p config.targetBank, alternating with poolSize same-bank
-     * decoys (default 2) at rows targetRow + burstSpacing + i
-     * (burstSpacing doubles as the decoy-row stride; default 1000).
+     * Hammer @p config.targetRow in flat bank @p config.targetBank,
+     * alternating with poolSize same-bank decoys (default 2) at rows
+     * targetRow + burstSpacing + i (burstSpacing doubles as the
+     * decoy-row stride; default 1000).  More than one decoy keeps the
+     * decoys' own counters well below the target's.
      */
     HammerAgent(const MemoryController &mem,
                 const AttackerConfig &config);
@@ -172,10 +151,11 @@ class HammerAgent : public MemAgent
     /** Re-derive asleep_ after any change to the burst state. */
     void updateSleep();
 
-    const AddressMapper &mapper_;
+    /** Reads kept in flight: 2 saturates the bank's tRC pipeline. */
+    static constexpr std::uint32_t kMaxOutstanding = 2;
+
     Addr targetAddr_;
     std::vector<Addr> decoyAddrs_;
-    std::uint32_t maxOutstanding_;
 
     bool active_ = false;
     bool nextIsTarget_ = true;

@@ -77,22 +77,18 @@ covertSpec(const CovertParams &params)
 class RfmDetector : public MemAgent
 {
   public:
-    explicit RfmDetector(const AddressMapper &mapper,
-                         std::uint32_t channel = 0)
+    explicit RfmDetector(const MemoryController &mem)
+        : probeA_(mem, probeRow(0), false),
+          probeB_(mem, probeRow(mem.dram().spec().org.banksPerRank()),
+                  false)
     {
-        DramAddress a{0, 0, 0, 3, 0};
-        DramAddress b{1, 0, 0, 3, 0};
-        a.channel = channel;
-        b.channel = channel;
-        probeA_ = std::make_unique<ProbeAgent>(mapper.compose(a), false);
-        probeB_ = std::make_unique<ProbeAgent>(mapper.compose(b), false);
     }
 
     void
     tick(MemoryController &mem, Cycle now) override
     {
-        probeA_->tick(mem, now);
-        probeB_->tick(mem, now);
+        probeA_.tick(mem, now);
+        probeB_.tick(mem, now);
     }
 
     /**
@@ -105,10 +101,10 @@ class RfmDetector : public MemAgent
     rfmSince(Cycle since) const
     {
         const Cycle window = nsToCycles(500);
-        for (const auto &sa : probeA_->samples()) {
+        for (const auto &sa : probeA_.samples()) {
             if (sa.doneAt < since)
                 continue;
-            for (const auto &sb : probeB_->samples()) {
+            for (const auto &sb : probeB_.samples()) {
                 if (sb.doneAt < since)
                     continue;
                 const Cycle gap = sa.doneAt > sb.doneAt
@@ -125,13 +121,23 @@ class RfmDetector : public MemAgent
     void
     clear()
     {
-        probeA_->clearSamples();
-        probeB_->clearSamples();
+        probeA_.clearSamples();
+        probeB_.clearSamples();
     }
 
   private:
-    std::unique_ptr<ProbeAgent> probeA_;
-    std::unique_ptr<ProbeAgent> probeB_;
+    /** Row 3 of flat bank @p bank. */
+    static AttackerConfig
+    probeRow(std::uint32_t bank)
+    {
+        AttackerConfig config;
+        config.targetBank = bank;
+        config.targetRow = 3;
+        return config;
+    }
+
+    ProbeAgent probeA_; //!< first bank of rank 0
+    ProbeAgent probeB_; //!< first bank of rank 1
 };
 
 /**
@@ -226,23 +232,20 @@ runActivityCovertParallel(const CovertParams &params,
                           channels);
 
     // One sender/receiver pair per channel; the sender hammers a
-    // private bank, far from its channel's detector rows.
+    // private bank (flat bank 18 = rank 0, bg 4, bank 2, with decoys
+    // at rows 0x200..0x203), far from its channel's detector rows.
+    AttackerConfig sender_config;
+    sender_config.poolSize = 4;
+    sender_config.burstSpacing = 0x100;
+    sender_config.targetBank = 18;
+    sender_config.targetRow = 0x100;
     std::vector<std::unique_ptr<RfmDetector>> detectors;
     std::vector<std::unique_ptr<HammerAgent>> senders;
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const AddressMapper &mapper = harness.mem(c).mapper();
-        detectors.push_back(std::make_unique<RfmDetector>(mapper, c));
-
-        DramAddress target{0, 4, 2, 0x100, 0};
-        target.channel = c;
-        std::vector<DramAddress> decoys;
-        for (std::uint32_t i = 0; i < 4; ++i) {
-            DramAddress decoy{0, 4, 2, 0x200 + i, 0};
-            decoy.channel = c;
-            decoys.push_back(decoy);
-        }
-        senders.push_back(std::make_unique<HammerAgent>(
-            mapper, target, std::move(decoys)));
+        detectors.push_back(
+            std::make_unique<RfmDetector>(harness.mem(c)));
+        senders.push_back(
+            std::make_unique<HammerAgent>(harness.mem(c), sender_config));
 
         harness.add(detectors[c].get(), c);
         harness.add(senders[c].get(), c);
@@ -307,16 +310,18 @@ runCountCovert(const CovertParams &params,
     const AddressMapper &mapper = harness.mem().mapper();
 
     // Sender and receiver share one physical row (different columns),
-    // which MOP mapping makes possible across page boundaries.
-    const DramAddress shared{0, 2, 1, 0x500, 0};
+    // which MOP mapping makes possible across page boundaries: row
+    // 0x500 of flat bank 9 = rank 0, bg 2, bank 1.  The sender's
+    // decoys sit at rows 0x600..0x603.
+    AttackerConfig sender_config;
+    sender_config.poolSize = 4;
+    sender_config.burstSpacing = 0x100;
+    sender_config.targetBank = 9;
+    sender_config.targetRow = 0x500;
     const DramAddress shared_rx{0, 2, 1, 0x500, 64};
-
-    std::vector<DramAddress> tx_decoys;
-    for (std::uint32_t i = 0; i < 4; ++i)
-        tx_decoys.push_back(DramAddress{0, 2, 1, 0x600 + i, 0});
     const DramAddress rx_decoy{0, 2, 1, 0x700, 0};
 
-    HammerAgent sender(mapper, shared, tx_decoys);
+    HammerAgent sender(harness.mem(), sender_config);
     const Cycle spike_threshold =
         VisibleBusModel::fromSpec(spec).rfmSpikeThreshold();
     CountReceiver receiver(mapper, shared_rx, rx_decoy, spike_threshold);

@@ -144,44 +144,6 @@ clearBaselineCache()
     g_baselineCache.clear();
 }
 
-std::vector<EntryPerf>
-runSuiteNormalized(const std::vector<SuiteEntry> &entries,
-                   const DesignConfig &design, const RunBudget &budget,
-                   ThreadPool *pool)
-{
-    std::vector<std::function<PairResult()>> jobs;
-    jobs.reserve(entries.size());
-    for (const SuiteEntry &entry : entries)
-        jobs.push_back([entry, design, budget] {
-            return runNormalizedPair(entry, design, budget);
-        });
-    auto pairs = runParallel(std::move(jobs), pool);
-
-    std::vector<EntryPerf> out;
-    out.reserve(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        EntryPerf perf;
-        perf.name = entries[i].params.name;
-        perf.intensity = entries[i].intensity;
-        perf.normalized =
-            normalizedPerf(pairs[i].design, pairs[i].baseline);
-        perf.result = std::move(pairs[i].design);
-        out.push_back(std::move(perf));
-    }
-    return out;
-}
-
-double
-meanNormalized(const std::vector<EntryPerf> &perfs)
-{
-    if (perfs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &perf : perfs)
-        sum += perf.normalized;
-    return sum / static_cast<double>(perfs.size());
-}
-
 const SuiteEntry &
 findSuiteEntry(const std::string &name)
 {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cpu/system.h"
-#include "sim/thread_pool.h"
 #include "tprac/analysis.h"
 #include "tprac/tb_rfm.h"
 #include "workload/suite.h"
@@ -118,28 +117,6 @@ PairResult runNormalizedPair(const SuiteEntry &entry,
 
 /** Drop all memoized baseline runs (tests / measurement hygiene). */
 void clearBaselineCache();
-
-/** Per-entry normalized performance (weighted speedup). */
-struct EntryPerf
-{
-    std::string name;
-    MemIntensity intensity = MemIntensity::Low;
-    double normalized = 0.0;
-    RunResult result;
-};
-
-/**
- * Run every suite entry under @p design and the matching baseline in
- * parallel on @p pool (shared pool by default), returning per-entry
- * normalized performance.
- */
-std::vector<EntryPerf>
-runSuiteNormalized(const std::vector<SuiteEntry> &entries,
-                   const DesignConfig &design, const RunBudget &budget,
-                   ThreadPool *pool = nullptr);
-
-/** Arithmetic mean of normalized performance. */
-double meanNormalized(const std::vector<EntryPerf> &perfs);
 
 /**
  * Find a suite entry by workload name in the standard suite; throws

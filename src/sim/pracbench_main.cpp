@@ -47,6 +47,10 @@ namespace {
 void
 printUsage()
 {
+    std::string knobs;
+    for (const pracleak::AttackerField &field : pracleak::kAttackerFields)
+        if (field.tunable)
+            knobs += (knobs.empty() ? "" : ", ") + std::string(field.name);
     std::printf(
         "usage: pracbench COMMAND [options]\n"
         "\n"
@@ -133,11 +137,11 @@ printUsage()
         "'rounds'\n"
         "                         constant)\n"
         "  --seed S               candidate-sampling seed\n"
-        "  --set attacker.K=V     pin knob K (aggressors, pool_size, "
-        "burst_spacing,\n"
-        "                         phase) instead of sampling it; "
-        "--set attacker=NAME\n"
-        "                         is an alias for --attacker\n"
+        "  --set attacker.K=V     pin knob K instead of sampling it, "
+        "K one of\n"
+        "                         %s;\n"
+        "                         --set attacker=NAME is an alias for "
+        "--attacker\n"
         "  --out FILE.json        write the search result JSON "
         "(default: stdout)\n"
         "  --jobs/--checkpoint/--resume/--quiet  as for run; the "
@@ -165,7 +169,8 @@ printUsage()
         "\n"
         "Flag values are checked: an empty value, or a numeric value "
         "that is not a\n"
-        "decimal integer in range, exits 2.\n");
+        "decimal integer in range, exits 2.\n",
+        knobs.c_str());
 }
 
 bool
@@ -585,9 +590,10 @@ commandSearch(const std::vector<std::string> &args)
         "--rounds",         "--seed",     "--jobs",
         "--checkpoint",     "--resume",   "--out",
         "--set",            "--quiet",    "--help"};
-    static const std::vector<std::string> knownSetKeys = {
-        "attacker", "attacker.aggressors", "attacker.pool_size",
-        "attacker.burst_spacing", "attacker.phase"};
+    std::vector<std::string> knownSetKeys = {"attacker"};
+    for (const pracleak::AttackerField &field : pracleak::kAttackerFields)
+        if (field.tunable)
+            knownSetKeys.push_back(std::string("attacker.") + field.name);
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--target-defense") {
@@ -624,22 +630,17 @@ commandSearch(const std::vector<std::string> &args)
             }
             const std::string key = spec.substr(0, eq);
             const std::string value = spec.substr(eq + 1);
+            const std::string knob_prefix = "attacker.";
+            const pracleak::AttackerField *field =
+                key.starts_with(knob_prefix)
+                    ? pracleak::findAttackerField(
+                          key.substr(knob_prefix.size()))
+                    : nullptr;
             if (key == "attacker") {
                 attackerFlag = value;
-            } else if (key == "attacker.aggressors" ||
-                       key == "attacker.pool_size" ||
-                       key == "attacker.burst_spacing" ||
-                       key == "attacker.phase") {
-                const auto parsed = static_cast<std::uint32_t>(
+            } else if (field && field->tunable) {
+                base.*field->field = static_cast<std::uint32_t>(
                     parseCount("--set " + key, value, UINT32_MAX));
-                if (key == "attacker.aggressors")
-                    base.aggressors = parsed;
-                else if (key == "attacker.pool_size")
-                    base.poolSize = parsed;
-                else if (key == "attacker.burst_spacing")
-                    base.burstSpacing = parsed;
-                else
-                    base.phase = parsed;
             } else {
                 rejectUnknown("search --set key", key, knownSetKeys);
             }

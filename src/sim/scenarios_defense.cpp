@@ -55,6 +55,30 @@ defenseAxis()
                      "para", "graphene", "pb-rfm"});
 }
 
+/**
+ * Declare every tunable attacker knob as an `attacker.<knob>`
+ * constant, 0 meaning "derive from the spec and defense".
+ */
+void
+addAttackerKnobs(ParamGrid &grid)
+{
+    for (const AttackerField &field : kAttackerFields)
+        if (field.tunable)
+            grid.constant(std::string("attacker.") + field.name, 0);
+}
+
+/** The knobs addAttackerKnobs() declared, at this grid point. */
+AttackerConfig
+attackerKnobs(const ParamSet &params)
+{
+    AttackerConfig config;
+    for (const AttackerField &field : kAttackerFields)
+        if (field.tunable)
+            config.*field.field = static_cast<std::uint32_t>(
+                params.getInt(std::string("attacker.") + field.name));
+    return config;
+}
+
 // --- defense_matrix_leakage ----------------------------------------
 
 /** One probe's samples plus the ON-window schedule of the run. */
@@ -72,10 +96,21 @@ struct LeakRun
     std::uint64_t alerts = 0;
 };
 
+/**
+ * The ON/OFF leak experiment: a victim hammers flat bank 18 = (rank
+ * 0, bg 4, bank 2) in @p bursts ON phases of @p phase_ms, each
+ * followed by an OFF phase as long; the near probe shares that bank
+ * (per-bank RFMs block it), the far probe sits in a distant bank
+ * (only channel-wide RFMabs reach it).  With @p series set, the run
+ * also records its bus time series there (leakage_timeline's input)
+ * and tags an armed `--series-out` record with the ON windows and
+ * the victim's bank.
+ */
 LeakRun
 runLeakExperiment(const std::string &defense,
                   const std::string &spec_name, std::uint32_t nbo,
-                  double phase_ms, int bursts)
+                  double phase_ms, int bursts,
+                  SeriesSim *series = nullptr)
 {
     DramSpec spec = specByName(spec_name);
     spec.prac.nbo = nbo;
@@ -86,27 +121,36 @@ runLeakExperiment(const std::string &defense,
     configureDefense(config, defense, spec);
 
     AttackHarness harness(spec, config);
+    MemoryController &mem = harness.mem();
 
-    // Victim hammers flat bank 18 = (rank 0, bg 4, bank 2); the near
-    // probe shares that bank (per-bank RFMs block it), the far probe
-    // sits in a distant bank (only channel-wide RFMabs reach it).
-    // Registry-style construction: burstSpacing doubles as the decoy
-    // row stride, so 4 decoys land at 0x200..0x203 as before.
+    // Reuse the observer an armed `--series-out` capture attached in
+    // the controller constructor; install a local one otherwise, so
+    // leakage_timeline's rows never depend on whether the export is
+    // on.
+    std::unique_ptr<telemetry::BusObserver> local;
+    if (series && !mem.busObserver()) {
+        local = std::make_unique<telemetry::BusObserver>(spec);
+        mem.setBusObserver(local.get());
+    }
+
+    // burstSpacing doubles as the decoy row stride, so the 4 decoys
+    // land at rows 0x200..0x203.
     AttackerConfig victim_config;
     victim_config.targetBank = 18;
     victim_config.targetRow = 0x100;
     victim_config.poolSize = 4;
     victim_config.burstSpacing = 0x100;
-    HammerAgent victim(harness.mem(), victim_config);
+    if (series)
+        telemetry::SeriesCapture::setVictimBank(victim_config.targetBank);
+    HammerAgent victim(mem, victim_config);
     AttackerConfig near_config;
     near_config.targetBank = 18;
     near_config.targetRow = 3;
-    ProbeAgent near_probe(harness.mem(), near_config);
+    ProbeAgent near_probe(mem, near_config);
     AttackerConfig far_config;
     far_config.targetBank = 0;
     far_config.targetRow = 3;
-    ProbeAgent far_probe(harness.mem(), far_config);
-
+    ProbeAgent far_probe(mem, far_config);
     harness.add(&victim);
     harness.add(&near_probe);
     harness.add(&far_probe);
@@ -116,6 +160,9 @@ runLeakExperiment(const std::string &defense,
     for (int burst = 0; burst < bursts; ++burst) {
         const Cycle on_end = harness.now() + phase;
         run.onWindows.emplace_back(harness.now(), on_end);
+        if (series)
+            telemetry::SeriesCapture::markOnWindow(harness.now(),
+                                                   on_end);
         while (harness.now() < on_end) {
             if (victim.done())
                 victim.startHammer(spec.prac.nbo + spec.prac.aboAct +
@@ -128,7 +175,6 @@ runLeakExperiment(const std::string &defense,
             harness.step();
     }
 
-    const MemoryController &mem = harness.mem();
     run.nearSamples = near_probe.samples();
     run.farSamples = far_probe.samples();
     run.aboRfms = mem.rfmCount(RfmReason::Abo);
@@ -139,6 +185,27 @@ runLeakExperiment(const std::string &defense,
     run.paraEvents =
         defense == "para" ? mem.mitigationEvents() : 0;
     run.alerts = mem.prac().alerts();
+
+    if (series) {
+        const telemetry::BusObserver &bus = *mem.busObserver();
+        series->windowCycles = bus.windowCycles();
+        series->victimBank = victim_config.targetBank;
+        series->onWindows = run.onWindows;
+        for (const telemetry::SeriesWindow &w : bus.windows()) {
+            SeriesSim::Window window;
+            window.index = w.index;
+            window.act = w.act;
+            window.ref = w.ref;
+            window.rfmAb = w.rfmAb;
+            window.rfmPb = w.rfmPb;
+            window.abo = w.abo;
+            window.blocked = w.blocked;
+            window.rfmPbBanks = w.rfmPbBanks;
+            series->windows.push_back(std::move(window));
+        }
+    }
+    if (local)
+        mem.setBusObserver(nullptr);
     return run;
 }
 
@@ -205,18 +272,12 @@ quietRun(const std::string &spec_name, std::uint32_t nbo,
     return future.get();
 }
 
-/** Spikes above @p threshold split by phase. */
-struct PhaseSpikes
-{
-    std::uint64_t on = 0;
-    std::uint64_t off = 0;
-};
-
-PhaseSpikes
+/** Spikes above @p threshold split by the victim's phase. */
+OnOffCounts
 countSpikes(const std::vector<LatencySample> &samples, Cycle threshold,
             const std::vector<std::pair<Cycle, Cycle>> &on_windows)
 {
-    PhaseSpikes spikes;
+    OnOffCounts spikes;
     for (const LatencySample &sample : samples) {
         if (sample.latency <= threshold)
             continue;
@@ -226,19 +287,6 @@ countSpikes(const std::vector<LatencySample> &samples, Cycle threshold,
             ++spikes.off;
     }
     return spikes;
-}
-
-/**
- * Activity-correlation rule: a probe leaks when its above-noise
- * spikes concentrate in the victim's ON phases.  Periodic TB-RFM
- * spikes split evenly between phases and fail this; ABO/ACB/
- * Graphene/PB-RFM events exist only while the victim is active and
- * pass it.
- */
-bool
-correlated(const PhaseSpikes &spikes)
-{
-    return spikes.on > 2 * spikes.off + 3;
 }
 
 Scenario
@@ -280,12 +328,15 @@ defenseMatrixLeakage()
                 : runLeakExperiment(defense, spec_name, nbo,
                                     phase_ms, bursts);
 
-        const PhaseSpikes near_spikes = countSpikes(
+        // Periodic TB-RFM spikes split evenly between phases and
+        // fail the correlation rule; ABO/ACB/Graphene/PB-RFM events
+        // exist only while the victim is active and pass it.
+        const OnOffCounts near_spikes = countSpikes(
             run.nearSamples, near_ceiling + margin, run.onWindows);
-        const PhaseSpikes far_spikes = countSpikes(
+        const OnOffCounts far_spikes = countSpikes(
             run.farSamples, far_ceiling + margin, run.onWindows);
-        const bool leak_near = correlated(near_spikes);
-        const bool leak_far = correlated(far_spikes);
+        const bool leak_near = correlatedCounts(near_spikes);
+        const bool leak_far = correlatedCounts(far_spikes);
 
         ResultRow row = JsonValue::object();
         row.set("near_spikes_on", near_spikes.on);
@@ -353,104 +404,27 @@ leakageTimeline()
 
     scenario.runPoint = [](const ParamSet &params) {
         const std::string defense = params.getString("mitigation");
-        DramSpec spec = specByName(params.getString("spec"));
-        spec.prac.nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
 
-        ControllerConfig config;
-        config.prac.queue = QueueKind::Ideal; // UPRAC, as in fig03
-        config.refreshEnabled = false; // isolate mitigation events
-        configureDefense(config, defense, spec);
-
-        // Same experiment shape as runLeakExperiment, but recording
-        // the bus series instead of probe latencies, and with no
+        // runLeakExperiment with the bus series recorded, and with no
         // memoized baseline: a shared quiet run executes under
         // whichever grid point claims it first, which would make
-        // series attribution depend on --jobs scheduling.
-        AttackHarness harness(spec, config);
-        MemoryController &mem = harness.mem();
-
-        // Reuse the capture-attached observer when --series-out
-        // armed one (the harness constructor attached it); install a
-        // local observer otherwise, so the scenario's rows never
-        // depend on whether the series export is on.
-        telemetry::BusObserver *bus = mem.busObserver();
-        std::unique_ptr<telemetry::BusObserver> local;
-        if (!bus) {
-            local = std::make_unique<telemetry::BusObserver>(spec);
-            mem.setBusObserver(local.get());
-            bus = local.get();
-        }
-
-        // Same flat-bank-18 layout as runLeakExperiment, built
-        // through the attacker registry's config path.
-        AttackerConfig victim_config;
-        victim_config.targetBank = 18;
-        victim_config.targetRow = 0x100;
-        victim_config.poolSize = 4;
-        victim_config.burstSpacing = 0x100;
-        telemetry::SeriesCapture::setVictimBank(
-            victim_config.targetBank);
-        HammerAgent victim(mem, victim_config);
-        AttackerConfig near_config;
-        near_config.targetBank = 18;
-        near_config.targetRow = 3;
-        ProbeAgent near_probe(mem, near_config);
-        AttackerConfig far_config;
-        far_config.targetBank = 0;
-        far_config.targetRow = 3;
-        ProbeAgent far_probe(mem, far_config);
-        harness.add(&victim);
-        harness.add(&near_probe);
-        harness.add(&far_probe);
-
-        std::vector<std::pair<Cycle, Cycle>> on_windows;
-        const Cycle phase =
-            nsToCycles(params.getDouble("window_ms") * 1.0e6);
-        const int bursts = static_cast<int>(params.getInt("bursts"));
-        for (int burst = 0; burst < bursts; ++burst) {
-            const Cycle on_end = harness.now() + phase;
-            on_windows.emplace_back(harness.now(), on_end);
-            telemetry::SeriesCapture::markOnWindow(harness.now(),
-                                                   on_end);
-            while (harness.now() < on_end) {
-                if (victim.done())
-                    victim.startHammer(spec.prac.nbo +
-                                       spec.prac.aboAct + 4);
-                harness.step();
-            }
-            victim.stop();
-            const Cycle off_end = harness.now() + phase;
-            while (harness.now() < off_end)
-                harness.step();
-        }
-
-        // Hand the recorded series to the analyzer core -- the same
-        // code path `pracbench analyze` runs over exported files.
+        // series attribution depend on --jobs scheduling.  The
+        // recorded series goes to the analyzer core -- the same code
+        // path `pracbench analyze` runs over exported files.
         SeriesSim sim;
         sim.label = params.label();
         sim.mitigation = defense;
-        sim.windowCycles = bus->windowCycles();
-        sim.victimBank = victim_config.targetBank;
-        sim.onWindows = on_windows;
-        for (const telemetry::SeriesWindow &w : bus->windows()) {
-            SeriesSim::Window window;
-            window.index = w.index;
-            window.act = w.act;
-            window.ref = w.ref;
-            window.rfmAb = w.rfmAb;
-            window.rfmPb = w.rfmPb;
-            window.abo = w.abo;
-            window.blocked = w.blocked;
-            window.rfmPbBanks = w.rfmPbBanks;
-            sim.windows.push_back(std::move(window));
-        }
+        runLeakExperiment(
+            defense, params.getString("spec"),
+            static_cast<std::uint32_t>(params.getInt("nbo")),
+            params.getDouble("window_ms"),
+            static_cast<int>(params.getInt("bursts")), &sim);
         const LeakVerdict verdict = analyzeSeries(sim);
 
         const auto window_on = [&](std::uint64_t index) {
             const Cycle mid = index * sim.windowCycles +
                               sim.windowCycles / 2;
-            return inOnWindow(on_windows, mid);
+            return inOnWindow(sim.onWindows, mid);
         };
 
         std::vector<ResultRow> rows;
@@ -480,9 +454,6 @@ leakageTimeline()
         row.set("leaked", verdict.leaked());
         row.set("observable_to", verdict.observableTo());
         rows.push_back(std::move(row));
-
-        if (local)
-            mem.setBusObserver(nullptr);
         return rows;
     };
 
@@ -646,33 +617,15 @@ defenseMatrixSecurity()
         .axis("attack", {"hammer", "feinting"})
         .constant("spec", "ddr5-8000b")
         .constant("nbo", 512)
-        .constant("window_ms", 4.0)     //!< total attack duration
-        // Attacker knob sub-keys (0 = derive from spec/defense), so
-        // `--set attack=para-retry --set attacker.aggressors=4`
-        // reproduces any point of a search by hand.
-        .constant("attacker.aggressors", 0)
-        .constant("attacker.pool_size", 0)
-        .constant("attacker.burst_spacing", 0)
-        .constant("attacker.phase", 0);
+        .constant("window_ms", 4.0);    //!< total attack duration
+    // `--set attack=A --set attacker.<knob>=N` reproduces any point
+    // of a search by hand.
+    addAttackerKnobs(scenario.grid);
 
     scenario.runPoint = [](const ParamSet &params) {
         const std::string defense = params.getString("mitigation");
-        const std::string attack = params.getString("attack");
         const auto nbo =
             static_cast<std::uint32_t>(params.getInt("nbo"));
-
-        // Scaled universe (2 ms tREFW) so the complete worst-case
-        // attack finishes in a bench budget (see ablation_queues).
-        DramSpec spec = specByName(params.getString("spec"));
-        spec.prac.nbo = nbo;
-        spec.timing.tREFW = nsToCycles(2.0e6);
-
-        ControllerConfig config;
-        configureDefense(config, defense, spec);
-
-        AttackHarness harness(spec, config);
-        const Cycle end =
-            nsToCycles(params.getDouble("window_ms") * 1.0e6);
 
         // Registry construction: a default AttackerConfig reproduces
         // the historical hand-built agents stream-for-stream
@@ -680,32 +633,15 @@ defenseMatrixSecurity()
         // alternates the row-5000 target with the 6000/6001 decoys
         // and restarts each NBO+ABOACT+4 burst).  The axis also
         // accepts any other registered attacker via --set attack=.
-        AttackerConfig attacker_config;
-        attacker_config.aggressors = static_cast<std::uint32_t>(
-            params.getInt("attacker.aggressors"));
-        attacker_config.poolSize = static_cast<std::uint32_t>(
-            params.getInt("attacker.pool_size"));
-        attacker_config.burstSpacing = static_cast<std::uint32_t>(
-            params.getInt("attacker.burst_spacing"));
-        attacker_config.phase = static_cast<std::uint32_t>(
-            params.getInt("attacker.phase"));
-        const std::unique_ptr<AttackerAgent> attacker =
-            attackerByName(attack, attacker_config, harness.mem());
-        harness.add(attacker.get());
-        harness.run(end);
-
-        const MemoryController &mem = harness.mem();
-        const std::uint32_t max_counter =
-            mem.prac().counters().maxEverSeen();
-        // ABO's contract allows the counter to touch NBO plus the
-        // ABOACT allowance before the RFM lands.
-        const std::uint32_t contract = nbo + spec.prac.aboAct;
+        AttackerConfig attacker = attackerKnobs(params);
+        attacker.attacker = params.getString("attack");
+        const ScaledAttack run =
+            runScaledAttack(defense, attacker, params.getString("spec"),
+                            nbo, params.getDouble("window_ms"));
+        const MemoryController &mem = run.mem();
 
         ResultRow row = JsonValue::object();
-        row.set("max_counter", max_counter);
-        row.set("contract", contract);
-        row.set("secure", max_counter <= contract);
-        row.set("alerts", mem.prac().alerts());
+        run.setVerdict(row);
         row.set("mitigated_rows", mem.prac().mitigatedRows());
         row.set("abo_rfms", mem.rfmCount(RfmReason::Abo));
         row.set("acb_rfms", mem.rfmCount(RfmReason::Acb));
@@ -782,11 +718,8 @@ defenseMatrixAdaptive()
         .constant("attacker", "auto")
         .constant("budget", 6)
         .constant("rounds", 2)
-        .constant("seed", 0x5EA2C4)
-        .constant("attacker.aggressors", 0)
-        .constant("attacker.pool_size", 0)
-        .constant("attacker.burst_spacing", 0)
-        .constant("attacker.phase", 0);
+        .constant("seed", 0x5EA2C4);
+    addAttackerKnobs(scenario.grid);
 
     scenario.runPoint = [](const ParamSet &params) {
         SearchOptions options;
@@ -803,14 +736,7 @@ defenseMatrixAdaptive()
         options.nbo =
             static_cast<std::uint32_t>(params.getInt("nbo"));
         options.windowMs = params.getDouble("window_ms");
-        options.base.aggressors = static_cast<std::uint32_t>(
-            params.getInt("attacker.aggressors"));
-        options.base.poolSize = static_cast<std::uint32_t>(
-            params.getInt("attacker.pool_size"));
-        options.base.burstSpacing = static_cast<std::uint32_t>(
-            params.getInt("attacker.burst_spacing"));
-        options.base.phase = static_cast<std::uint32_t>(
-            params.getInt("attacker.phase"));
+        options.base = attackerKnobs(params);
         // Inline, serial, unjournalled: the outer sweep runner owns
         // checkpointing and parallelism for this scenario.
         options.jobs = 1;
@@ -831,15 +757,7 @@ defenseMatrixAdaptive()
                 static_cast<std::int64_t>(result.best.maxCounter) -
                     static_cast<std::int64_t>(
                         result.oblivious.maxCounter));
-        row.set("best_aggressors", static_cast<std::int64_t>(
-                                       result.best.config.aggressors));
-        row.set("best_pool_size", static_cast<std::int64_t>(
-                                      result.best.config.poolSize));
-        row.set("best_burst_spacing",
-                static_cast<std::int64_t>(
-                    result.best.config.burstSpacing));
-        row.set("best_phase", static_cast<std::int64_t>(
-                                  result.best.config.phase));
+        setAttackerKnobs(row, result.best.config, "best_");
         return std::vector<ResultRow>{std::move(row)};
     };
 

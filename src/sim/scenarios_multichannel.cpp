@@ -169,18 +169,18 @@ sidechannelCrossChannel()
         const std::uint32_t probe_channel =
             params.getString("probe") == "same-channel" ? 0 : 1;
 
-        // The victim hammers on channel 0; the probe reads its own
-        // private row on probe_channel.
-        DramAddress probe_row{0, 0, 0, 3, 0};
-        probe_row.channel = probe_channel;
-        ProbeAgent probe(
-            harness.mem(probe_channel).mapper().compose(probe_row));
-
-        const DramAddress target{0, 4, 2, 0x100, 0};
-        std::vector<DramAddress> decoys;
-        for (std::uint32_t i = 0; i < 4; ++i)
-            decoys.push_back(DramAddress{0, 4, 2, 0x200 + i, 0});
-        HammerAgent victim(harness.mem(0).mapper(), target, decoys);
+        // The victim hammers flat bank 18 on channel 0 (4 decoys at
+        // rows 0x200..0x203); the probe reads its own private row on
+        // probe_channel.
+        AttackerConfig probe_config;
+        probe_config.targetRow = 3;
+        ProbeAgent probe(harness.mem(probe_channel), probe_config);
+        AttackerConfig victim_config;
+        victim_config.poolSize = 4;
+        victim_config.burstSpacing = 0x100;
+        victim_config.targetBank = 18;
+        victim_config.targetRow = 0x100;
+        HammerAgent victim(harness.mem(0), victim_config);
 
         harness.add(&probe, probe_channel);
         harness.add(&victim, 0);

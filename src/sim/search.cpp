@@ -12,26 +12,6 @@ namespace pracleak::sim {
 
 namespace {
 
-/**
- * Knob-name <-> AttackerConfig field mapping.  Covered by the
- * kAttackerConfigFieldCount tripwire: a new searchable knob must be
- * added here, to the CLI sub-keys, and to attackerKnobSpace().
- */
-std::uint32_t *
-knobField(AttackerConfig &config, const std::string &knob)
-{
-    if (knob == "aggressors")
-        return &config.aggressors;
-    if (knob == "pool_size")
-        return &config.poolSize;
-    if (knob == "burst_spacing")
-        return &config.burstSpacing;
-    if (knob == "phase")
-        return &config.phase;
-    throw std::invalid_argument("search: unknown attacker knob '" +
-                                knob + "'");
-}
-
 /** Candidate 0: the defense-oblivious security-matrix hammer. */
 AttackerConfig
 obliviousBaseline(const AttackerConfig &base)
@@ -58,12 +38,16 @@ sampleCandidate(const std::string &attacker,
     config.attacker = attacker;
     Rng rng(deriveRngStream(seed, id));
     for (const AttackerKnob &knob : attackerKnobSpace(attacker)) {
-        std::uint32_t *field = knobField(config, knob.knob);
-        if (*knobField(const_cast<AttackerConfig &>(base),
-                       knob.knob) != 0)
+        const AttackerField *field = findAttackerField(knob.knob);
+        if (!field)
+            throw std::invalid_argument(
+                "search: unknown attacker knob '" +
+                std::string(knob.knob) + "'");
+        if (base.*field->field != 0)
             continue;  // pinned by the caller
-        *field = knob.lo + static_cast<std::uint32_t>(rng.range(
-                               knob.hi - knob.lo + 1));
+        config.*field->field =
+            knob.lo + static_cast<std::uint32_t>(
+                          rng.range(knob.hi - knob.lo + 1));
     }
     return config;
 }
@@ -74,34 +58,52 @@ candidateToJson(const SearchCandidate &candidate)
     JsonValue obj = JsonValue::object();
     obj.set("id", static_cast<std::int64_t>(candidate.id));
     obj.set("attacker", candidate.config.attacker);
-    obj.set("aggressors",
-            static_cast<std::int64_t>(candidate.config.aggressors));
-    obj.set("pool_size",
-            static_cast<std::int64_t>(candidate.config.poolSize));
-    obj.set("burst_spacing",
-            static_cast<std::int64_t>(candidate.config.burstSpacing));
-    obj.set("phase",
-            static_cast<std::int64_t>(candidate.config.phase));
-    obj.set("target_bank",
-            static_cast<std::int64_t>(candidate.config.targetBank));
-    obj.set("target_row",
-            static_cast<std::int64_t>(candidate.config.targetRow));
+    setAttackerKnobs(obj, candidate.config, "", /*placement=*/true);
     obj.set("max_counter",
             static_cast<std::int64_t>(candidate.maxCounter));
     obj.set("secure", candidate.secure);
     return obj;
 }
 
-} // namespace
-
+/**
+ * The search's row for one candidate: its attacker and effective
+ * tunable knobs, the verdict, and RFM telemetry.
+ */
 ResultRow
 evaluateAttacker(const std::string &defense,
                  const AttackerConfig &config,
                  const std::string &spec_name, std::uint32_t nbo,
                  double window_ms)
 {
-    // The defense_matrix_security universe: scaled 2 ms tREFW so a
-    // complete worst-case attack fits a bench budget.
+    const ScaledAttack run =
+        runScaledAttack(defense, config, spec_name, nbo, window_ms);
+    const MemoryController &mem = run.mem();
+    ResultRow row = JsonValue::object();
+    row.set("attacker", run.attacker->name());
+    setAttackerKnobs(row, run.attacker->config());
+    run.setVerdict(row);
+    row.set("mitigation_events", mem.mitigationEvents());
+    row.set("graphene_rfms", mem.rfmCount(RfmReason::Graphene));
+    row.set("pb_rfms", mem.rfmCount(RfmReason::PerBank));
+    return row;
+}
+
+} // namespace
+
+void
+setAttackerKnobs(JsonValue &row, const AttackerConfig &config,
+                 const std::string &prefix, bool placement)
+{
+    for (const AttackerField &field : kAttackerFields)
+        if (field.tunable || placement)
+            row.set(prefix + field.name, config.*field.field);
+}
+
+ScaledAttack
+runScaledAttack(const std::string &defense, const AttackerConfig &config,
+                const std::string &spec_name, std::uint32_t nbo,
+                double window_ms)
+{
     DramSpec spec = specByName(spec_name);
     spec.prac.nbo = nbo;
     spec.timing.tREFW = nsToCycles(2.0e6);
@@ -109,41 +111,28 @@ evaluateAttacker(const std::string &defense,
     ControllerConfig controller;
     configureDefense(controller, defense, spec);
 
-    AttackHarness harness(spec, controller);
-    const std::unique_ptr<AttackerAgent> attacker = attackerByName(
-        config.attacker.empty() ? std::string("hammer")
-                                : config.attacker,
-        config, harness.mem());
-    harness.add(attacker.get());
-    harness.run(nsToCycles(window_ms * 1.0e6));
+    ScaledAttack run;
+    run.harness = std::make_unique<AttackHarness>(spec, controller);
+    run.attacker =
+        attackerByName(config.attacker, config, run.harness->mem());
+    run.harness->add(run.attacker.get());
+    run.harness->run(nsToCycles(window_ms * 1.0e6));
+    return run;
+}
 
-    const MemoryController &mem = harness.mem();
+void
+ScaledAttack::setVerdict(ResultRow &row) const
+{
+    // ABO's contract allows the counter to touch NBO plus the ABOACT
+    // allowance before the RFM lands.
+    const PracParams &prac = mem().dram().spec().prac;
     const std::uint32_t max_counter =
-        mem.prac().counters().maxEverSeen();
-    const std::uint32_t contract = nbo + spec.prac.aboAct;
-
-    ResultRow row = JsonValue::object();
-    row.set("attacker", attacker->name());
-    const AttackerConfig &effective = attacker->config();
-    row.set("aggressors",
-            static_cast<std::int64_t>(effective.aggressors));
-    row.set("pool_size",
-            static_cast<std::int64_t>(effective.poolSize));
-    row.set("burst_spacing",
-            static_cast<std::int64_t>(effective.burstSpacing));
-    row.set("phase", static_cast<std::int64_t>(effective.phase));
-    row.set("max_counter", static_cast<std::int64_t>(max_counter));
-    row.set("contract", static_cast<std::int64_t>(contract));
+        mem().prac().counters().maxEverSeen();
+    const std::uint32_t contract = prac.nbo + prac.aboAct;
+    row.set("max_counter", max_counter);
+    row.set("contract", contract);
     row.set("secure", max_counter <= contract);
-    row.set("alerts",
-            static_cast<std::int64_t>(mem.prac().alerts()));
-    row.set("mitigation_events",
-            static_cast<std::int64_t>(mem.mitigationEvents()));
-    row.set("graphene_rfms", static_cast<std::int64_t>(
-                                 mem.rfmCount(RfmReason::Graphene)));
-    row.set("pb_rfms", static_cast<std::int64_t>(
-                           mem.rfmCount(RfmReason::PerBank)));
-    return row;
+    row.set("alerts", mem().prac().alerts());
 }
 
 JsonValue

@@ -3,7 +3,7 @@
  * Automated attacker search: successive halving over the knob space
  * of a defense-aware adversary (attack/adversaries.h), driven
  * through the checkpointed scenario runner so a search inherits the
- * sweep fleet's guarantees -- byte-identical output at any `--jobs`
+ * sweep runner's guarantees -- byte-identical output at any `--jobs`
  * width and across a kill/`--resume` cycle.
  *
  * The candidate set always contains the defense-oblivious "hammer"
@@ -22,6 +22,7 @@
 #define PRACLEAK_SIM_SEARCH_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,15 +117,39 @@ struct SearchResult
 };
 
 /**
- * Evaluate one attacker configuration against @p defense in the
- * scaled (2 ms tREFW) security-matrix universe: returns the
- * defense_matrix_security-style result row (max_counter, contract,
- * secure, RFM telemetry, attacker provenance).
+ * Write @p config's tunable knobs (with @p placement, its placement
+ * knobs too) to @p row as "<prefix><name>" columns, in kAttackerFields
+ * order.
  */
-ResultRow evaluateAttacker(const std::string &defense,
-                           const AttackerConfig &config,
-                           const std::string &spec_name,
-                           std::uint32_t nbo, double window_ms);
+void setAttackerKnobs(JsonValue &row, const AttackerConfig &config,
+                      const std::string &prefix = "",
+                      bool placement = false);
+
+/**
+ * One attack in the defense_matrix_security universe: the attacker
+ * @p config names, against @p defense at NBO @p nbo, run for
+ * @p window_ms on a scaled 2 ms tREFW so a complete worst-case attack
+ * fits a bench budget.  The search and defense_matrix_security each
+ * build their own row from it.
+ */
+struct ScaledAttack
+{
+    std::unique_ptr<AttackHarness> harness;
+    std::unique_ptr<AttackerAgent> attacker;
+
+    const MemoryController &mem() const { return harness->mem(); }
+
+    /**
+     * Append the verdict columns: max_counter, the NBO + ABOACT
+     * contract, secure (max_counter within the contract), alerts.
+     */
+    void setVerdict(ResultRow &row) const;
+};
+
+ScaledAttack runScaledAttack(const std::string &defense,
+                             const AttackerConfig &config,
+                             const std::string &spec_name,
+                             std::uint32_t nbo, double window_ms);
 
 /**
  * Run the search.  Fully deterministic from SearchOptions: candidate

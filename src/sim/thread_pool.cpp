@@ -41,13 +41,6 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-ThreadPool &
-ThreadPool::shared()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
 void
 ThreadPool::submit(std::function<void()> task)
 {

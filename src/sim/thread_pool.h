@@ -6,8 +6,8 @@
  * Generalizes the ad-hoc batched std::async executor the benches
  * used to carry: work is a FIFO of type-erased tasks, and blocking
  * collectors *help drain the queue* while they wait (tryRunOne), so
- * nested fan-out -- a pooled scenario point that itself calls
- * runParallel -- cannot deadlock the pool.
+ * nested fan-out -- a pooled scenario point that itself calls map()
+ * -- cannot deadlock the pool.
  */
 
 #ifndef PRACLEAK_SIM_THREAD_POOL_H
@@ -36,9 +36,6 @@ class ThreadPool
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Process-wide pool sized to the hardware. */
-    static ThreadPool &shared();
 
     /**
      * Lane index of the calling thread: 0..threads-1 on a pool
@@ -111,19 +108,6 @@ class ThreadPool
     std::mutex finishedMutex_;
     bool stopping_ = false;
 };
-
-/**
- * Back-compat shim for the old bench helper: run a batch of
- * independent jobs on @p pool (the shared pool by default).
- */
-template <typename T>
-std::vector<T>
-runParallel(std::vector<std::function<T()>> jobs,
-            ThreadPool *pool = nullptr)
-{
-    ThreadPool &target = pool ? *pool : ThreadPool::shared();
-    return target.map(std::move(jobs));
-}
 
 } // namespace pracleak::sim
 

@@ -23,11 +23,34 @@ quietConfig()
     return config;
 }
 
+/** Spy on row 3 of flat bank 0. */
+AttackerConfig
+probeRow()
+{
+    AttackerConfig config;
+    config.targetRow = 3;
+    return config;
+}
+
+/**
+ * Hammer row 0x100 of flat bank 18 (rank 0, bg 4, bank 2) against
+ * @p decoys same-bank decoys at rows 0x200, 0x201, ...
+ */
+AttackerConfig
+hammerRow(std::uint32_t decoys)
+{
+    AttackerConfig config;
+    config.poolSize = decoys;
+    config.burstSpacing = 0x100;
+    config.targetBank = 18;
+    config.targetRow = 0x100;
+    return config;
+}
+
 TEST(ProbeAgentTest, KeepsExactlyOneReadInFlight)
 {
     AttackHarness harness(DramSpec::ddr5_8000b(), quietConfig());
-    ProbeAgent probe(harness.mem().mapper().compose(
-        DramAddress{0, 0, 0, 3, 0}));
+    ProbeAgent probe(harness.mem(), probeRow());
     harness.add(&probe);
 
     std::size_t max_depth = 0;
@@ -42,8 +65,7 @@ TEST(ProbeAgentTest, KeepsExactlyOneReadInFlight)
 TEST(ProbeAgentTest, SamplesAreMonotoneInTime)
 {
     AttackHarness harness(DramSpec::ddr5_8000b(), quietConfig());
-    ProbeAgent probe(harness.mem().mapper().compose(
-        DramAddress{0, 0, 0, 3, 0}));
+    ProbeAgent probe(harness.mem(), probeRow());
     harness.add(&probe);
     harness.run(nsToCycles(50000));
 
@@ -64,8 +86,7 @@ TEST(ProbeAgentTest, OpenPageProbingAvoidsSelfActivations)
     config.mitigation = "abo-only";
     config.refreshEnabled = false;
     AttackHarness harness(spec, config);
-    ProbeAgent probe(harness.mem().mapper().compose(
-        DramAddress{0, 0, 0, 3, 0}));
+    ProbeAgent probe(harness.mem(), probeRow());
     harness.add(&probe);
 
     harness.run(nsToCycles(500000));
@@ -79,12 +100,7 @@ TEST(HammerAgentTest, DeliversExactTargetActivations)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 100000; // never alert
     AttackHarness harness(spec, quietConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
-
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys{{0, 4, 2, 0x200, 0},
-                                    {0, 4, 2, 0x201, 0}};
-    HammerAgent hammer(mapper, target, decoys);
+    HammerAgent hammer(harness.mem(), hammerRow(2));
     harness.add(&hammer);
 
     hammer.startHammer(150);
@@ -93,9 +109,7 @@ TEST(HammerAgentTest, DeliversExactTargetActivations)
     ASSERT_TRUE(hammer.done());
     EXPECT_EQ(hammer.targetActsDone(), 150u);
     // Ground truth: the PRAC counter saw exactly those activations.
-    EXPECT_EQ(harness.mem().prac().counters().get(
-                  mapper.flatBank(target), target.row),
-              150u);
+    EXPECT_EQ(harness.mem().prac().counters().get(18, 0x100), 150u);
 }
 
 TEST(HammerAgentTest, DecoysShareTheRemainingActivations)
@@ -103,13 +117,7 @@ TEST(HammerAgentTest, DecoysShareTheRemainingActivations)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 100000;
     AttackHarness harness(spec, quietConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
-
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys;
-    for (std::uint32_t i = 0; i < 4; ++i)
-        decoys.push_back(DramAddress{0, 4, 2, 0x200 + i, 0});
-    HammerAgent hammer(mapper, target, decoys);
+    HammerAgent hammer(harness.mem(), hammerRow(4));
     harness.add(&hammer);
 
     hammer.startHammer(160);
@@ -118,8 +126,7 @@ TEST(HammerAgentTest, DecoysShareTheRemainingActivations)
     // Each of the 4 decoys got ~1/4 of the target's count.
     for (std::uint32_t i = 0; i < 4; ++i) {
         const std::uint32_t count =
-            harness.mem().prac().counters().get(
-                mapper.flatBank(target), 0x200 + i);
+            harness.mem().prac().counters().get(18, 0x200 + i);
         EXPECT_NEAR(static_cast<double>(count), 40.0, 3.0);
     }
 }
@@ -127,9 +134,7 @@ TEST(HammerAgentTest, DecoysShareTheRemainingActivations)
 TEST(HammerAgentTest, StopAbortsBurst)
 {
     AttackHarness harness(DramSpec::ddr5_8000b(), quietConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    HammerAgent hammer(mapper, target, {{0, 4, 2, 0x200, 0}});
+    HammerAgent hammer(harness.mem(), hammerRow(1));
     harness.add(&hammer);
 
     hammer.startHammer(100000);
@@ -145,10 +150,7 @@ TEST(HammerAgentTest, RateApproachesBankPipelineLimit)
 {
     const DramSpec spec = DramSpec::ddr5_8000b();
     AttackHarness harness(spec, quietConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    HammerAgent hammer(mapper, target,
-                       {{0, 4, 2, 0x200, 0}, {0, 4, 2, 0x201, 0}});
+    HammerAgent hammer(harness.mem(), hammerRow(2));
     harness.add(&hammer);
 
     hammer.startHammer(200);
@@ -192,14 +194,50 @@ TEST(FeintingAgentTest, RefusedEnqueueSkipsNoRow)
 TEST(HarnessTest, RunUntilStopsOnPredicate)
 {
     AttackHarness harness(DramSpec::ddr5_8000b(), quietConfig());
-    ProbeAgent probe(harness.mem().mapper().compose(
-        DramAddress{0, 0, 0, 3, 0}));
+    ProbeAgent probe(harness.mem(), probeRow());
     harness.add(&probe);
 
     harness.runUntil([&] { return probe.completed() >= 10; },
                      nsToCycles(1e6));
     EXPECT_GE(probe.completed(), 10u);
     EXPECT_LE(probe.completed(), 12u);
+}
+
+TEST(HarnessTest, ConfigPlacesAgentsOnTheirOwnChannel)
+{
+    // Agents built against channel 1's controller compose channel-1
+    // addresses: what the mapper routes each request to and the
+    // controller serving it agree.
+    AttackHarness harness(DramSpec::ddr5_8000b(), quietConfig(), 2);
+    MemoryController &mem = harness.mem(1);
+    struct ChannelTap : RequestTap
+    {
+        const AddressMapper *mapper = nullptr;
+        std::uint64_t requests = 0;
+        std::uint64_t offChannel = 0;
+
+        void
+        onEnqueue(const Request &request, Cycle) override
+        {
+            ++requests;
+            offChannel += mapper->channelOf(request.addr) != 1;
+        }
+    } tap;
+    tap.mapper = &mem.mapper();
+    mem.setRequestTap(&tap);
+
+    ProbeAgent probe(mem, probeRow());
+    HammerAgent hammer(mem, hammerRow(2));
+    harness.add(&probe, 1);
+    harness.add(&hammer, 1);
+    hammer.startHammer(50);
+    harness.runUntil([&] { return hammer.done(); }, nsToCycles(1e6));
+
+    EXPECT_TRUE(hammer.done());
+    EXPECT_GT(tap.requests, 150u);
+    EXPECT_EQ(tap.offChannel, 0u);
+    EXPECT_EQ(mem.prac().counters().get(18, 0x100), 50u);
+    mem.setRequestTap(nullptr);
 }
 
 TEST(HarnessTest, AgentTrafficIsTimingClean)
@@ -217,11 +255,8 @@ TEST(HarnessTest, AgentTrafficIsTimingClean)
             checker.observe(cmd, now);
         });
 
-    const AddressMapper &mapper = harness.mem().mapper();
-    ProbeAgent probe(mapper.compose(DramAddress{0, 0, 0, 3, 0}));
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    HammerAgent hammer(mapper, target,
-                       {{0, 4, 2, 0x200, 0}, {0, 4, 2, 0x201, 0}});
+    ProbeAgent probe(harness.mem(), probeRow());
+    HammerAgent hammer(harness.mem(), hammerRow(2));
     harness.add(&probe);
     harness.add(&hammer);
 

@@ -32,18 +32,36 @@ aboOnlyConfig()
     return config;
 }
 
+/** Spy on row 3 of flat bank 0, away from the hammer's bank. */
+AttackerConfig
+probeRow()
+{
+    AttackerConfig config;
+    config.targetRow = 3;
+    return config;
+}
+
+/**
+ * Hammer row 0x100 of flat bank 18 (rank 0, bg 4, bank 2) against 4
+ * same-bank decoys at rows 0x200..0x203.
+ */
+AttackerConfig
+hammerRow()
+{
+    AttackerConfig config;
+    config.poolSize = 4;
+    config.burstSpacing = 0x100;
+    config.targetBank = 18;
+    config.targetRow = 0x100;
+    return config;
+}
+
 TEST(AttackBasics, HammerTriggersAlert)
 {
     const DramSpec spec = specWith(256, 1);
     AttackHarness harness(spec, aboOnlyConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
 
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys{{0, 4, 2, 0x200, 0},
-                                    {0, 4, 2, 0x201, 0},
-                                    {0, 4, 2, 0x202, 0},
-                                    {0, 4, 2, 0x203, 0}};
-    HammerAgent hammer(mapper, target, decoys);
+    HammerAgent hammer(harness.mem(), hammerRow());
     harness.add(&hammer);
 
     hammer.startHammer(300);
@@ -61,14 +79,8 @@ TEST(AttackBasics, BelowNboNeverAlerts)
 {
     const DramSpec spec = specWith(256, 1);
     AttackHarness harness(spec, aboOnlyConfig());
-    const AddressMapper &mapper = harness.mem().mapper();
 
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys{{0, 4, 2, 0x200, 0},
-                                    {0, 4, 2, 0x201, 0},
-                                    {0, 4, 2, 0x202, 0},
-                                    {0, 4, 2, 0x203, 0}};
-    HammerAgent hammer(mapper, target, decoys);
+    HammerAgent hammer(harness.mem(), hammerRow());
     harness.add(&hammer);
 
     hammer.startHammer(200); // < NBO
@@ -87,16 +99,10 @@ TEST(AttackBasics, ProbeSeesRfmSpike)
     // detector (see covert.cpp) instead.
     base_config.refreshEnabled = false;
     AttackHarness harness(spec, base_config);
-    const AddressMapper &mapper = harness.mem().mapper();
 
     // Probe in a different bank from the hammer.
-    ProbeAgent probe(mapper.compose(DramAddress{0, 0, 0, 3, 0}));
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys{{0, 4, 2, 0x200, 0},
-                                    {0, 4, 2, 0x201, 0},
-                                    {0, 4, 2, 0x202, 0},
-                                    {0, 4, 2, 0x203, 0}};
-    HammerAgent hammer(mapper, target, decoys);
+    ProbeAgent probe(harness.mem(), probeRow());
+    HammerAgent hammer(harness.mem(), hammerRow());
     harness.add(&probe);
     harness.add(&hammer);
 
@@ -117,9 +123,8 @@ TEST(AttackBasics, ProbeLatencyStableWithoutAbo)
     ControllerConfig config = aboOnlyConfig();
     config.refreshEnabled = false; // isolate: no REF spikes either
     AttackHarness harness(spec, config);
-    const AddressMapper &mapper = harness.mem().mapper();
 
-    ProbeAgent probe(mapper.compose(DramAddress{0, 0, 0, 3, 0}));
+    ProbeAgent probe(harness.mem(), probeRow());
     harness.add(&probe);
     harness.run(nsToCycles(100000));
 
@@ -143,15 +148,9 @@ TEST_P(PracLevelLatency, SpikeScalesWithPracLevel)
     ControllerConfig config = aboOnlyConfig();
     config.refreshEnabled = false;
     AttackHarness harness(spec, config);
-    const AddressMapper &mapper = harness.mem().mapper();
 
-    ProbeAgent probe(mapper.compose(DramAddress{0, 0, 0, 3, 0}));
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys{{0, 4, 2, 0x200, 0},
-                                    {0, 4, 2, 0x201, 0},
-                                    {0, 4, 2, 0x202, 0},
-                                    {0, 4, 2, 0x203, 0}};
-    HammerAgent hammer(mapper, target, decoys);
+    ProbeAgent probe(harness.mem(), probeRow());
+    HammerAgent hammer(harness.mem(), hammerRow());
     harness.add(&probe);
     harness.add(&hammer);
 

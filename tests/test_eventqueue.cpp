@@ -263,10 +263,9 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
     near_config.targetRow = 3;
     ProbeAgent near_probe(harness.mem(), near_config);
     const std::uint32_t last = channels - 1;
-    DramAddress far_row{};
-    far_row.row = 3;
-    far_row.channel = last;
-    ProbeAgent far_probe(harness.mem(last).mapper().compose(far_row));
+    AttackerConfig far_config;
+    far_config.targetRow = 3;
+    ProbeAgent far_probe(harness.mem(last), far_config);
 
     const std::vector<std::pair<MemAgent *, std::uint32_t>> agents = {
         {&victim, 0}, {&near_probe, 0}, {&far_probe, last}};

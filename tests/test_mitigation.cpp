@@ -202,10 +202,9 @@ TEST(Para, BoundsCountersUnderDirectHammer)
     configureDefense(config, "para", spec);
 
     AttackHarness harness(spec, config);
-    const DramAddress target{0, 0, 0, 5000, 0};
-    const std::vector<DramAddress> decoys{
-        DramAddress{0, 0, 0, 6000, 0}, DramAddress{0, 0, 0, 6001, 0}};
-    HammerAgent attacker(harness.mem().mapper(), target, decoys);
+    // The default placement: row 5000 of flat bank 0 against decoys
+    // at rows 6000 and 6001.
+    HammerAgent attacker(harness.mem(), AttackerConfig{});
     harness.add(&attacker);
 
     const Cycle end = nsToCycles(1.0e6);

@@ -83,12 +83,12 @@ TEST(TpracPb, StillPreventsAlerts)
     config.tbRfm.perBank = true;
 
     AttackHarness harness(spec, config);
-    const AddressMapper &mapper = harness.mem().mapper();
-    const DramAddress target{0, 4, 2, 0x100, 0};
-    std::vector<DramAddress> decoys;
-    for (std::uint32_t i = 0; i < 4; ++i)
-        decoys.push_back(DramAddress{0, 4, 2, 0x200 + i, 0});
-    HammerAgent hammer(mapper, target, decoys);
+    AttackerConfig hammer_config;
+    hammer_config.poolSize = 4;
+    hammer_config.burstSpacing = 0x100;
+    hammer_config.targetBank = 18;
+    hammer_config.targetRow = 0x100;
+    HammerAgent hammer(harness.mem(), hammer_config);
     harness.add(&hammer);
 
     // Aggressive re-hammering across many windows.
@@ -116,8 +116,9 @@ TEST(TpracPb, NeverStallsOtherBanksObservably)
     config.refreshEnabled = false;
 
     AttackHarness harness(spec, config);
-    ProbeAgent probe(harness.mem().mapper().compose(
-        DramAddress{0, 0, 0, 3, 0}));
+    AttackerConfig probe_config;
+    probe_config.targetRow = 3;
+    ProbeAgent probe(harness.mem(), probe_config);
     harness.add(&probe);
     harness.run(nsToCycles(200000));
 

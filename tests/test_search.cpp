@@ -99,10 +99,10 @@ TEST(AttackerRegistry, KnobSpacesAreSane)
         for (const AttackerKnob &knob : attackerKnobSpace(name)) {
             EXPECT_LE(knob.lo, knob.hi) << name << "." << knob.knob;
             EXPECT_GT(knob.hi, 0u) << name << "." << knob.knob;
-            const std::string key = knob.knob;
-            EXPECT_TRUE(key == "aggressors" || key == "pool_size" ||
-                        key == "burst_spacing" || key == "phase")
-                << name << "." << key;
+            // Only the table's tunable knobs are searched.
+            const AttackerField *field = findAttackerField(knob.knob);
+            ASSERT_NE(field, nullptr) << name << "." << knob.knob;
+            EXPECT_TRUE(field->tunable) << name << "." << knob.knob;
         }
     }
     // The oblivious baseline has nothing to tune: the search space
@@ -196,14 +196,19 @@ TEST(SearchTest, BestNeverWorseThanOblivious)
 
 TEST(SearchTest, PinnedKnobsAreNotSampled)
 {
-    SearchOptions options = testOptions("pb-rfm");
-    options.base.poolSize = 3;  // pin one knob; sample the rest
-    const SearchResult result = runAttackerSearch(options);
-    for (const sim::SearchCandidate &candidate :
-         result.rounds[0].candidates) {
-        if (candidate.id == 0)
-            continue;  // the oblivious baseline ignores the pin
-        EXPECT_EQ(candidate.config.poolSize, 3u) << candidate.id;
+    // pb-parallel searches every tunable knob; pin each table entry
+    // in turn and sample the rest.
+    for (const AttackerField &field : kAttackerFields) {
+        SearchOptions options = testOptions("pb-rfm");
+        options.base.*field.field = 3;
+        const SearchResult result = runAttackerSearch(options);
+        for (const sim::SearchCandidate &candidate :
+             result.rounds[0].candidates) {
+            if (candidate.id == 0 && field.tunable)
+                continue;  // the oblivious baseline ignores the pin
+            EXPECT_EQ(candidate.config.*field.field, 3u)
+                << field.name << " candidate " << candidate.id;
+        }
     }
 }
 

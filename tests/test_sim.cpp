@@ -172,15 +172,6 @@ TEST(ThreadPool, MapPropagatesExceptionsAfterDraining)
     EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ThreadPool, RunParallelShimUsesSharedPool)
-{
-    std::vector<std::function<int()>> jobs;
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back([i] { return i; });
-    const std::vector<int> results = runParallel(std::move(jobs));
-    EXPECT_EQ(results, (std::vector<int>{0, 1, 2, 3}));
-}
-
 // --- Registry + runner ---------------------------------------------
 
 TEST(ScenarioRegistry, BuiltinsCoverEveryFigureAndTable)
