@@ -57,20 +57,22 @@ main()
                 "TB-RFMs", "alerts", "RBMPKI");
     std::printf("%-12s %10.3f %10llu %8llu %8.1f\n", "baseline",
                 base.ipcSum(),
-                static_cast<unsigned long long>(base.tbRfms),
-                static_cast<unsigned long long>(base.alerts),
+                static_cast<unsigned long long>(
+                    base.stats.rfm(RfmReason::TimingBased)),
+                static_cast<unsigned long long>(base.stats.alerts),
                 base.rbmpki());
     std::printf("%-12s %10.3f %10llu %8llu %8.1f\n", "tprac",
                 tprac.ipcSum(),
-                static_cast<unsigned long long>(tprac.tbRfms),
-                static_cast<unsigned long long>(tprac.alerts),
+                static_cast<unsigned long long>(
+                    tprac.stats.rfm(RfmReason::TimingBased)),
+                static_cast<unsigned long long>(tprac.stats.alerts),
                 tprac.rbmpki());
 
     const double slowdown = 1.0 - normalizedPerf(tprac, base);
     std::printf("\nTPRAC slowdown vs. insecure baseline: %.2f%%\n",
                 100.0 * slowdown);
     std::printf("TPRAC alerts (must be 0 for a closed channel): %llu\n",
-                static_cast<unsigned long long>(tprac.alerts));
+                static_cast<unsigned long long>(tprac.stats.alerts));
 
     std::printf("\nrunning TPRAC again on two interleaved channels...\n");
     const RunResult two = runOnce("tprac", kNbo, 2);

@@ -90,6 +90,8 @@ expect_reject "--rounds expects" "${PRACBENCH}" "${SEARCH[@]}" --rounds x
 expect_reject "--seed expects" "${PRACBENCH}" "${SEARCH[@]}" --seed -5
 expect_reject "--set attacker.aggressors expects" \
     "${PRACBENCH}" "${SEARCH[@]}" --set attacker.aggressors=abc
+expect_reject "0 leaves it sampled" "${PRACBENCH}" "${SEARCH[@]}" \
+    --budget 3 --rounds 1 --set attacker.phase=0
 
 echo "==> an empty path value is refused, not read as \"off\""
 for flag in --out --csv --checkpoint --trace-out --series-out; do

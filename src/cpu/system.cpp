@@ -165,20 +165,13 @@ System::run()
         start_instrs[i] = cores_[i].instrsRetired();
 
     const std::size_t nch = mems_.size();
-    std::vector<EnergyCounts> start_counts(nch);
+    std::vector<ChannelStats> start_stats(nch);
+    std::vector<SchedCounters> start_sched(nch);
     for (std::size_t c = 0; c < nch; ++c) {
-        const DramDevice &dev = mems_[c]->dram();
-        start_counts[c].acts = dev.issueCount(CmdType::ACT);
-        start_counts[c].reads = dev.issueCount(CmdType::RD);
-        start_counts[c].writes = dev.issueCount(CmdType::WR);
-        start_counts[c].refreshes = dev.issueCount(CmdType::REFab);
-        start_counts[c].mitigatedRows =
-            mems_[c]->prac().mitigatedRows();
+        start_stats[c] = snapshotChannelStats(*mems_[c]);
+        start_sched[c] = mems_[c]->schedCounters();
     }
     const std::uint64_t start_row_misses = stats_.get("mem.row_misses");
-    std::vector<SchedCounters> start_sched(nch);
-    for (std::size_t c = 0; c < nch; ++c)
-        start_sched[c] = mems_[c]->schedCounters();
 
     std::vector<Cycle> finish_at(n, 0);
     std::size_t finished = 0;
@@ -216,75 +209,36 @@ System::run()
     result.channels.resize(nch);
     for (std::size_t c = 0; c < nch; ++c) {
         const MemoryController &mem = *mems_[c];
-        const DramDevice &dev = mem.dram();
         ChannelResult &ch = result.channels[c];
-
-        EnergyCounts delta;
-        delta.acts = dev.issueCount(CmdType::ACT) - start_counts[c].acts;
-        delta.reads = dev.issueCount(CmdType::RD) - start_counts[c].reads;
-        delta.writes =
-            dev.issueCount(CmdType::WR) - start_counts[c].writes;
-        delta.refreshes =
-            dev.issueCount(CmdType::REFab) - start_counts[c].refreshes;
-        delta.mitigatedRows =
-            mem.prac().mitigatedRows() - start_counts[c].mitigatedRows;
-        delta.elapsed = result.measureCycles;
-        ch.energyCounts = delta;
-        ch.energy = computeEnergy(delta);
-
-        ch.aboRfms = mem.rfmCount(RfmReason::Abo);
-        ch.acbRfms = mem.rfmCount(RfmReason::Acb);
-        ch.tbRfms = mem.rfmCount(RfmReason::TimingBased);
+        ch.stats = snapshotChannelStats(mem);
         ch.tbRfmsSkipped =
             mem.tbScheduler() ? mem.tbScheduler()->skipped() : 0;
-        ch.grapheneRfms = mem.rfmCount(RfmReason::Graphene);
-        ch.pbRfms = mem.rfmCount(RfmReason::PerBank);
-        ch.mitigationEvents = mem.mitigationEvents();
-        ch.alerts = mem.prac().alerts();
-        ch.maxCounterSeen = mem.prac().counters().maxEverSeen();
+        ch.sched = mem.schedCounters() - start_sched[c];
+        const ChannelStats &start = start_stats[c];
+        ch.energyCounts = {ch.stats.acts - start.acts,
+                           ch.stats.reads - start.reads,
+                           ch.stats.writes - start.writes,
+                           ch.stats.refreshes - start.refreshes,
+                           ch.stats.mitigatedRows - start.mitigatedRows,
+                           result.measureCycles};
+        ch.energy = computeEnergy(ch.energyCounts);
 
-        const SchedCounters &sc = mem.schedCounters();
-        ch.sched.ticksFired = sc.ticksFired - start_sched[c].ticksFired;
-        ch.sched.cyclesJumped =
-            sc.cyclesJumped - start_sched[c].cyclesJumped;
-        ch.sched.nextWorkCacheHits =
-            sc.nextWorkCacheHits - start_sched[c].nextWorkCacheHits;
-        ch.sched.nextWorkRebuilds =
-            sc.nextWorkRebuilds - start_sched[c].nextWorkRebuilds;
-        ch.sched.nextWorkHintRebuilds =
-            sc.nextWorkHintRebuilds -
-            start_sched[c].nextWorkHintRebuilds;
-        result.sched.ticksFired += ch.sched.ticksFired;
-        result.sched.cyclesJumped += ch.sched.cyclesJumped;
-        result.sched.nextWorkCacheHits += ch.sched.nextWorkCacheHits;
-        result.sched.nextWorkRebuilds += ch.sched.nextWorkRebuilds;
-        result.sched.nextWorkHintRebuilds +=
-            ch.sched.nextWorkHintRebuilds;
-        // Ride the StatSet too, so stat dumps explain the scheduler
-        // without a RunResult in hand.
-        stats_.counter("sched.ticks_fired") += ch.sched.ticksFired;
-        stats_.counter("sched.cycles_jumped") +=
-            ch.sched.cyclesJumped;
-        stats_.counter("sched.nextwork_cache_hits") +=
-            ch.sched.nextWorkCacheHits;
-        stats_.counter("sched.nextwork_rebuilds") +=
-            ch.sched.nextWorkRebuilds;
-        stats_.counter("sched.nextwork_hint_rebuilds") +=
-            ch.sched.nextWorkHintRebuilds;
-
+        result.stats += ch.stats;
+        result.tbRfmsSkipped += ch.tbRfmsSkipped;
+        result.sched += ch.sched;
         result.energyCounts += ch.energyCounts;
         result.energy += ch.energy;
-        result.aboRfms += ch.aboRfms;
-        result.acbRfms += ch.acbRfms;
-        result.tbRfms += ch.tbRfms;
-        result.tbRfmsSkipped += ch.tbRfmsSkipped;
-        result.grapheneRfms += ch.grapheneRfms;
-        result.pbRfms += ch.pbRfms;
-        result.mitigationEvents += ch.mitigationEvents;
-        result.alerts += ch.alerts;
-        result.maxCounterSeen =
-            std::max(result.maxCounterSeen, ch.maxCounterSeen);
     }
+    // Ride the StatSet too, so stat dumps explain the scheduler
+    // without a RunResult in hand.
+    stats_.counter("sched.ticks_fired") += result.sched.ticksFired;
+    stats_.counter("sched.cycles_jumped") += result.sched.cyclesJumped;
+    stats_.counter("sched.nextwork_cache_hits") +=
+        result.sched.nextWorkCacheHits;
+    stats_.counter("sched.nextwork_rebuilds") +=
+        result.sched.nextWorkRebuilds;
+    stats_.counter("sched.nextwork_hint_rebuilds") +=
+        result.sched.nextWorkHintRebuilds;
     result.rowMisses = stats_.get("mem.row_misses") - start_row_misses;
     result.ffCyclesSkipped = ffSkipped_ - ff_skipped_at_measure_start;
     if (stats_.hasHistogram("mem.queue_occupancy"))

@@ -32,6 +32,7 @@
 #include "cpu/cache.h"
 #include "cpu/trace_core.h"
 #include "dram/energy.h"
+#include "mem/channel_stats.h"
 #include "mem/controller.h"
 
 namespace pracleak {
@@ -73,20 +74,15 @@ struct CoreResult
     double ipc = 0.0;
 };
 
-/** Per-channel outcome of a run (measure window). */
+/** Per-channel outcome of a run. */
 struct ChannelResult
 {
-    EnergyBreakdown energy;
-    EnergyCounts energyCounts;
-    std::uint64_t aboRfms = 0;
-    std::uint64_t acbRfms = 0;
-    std::uint64_t tbRfms = 0;
-    std::uint64_t tbRfmsSkipped = 0;
-    std::uint64_t grapheneRfms = 0;     //!< "graphene" defense RFMpbs
-    std::uint64_t pbRfms = 0;           //!< "pb-rfm" defense RFMpbs
-    std::uint64_t mitigationEvents = 0; //!< Mitigation::eventsTriggered
-    std::uint64_t alerts = 0;
-    std::uint32_t maxCounterSeen = 0;
+    EnergyBreakdown energy;         //!< measure window
+    EnergyCounts energyCounts;      //!< measure window
+
+    /** Cumulative at run end, warm-up included (see ChannelStats). */
+    ChannelStats stats;
+    std::uint64_t tbRfmsSkipped = 0; //!< cumulative, like stats
 
     /**
      * Scheduler-efficiency counters over the measure window
@@ -106,16 +102,13 @@ struct RunResult
     EnergyBreakdown energy;         //!< all channels, measure window
     EnergyCounts energyCounts;      //!< raw events, measure window
 
-    std::uint64_t aboRfms = 0;
-    std::uint64_t acbRfms = 0;
-    std::uint64_t tbRfms = 0;
+    /**
+     * All channels' stats summed (max for maxCounterSeen): cumulative
+     * at run end, warm-up included.
+     */
+    ChannelStats stats;
     std::uint64_t tbRfmsSkipped = 0;
-    std::uint64_t grapheneRfms = 0;     //!< "graphene" defense RFMpbs
-    std::uint64_t pbRfms = 0;           //!< "pb-rfm" defense RFMpbs
-    std::uint64_t mitigationEvents = 0; //!< defense-specific events
-    std::uint64_t alerts = 0;
     std::uint64_t rowMisses = 0;    //!< measure window
-    std::uint32_t maxCounterSeen = 0;
 
     /** Per-channel breakdown (aggregates above are their sums). */
     std::vector<ChannelResult> channels;

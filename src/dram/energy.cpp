@@ -43,18 +43,4 @@ computeEnergy(const EnergyCounts &counts, const EnergyParams &params)
     return out;
 }
 
-EnergyBreakdown
-computeEnergy(const DramDevice &dev, Cycle elapsed,
-              std::uint64_t mitigated_rows, const EnergyParams &params)
-{
-    EnergyCounts counts;
-    counts.acts = dev.issueCount(CmdType::ACT);
-    counts.reads = dev.issueCount(CmdType::RD);
-    counts.writes = dev.issueCount(CmdType::WR);
-    counts.refreshes = dev.issueCount(CmdType::REFab);
-    counts.mitigatedRows = mitigated_rows;
-    counts.elapsed = elapsed;
-    return computeEnergy(counts, params);
-}
-
 } // namespace pracleak

@@ -16,7 +16,6 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "dram/dram.h"
 
 namespace pracleak {
 
@@ -47,6 +46,8 @@ struct EnergyCounts
      * for the single-channel case).
      */
     EnergyCounts &operator+=(const EnergyCounts &other);
+
+    bool operator==(const EnergyCounts &other) const = default;
 };
 
 /** Decomposed energy for one simulation run. */
@@ -72,16 +73,6 @@ struct EnergyBreakdown
 
 /** Score a set of raw event counts. */
 EnergyBreakdown computeEnergy(const EnergyCounts &counts,
-                              const EnergyParams &params = {});
-
-/**
- * Convenience wrapper reading the counts from a device's lifetime
- * issue counters.
- *
- * @param mitigated_rows Rows mitigated by RFMs/TREFs (from PracEngine).
- */
-EnergyBreakdown computeEnergy(const DramDevice &dev, Cycle elapsed,
-                              std::uint64_t mitigated_rows,
                               const EnergyParams &params = {});
 
 } // namespace pracleak

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/log.h"
+#include "mem/channel_stats.h"
 #include "mitigation/registry.h"
 #include "telemetry/timeseries.h"
 
@@ -262,27 +263,10 @@ MemoryController::countRfm(RfmReason reason, bool per_bank)
 {
     ++rfmCounts_[static_cast<std::size_t>(reason)];
     if (stats_) {
-        switch (reason) {
-          case RfmReason::Abo:
-            ++stats_->counter("mem.abo_rfms");
-            break;
-          case RfmReason::Acb:
-            ++stats_->counter("mem.acb_rfms");
-            break;
-          case RfmReason::TimingBased:
-            ++stats_->counter(per_bank ? "mem.tb_rfms_pb"
-                                       : "mem.tb_rfms");
-            break;
-          case RfmReason::Random:
-            ++stats_->counter("mem.random_rfms");
-            break;
-          case RfmReason::Graphene:
-            ++stats_->counter("mem.graphene_rfms");
-            break;
-          case RfmReason::PerBank:
-            ++stats_->counter("mem.pb_rfms");
-            break;
-        }
+        static const std::string tb_per_bank = "mem.tb_rfms_pb";
+        ++stats_->counter(per_bank && reason == RfmReason::TimingBased
+                              ? tb_per_bank
+                              : rfmStatKey(reason));
     }
     mitigation_->onRfmIssued(reason, per_bank, now_);
 }

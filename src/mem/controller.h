@@ -128,6 +128,28 @@ struct SchedCounters
     std::uint64_t nextWorkCacheHits = 0; //!< nextWorkAt() cache hits
     std::uint64_t nextWorkRebuilds = 0;  //!< full computeNextWorkAt()
     std::uint64_t nextWorkHintRebuilds = 0; //!< cheap from tick hints
+
+    SchedCounters &
+    operator+=(const SchedCounters &other)
+    {
+        ticksFired += other.ticksFired;
+        cyclesJumped += other.cyclesJumped;
+        nextWorkCacheHits += other.nextWorkCacheHits;
+        nextWorkRebuilds += other.nextWorkRebuilds;
+        nextWorkHintRebuilds += other.nextWorkHintRebuilds;
+        return *this;
+    }
+
+    /** The work done since @p start (an earlier reading). */
+    SchedCounters
+    operator-(const SchedCounters &start) const
+    {
+        return {ticksFired - start.ticksFired,
+                cyclesJumped - start.cyclesJumped,
+                nextWorkCacheHits - start.nextWorkCacheHits,
+                nextWorkRebuilds - start.nextWorkRebuilds,
+                nextWorkHintRebuilds - start.nextWorkHintRebuilds};
+    }
 };
 
 /** One-channel memory controller. */

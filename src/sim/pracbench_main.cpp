@@ -137,8 +137,8 @@ printUsage()
         "'rounds'\n"
         "                         constant)\n"
         "  --seed S               candidate-sampling seed\n"
-        "  --set attacker.K=V     pin knob K instead of sampling it, "
-        "K one of\n"
+        "  --set attacker.K=V     pin knob K to V >= 1 instead of "
+        "sampling it, K one of\n"
         "                         %s;\n"
         "                         --set attacker=NAME is an alias for "
         "--attacker\n"
@@ -641,6 +641,15 @@ commandSearch(const std::vector<std::string> &args)
             } else if (field && field->tunable) {
                 base.*field->field = static_cast<std::uint32_t>(
                     parseCount("--set " + key, value, UINT32_MAX));
+                if (base.*field->field == 0) {
+                    // The search reads 0 as "not pinned".
+                    std::fprintf(stderr,
+                                 "pracbench: --set %s=0 cannot pin "
+                                 "the knob: 0 leaves it sampled; pin "
+                                 "it to 1 or more\n",
+                                 key.c_str());
+                    return 2;
+                }
             } else {
                 rejectUnknown("search --set key", key, knownSetKeys);
             }

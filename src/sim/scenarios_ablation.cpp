@@ -173,13 +173,6 @@ class FifoOverflowAgent : public MemAgent
     std::uint32_t outstanding_ = 0;
 };
 
-struct QueueOutcome
-{
-    std::uint32_t maxCounter = 0;
-    std::uint64_t alerts = 0;
-    std::uint64_t mitigatedRows = 0;
-};
-
 QueueKind
 parseQueueKind(const std::string &name)
 {
@@ -192,7 +185,7 @@ parseQueueKind(const std::string &name)
     throw std::invalid_argument("unknown queue kind '" + name + "'");
 }
 
-QueueOutcome
+ChannelStats
 fifoExploit(QueueKind queue, std::uint32_t nbo)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
@@ -210,14 +203,10 @@ fifoExploit(QueueKind queue, std::uint32_t nbo)
     harness.add(&attacker);
     harness.run(config.tbRfm.windowCycles * 256);
 
-    return QueueOutcome{
-        harness.mem().prac().counters().maxEverSeen(),
-        harness.mem().prac().alerts(),
-        harness.mem().prac().mitigatedRows(),
-    };
+    return snapshotChannelStats(harness.mem());
 }
 
-QueueOutcome
+ChannelStats
 attackQueue(QueueKind queue, std::uint32_t nbo, double window_scale)
 {
     // Scaled universe (2 ms tREFW) so the complete worst-case attack
@@ -250,11 +239,7 @@ attackQueue(QueueKind queue, std::uint32_t nbo, double window_scale)
     harness.add(&attacker);
     harness.run(config.tbRfm.windowCycles * (pool + 16));
 
-    return QueueOutcome{
-        harness.mem().prac().counters().maxEverSeen(),
-        harness.mem().prac().alerts(),
-        harness.mem().prac().mitigatedRows(),
-    };
+    return snapshotChannelStats(harness.mem());
 }
 
 Scenario
@@ -281,7 +266,7 @@ ablationQueues()
             static_cast<std::uint32_t>(params.getInt("nbo"));
         const double scale = params.getDouble("window_scale");
 
-        QueueOutcome outcome;
+        ChannelStats outcome;
         std::string experiment;
         if (scale == 0.0) {
             if (queue == QueueKind::Ideal)
@@ -295,7 +280,7 @@ ablationQueues()
 
         ResultRow row = JsonValue::object();
         row.set("experiment", experiment);
-        row.set("max_counter", outcome.maxCounter);
+        row.set("max_counter", outcome.maxCounterSeen);
         row.set("mitigations", outcome.mitigatedRows);
         row.set("alerts", outcome.alerts);
         return std::vector<ResultRow>{std::move(row)};
@@ -341,7 +326,7 @@ ablationRfmpb()
         ResultRow row = JsonValue::object();
         row.set("normalized",
                 normalizedPerf(pair.design, pair.baseline));
-        row.set("tb_rfms", pair.design.tbRfms);
+        setRfmColumns(row, pair.design.stats, {RfmReason::TimingBased});
         return std::vector<ResultRow>{std::move(row)};
     };
 

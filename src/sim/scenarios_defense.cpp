@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <future>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,13 +48,13 @@ namespace pracleak::sim {
 
 namespace {
 
-/** The default seven-way bake-off axis, in catalog order. */
-std::vector<JsonValue>
-defenseAxis()
-{
-    return toValues({"none", "abo-only", "abo+acb-rfm", "tprac",
-                     "para", "graphene", "pb-rfm"});
-}
+/**
+ * The bake-off rows' RFM columns: the reasons the seven defenses
+ * issue (obfuscation's Random is not among them).
+ */
+constexpr std::initializer_list<RfmReason> kBakeoffRfms = {
+    RfmReason::Abo, RfmReason::Acb, RfmReason::TimingBased,
+    RfmReason::Graphene, RfmReason::PerBank};
 
 /**
  * Declare every tunable attacker knob as an `attacker.<knob>`
@@ -81,19 +82,13 @@ attackerKnobs(const ParamSet &params)
 
 // --- defense_matrix_leakage ----------------------------------------
 
-/** One probe's samples plus the ON-window schedule of the run. */
+/** Both probes' samples, the ON windows, and the channel's counters. */
 struct LeakRun
 {
     std::vector<LatencySample> nearSamples; //!< victim's bank
     std::vector<LatencySample> farSamples;  //!< distant bank
     std::vector<std::pair<Cycle, Cycle>> onWindows;
-    std::uint64_t aboRfms = 0;
-    std::uint64_t acbRfms = 0;
-    std::uint64_t tbRfms = 0;
-    std::uint64_t grapheneRfms = 0;
-    std::uint64_t pbRfms = 0;
-    std::uint64_t paraEvents = 0;
-    std::uint64_t alerts = 0;
+    ChannelStats stats;
 };
 
 /**
@@ -177,14 +172,7 @@ runLeakExperiment(const std::string &defense,
 
     run.nearSamples = near_probe.samples();
     run.farSamples = far_probe.samples();
-    run.aboRfms = mem.rfmCount(RfmReason::Abo);
-    run.acbRfms = mem.rfmCount(RfmReason::Acb);
-    run.tbRfms = mem.rfmCount(RfmReason::TimingBased);
-    run.grapheneRfms = mem.rfmCount(RfmReason::Graphene);
-    run.pbRfms = mem.rfmCount(RfmReason::PerBank);
-    run.paraEvents =
-        defense == "para" ? mem.mitigationEvents() : 0;
-    run.alerts = mem.prac().alerts();
+    run.stats = snapshotChannelStats(mem);
 
     if (series) {
         const telemetry::BusObserver &bus = *mem.busObserver();
@@ -303,7 +291,7 @@ defenseMatrixLeakage()
                      "same-bank probe (RFMpb), tprac's spikes are "
                      "phase-uncorrelated, para and none show nothing "
                      "above noise";
-    scenario.grid.axis("mitigation", defenseAxis())
+    scenario.grid.axis("mitigation", toValues(bakeoffDefenses()))
         .constant("spec", "ddr5-8000b")
         .constant("nbo", 256)
         .constant("window_ms", 0.25)    //!< one ON (or OFF) phase
@@ -348,13 +336,10 @@ defenseMatrixLeakage()
         row.set("leak_near", leak_near);
         row.set("leak_far", leak_far);
         row.set("leaked", leak_near || leak_far);
-        row.set("abo_rfms", run.aboRfms);
-        row.set("acb_rfms", run.acbRfms);
-        row.set("tb_rfms", run.tbRfms);
-        row.set("graphene_rfms", run.grapheneRfms);
-        row.set("pb_rfms", run.pbRfms);
-        row.set("para_refreshes", run.paraEvents);
-        row.set("alerts", run.alerts);
+        setRfmColumns(row, run.stats, kBakeoffRfms);
+        row.set("para_refreshes",
+                defense == "para" ? run.stats.mitigationEvents : 0);
+        row.set("alerts", run.stats.alerts);
         return std::vector<ResultRow>{std::move(row)};
     };
 
@@ -396,7 +381,7 @@ leakageTimeline()
                      "victim-bank RFMpb = same-bank); add "
                      "--series-out to export the full series for "
                      "`pracbench analyze`";
-    scenario.grid.axis("mitigation", defenseAxis())
+    scenario.grid.axis("mitigation", toValues(bakeoffDefenses()))
         .constant("spec", "ddr5-8000b")
         .constant("nbo", 256)
         .constant("window_ms", 0.25)    //!< one ON (or OFF) phase
@@ -488,7 +473,7 @@ defenseMatrixPerf()
     scenario.notes = "all defenses share one memoized NoMitigation "
                      "baseline per workload; para's in-DRAM refreshes "
                      "cost energy but no bus time";
-    scenario.grid.axis("mitigation", defenseAxis())
+    scenario.grid.axis("mitigation", toValues(bakeoffDefenses()))
         .axis("entry", toValues(suiteEntryNames()))
         .constant("spec", "ddr5-8000b")
         .constant("nrh", 1024)
@@ -518,13 +503,10 @@ defenseMatrixPerf()
         row.set("class", intensityName(entry.intensity));
         row.set("normalized",
                 normalizedPerf(pair.design, pair.baseline));
-        row.set("abo_rfms", pair.design.aboRfms);
-        row.set("acb_rfms", pair.design.acbRfms);
-        row.set("tb_rfms", pair.design.tbRfms);
-        row.set("graphene_rfms", pair.design.grapheneRfms);
-        row.set("pb_rfms", pair.design.pbRfms);
-        row.set("mitigation_events", pair.design.mitigationEvents);
-        row.set("alerts", pair.design.alerts);
+        setRfmColumns(row, pair.design.stats, kBakeoffRfms);
+        row.set("mitigation_events",
+                pair.design.stats.mitigationEvents);
+        row.set("alerts", pair.design.stats.alerts);
         row.set("mitigation_nj", pair.design.energy.mitigationNj);
         row.set("energy_overhead_pct",
                 100.0 *
@@ -566,11 +548,8 @@ defenseMatrixPerf()
             bucket.norm += row.get("normalized")->asDouble();
             bucket.energy +=
                 row.get("energy_overhead_pct")->asDouble();
-            bucket.rfms += row.get("abo_rfms")->asInt() +
-                           row.get("acb_rfms")->asInt() +
-                           row.get("tb_rfms")->asInt() +
-                           row.get("graphene_rfms")->asInt() +
-                           row.get("pb_rfms")->asInt();
+            for (const RfmReason reason : kBakeoffRfms)
+                bucket.rfms += row.get(rfmColumn(reason))->asInt();
             bucket.events += row.get("mitigation_events")->asInt();
             bucket.alerts += row.get("alerts")->asInt();
             bucket.ticks += row.get("ticks_fired")->asInt();
@@ -613,7 +592,7 @@ defenseMatrixSecurity()
                      "'none' blows through it under the direct "
                      "hammer, and para's guarantee is only "
                      "probabilistic (see escape_prob)";
-    scenario.grid.axis("mitigation", defenseAxis())
+    scenario.grid.axis("mitigation", toValues(bakeoffDefenses()))
         .axis("attack", {"hammer", "feinting"})
         .constant("spec", "ddr5-8000b")
         .constant("nbo", 512)
@@ -638,22 +617,15 @@ defenseMatrixSecurity()
         const ScaledAttack run =
             runScaledAttack(defense, attacker, params.getString("spec"),
                             nbo, params.getDouble("window_ms"));
-        const MemoryController &mem = run.mem();
-
         ResultRow row = JsonValue::object();
         run.setVerdict(row);
-        row.set("mitigated_rows", mem.prac().mitigatedRows());
-        row.set("abo_rfms", mem.rfmCount(RfmReason::Abo));
-        row.set("acb_rfms", mem.rfmCount(RfmReason::Acb));
-        row.set("tb_rfms", mem.rfmCount(RfmReason::TimingBased));
-        row.set("graphene_rfms", mem.rfmCount(RfmReason::Graphene));
-        row.set("pb_rfms", mem.rfmCount(RfmReason::PerBank));
-        row.set("mitigation_events", mem.mitigationEvents());
-        row.set("acts",
-                mem.dram().issueCount(CmdType::ACT));
+        row.set("mitigated_rows", run.stats.mitigatedRows);
+        setRfmColumns(row, run.stats, kBakeoffRfms);
+        row.set("mitigation_events", run.stats.mitigationEvents);
+        row.set("acts", run.stats.acts);
         if (defense == "para") {
             // Per-row escape probability between counter resets.
-            const double p = mem.config().para.refreshProb;
+            const double p = run.mem().config().para.refreshProb;
             double escape = 1.0;
             for (std::uint32_t i = 0; i < nbo; ++i)
                 escape *= 1.0 - p;

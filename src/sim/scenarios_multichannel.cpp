@@ -75,8 +75,8 @@ perfChannelSweep()
                 normalizedPerf(pair.design, pair.baseline));
         row.set("ipc_sum", pair.design.ipcSum());
         row.set("measure_cycles", pair.design.measureCycles);
-        row.set("tb_rfms", pair.design.tbRfms);
-        row.set("alerts", pair.design.alerts);
+        setRfmColumns(row, pair.design.stats, {RfmReason::TimingBased});
+        row.set("alerts", pair.design.stats.alerts);
         JsonValue per_channel = JsonValue::array();
         for (const ChannelResult &channel : pair.design.channels)
             per_channel.push(channel.energyCounts.acts);

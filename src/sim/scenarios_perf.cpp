@@ -45,11 +45,11 @@ perfRow(const std::string &entryName, const DesignConfig &design,
     row.set("class", intensityName(entry.intensity));
     row.set("normalized", normalizedPerf(pair.design, pair.baseline));
     row.set("ipc_sum", pair.design.ipcSum());
-    row.set("tb_rfms", pair.design.tbRfms);
+    setRfmColumns(row, pair.design.stats, {RfmReason::TimingBased});
     row.set("tb_rfms_skipped", pair.design.tbRfmsSkipped);
-    row.set("abo_rfms", pair.design.aboRfms);
-    row.set("acb_rfms", pair.design.acbRfms);
-    row.set("alerts", pair.design.alerts);
+    setRfmColumns(row, pair.design.stats,
+                  {RfmReason::Abo, RfmReason::Acb});
+    row.set("alerts", pair.design.stats.alerts);
     return row;
 }
 
@@ -149,16 +149,17 @@ fig10Performance()
             row.set("subset", "all");
             out.push_back(std::move(row));
         }
+        const std::string &tb_rfms = rfmColumn(RfmReason::TimingBased);
         std::int64_t tpracRfms = 0;
         std::int64_t tpracAlerts = 0;
         for (const ResultRow &row : filterBy(rows, "design", "tprac")) {
-            tpracRfms += row.get("tb_rfms")->asInt();
+            tpracRfms += row.get(tb_rfms)->asInt();
             tpracAlerts += row.get("alerts")->asInt();
         }
         ResultRow security = JsonValue::object();
         security.set("design", "tprac");
         security.set("subset", "security");
-        security.set("tb_rfms", tpracRfms);
+        security.set(tb_rfms, tpracRfms);
         security.set("alerts_must_be_zero", tpracAlerts);
         out.push_back(std::move(security));
         return out;

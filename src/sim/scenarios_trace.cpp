@@ -28,16 +28,6 @@ namespace pracleak::sim {
 
 namespace {
 
-/** The bake-off defense set (catalog order; see scenarios_defense). */
-const std::vector<std::string> &
-sweepDefenses()
-{
-    static const std::vector<std::string> defenses = {
-        "none",  "abo-only", "abo+acb-rfm", "tprac",
-        "para",  "graphene", "pb-rfm"};
-    return defenses;
-}
-
 Scenario
 traceReplayDefenseSweep()
 {
@@ -78,8 +68,8 @@ traceReplayDefenseSweep()
         // Leg 1: the conventional sweep -- one full simulation per
         // defense.  Keep the results for the fidelity columns.
         std::vector<RunResult> full_runs;
-        full_runs.reserve(sweepDefenses().size());
-        for (const std::string &defense : sweepDefenses()) {
+        full_runs.reserve(bakeoffDefenses().size());
+        for (const std::string &defense : bakeoffDefenses()) {
             DesignConfig per_defense = design;
             per_defense.label = defense;
             per_defense.mitigation = defense;
@@ -93,8 +83,8 @@ traceReplayDefenseSweep()
         const RecordedRun recorded =
             recordSuiteRun(entry, record_design, budget);
         std::vector<trace::ReplayResult> replays;
-        replays.reserve(sweepDefenses().size());
-        for (const std::string &defense : sweepDefenses()) {
+        replays.reserve(bakeoffDefenses().size());
+        for (const std::string &defense : bakeoffDefenses()) {
             trace::ReplayOptions options;
             options.mitigation = defense;
             replays.push_back(
@@ -102,30 +92,28 @@ traceReplayDefenseSweep()
         }
 
         std::vector<ResultRow> rows;
-        for (std::size_t i = 0; i < sweepDefenses().size(); ++i) {
+        for (std::size_t i = 0; i < bakeoffDefenses().size(); ++i) {
             const RunResult &sim = full_runs[i];
             const trace::ReplayResult &replay = replays[i];
-            const trace::TraceChannelStats total = replay.total();
+            const ChannelStats total = replay.total();
 
             ResultRow row = JsonValue::object();
-            row.set("mitigation", sweepDefenses()[i]);
+            row.set("mitigation", bakeoffDefenses()[i]);
             // Fidelity columns: cumulative RFM/alert telemetry of
             // the full simulation vs the open-loop replay.
-            row.set("sim_rfms", sim.aboRfms + sim.acbRfms +
-                                    sim.tbRfms + sim.grapheneRfms +
-                                    sim.pbRfms);
-            std::uint64_t replay_rfms = 0;
-            for (const std::uint64_t rfms : total.rfms)
-                replay_rfms += rfms;
-            row.set("replay_rfms", replay_rfms);
-            row.set("sim_alerts", sim.alerts);
-            row.set("replay_alerts", total.alerts);
-            row.set("sim_mitigation_events", sim.mitigationEvents);
-            row.set("replay_mitigation_events",
-                    total.mitigationEvents);
+            const auto fidelity = [&](const std::string &column,
+                                      std::uint64_t simulated,
+                                      std::uint64_t replayed) {
+                row.set("sim_" + column, simulated);
+                row.set("replay_" + column, replayed);
+            };
+            fidelity("rfms", sim.stats.totalRfms(), total.totalRfms());
+            fidelity("alerts", sim.stats.alerts, total.alerts);
+            fidelity("mitigation_events", sim.stats.mitigationEvents,
+                     total.mitigationEvents);
             row.set("replay_max_counter", total.maxCounterSeen);
             row.set("fully_drained", replay.fullyDrained);
-            if (sweepDefenses()[i] == "none")
+            if (bakeoffDefenses()[i] == "none")
                 row.set("bit_identical",
                         replay.matchesRecorded(recorded.trace));
             row.set("replay_ticks_fired", replay.sched.ticksFired);

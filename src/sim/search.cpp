@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "mitigation/registry.h"
 #include "sim/runner.h"
+#include "sim/scenario_util.h"
 
 namespace pracleak::sim {
 
@@ -77,14 +78,13 @@ evaluateAttacker(const std::string &defense,
 {
     const ScaledAttack run =
         runScaledAttack(defense, config, spec_name, nbo, window_ms);
-    const MemoryController &mem = run.mem();
     ResultRow row = JsonValue::object();
     row.set("attacker", run.attacker->name());
     setAttackerKnobs(row, run.attacker->config());
     run.setVerdict(row);
-    row.set("mitigation_events", mem.mitigationEvents());
-    row.set("graphene_rfms", mem.rfmCount(RfmReason::Graphene));
-    row.set("pb_rfms", mem.rfmCount(RfmReason::PerBank));
+    row.set("mitigation_events", run.stats.mitigationEvents);
+    setRfmColumns(row, run.stats,
+                  {RfmReason::Graphene, RfmReason::PerBank});
     return row;
 }
 
@@ -117,6 +117,7 @@ runScaledAttack(const std::string &defense, const AttackerConfig &config,
         attackerByName(config.attacker, config, run.harness->mem());
     run.harness->add(run.attacker.get());
     run.harness->run(nsToCycles(window_ms * 1.0e6));
+    run.stats = snapshotChannelStats(run.harness->mem());
     return run;
 }
 
@@ -126,13 +127,11 @@ ScaledAttack::setVerdict(ResultRow &row) const
     // ABO's contract allows the counter to touch NBO plus the ABOACT
     // allowance before the RFM lands.
     const PracParams &prac = mem().dram().spec().prac;
-    const std::uint32_t max_counter =
-        mem().prac().counters().maxEverSeen();
     const std::uint32_t contract = prac.nbo + prac.aboAct;
-    row.set("max_counter", max_counter);
+    row.set("max_counter", stats.maxCounterSeen);
     row.set("contract", contract);
-    row.set("secure", max_counter <= contract);
-    row.set("alerts", mem().prac().alerts());
+    row.set("secure", stats.maxCounterSeen <= contract);
+    row.set("alerts", stats.alerts);
 }
 
 JsonValue

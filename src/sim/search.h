@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "attack/adversaries.h"
+#include "mem/channel_stats.h"
 #include "sim/json.h"
 #include "sim/scenario.h"
 
@@ -136,6 +137,7 @@ struct ScaledAttack
 {
     std::unique_ptr<AttackHarness> harness;
     std::unique_ptr<AttackerAgent> attacker;
+    ChannelStats stats;     //!< the channel's counters at the end
 
     const MemoryController &mem() const { return harness->mem(); }
 

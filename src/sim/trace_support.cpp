@@ -9,6 +9,7 @@
 #include "mitigation/registry.h"
 #include "sim/provenance.h"
 #include "sim/runner.h"
+#include "sim/scenario_util.h"
 #include "telemetry/io.h"
 #include "telemetry/stopwatch.h"
 #include "telemetry/timeseries.h"
@@ -77,7 +78,7 @@ recordSuiteRun(const SuiteEntry &entry, const DesignConfig &design,
 ResultRow
 replayRow(const trace::ReplayResult &result)
 {
-    const trace::TraceChannelStats total = result.total();
+    const ChannelStats total = result.total();
     ResultRow row = JsonValue::object();
     row.set("mitigation", result.mitigation);
     row.set("end_cycle", result.endCycle);
@@ -85,21 +86,10 @@ replayRow(const trace::ReplayResult &result)
     row.set("fully_drained", result.fullyDrained);
     row.set("acts", total.acts);
     row.set("refreshes", total.refreshes);
-    row.set("abo_rfms",
-            total.rfms[static_cast<std::size_t>(RfmReason::Abo)]);
-    row.set("acb_rfms",
-            total.rfms[static_cast<std::size_t>(RfmReason::Acb)]);
-    row.set("tb_rfms",
-            total.rfms[static_cast<std::size_t>(
-                RfmReason::TimingBased)]);
-    row.set("random_rfms",
-            total.rfms[static_cast<std::size_t>(RfmReason::Random)]);
-    row.set("graphene_rfms",
-            total.rfms[static_cast<std::size_t>(
-                RfmReason::Graphene)]);
-    row.set("pb_rfms",
-            total.rfms[static_cast<std::size_t>(
-                RfmReason::PerBank)]);
+    setRfmColumns(row, total,
+                  {RfmReason::Abo, RfmReason::Acb,
+                   RfmReason::TimingBased, RfmReason::Random,
+                   RfmReason::Graphene, RfmReason::PerBank});
     row.set("alerts", total.alerts);
     row.set("mitigation_events", total.mitigationEvents);
     row.set("mitigated_rows", total.mitigatedRows);

@@ -2,24 +2,6 @@
 
 namespace pracleak::trace {
 
-TraceChannelStats
-snapshotChannelStats(const MemoryController &mem)
-{
-    const DramDevice &dev = mem.dram();
-    TraceChannelStats stats;
-    stats.acts = dev.issueCount(CmdType::ACT);
-    stats.reads = dev.issueCount(CmdType::RD);
-    stats.writes = dev.issueCount(CmdType::WR);
-    stats.refreshes = dev.issueCount(CmdType::REFab);
-    for (std::size_t i = 0; i < kRfmReasonCount; ++i)
-        stats.rfms[i] = mem.rfmCount(static_cast<RfmReason>(i));
-    stats.alerts = mem.prac().alerts();
-    stats.mitigationEvents = mem.mitigationEvents();
-    stats.mitigatedRows = mem.prac().mitigatedRows();
-    stats.maxCounterSeen = mem.prac().counters().maxEverSeen();
-    return stats;
-}
-
 TraceHeader
 makeTraceHeader(const std::string &workload,
                 const std::string &specName, const DramSpec &spec,
@@ -77,7 +59,7 @@ TraceRecorder::finishChannel(MemoryController &mem,
                              std::uint32_t channel)
 {
     mem.setRequestTap(nullptr);
-    TraceChannelStats stats = snapshotChannelStats(mem);
+    ChannelStats stats = snapshotChannelStats(mem);
     stats.requests =
         writer_.data().channels.at(channel).records.size();
     writer_.setChannelStats(channel, stats);

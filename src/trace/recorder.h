@@ -28,8 +28,11 @@
 
 namespace pracleak::trace {
 
-/** Cumulative controller stats in TraceChannelStats form. */
-TraceChannelStats snapshotChannelStats(const MemoryController &mem);
+/**
+ * The snapshot's old name.  perfbench/ still spells it, and the
+ * benchmark's sources stay as they are until its next change.
+ */
+using pracleak::snapshotChannelStats;
 
 /** Per-channel enqueue-boundary tap bound to one TraceWriter. */
 class TraceRecorder

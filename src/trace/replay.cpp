@@ -6,28 +6,15 @@
 
 #include "cpu/replay_core.h"
 #include "mitigation/registry.h"
-#include "trace/recorder.h"
 
 namespace pracleak::trace {
 
-TraceChannelStats
+ChannelStats
 ReplayResult::total() const
 {
-    TraceChannelStats sum;
-    for (const TraceChannelStats &channel : channels) {
-        sum.requests += channel.requests;
-        sum.acts += channel.acts;
-        sum.reads += channel.reads;
-        sum.writes += channel.writes;
-        sum.refreshes += channel.refreshes;
-        for (std::size_t i = 0; i < kRfmReasonCount; ++i)
-            sum.rfms[i] += channel.rfms[i];
-        sum.alerts += channel.alerts;
-        sum.mitigationEvents += channel.mitigationEvents;
-        sum.mitigatedRows += channel.mitigatedRows;
-        sum.maxCounterSeen =
-            std::max(sum.maxCounterSeen, channel.maxCounterSeen);
-    }
+    ChannelStats sum;
+    for (const ChannelStats &channel : channels)
+        sum += channel;
     return sum;
 }
 
@@ -37,7 +24,7 @@ ReplayResult::matchesRecorded(const TraceData &trace) const
     if (channels.size() != trace.channels.size())
         return false;
     for (std::size_t c = 0; c < channels.size(); ++c)
-        if (!(channels[c] == trace.channels[c].stats))
+        if (channels[c] != trace.channels[c].stats)
             return false;
     return true;
 }
@@ -172,18 +159,12 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
     result.endCycle = mems[0]->now();
     result.channels.reserve(header.channels);
     for (std::uint32_t c = 0; c < header.channels; ++c) {
-        TraceChannelStats stats = snapshotChannelStats(*mems[c]);
+        ChannelStats stats = snapshotChannelStats(*mems[c]);
         stats.requests = cores[c].replayed();
         result.channels.push_back(stats);
         result.replayedRequests += cores[c].replayed();
         result.fullyDrained = result.fullyDrained && cores[c].done();
-        const SchedCounters &sched = mems[c]->schedCounters();
-        result.sched.ticksFired += sched.ticksFired;
-        result.sched.cyclesJumped += sched.cyclesJumped;
-        result.sched.nextWorkCacheHits += sched.nextWorkCacheHits;
-        result.sched.nextWorkRebuilds += sched.nextWorkRebuilds;
-        result.sched.nextWorkHintRebuilds +=
-            sched.nextWorkHintRebuilds;
+        result.sched += mems[c]->schedCounters();
     }
     return result;
 }

@@ -47,7 +47,7 @@ struct ReplayResult
      */
     bool fullyDrained = true;
 
-    std::vector<TraceChannelStats> channels;
+    std::vector<ChannelStats> channels;
 
     /**
      * Scheduler work summed over channels, read once after the
@@ -56,8 +56,8 @@ struct ReplayResult
      */
     SchedCounters sched;
 
-    /** Field-wise sum over channels (max for maxCounterSeen). */
-    TraceChannelStats total() const;
+    /** Sum over channels (max for maxCounterSeen). */
+    ChannelStats total() const;
 
     /** Exact per-channel equality against the recorded stats. */
     bool matchesRecorded(const TraceData &trace) const;

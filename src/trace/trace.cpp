@@ -50,7 +50,7 @@ putDouble(std::string &out, double value)
 }
 
 void
-putStats(std::string &out, const TraceChannelStats &stats)
+putStats(std::string &out, const ChannelStats &stats)
 {
     putVarint(out, stats.requests);
     putVarint(out, stats.acts);
@@ -156,10 +156,10 @@ struct Cursor
     }
 };
 
-TraceChannelStats
+ChannelStats
 readStats(Cursor &in)
 {
-    TraceChannelStats stats;
+    ChannelStats stats;
     stats.requests = in.varint("stats.requests");
     stats.acts = in.varint("stats.acts");
     stats.reads = in.varint("stats.reads");
@@ -177,20 +177,6 @@ readStats(Cursor &in)
 
 } // namespace
 
-bool
-TraceChannelStats::operator==(const TraceChannelStats &other) const
-{
-    for (std::size_t i = 0; i < kRfmReasonCount; ++i)
-        if (rfms[i] != other.rfms[i])
-            return false;
-    return requests == other.requests && acts == other.acts &&
-           reads == other.reads && writes == other.writes &&
-           refreshes == other.refreshes && alerts == other.alerts &&
-           mitigationEvents == other.mitigationEvents &&
-           mitigatedRows == other.mitigatedRows &&
-           maxCounterSeen == other.maxCounterSeen;
-}
-
 TraceWriter::TraceWriter(TraceHeader header)
 {
     data_.header = std::move(header);
@@ -205,7 +191,7 @@ TraceWriter::append(std::uint32_t channel, const TraceRecord &record)
 
 void
 TraceWriter::setChannelStats(std::uint32_t channel,
-                             const TraceChannelStats &stats)
+                             const ChannelStats &stats)
 {
     data_.channels.at(channel).stats = stats;
 }

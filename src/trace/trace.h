@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "common/types.h"
+#include "mem/channel_stats.h"
 #include "mem/request.h"
-#include "mitigation/mitigation.h"
 
 namespace pracleak::trace {
 
@@ -48,25 +48,10 @@ struct TraceRecord
 };
 
 /**
- * Cumulative controller/mitigation stats of one channel at the end of
- * the recorded run.  A same-defense replay must reproduce every field
- * exactly -- this is the bit-identity contract the golden test pins.
+ * The record's old name.  perfbench/ still spells it, and the
+ * benchmark's sources stay as they are until its next change.
  */
-struct TraceChannelStats
-{
-    std::uint64_t requests = 0;
-    std::uint64_t acts = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t refreshes = 0;
-    std::uint64_t rfms[kRfmReasonCount] = {};
-    std::uint64_t alerts = 0;
-    std::uint64_t mitigationEvents = 0;
-    std::uint64_t mitigatedRows = 0;
-    std::uint32_t maxCounterSeen = 0;
-
-    bool operator==(const TraceChannelStats &other) const;
-};
+using TraceChannelStats = ChannelStats;
 
 /** Everything the header carries besides the channel streams. */
 struct TraceHeader
@@ -113,7 +98,7 @@ struct TraceHeader
 struct ChannelTrace
 {
     std::vector<TraceRecord> records;
-    TraceChannelStats stats;
+    ChannelStats stats;
 };
 
 /** A complete in-memory trace (what files serialize). */
@@ -136,7 +121,7 @@ class TraceWriter
 
     void append(std::uint32_t channel, const TraceRecord &record);
     void setChannelStats(std::uint32_t channel,
-                         const TraceChannelStats &stats);
+                         const ChannelStats &stats);
     void setEndCycle(Cycle end) { data_.header.endCycle = end; }
 
     const TraceData &data() const { return data_; }

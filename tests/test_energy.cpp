@@ -46,20 +46,6 @@ TEST(Energy, BackgroundScalesWithTime)
     EXPECT_NEAR(e.backgroundNj, 500.0, 1.0);
 }
 
-TEST(Energy, DeviceWrapperReadsCounters)
-{
-    const DramSpec spec = DramSpec::ddr5_8000b();
-    DramDevice dev(spec);
-    dev.issue(Command{CmdType::ACT, 0, 0, 0, 1, 0}, 0);
-    dev.issue(Command{CmdType::RD, 0, 0, 0, 1, 0}, spec.timing.tRCD);
-
-    const EnergyBreakdown e = computeEnergy(dev, 1000, 7);
-    EnergyParams params;
-    EXPECT_DOUBLE_EQ(e.actPreNj, params.actPreNj);
-    EXPECT_DOUBLE_EQ(e.readNj, params.readNj);
-    EXPECT_DOUBLE_EQ(e.mitigationNj, 7 * params.rowMitigationNj);
-}
-
 TEST(Energy, TotalIsSumOfParts)
 {
     EnergyCounts counts;

@@ -172,7 +172,7 @@ TEST(Golden, MitigationPortBitIdentical)
         bool perBank;
         double randomP;             //!< <0 = keep default
         Cycle measureCycles;
-        std::uint64_t rowMisses, acbRfms, tbRfms;
+        std::uint64_t rowMisses, acb, tb;   //!< RFMs by reason
         std::uint64_t acts, reads, refreshes, mitigatedRows;
         double ipcSum;
     };
@@ -210,10 +210,12 @@ TEST(Golden, MitigationPortBitIdentical)
         EXPECT_EQ(result.measureCycles, golden.measureCycles)
             << golden.label;
         EXPECT_EQ(result.rowMisses, golden.rowMisses) << golden.label;
-        EXPECT_EQ(result.acbRfms, golden.acbRfms) << golden.label;
-        EXPECT_EQ(result.tbRfms, golden.tbRfms) << golden.label;
-        EXPECT_EQ(result.aboRfms, 0u) << golden.label;
-        EXPECT_EQ(result.alerts, 0u) << golden.label;
+        EXPECT_EQ(result.stats.rfm(RfmReason::Acb), golden.acb)
+            << golden.label;
+        EXPECT_EQ(result.stats.rfm(RfmReason::TimingBased), golden.tb)
+            << golden.label;
+        EXPECT_EQ(result.stats.rfm(RfmReason::Abo), 0u) << golden.label;
+        EXPECT_EQ(result.stats.alerts, 0u) << golden.label;
         EXPECT_EQ(result.energyCounts.acts, golden.acts)
             << golden.label;
         EXPECT_EQ(result.energyCounts.reads, golden.reads)

@@ -163,7 +163,7 @@ struct Golden
     const char *entry;
     const char *mitigation;
     Cycle measureCycles;
-    std::uint64_t tbRfms, alerts, rowMisses;
+    std::uint64_t tb, alerts, rowMisses;    //!< tb: TB-RFMs
     std::uint32_t maxCounterSeen;
     std::uint64_t acts, reads, writes, refreshes, mitigatedRows;
     double totalNj, mitigationNj;
@@ -186,12 +186,12 @@ void
 expectMatchesGolden(const RunResult &result, const Golden &golden)
 {
     EXPECT_EQ(result.measureCycles, golden.measureCycles);
-    EXPECT_EQ(result.tbRfms, golden.tbRfms);
-    EXPECT_EQ(result.alerts, golden.alerts);
-    EXPECT_EQ(result.aboRfms, 0u);
-    EXPECT_EQ(result.acbRfms, 0u);
+    EXPECT_EQ(result.stats.rfm(RfmReason::TimingBased), golden.tb);
+    EXPECT_EQ(result.stats.alerts, golden.alerts);
+    EXPECT_EQ(result.stats.rfm(RfmReason::Abo), 0u);
+    EXPECT_EQ(result.stats.rfm(RfmReason::Acb), 0u);
     EXPECT_EQ(result.rowMisses, golden.rowMisses);
-    EXPECT_EQ(result.maxCounterSeen, golden.maxCounterSeen);
+    EXPECT_EQ(result.stats.maxCounterSeen, golden.maxCounterSeen);
     EXPECT_EQ(result.energyCounts.acts, golden.acts);
     EXPECT_EQ(result.energyCounts.reads, golden.reads);
     EXPECT_EQ(result.energyCounts.writes, golden.writes);
@@ -214,8 +214,7 @@ expectMatchesGolden(const RunResult &result, const Golden &golden)
     // The single channel's breakdown is the aggregate.
     ASSERT_EQ(result.channels.size(), 1u);
     EXPECT_EQ(result.channels[0].energyCounts.acts, golden.acts);
-    EXPECT_EQ(result.channels[0].tbRfms, golden.tbRfms);
-    EXPECT_EQ(result.channels[0].alerts, golden.alerts);
+    EXPECT_EQ(result.channels[0].stats, result.stats);
 }
 
 TEST(MultiChannelSystem, SingleChannelMatchesPreRefactorGolden)
@@ -253,26 +252,24 @@ TEST(MultiChannelSystem, PerChannelResultsSumToAggregates)
         sim::findSuiteEntry("h_rand_heavy"), design, budget, 2);
 
     ASSERT_EQ(result.channels.size(), 2u);
-    std::uint64_t acts = 0, tb_rfms = 0, alerts = 0;
+    std::uint64_t acts = 0, tb_rfms = 0;
     double energy = 0.0;
-    std::uint32_t max_counter = 0;
+    ChannelStats stats;
     for (const ChannelResult &channel : result.channels) {
         EXPECT_GT(channel.energyCounts.acts, 0u)
             << "a channel saw no traffic";
+        EXPECT_GT(channel.stats.rfm(RfmReason::TimingBased), 0u)
+            << "a channel issued no TB-RFM";
         acts += channel.energyCounts.acts;
-        tb_rfms += channel.tbRfms;
-        alerts += channel.alerts;
+        tb_rfms += channel.stats.rfm(RfmReason::TimingBased);
         energy += channel.energy.totalNj();
-        max_counter =
-            std::max(max_counter, channel.maxCounterSeen);
+        stats += channel.stats;
     }
     EXPECT_EQ(result.energyCounts.acts, acts);
-    EXPECT_EQ(result.tbRfms, tb_rfms);
-    EXPECT_EQ(result.alerts, alerts);
-    EXPECT_EQ(result.maxCounterSeen, max_counter);
+    EXPECT_EQ(result.stats.rfm(RfmReason::TimingBased), tb_rfms);
+    EXPECT_EQ(result.stats, stats);
     EXPECT_NEAR(result.energy.totalNj(), energy, 1e-6);
-    EXPECT_GT(result.tbRfms, 0u); // both channels mitigate
-    EXPECT_EQ(result.alerts, 0u);
+    EXPECT_EQ(result.stats.alerts, 0u);
 }
 
 TEST(MultiChannelSystem, MoreChannelsMoreBandwidth)

@@ -174,9 +174,9 @@ TEST(System, TpracSlowsDownButStaysSilent)
     const double perf = normalizedPerf(defended, base);
     EXPECT_LT(perf, 1.001);
     EXPECT_GT(perf, 0.85); // paper: worst single workload ~8% at 1024
-    EXPECT_GT(defended.tbRfms, 0u);
-    EXPECT_EQ(defended.alerts, 0u);
-    EXPECT_EQ(defended.aboRfms, 0u);
+    EXPECT_GT(defended.stats.rfm(RfmReason::TimingBased), 0u);
+    EXPECT_EQ(defended.stats.alerts, 0u);
+    EXPECT_EQ(defended.stats.rfm(RfmReason::Abo), 0u);
 }
 
 TEST(System, AboOnlyNearZeroOverheadOnBenignWork)
@@ -190,8 +190,25 @@ TEST(System, AboOnlyNearZeroOverheadOnBenignWork)
     const RunResult base = baseline.run();
     const RunResult abod = abo.run();
     // Benign workloads never reach NBO=1024 (Section 6.2).
-    EXPECT_EQ(abod.alerts, 0u);
+    EXPECT_EQ(abod.stats.alerts, 0u);
     EXPECT_NEAR(normalizedPerf(abod, base), 1.0, 0.02);
+}
+
+TEST(System, ObfuscationRfmsReachRunResult)
+{
+    // Obfuscation's random RFMs are in the run's record like every
+    // other reason's, summed over the channels.
+    SystemConfig config = smallConfig("obfuscation");
+    config.channels = 2;
+    System system(config,
+                  instantiate(suiteByIntensity(MemIntensity::High)[0], 2));
+    const RunResult result = system.run();
+
+    std::uint64_t issued = 0;
+    for (std::size_t c = 0; c < system.channelCount(); ++c)
+        issued += system.channel(c).rfmCount(RfmReason::Random);
+    EXPECT_GT(result.stats.rfm(RfmReason::Random), 0u);
+    EXPECT_EQ(result.stats.rfm(RfmReason::Random), issued);
 }
 
 /** One StatSet counter of a golden System run, per clock mode. */

@@ -31,7 +31,6 @@ using sim::DesignConfig;
 using sim::RecordedRun;
 using sim::RunBudget;
 using trace::ChannelTrace;
-using trace::TraceChannelStats;
 using trace::TraceData;
 using trace::TraceHeader;
 using trace::TraceReader;
@@ -119,7 +118,7 @@ TEST(TraceFormat, RoundTripSingleRequest)
     TraceWriter writer(sampleHeader(1));
     writer.append(0, TraceRecord{42, ReqType::Write, 0xDEAD'BEEF'00ULL,
                                  3});
-    TraceChannelStats stats;
+    ChannelStats stats;
     stats.requests = 1;
     stats.acts = 7;
     stats.rfms[2] = 5;
@@ -146,7 +145,7 @@ TEST(TraceFormat, RoundTripMultiChannel)
                                (static_cast<Addr>(i) << 33) ^ c,
                                i % 4});
         }
-        TraceChannelStats stats;
+        ChannelStats stats;
         stats.requests = 97 + 13 * c;
         stats.alerts = c * 1'000'000'007ULL;
         writer.setChannelStats(c, stats);
