@@ -3,7 +3,10 @@
 # subcommand), the retired flat flags, `status`, `merge` and `--shard`
 # are rejected, numeric flag values are checked, an empty flag value
 # is refused, and unknown subcommands / flags / scenarios exit 2 with
-# a "did you mean" hint instead of being silently ignored.
+# a "did you mean" hint instead of being silently ignored.  record and
+# replay run through the sweep runner: --jobs works, a grid axis they
+# lack is an unknown-axis error, and a sweep flag they cannot honour
+# exits 2.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -112,5 +115,31 @@ expect_reject "unknown" \
     "${PRACBENCH}" run fig07_tmax_analysis --frobnicate
 expect_reject "did you mean 'attacker.pool_size'" \
     "${PRACBENCH}" "${SEARCH[@]}" --set attacker.pool_sise=3
+expect_reject "did you mean 'tprac'" \
+    "${PRACBENCH}" run defense_matrix_leakage --smoke --set mitigation=tprc
+
+echo "==> record and replay take --jobs"
+TRACES="${OUT_DIR}/traces"
+TRACE="${TRACES}/h_rand_heavy.trc"
+"${PRACBENCH}" record "${TRACES}" --workload h_rand_heavy \
+    --workload m_blend --set warmup=2000 --set measure=5000 \
+    --jobs 4 --quiet
+"${PRACBENCH}" replay "${TRACE}" --set mitigation=none,tprac --verify \
+    --jobs 4 --quiet --no-table --out "${OUT_DIR}/replay.json"
+python3 -m json.tool "${OUT_DIR}/replay.json" > /dev/null
+
+echo "==> record/replay flags take effect or exit 2"
+expect_reject "--no-table do not apply" \
+    "${PRACBENCH}" record "${TRACES}" --no-table
+expect_reject "--smoke do not apply" \
+    "${PRACBENCH}" replay "${TRACE}" --smoke
+expect_reject "unknown axis 'nbo'" \
+    "${PRACBENCH}" replay "${TRACE}" --set nbo=3
+expect_reject "unknown axis 'bogus'" \
+    "${PRACBENCH}" record "${TRACES}" --set bogus=1
+expect_reject "unknown axis 'nrh'" \
+    "${PRACBENCH}" record "${TRACES}" --set nrh=1024
+expect_reject "takes exactly one value" \
+    "${PRACBENCH}" record "${TRACES}" --set measure=1000,2000
 
 echo "cli smoke passed"

@@ -2,58 +2,13 @@
 
 namespace pracleak {
 
-const char *
-busVisibilityName(BusVisibility visibility)
-{
-    switch (visibility) {
-      case BusVisibility::ChannelWide: return "channel";
-      case BusVisibility::SameBank: return "bank";
-      case BusVisibility::InDram: return "in-dram";
-    }
-    return "?";
-}
-
 VisibleBusModel
 VisibleBusModel::fromSpec(const DramSpec &spec)
 {
     VisibleBusModel model;
     model.tRfmAb_ = spec.timing.tRFMab;
-    model.tRfmPb_ = spec.timing.tRFMpb;
-    model.tRfc_ = spec.timing.tRFC;
     model.nmit_ = spec.prac.nmit;
     return model;
-}
-
-BusVisibility
-VisibleBusModel::commandVisibility(CmdType type)
-{
-    switch (type) {
-      case CmdType::REFab:
-      case CmdType::RFMab:
-        return BusVisibility::ChannelWide;
-      case CmdType::RFMpb:
-        return BusVisibility::SameBank;
-      case CmdType::ACT:
-      case CmdType::PRE:
-      case CmdType::RD:
-      case CmdType::WR:
-        // Demand commands occupy the bus but block nothing beyond
-        // their own bank-level timing; they are the noise floor the
-        // spike thresholds discriminate against, not a signal.
-        return BusVisibility::InDram;
-    }
-    return BusVisibility::InDram;
-}
-
-Cycle
-VisibleBusModel::blockingCycles(CmdType type) const
-{
-    switch (type) {
-      case CmdType::REFab: return tRfc_;
-      case CmdType::RFMab: return tRfmAb_;
-      case CmdType::RFMpb: return tRfmPb_;
-      default: return 0;
-    }
 }
 
 } // namespace pracleak

@@ -1,38 +1,21 @@
 /**
  * @file
- * The attacker's view of the command bus, as one audited surface.
- *
- * The paper's leakage taxonomy sorts every maintenance mechanism by
- * *where its latency lands*: RFMab and REFab block the whole channel
- * (any probe sees them), RFMpb blocks one bank (only a same-bank
- * probe sees it), and PARA-style in-DRAM neighbor refreshes ride
- * inside normal timing (no probe sees them).  The probes, the bus
- * observer (telemetry/timeseries.h), and the offline analyzer
- * (sim/analyze_support.h) must all agree on this taxonomy and on the
- * latency thresholds that separate "RFM in flight" from scheduler
- * noise; before this header each of them re-derived the numbers
- * ad hoc.  See src/attack/DESIGN.md for the taxonomy rationale.
+ * The attacker's view of the command bus: the latency thresholds that
+ * separate "RFM in flight" from scheduler noise, derived from the
+ * spec timing the simulator enforces.  The probe agents and both
+ * attack experiments (the AES side channel and the covert channel)
+ * read them here instead of re-deriving the numbers ad hoc.  See
+ * src/attack/DESIGN.md for which maintenance events each probe can
+ * see.
  */
 
 #ifndef PRACLEAK_ATTACK_VISIBLE_BUS_H
 #define PRACLEAK_ATTACK_VISIBLE_BUS_H
 
 #include "common/types.h"
-#include "dram/command.h"
 #include "dram/dram_spec.h"
 
 namespace pracleak {
-
-/** Where a bus/maintenance event's latency is observable from. */
-enum class BusVisibility : std::uint8_t
-{
-    ChannelWide, //!< any probe on the channel sees the stall
-    SameBank,    //!< only a probe in the blocked bank sees it
-    InDram,      //!< absorbed inside device timing; no probe sees it
-};
-
-/** Human-readable visibility name ("channel" / "bank" / "in-dram"). */
-const char *busVisibilityName(BusVisibility visibility);
 
 /**
  * Timing-derived facts about what an attacker can observe on one
@@ -42,12 +25,6 @@ class VisibleBusModel
 {
   public:
     static VisibleBusModel fromSpec(const DramSpec &spec);
-
-    /** Visibility class of a command's blocking time. */
-    static BusVisibility commandVisibility(CmdType type);
-
-    /** Bus-blocking duration of @p type (0 for ACT/PRE/RD/WR). */
-    Cycle blockingCycles(CmdType type) const;
 
     /** Total channel stall of one ABO Alert service (Nmit RFMabs). */
     Cycle alertServiceCycles() const
@@ -81,8 +58,6 @@ class VisibleBusModel
 
   private:
     Cycle tRfmAb_ = 0;
-    Cycle tRfmPb_ = 0;
-    Cycle tRfc_ = 0;
     std::uint32_t nmit_ = 1;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "sim/json.h"
@@ -48,11 +49,18 @@ parseWindow(const JsonValue &line)
         static_cast<std::uint32_t>(fieldU64(line, "ch"));
     window.index = fieldU64(line, "w");
     window.act = fieldU64(line, "act");
+    window.pre = fieldU64(line, "pre");
+    window.rd = fieldU64(line, "rd");
+    window.wr = fieldU64(line, "wr");
     window.ref = fieldU64(line, "ref");
     window.rfmAb = fieldU64(line, "rfm_ab");
     window.rfmPb = fieldU64(line, "rfm_pb");
     window.abo = fieldU64(line, "abo");
+    window.mitEvents = fieldU64(line, "mit_events");
     window.blocked = fieldU64(line, "blocked");
+    window.qSamples = fieldU64(line, "q_n");
+    window.qSum = fieldU64(line, "q_sum");
+    window.qMax = fieldU64(line, "q_max");
     if (const JsonValue *banks = line.get("rfm_pb_banks"))
         for (const auto &[bank, count] : banks->members())
             window.rfmPbBanks[static_cast<std::uint32_t>(
@@ -164,14 +172,8 @@ analyzeSeries(const SeriesSim &sim)
         peak_act = std::max(peak_act, act);
 
     const auto is_on = [&](std::uint64_t index) {
-        if (!sim.onWindows.empty()) {
-            const Cycle mid =
-                index * sim.windowCycles + sim.windowCycles / 2;
-            for (const auto &[begin, end] : sim.onWindows)
-                if (mid >= begin && mid < end)
-                    return true;
-            return false;
-        }
+        if (!sim.onWindows.empty())
+            return sim.windowOn(index);
         const auto it = actByIndex.find(index);
         return peak_act > 0 && it != actByIndex.end() &&
                it->second * 2 > peak_act;

@@ -21,14 +21,24 @@
 #define PRACLEAK_SIM_ANALYZE_SUPPORT_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "telemetry/timeseries.h"
 
 namespace pracleak::sim {
+
+/** True when @p at lies in one of the [begin, end) @p ranges. */
+inline bool
+inOnWindow(const std::vector<std::pair<Cycle, Cycle>> &ranges, Cycle at)
+{
+    for (const auto &[begin, end] : ranges)
+        if (at >= begin && at < end)
+            return true;
+    return false;
+}
 
 /** One parsed simulation record from a series file. */
 struct SeriesSim
@@ -40,19 +50,20 @@ struct SeriesSim
     std::int64_t victimBank = -1; //!< -1: unknown, scan all banks
     std::vector<std::pair<Cycle, Cycle>> onWindows;
 
-    struct Window
+    /** One window line: the observer's record plus its channel. */
+    struct Window : telemetry::SeriesWindow
     {
         std::uint32_t channel = 0;
-        std::uint64_t index = 0;
-        std::uint64_t act = 0;
-        std::uint64_t ref = 0;
-        std::uint64_t rfmAb = 0;
-        std::uint64_t rfmPb = 0;
-        std::uint64_t abo = 0;
-        Cycle blocked = 0;
-        std::map<std::uint32_t, std::uint64_t> rfmPbBanks;
     };
     std::vector<Window> windows;
+
+    /** Whether window @p index's midpoint lies in an ON range. */
+    bool
+    windowOn(std::uint64_t index) const
+    {
+        return inOnWindow(onWindows,
+                          index * windowCycles + windowCycles / 2);
+    }
 };
 
 /** Event totals split by the victim's ON/OFF phases. */

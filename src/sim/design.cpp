@@ -2,13 +2,12 @@
 
 #include <cstdlib>
 #include <future>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "mitigation/registry.h"
+#include "sim/memo.h"
 
 namespace pracleak::sim {
 
@@ -85,13 +84,9 @@ runOne(const SuiteEntry &entry, const DesignConfig &design,
 
 namespace {
 
-using BaselineKey =
-    std::tuple<std::string, DesignConfig, RunBudget, std::uint32_t>;
-
-// shared_future per key: the first thread to claim a key computes
-// it, concurrent claimants wait instead of re-simulating.
-std::mutex g_baselineMutex;
-std::map<BaselineKey, std::shared_future<RunResult>> g_baselineCache;
+Memo<std::tuple<std::string, DesignConfig, RunBudget, std::uint32_t>,
+     RunResult>
+    g_baselines;
 
 } // namespace
 
@@ -108,40 +103,19 @@ runNormalizedPair(const SuiteEntry &entry, const DesignConfig &design,
     baseline.perBankRfm = false;
     baseline.randomRfmPerTrefi = DesignConfig{}.randomRfmPerTrefi;
 
-    const BaselineKey key{entry.params.name, baseline, budget, cores};
-    std::shared_future<RunResult> future;
-    std::promise<RunResult> promise;
-    bool owner = false;
-    {
-        const std::lock_guard<std::mutex> lock(g_baselineMutex);
-        const auto it = g_baselineCache.find(key);
-        if (it != g_baselineCache.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            g_baselineCache.emplace(key, future);
-            owner = true;
-        }
-    }
-    if (owner) {
-        try {
-            promise.set_value(runOne(entry, baseline, budget, cores));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-
+    const std::shared_future<RunResult> shared = g_baselines.get(
+        {entry.params.name, baseline, budget, cores},
+        [&] { return runOne(entry, baseline, budget, cores); });
     PairResult pair;
     pair.design = runOne(entry, design, budget, cores);
-    pair.baseline = future.get();
+    pair.baseline = shared.get();
     return pair;
 }
 
 void
 clearBaselineCache()
 {
-    const std::lock_guard<std::mutex> lock(g_baselineMutex);
-    g_baselineCache.clear();
+    g_baselines.clear();
 }
 
 const SuiteEntry &

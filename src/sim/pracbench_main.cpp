@@ -18,6 +18,7 @@
  * never silently run the wrong sweep or write nothing.
  */
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -32,8 +33,11 @@
 #include "common/log.h"
 #include "mitigation/registry.h"
 #include "sim/analyze_support.h"
+#include "sim/design.h"
+#include "sim/provenance.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
+#include "sim/scenario_util.h"
 #include "sim/search.h"
 #include "sim/suggest.h"
 #include "sim/trace_support.h"
@@ -150,11 +154,15 @@ printUsage()
         "and across a\n"
         "                         kill + --resume cycle\n"
         "\n"
-        "record options: --workload NAME (repeatable), --set/--try-"
-        "set, --quiet,\n"
-        "                --trace-out PATH, --series-out PATH\n"
-        "replay options: --set mitigation=A,B, --verify, --out "
-        "FILE.json,\n"
+        "record options: --workload NAME (repeatable), --jobs N, "
+        "--set/--try-set AXIS=V\n"
+        "                (workload, mitigation, spec, nbo, warmup, "
+        "measure, channels,\n"
+        "                cores; one value each except workload), "
+        "--smoke (one workload),\n"
+        "                --quiet, --trace-out PATH, --series-out PATH\n"
+        "replay options: --jobs N, --set mitigation=A,B, --verify, "
+        "--out FILE.json,\n"
         "                --no-table, --quiet, --trace-out PATH, "
         "--series-out PATH\n"
         "\n"
@@ -256,7 +264,7 @@ rejectUnknown(const std::string &what, const std::string &word,
     std::exit(2);
 }
 
-/** Sweep flags shared by `run` (and partly by record/replay). */
+/** Sweep flags shared by run, record and replay. */
 struct RunCli
 {
     std::vector<std::string> names;
@@ -264,8 +272,6 @@ struct RunCli
     std::string outJson;
     std::string outCsv;
     std::string checkpointDir;
-    std::vector<std::string> workloads;
-    bool verify = false;
     bool table = true;
     bool smoke = false;
 };
@@ -442,6 +448,26 @@ commandList(const std::vector<std::string> &args)
     return 0;
 }
 
+/**
+ * Exit 2 on any --set/--try-set value of @p axis outside @p known
+ * before the sweep starts, with a "did you mean" hint: a point must
+ * not die on it mid-sweep.
+ */
+void
+checkAxisValues(const RunOptions &options, const std::string &axis,
+                const std::vector<std::string> &known)
+{
+    for (const auto *set : {&options.overrides, &options.softOverrides}) {
+        const auto it = set->find(axis);
+        if (it == set->end())
+            continue;
+        for (const JsonValue &value : it->second)
+            if (std::find(known.begin(), known.end(), value.asString()) ==
+                known.end())
+                rejectUnknown(axis, value.asString(), known);
+    }
+}
+
 int
 commandRun(const std::vector<std::string> &args)
 {
@@ -472,6 +498,8 @@ commandRun(const std::vector<std::string> &args)
 
     if (cli.smoke)
         applySmokeBudgets(cli.options);
+    checkAxisValues(cli.options, "mitigation",
+                    pracleak::mitigationNames());
     if (cli.options.checkpoint.resume && cli.checkpointDir.empty()) {
         std::fprintf(stderr,
                      "pracbench: --resume requires --checkpoint\n");
@@ -785,20 +813,22 @@ commandRecord(const std::vector<std::string> &args)
 {
     RunCli cli;
     std::vector<std::string> dirs;
+    std::vector<std::string> workloads;
     static const std::vector<std::string> known = {
-        "--workload",  "--set",        "--try-set",
-        "--smoke",     "--quiet",      "--trace-out",
-        "--series-out", "--log-level", "--help"};
+        "--workload",  "--jobs",       "--set",
+        "--try-set",   "--smoke",      "--quiet",
+        "--trace-out", "--series-out", "--log-level",
+        "--help"};
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--workload" || arg == "-w") {
-            cli.workloads.push_back(nextValue(args, i, arg));
+            workloads.push_back(nextValue(args, i, arg));
         } else if (arg == "--help" || arg == "-h") {
             printUsage();
             return 0;
         } else if (parseCommonFlag(cli, args, i)) {
-            // --out/--csv/--jobs parse but make no sense here;
-            // --out/--csv are rejected below for a precise message.
+            // --out/--csv/--no-table parse but are rejected below
+            // for a precise message.
         } else if (!arg.empty() && arg[0] == '-') {
             rejectUnknown("option for `record`", arg, known);
         } else {
@@ -811,34 +841,55 @@ commandRecord(const std::vector<std::string> &args)
                      "directory\n");
         return 2;
     }
-    if (!cli.outJson.empty() || !cli.outCsv.empty()) {
+    if (!cli.outJson.empty() || !cli.outCsv.empty() || !cli.table) {
         std::fprintf(stderr,
-                     "pracbench: record writes DIR/<workload>.trc; "
-                     "--out/--csv do not apply\n");
+                     "pracbench: record writes DIR/<workload>.trc and "
+                     "prints no table; --out/--csv/--no-table do not "
+                     "apply\n");
         return 2;
     }
     if (cli.smoke)
         applySmokeBudgets(cli.options);
+    if (!workloads.empty())
+        cli.options.overrides["workload"] = toValues(workloads);
+    // Every point writes DIR/<workload>.trc, so only the workload
+    // axis may list several values.
+    for (const auto *set :
+         {&cli.options.overrides, &cli.options.softOverrides})
+        for (const auto &[axis, values] : *set)
+            if (axis != "workload" && values.size() != 1) {
+                std::fprintf(stderr,
+                             "pracbench: --set %s takes exactly one "
+                             "value in record mode\n",
+                             axis.c_str());
+                return 2;
+            }
+    checkAxisValues(cli.options, "workload", suiteEntryNames());
+    checkAxisValues(cli.options, "mitigation",
+                    pracleak::mitigationNames());
+    if (!prepareOutputDir(dirs[0], ".trc", /*single=*/false))
+        return 2;
 
-    RecordCliOptions record;
-    record.dir = dirs[0];
-    record.workloads = cli.workloads;
-    record.progress = cli.options.progress;
-    record.traceOut = cli.options.telemetry.traceOut;
-    record.seriesOut = cli.options.telemetry.seriesOut;
-    // Soft overrides (--try-set, --smoke shrink) apply only where
-    // record mode has such a knob; hard --set errors on unknown
-    // keys inside the command.
-    const char *knownKeys[] = {"mitigation", "spec",    "nbo",
-                               "nrh",        "warmup",  "measure",
-                               "channels",   "cores"};
-    for (const auto &[axis, values] : cli.options.softOverrides)
-        for (const char *name : knownKeys)
-            if (axis == name)
-                record.settings[axis] = values;
-    for (const auto &[axis, values] : cli.options.overrides)
-        record.settings[axis] = values;
-    return runRecordTraceCommand(record);
+    try {
+        const SweepResult result =
+            runScenario(recordScenario(dirs[0]), cli.options);
+        if (cli.options.progress)
+            for (const ResultRow &row : result.rows)
+                std::fprintf(
+                    stderr,
+                    "pracbench: recorded %s (%lld requests, %lld "
+                    "bytes, end cycle %lld, fnv1a %s)\n",
+                    row.get("path")->asString().c_str(),
+                    static_cast<long long>(row.get("requests")->asInt()),
+                    static_cast<long long>(row.get("bytes")->asInt()),
+                    static_cast<long long>(
+                        row.get("end_cycle")->asInt()),
+                    row.get("fnv1a64")->asString().c_str());
+    } catch (const std::exception &error) {
+        std::fprintf(stderr, "pracbench: %s\n", error.what());
+        return 2;
+    }
+    return 0;
 }
 
 int
@@ -846,19 +897,21 @@ commandReplay(const std::vector<std::string> &args)
 {
     RunCli cli;
     std::vector<std::string> files;
+    bool verify = false;
     static const std::vector<std::string> known = {
-        "--set",       "--try-set",  "--verify", "--out",
-        "--no-table",  "--quiet",    "--trace-out",
+        "--jobs",      "--set",        "--try-set",   "--verify",
+        "--out",       "--no-table",   "--quiet",     "--trace-out",
         "--series-out", "--log-level", "--help"};
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--verify") {
-            cli.verify = true;
+            verify = true;
         } else if (arg == "--help" || arg == "-h") {
             printUsage();
             return 0;
         } else if (parseCommonFlag(cli, args, i)) {
-            // handled
+            // --csv/--smoke parse but are rejected below for a
+            // precise message.
         } else if (!arg.empty() && arg[0] == '-') {
             rejectUnknown("option for `replay`", arg, known);
         } else {
@@ -871,53 +924,82 @@ commandReplay(const std::vector<std::string> &args)
                      "file\n");
         return 2;
     }
-    if (!cli.outCsv.empty()) {
+    if (!cli.outCsv.empty() || cli.smoke) {
         std::fprintf(stderr,
-                     "pracbench: --csv does not apply to replay\n");
+                     "pracbench: --csv/--smoke do not apply to "
+                     "replay\n");
         return 2;
-    }
-
-    ReplayCliOptions replay;
-    replay.tracePath = files[0];
-    replay.verify = cli.verify;
-    replay.outJson = cli.outJson;
-    replay.table = cli.table;
-    replay.progress = cli.options.progress;
-    replay.traceOut = cli.options.telemetry.traceOut;
-    replay.seriesOut = cli.options.telemetry.seriesOut;
-    // Hard --set keeps its contract: anything replay cannot honour
-    // is an error, not a silent no-op (the stream is fixed; only
-    // the defense can vary).
-    for (const auto &[axis, values] : cli.options.overrides) {
-        (void)values;
-        if (axis != "mitigation") {
-            std::fprintf(stderr,
-                         "pracbench: replay supports only --set "
-                         "mitigation=... (the recorded stream pins "
-                         "every other knob)\n");
-            return 2;
-        }
-    }
-    for (const auto *set :
-         {&cli.options.overrides, &cli.options.softOverrides}) {
-        const auto it = set->find("mitigation");
-        if (it == set->end() || !replay.mitigations.empty())
-            continue;
-        for (const JsonValue &value : it->second)
-            replay.mitigations.push_back(value.asString());
     }
     // Replay writes outJson verbatim as one file; a directory form
     // would only fail at emission time, after the sweep.
-    if (!replay.outJson.empty() &&
-        !endsWith(replay.outJson, ".json")) {
+    if (!cli.outJson.empty() && !endsWith(cli.outJson, ".json")) {
         std::fprintf(stderr,
                      "pracbench: replay --out must be a .json file "
                      "path\n");
         return 2;
     }
-    if (!prepareOutputDir(replay.outJson, ".json", /*single=*/true))
+    checkAxisValues(cli.options, "mitigation",
+                    pracleak::mitigationNames());
+    if (!prepareOutputDir(cli.outJson, ".json", /*single=*/true))
         return 2;
-    return runReplayCommand(replay);
+
+    try {
+        const std::string &path = files[0];
+        const pracleak::trace::TraceReader reader(path);
+        const pracleak::trace::TraceData &trace = reader.data();
+        const std::string &recorded = trace.header.mitigation;
+        // --verify is a statement about the *recorded* defense; make
+        // sure that leg runs even when the --set list omits it,
+        // instead of passing vacuously.
+        if (verify)
+            for (auto *set :
+                 {&cli.options.overrides, &cli.options.softOverrides}) {
+                const auto it = set->find("mitigation");
+                if (it != set->end() &&
+                    std::none_of(it->second.begin(), it->second.end(),
+                                 [&](const JsonValue &value) {
+                                     return value.asString() == recorded;
+                                 }))
+                    it->second.emplace_back(recorded);
+            }
+
+        const SweepResult result =
+            runScenario(replayScenario(trace, path), cli.options);
+        bool verified = true;
+        for (const ResultRow &row : result.rows)
+            if (const JsonValue *identical = row.get("bit_identical"))
+                verified = verified && identical->asBool();
+
+        if (cli.table)
+            printTables(result);
+        if (!cli.outJson.empty()) {
+            JsonValue root = result.toJson();
+            root.set("trace", path);
+            root.set("trace_fnv1a64", fileHashHex(path));
+            root.set("workload", trace.header.workload);
+            root.set("recorded_mitigation", recorded);
+            root.set("spec", trace.header.spec);
+            if (!writeAtomic(cli.outJson, root.dump(2) + "\n"))
+                return 1;
+            std::fprintf(stderr, "pracbench: wrote %s\n",
+                         cli.outJson.c_str());
+        }
+
+        if (verify && !verified) {
+            std::fprintf(stderr,
+                         "pracbench: FAIL: same-defense replay did "
+                         "not reproduce the recorded stats\n");
+            return 1;
+        }
+        if (verify)
+            std::fprintf(stderr,
+                         "pracbench: same-defense replay is "
+                         "bit-identical to the recording\n");
+    } catch (const std::exception &error) {
+        std::fprintf(stderr, "pracbench: %s\n", error.what());
+        return 2;
+    }
+    return 0;
 }
 
 int

@@ -56,7 +56,7 @@ std::string utcTimestamp();
  * {"git_rev", "grid_fnv1a64", "generated_at"} computed over the
  * effective grid.  generated_at is the only non-deterministic field
  * an emission carries besides wall_seconds; equivalence checks
- * (golden resume tests, the CI resume-smoke diff) strip exactly
+ * (golden resume tests, the scripts/resume_smoke.sh diff) strip exactly
  * those two.
  */
 JsonValue provenanceObject(const JsonValue &grid);

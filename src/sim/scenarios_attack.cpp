@@ -13,13 +13,13 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "attack/agents.h"
 #include "attack/harness.h"
 #include "attack/side_channel.h"
 #include "mitigation/registry.h"
+#include "sim/memo.h"
 
 namespace pracleak::sim {
 
@@ -41,17 +41,15 @@ steppedValues(int limit, int step)
 int
 calibratedLag(int encryptions)
 {
-    static std::mutex mutex;
-    static std::map<int, int> cache;
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(encryptions);
-    if (it != cache.end())
-        return it->second;
-    SideChannelParams params;
-    params.encryptions = encryptions;
-    const int lag = calibrateProbeLag(params);
-    cache.emplace(encryptions, lag);
-    return lag;
+    static Memo<int, int> lags;
+    return lags
+        .get(encryptions,
+             [encryptions] {
+                 SideChannelParams params;
+                 params.encryptions = encryptions;
+                 return calibrateProbeLag(params);
+             })
+        .get();
 }
 
 // --- Figure 3 ------------------------------------------------------

@@ -25,12 +25,11 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <future>
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,6 +38,7 @@
 #include "mitigation/registry.h"
 #include "sim/analyze_support.h"
 #include "sim/design.h"
+#include "sim/memo.h"
 #include "sim/scenario_util.h"
 #include "sim/search.h"
 #include "telemetry/timeseries.h"
@@ -179,32 +179,12 @@ runLeakExperiment(const std::string &defense,
         series->windowCycles = bus.windowCycles();
         series->victimBank = victim_config.targetBank;
         series->onWindows = run.onWindows;
-        for (const telemetry::SeriesWindow &w : bus.windows()) {
-            SeriesSim::Window window;
-            window.index = w.index;
-            window.act = w.act;
-            window.ref = w.ref;
-            window.rfmAb = w.rfmAb;
-            window.rfmPb = w.rfmPb;
-            window.abo = w.abo;
-            window.blocked = w.blocked;
-            window.rfmPbBanks = w.rfmPbBanks;
-            series->windows.push_back(std::move(window));
-        }
+        for (const telemetry::SeriesWindow &window : bus.windows())
+            series->windows.push_back({window});
     }
     if (local)
         mem.setBusObserver(nullptr);
     return run;
-}
-
-bool
-inOnWindow(const std::vector<std::pair<Cycle, Cycle>> &windows,
-           Cycle at)
-{
-    for (const auto &[begin, end] : windows)
-        if (at >= begin && at < end)
-            return true;
-    return false;
 }
 
 Cycle
@@ -219,45 +199,23 @@ maxLatency(const std::vector<LatencySample> &samples)
 /**
  * The no-defense calibration run (noise ceilings AND the
  * mitigation=none grid point) is deterministic per experiment shape
- * and costs a full simulation, so sweeps share one per (nbo, phase,
- * bursts).  shared_future per key: the first claimant simulates
- * outside the lock, concurrent workers wait on the future instead of
- * serializing behind a mutex-held run (same pattern as the memoized
- * baselines in sim/design.cpp).
+ * and costs a full simulation, so sweeps share one per (spec, nbo,
+ * phase, bursts).
  */
 const LeakRun &
 quietRun(const std::string &spec_name, std::uint32_t nbo,
          double phase_ms, int bursts)
 {
-    static std::mutex mutex;
-    static std::map<std::string, std::shared_future<LeakRun>> cache;
-    const std::string key = spec_name + "/" + std::to_string(nbo) +
-                            "/" + std::to_string(phase_ms) + "/" +
-                            std::to_string(bursts);
-    std::shared_future<LeakRun> future;
-    std::promise<LeakRun> promise;
-    bool owner = false;
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        const auto it = cache.find(key);
-        if (it != cache.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            cache.emplace(key, future);
-            owner = true;
-        }
-    }
-    if (owner) {
-        try {
-            promise.set_value(runLeakExperiment("none", spec_name,
-                                                nbo, phase_ms,
-                                                bursts));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+    static Memo<std::tuple<std::string, std::uint32_t, double, int>,
+                LeakRun>
+        runs;
+    return runs
+        .get({spec_name, nbo, phase_ms, bursts},
+             [&] {
+                 return runLeakExperiment("none", spec_name, nbo,
+                                          phase_ms, bursts);
+             })
+        .get();
 }
 
 /** Spikes above @p threshold split by the victim's phase. */
@@ -406,12 +364,6 @@ leakageTimeline()
             static_cast<int>(params.getInt("bursts")), &sim);
         const LeakVerdict verdict = analyzeSeries(sim);
 
-        const auto window_on = [&](std::uint64_t index) {
-            const Cycle mid = index * sim.windowCycles +
-                              sim.windowCycles / 2;
-            return inOnWindow(sim.onWindows, mid);
-        };
-
         std::vector<ResultRow> rows;
         for (const SeriesSim::Window &w : sim.windows) {
             if (w.rfmAb + w.rfmPb + w.abo + w.ref == 0)
@@ -419,7 +371,7 @@ leakageTimeline()
             ResultRow row = JsonValue::object();
             row.set("kind", "window");
             row.set("w", w.index);
-            row.set("on", window_on(w.index));
+            row.set("on", sim.windowOn(w.index));
             row.set("act", w.act);
             row.set("rfm_ab", w.rfmAb);
             row.set("rfm_pb", w.rfmPb);

@@ -23,6 +23,7 @@
 #include "sim/design.h"
 #include "sim/scenario_util.h"
 #include "sim/trace_support.h"
+#include "trace/replay.h"
 
 namespace pracleak::sim {
 

@@ -1,55 +1,54 @@
 #include "sim/trace_support.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <stdexcept>
 
-#include "mitigation/registry.h"
 #include "sim/provenance.h"
-#include "sim/runner.h"
 #include "sim/scenario_util.h"
 #include "telemetry/io.h"
-#include "telemetry/stopwatch.h"
-#include "telemetry/timeseries.h"
-#include "telemetry/trace.h"
 #include "trace/recorder.h"
+#include "trace/replay.h"
 
 namespace pracleak::sim {
 
 namespace {
 
-/** Arms the series sink when @p path is non-empty; disarms on every
- *  exit path so a thrown replay cannot leave the sink dangling. */
-struct SeriesScope
+/** Flatten one replay outcome into a result row. */
+ResultRow
+replayRow(const trace::ReplayResult &result)
 {
-    explicit SeriesScope(std::string path) : path_(std::move(path))
-    {
-        if (!path_.empty())
-            telemetry::SeriesCapture::arm();
-    }
-    ~SeriesScope()
-    {
-        if (!path_.empty())
-            telemetry::SeriesCapture::disarm();
-    }
+    const ChannelStats total = result.total();
+    ResultRow row = JsonValue::object();
+    row.set("mitigation", result.mitigation);
+    row.set("end_cycle", result.endCycle);
+    row.set("requests", result.replayedRequests);
+    row.set("fully_drained", result.fullyDrained);
+    row.set("acts", total.acts);
+    row.set("refreshes", total.refreshes);
+    setRfmColumns(row, total,
+                  {RfmReason::Abo, RfmReason::Acb,
+                   RfmReason::TimingBased, RfmReason::Random,
+                   RfmReason::Graphene, RfmReason::PerBank});
+    row.set("alerts", total.alerts);
+    row.set("mitigation_events", total.mitigationEvents);
+    row.set("mitigated_rows", total.mitigatedRows);
+    row.set("max_counter", total.maxCounterSeen);
+    return row;
+}
 
-    /** writeAll to the scope's path; true when disabled. */
-    bool
-    write() const
-    {
-        if (path_.empty())
-            return true;
-        if (!telemetry::SeriesCapture::writeAll(path_))
-            return false;
-        std::fprintf(stderr, "pracbench: wrote %s\n", path_.c_str());
-        return true;
+/** The recording's own stats (summed) as a "<defense> (recorded)" row. */
+ResultRow
+recordedStatsRow(const trace::TraceData &trace)
+{
+    trace::ReplayResult as_recorded;
+    as_recorded.mitigation = trace.header.mitigation + " (recorded)";
+    as_recorded.endCycle = trace.header.endCycle;
+    for (const trace::ChannelTrace &channel : trace.channels) {
+        as_recorded.channels.push_back(channel.stats);
+        as_recorded.replayedRequests += channel.stats.requests;
     }
-
-  private:
-    std::string path_;
-};
+    return replayRow(as_recorded);
+}
 
 } // namespace
 
@@ -75,260 +74,85 @@ recordSuiteRun(const SuiteEntry &entry, const DesignConfig &design,
     return recorded;
 }
 
-ResultRow
-replayRow(const trace::ReplayResult &result)
+Scenario
+recordScenario(const std::string &dir)
 {
-    const ChannelStats total = result.total();
-    ResultRow row = JsonValue::object();
-    row.set("mitigation", result.mitigation);
-    row.set("end_cycle", result.endCycle);
-    row.set("requests", result.replayedRequests);
-    row.set("fully_drained", result.fullyDrained);
-    row.set("acts", total.acts);
-    row.set("refreshes", total.refreshes);
-    setRfmColumns(row, total,
-                  {RfmReason::Abo, RfmReason::Acb,
-                   RfmReason::TimingBased, RfmReason::Random,
-                   RfmReason::Graphene, RfmReason::PerBank});
-    row.set("alerts", total.alerts);
-    row.set("mitigation_events", total.mitigationEvents);
-    row.set("mitigated_rows", total.mitigatedRows);
-    row.set("max_counter", total.maxCounterSeen);
-    return row;
-}
+    Scenario scenario;
+    scenario.name = "trace_record";
+    scenario.title = "Trace recording into " + dir;
+    scenario.grid.axis("workload", toValues(suiteEntryNames()))
+        .constant("mitigation", "none")
+        .constant("spec", "ddr5-8000b")
+        .constant("nbo", 1024)
+        .constant("warmup", 20'000)
+        .constant("measure", 100'000)
+        .constant("channels", 1)
+        .constant("cores", 4);
 
-ResultRow
-recordedStatsRow(const trace::TraceData &trace)
-{
-    trace::ReplayResult as_recorded;
-    as_recorded.mitigation = trace.header.mitigation;
-    as_recorded.endCycle = trace.header.endCycle;
-    for (const trace::ChannelTrace &channel : trace.channels) {
-        as_recorded.channels.push_back(channel.stats);
-        as_recorded.replayedRequests += channel.stats.requests;
-    }
-    return replayRow(as_recorded);
-}
-
-int
-runRecordTraceCommand(const RecordCliOptions &options)
-{
-    try {
-        RunBudget budget;
-        budget.warmup = 20'000;
-        budget.measure = 100'000;
+    scenario.runPoint = [dir](const ParamSet &params) {
+        const std::string workload = params.getString("workload");
         DesignConfig design;
-        design.mitigation = "none";
-        std::uint32_t cores = 4;
-
-        for (const auto &[name, values] : options.settings) {
-            if (values.size() != 1)
-                throw std::invalid_argument(
-                    "--set " + name +
-                    " takes exactly one value in record mode");
-            const JsonValue &value = values.front();
-            if (name == "mitigation")
-                design.mitigation = value.asString();
-            else if (name == "spec")
-                design.spec = value.asString();
-            else if (name == "nbo" || name == "nrh")
-                design.nbo =
-                    static_cast<std::uint32_t>(value.asInt());
-            else if (name == "warmup")
-                budget.warmup =
-                    static_cast<std::uint64_t>(value.asInt());
-            else if (name == "measure")
-                budget.measure =
-                    static_cast<std::uint64_t>(value.asInt());
-            else if (name == "channels")
-                design.channels =
-                    static_cast<std::uint32_t>(value.asInt());
-            else if (name == "cores")
-                cores = static_cast<std::uint32_t>(value.asInt());
-            else
-                throw std::invalid_argument(
-                    "unknown record setting '" + name +
-                    "' (have: mitigation, spec, nbo/nrh, warmup, "
-                    "measure, channels, cores)");
-        }
-        if (!findMitigation(design.mitigation))
-            throw std::invalid_argument("unknown mitigation '" +
-                                        design.mitigation + "'");
+        design.mitigation = params.getString("mitigation");
         design.label = design.mitigation;
+        design.spec = params.getString("spec");
+        design.nbo = static_cast<std::uint32_t>(params.getInt("nbo"));
+        design.channels =
+            static_cast<std::uint32_t>(params.getInt("channels"));
+        RunBudget budget;
+        budget.warmup =
+            static_cast<std::uint64_t>(params.getInt("warmup"));
+        budget.measure =
+            static_cast<std::uint64_t>(params.getInt("measure"));
+        const RecordedRun recorded = recordSuiteRun(
+            findSuiteEntry(workload), design, budget,
+            static_cast<std::uint32_t>(params.getInt("cores")));
 
-        std::vector<std::string> workloads = options.workloads;
-        if (workloads.empty())
-            workloads = suiteEntryNames();
+        const std::string path =
+            (std::filesystem::path(dir) / (workload + ".trc")).string();
+        const std::string image = trace::serializeTrace(recorded.trace);
+        if (!telemetry::writeAtomic(path, image))
+            throw std::runtime_error("cannot write " + path);
+        std::uint64_t requests = 0;
+        for (const trace::ChannelTrace &channel : recorded.trace.channels)
+            requests += channel.records.size();
 
-        std::error_code ec;
-        std::filesystem::create_directories(options.dir, ec);
-        if (ec) {
-            std::fprintf(stderr,
-                         "pracbench: cannot create trace dir %s: "
-                         "%s\n",
-                         options.dir.c_str(),
-                         ec.message().c_str());
-            return 1;
-        }
-
-        std::unique_ptr<telemetry::TraceSession> session;
-        if (!options.traceOut.empty())
-            session = std::make_unique<telemetry::TraceSession>(
-                options.traceOut);
-        const SeriesScope series(options.seriesOut);
-
-        for (const std::string &workload : workloads) {
-            const SuiteEntry &entry = findSuiteEntry(workload);
-            telemetry::SeriesCapture::setLabel(workload);
-            telemetry::TraceSpan span(session.get(), workload,
-                                      "record", -1);
-            const RecordedRun recorded =
-                recordSuiteRun(entry, design, budget, cores);
-            span.end();
-            const std::string path =
-                (std::filesystem::path(options.dir) /
-                 (workload + ".trc"))
-                    .string();
-            const std::string image =
-                trace::serializeTrace(recorded.trace);
-            if (!telemetry::writeAtomic(path, image))
-                return 1;
-            if (options.progress) {
-                std::uint64_t requests = 0;
-                for (const trace::ChannelTrace &channel :
-                     recorded.trace.channels)
-                    requests += channel.records.size();
-                std::fprintf(
-                    stderr,
-                    "pracbench: recorded %s (%llu requests, "
-                    "%zu bytes, end cycle %llu, fnv1a %s)\n",
-                    path.c_str(),
-                    static_cast<unsigned long long>(requests),
-                    image.size(),
-                    static_cast<unsigned long long>(
-                        recorded.trace.header.endCycle),
-                    hashHex(fnv1a64(image)).c_str());
-            }
-        }
-        if (!series.write())
-            return 1;
-        if (session)
-            session->write();
-        return 0;
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
-    }
+        ResultRow row = JsonValue::object();
+        row.set("path", path);
+        row.set("requests", requests);
+        row.set("bytes", static_cast<std::uint64_t>(image.size()));
+        row.set("end_cycle", recorded.trace.header.endCycle);
+        row.set("fnv1a64", hashHex(fnv1a64(image)));
+        return std::vector<ResultRow>{std::move(row)};
+    };
+    return scenario;
 }
 
-int
-runReplayCommand(const ReplayCliOptions &options)
+Scenario
+replayScenario(const trace::TraceData &trace, const std::string &path)
 {
-    try {
-        const trace::TraceReader reader(options.tracePath);
-        const trace::TraceData &trace = reader.data();
+    const std::string &recorded = trace.header.mitigation;
+    Scenario scenario;
+    scenario.name = "trace_replay";
+    scenario.title = "Replay of " + path + " (workload " +
+                     trace.header.workload + ", recorded under " +
+                     recorded + ")";
+    scenario.grid.axis("mitigation", {recorded});
 
-        std::vector<std::string> defenses = options.mitigations;
-        if (defenses.empty())
-            defenses = {trace.header.mitigation};
-        // --verify is a statement about the *recorded* defense; make
-        // sure that leg actually runs even when the user's defense
-        // list omits it, instead of passing vacuously.
-        if (options.verify &&
-            std::find(defenses.begin(), defenses.end(),
-                      trace.header.mitigation) == defenses.end())
-            defenses.push_back(trace.header.mitigation);
-        // Validate the whole list before the first (possibly long)
-        // replay: an unknown key must not kill the sweep midway.
-        for (const std::string &defense : defenses)
-            if (!findMitigation(defense))
-                throw std::invalid_argument(
-                    "unknown mitigation '" + defense + "'");
+    scenario.runPoint = [&trace](const ParamSet &params) {
+        trace::ReplayOptions options;
+        options.mitigation = params.getString("mitigation");
+        const trace::ReplayResult replay =
+            trace::replayTrace(trace, options);
+        ResultRow row = replayRow(replay);
+        if (options.mitigation == trace.header.mitigation)
+            row.set("bit_identical", replay.matchesRecorded(trace));
+        return std::vector<ResultRow>{std::move(row)};
+    };
 
-        SweepResult result;
-        result.scenario = "trace_replay";
-        result.title = "Replay of " + options.tracePath +
-                       " (workload " + trace.header.workload +
-                       ", recorded under " +
-                       trace.header.mitigation + ")";
-        result.jobs = 1;
-        result.points = defenses.size();
-
-        std::unique_ptr<telemetry::TraceSession> session;
-        if (!options.traceOut.empty())
-            session = std::make_unique<telemetry::TraceSession>(
-                options.traceOut);
-        const SeriesScope series(options.seriesOut);
-
-        bool verified = true;
-        const telemetry::Stopwatch clock;
-        for (const std::string &defense : defenses) {
-            trace::ReplayOptions replay_options;
-            replay_options.mitigation = defense;
-            telemetry::SeriesCapture::setLabel(
-                trace.header.workload + "/" + defense);
-            telemetry::TraceSpan span(session.get(), defense,
-                                      "replay", -1);
-            const trace::ReplayResult replay =
-                trace::replayTrace(trace, replay_options);
-            span.end();
-
-            ResultRow row = replayRow(replay);
-            if (defense == trace.header.mitigation) {
-                const bool identical =
-                    replay.matchesRecorded(trace);
-                row.set("bit_identical", identical);
-                verified = verified && identical;
-            }
-            result.rows.push_back(std::move(row));
-            if (options.progress)
-                std::fprintf(stderr, "pracbench: replayed %s\n",
-                             defense.c_str());
-        }
-        result.wallSeconds = clock.seconds();
-        if (!series.write())
-            return 1;
-        if (session)
-            session->write();
-
-        ResultRow recorded = recordedStatsRow(trace);
-        recorded.set("mitigation",
-                     trace.header.mitigation + " (recorded)");
-        result.summary.push_back(std::move(recorded));
-
-        if (options.table)
-            printTables(result);
-        if (!options.outJson.empty()) {
-            JsonValue root = result.toJson();
-            root.set("trace", options.tracePath);
-            root.set("trace_fnv1a64",
-                     fileHashHex(options.tracePath));
-            root.set("workload", trace.header.workload);
-            root.set("recorded_mitigation",
-                     trace.header.mitigation);
-            root.set("spec", trace.header.spec);
-            if (!telemetry::writeAtomic(options.outJson,
-                                        root.dump(2) + "\n"))
-                return 1;
-            std::fprintf(stderr, "pracbench: wrote %s\n",
-                         options.outJson.c_str());
-        }
-
-        if (options.verify && !verified) {
-            std::fprintf(stderr,
-                         "pracbench: FAIL: same-defense replay did "
-                         "not reproduce the recorded stats\n");
-            return 1;
-        }
-        if (options.verify)
-            std::fprintf(stderr,
-                         "pracbench: same-defense replay is "
-                         "bit-identical to the recording\n");
-        return 0;
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
-    }
+    scenario.summarize = [&trace](const std::vector<ResultRow> &) {
+        return std::vector<ResultRow>{recordedStatsRow(trace)};
+    };
+    return scenario;
 }
 
 } // namespace pracleak::sim

@@ -1,22 +1,19 @@
 /**
  * @file
  * Bridge between the scenario/CLI layer and the trace subsystem
- * (src/trace/): record a suite workload once, replay it under any
- * registered defense, and flatten replay stats into result rows.
- * Shared by `pracbench record` / `pracbench replay` and the
- * trace_replay_defense_sweep scenario.
+ * (src/trace/): recordSuiteRun() records one suite workload, and
+ * recordScenario() / replayScenario() are the `pracbench record` /
+ * `pracbench replay` sweeps, which write traces and replay one under
+ * any registered defense.
  */
 
 #ifndef PRACLEAK_SIM_TRACE_SUPPORT_H
 #define PRACLEAK_SIM_TRACE_SUPPORT_H
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "sim/design.h"
 #include "sim/scenario.h"
-#include "trace/replay.h"
 #include "trace/trace.h"
 
 namespace pracleak::sim {
@@ -37,66 +34,26 @@ RecordedRun recordSuiteRun(const SuiteEntry &entry,
                            const RunBudget &budget,
                            std::uint32_t cores = 4);
 
-/** Flatten one replay outcome into a result row. */
-ResultRow replayRow(const trace::ReplayResult &result);
+/**
+ * `pracbench record DIR` as a sweep: one point per `workload` (the
+ * whole Table-4 suite unless overridden) that simulates it with trace
+ * taps armed and writes DIR/<workload>.trc.  The other axes are
+ * constants: mitigation (none), spec (ddr5-8000b), nbo (1024), warmup
+ * (20000), measure (100000), channels (1) and cores (4).  Each row
+ * carries the file's `path`, `requests`, `bytes`, `end_cycle` and
+ * `fnv1a64`.
+ */
+Scenario recordScenario(const std::string &dir);
 
-/** Flatten recorded per-channel stats (summed) into row fields. */
-ResultRow recordedStatsRow(const trace::TraceData &trace);
-
-// --- pracbench subcommands -----------------------------------------
-
-/** `pracbench record` settings. */
-struct RecordCliOptions
-{
-    std::string dir;                    //!< output directory
-    std::vector<std::string> workloads; //!< empty = whole suite
-
-    /** Single-value settings from --set (mitigation, spec, nbo,
-     *  warmup, measure, channels, cores); unknown keys error. */
-    std::map<std::string, std::vector<JsonValue>> settings;
-
-    bool progress = true;
-
-    /** Chrome trace-event JSON of the recording; "" disables. */
-    std::string traceOut;
-
-    /** Windowed bus time series of the recording runs, one record
-     *  per workload (telemetry/timeseries.h); "" disables. */
-    std::string seriesOut;
-};
-
-/** Record traces per workload into dir/<workload>.trc; 0 on success. */
-int runRecordTraceCommand(const RecordCliOptions &options);
-
-/** `pracbench replay` settings. */
-struct ReplayCliOptions
-{
-    std::string tracePath;
-
-    /** Defenses to replay under (--set mitigation=a,b); empty = the
-     *  recorded defense. */
-    std::vector<std::string> mitigations;
-
-    /**
-     * Exit non-zero unless every replay under the recorded defense
-     * reproduces the recorded stats bit-identically (CI gate).
-     */
-    bool verify = false;
-
-    std::string outJson;                //!< optional JSON destination
-    bool table = true;
-    bool progress = true;
-
-    /** Chrome trace-event JSON of the replays; "" disables. */
-    std::string traceOut;
-
-    /** Windowed bus time series of the replays, one record per
-     *  defense (telemetry/timeseries.h); "" disables. */
-    std::string seriesOut;
-};
-
-/** Replay a trace across defenses; 0 on success. */
-int runReplayCommand(const ReplayCliOptions &options);
+/**
+ * `pracbench replay FILE` as a sweep over one `mitigation` axis,
+ * which defaults to the recorded defense: each point replays @p trace
+ * (it must outlive the sweep) under one defense, and the recorded
+ * defense's row carries `bit_identical`.  The summary is the
+ * recording's own stats; @p path names the trace in the title.
+ */
+Scenario replayScenario(const trace::TraceData &trace,
+                        const std::string &path);
 
 } // namespace pracleak::sim
 

@@ -6,8 +6,7 @@
  * schedulers and across `--jobs` widths, series round-tripping
  * through the analyzer's loader, synthetic-series verdicts, the
  * observe-only guarantee (`--series-out` never changes sweep rows),
- * and the VisibleBusModel taxonomy the probes / observer / analyzer
- * all share.
+ * and the VisibleBusModel spike thresholds the probes share.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/visible_bus.h"
@@ -96,40 +96,51 @@ TEST(BusObserver, WindowAddressingIsSparseAndExact)
 TEST(BusObserver, BlockedSpanSpreadsExactlyAcrossWindows)
 {
     const DramSpec spec = DramSpec::ddr5_8000b();
-    telemetry::BusObserver bus(spec, 100);
 
-    // An RFMab issued 5 cycles before a window boundary: the
-    // blocking span must be split exactly, with no cycle lost or
-    // double-counted, across every window it overlaps.
-    Command rfm;
-    rfm.type = CmdType::RFMab;
-    bus.onCommand(rfm, 95);
+    // Each maintenance command is counted in its own field and
+    // blocks the bus for its own spec duration: REFab for tRFC, RFMab
+    // for tRFMab, RFMpb for tRFMpb.
+    using Field = std::uint64_t telemetry::SeriesWindow::*;
+    const std::tuple<CmdType, Cycle, Field> spans[] = {
+        {CmdType::RFMab, spec.timing.tRFMab,
+         &telemetry::SeriesWindow::rfmAb},
+        {CmdType::REFab, spec.timing.tRFC, &telemetry::SeriesWindow::ref},
+        {CmdType::RFMpb, spec.timing.tRFMpb,
+         &telemetry::SeriesWindow::rfmPb},
+    };
+    for (const auto &[type, block, count] : spans) {
+        SCOPED_TRACE(cmdName(type));
+        telemetry::BusObserver bus(spec, 100);
 
-    const Cycle block = spec.timing.tRFMab;
-    ASSERT_GT(block, 100u) << "test assumes a multi-window span";
+        // Issued 5 cycles before a window boundary: the blocking span
+        // must be split exactly, with no cycle lost or double-counted,
+        // across every window it overlaps.
+        Command command;
+        command.type = type;
+        bus.onCommand(command, 95);
+        ASSERT_GT(block, 100u) << "test assumes a multi-window span";
 
-    Cycle total = 0;
-    for (const telemetry::SeriesWindow &w : bus.windows())
-        total += w.blocked;
-    EXPECT_EQ(total, block);
-    EXPECT_EQ(bus.windows().front().blocked, 5u);
-    EXPECT_EQ(bus.windows().front().rfmAb, 1u);
+        Cycle total = 0;
+        for (const telemetry::SeriesWindow &w : bus.windows())
+            total += w.blocked;
+        EXPECT_EQ(total, block);
+        const telemetry::SeriesWindow &first = bus.windows().front();
+        EXPECT_EQ(first.blocked, 5u);
+        EXPECT_EQ(first.*count, 1u);
+        EXPECT_EQ(first.ref + first.rfmAb + first.rfmPb, 1u);
 
-    // Windows covered by the span are contiguous: the span itself
-    // materializes them (a blocked window is not an empty window).
-    const std::uint64_t last = (95 + block - 1) / 100;
-    ASSERT_EQ(bus.windows().size(), last + 1);
-    for (std::uint64_t i = 0; i + 1 < bus.windows().size(); ++i) {
-        EXPECT_EQ(bus.windows()[i].index, i);
-        if (i > 0 && i < last)
-            EXPECT_EQ(bus.windows()[i].blocked, 100u)
-                << "interior window " << i << " must be fully blocked";
+        // Windows covered by the span are contiguous: the span itself
+        // materializes them (a blocked window is not an empty window).
+        const std::uint64_t last = (95 + block - 1) / 100;
+        ASSERT_EQ(bus.windows().size(), last + 1);
+        for (std::uint64_t i = 0; i + 1 < bus.windows().size(); ++i) {
+            EXPECT_EQ(bus.windows()[i].index, i);
+            if (i > 0 && i < last)
+                EXPECT_EQ(bus.windows()[i].blocked, 100u)
+                    << "interior window " << i
+                    << " must be fully blocked";
+        }
     }
-
-    // The observer and the attacker's bus model must agree on the
-    // blocking duration -- they describe the same physical signal.
-    const VisibleBusModel model = VisibleBusModel::fromSpec(spec);
-    EXPECT_EQ(model.blockingCycles(CmdType::RFMab), block);
 }
 
 TEST(BusObserver, RfmPbCountsPerFlatBank)
@@ -161,37 +172,11 @@ TEST(BusObserver, RfmPbCountsPerFlatBank)
 
 // ---------------------------------------------------- VisibleBusModel
 
-TEST(VisibleBus, TaxonomyMatchesThePaper)
-{
-    // Channel-wide: every probe on the channel sees the stall.
-    EXPECT_EQ(VisibleBusModel::commandVisibility(CmdType::REFab),
-              BusVisibility::ChannelWide);
-    EXPECT_EQ(VisibleBusModel::commandVisibility(CmdType::RFMab),
-              BusVisibility::ChannelWide);
-    // Per-bank: only a same-bank probe sees it.
-    EXPECT_EQ(VisibleBusModel::commandVisibility(CmdType::RFMpb),
-              BusVisibility::SameBank);
-    // Demand traffic is the noise floor, not a signal.
-    for (const CmdType type : {CmdType::ACT, CmdType::PRE, CmdType::RD,
-                               CmdType::WR})
-        EXPECT_EQ(VisibleBusModel::commandVisibility(type),
-                  BusVisibility::InDram);
-
-    EXPECT_STREQ(busVisibilityName(BusVisibility::ChannelWide),
-                 "channel");
-    EXPECT_STREQ(busVisibilityName(BusVisibility::SameBank), "bank");
-    EXPECT_STREQ(busVisibilityName(BusVisibility::InDram), "in-dram");
-}
-
 TEST(VisibleBus, ThresholdsDeriveFromSpecTiming)
 {
     const DramSpec spec = DramSpec::ddr5_8000b();
     const VisibleBusModel model = VisibleBusModel::fromSpec(spec);
 
-    EXPECT_EQ(model.blockingCycles(CmdType::REFab), spec.timing.tRFC);
-    EXPECT_EQ(model.blockingCycles(CmdType::RFMpb),
-              spec.timing.tRFMpb);
-    EXPECT_EQ(model.blockingCycles(CmdType::ACT), 0u);
     EXPECT_EQ(model.alertServiceCycles(),
               spec.timing.tRFMab * spec.prac.nmit);
     EXPECT_EQ(model.rfmSpikeThreshold(),
