@@ -6,7 +6,7 @@
 # a "did you mean" hint instead of being silently ignored.  record and
 # replay run through the sweep runner: --jobs works, a grid axis they
 # lack is an unknown-axis error, and a sweep flag they cannot honour
-# exits 2.
+# exits 2.  An explicit --set beats a --try-set on the same axis.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -117,6 +117,19 @@ expect_reject "did you mean 'attacker.pool_size'" \
     "${PRACBENCH}" "${SEARCH[@]}" --set attacker.pool_sise=3
 expect_reject "did you mean 'tprac'" \
     "${PRACBENCH}" run defense_matrix_leakage --smoke --set mitigation=tprc
+
+echo "==> an explicit --set beats a --try-set on the same axis"
+"${PRACBENCH}" run defense_matrix_leakage --smoke --quiet --no-table \
+    --set mitigation=para --try-set mitigation=tprac \
+    --out "${OUT_DIR}/precedence.json"
+python3 - "${OUT_DIR}/precedence.json" <<'PY'
+import json
+import sys
+
+axis = json.load(open(sys.argv[1]))["grid"]["mitigation"]
+if axis != ["para"]:
+    sys.exit(f"error: --set mitigation=para ran {axis}")
+PY
 
 echo "==> record and replay take --jobs"
 TRACES="${OUT_DIR}/traces"

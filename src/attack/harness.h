@@ -12,24 +12,25 @@
  * cross-channel experiments place a victim and a spy on different
  * PRAC engines.  The default is the classic single-channel harness.
  *
- * Every step() ticks only the agents that are awake
- * (MemAgent::asleep()) and moves all channels one cycle on the event
- * clock (MemoryController::advanceTo), so a cycle on which a
- * controller provably has no work costs one comparison instead of a
- * tick.  The result is bit-identical to ticking every agent and
- * every channel every cycle (src/mem/DESIGN.md, "Drivers";
- * src/attack/DESIGN.md).
+ * The agents are the actors of an EventClock (mem/event_clock.h),
+ * due while awake (MemAgent::asleep()).  step() ticks the awake
+ * agents and moves every channel one cycle, ticking only the
+ * controllers with work; run() and runUntil() also jump over spans in
+ * which every agent sleeps and no channel has work.  The result is
+ * bit-identical to ticking every agent and every channel every cycle
+ * (src/mem/DESIGN.md, "Drivers"; src/attack/DESIGN.md).
  */
 
 #ifndef PRACLEAK_ATTACK_HARNESS_H
 #define PRACLEAK_ATTACK_HARNESS_H
 
-#include <memory>
 #include <vector>
 
+#include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "mem/controller.h"
+#include "mem/event_clock.h"
 
 namespace pracleak {
 
@@ -70,51 +71,65 @@ class AttackHarness
      *                 match.
      */
     AttackHarness(const DramSpec &spec, const ControllerConfig &config,
-                  std::uint32_t channels = 1);
+                  std::uint32_t channels = 1)
+        : clock_(spec, config, channels, &stats_, "AttackHarness")
+    {
+    }
 
     /** Register an agent (not owned) pinned to @p channel. */
-    void add(MemAgent *agent, std::uint32_t channel = 0);
+    void
+    add(MemAgent *agent, std::uint32_t channel = 0)
+    {
+        if (channel >= clock_.channelCount())
+            fatal("AttackHarness::add: no such channel");
+        agents_.push_back(Pinned{agent, &clock_.channel(channel)});
+    }
 
     /** Run for @p cycles cycles. */
-    void run(Cycle cycles);
+    void run(Cycle cycles) { runUntil([] { return false; }, cycles); }
 
-    /** Run until @p predicate() or @p max_cycles more cycles. */
+    /**
+     * Run until @p predicate() or @p max_cycles more cycles.  The
+     * predicate is checked between advances, which may jump many
+     * cycles, so it must read agent or controller state, not the
+     * clock: that state is unchanged across a jump.
+     */
     template <typename Pred>
     void
     runUntil(Pred predicate, Cycle max_cycles)
     {
         const Cycle end = now() + max_cycles;
         while (!predicate() && now() < end)
-            step();
+            clock_.advance(agents_, end);
     }
 
     /**
      * One cycle: tick every agent that is not asleep() at now(), then
      * advance every channel to now() + 1.
      */
-    void step();
+    void step() { clock_.step(agents_); }
 
-    MemoryController &mem() { return *mems_[0]; }
-    MemoryController &mem(std::uint32_t channel)
-    {
-        return *mems_[channel];
-    }
-    std::uint32_t channels() const
-    {
-        return static_cast<std::uint32_t>(mems_.size());
-    }
-    StatSet &stats() { return stats_; }
-    Cycle now() const { return mems_[0]->now(); }
+    MemoryController &mem() { return clock_.channel(0); }
+    MemoryController &mem(std::uint32_t c) { return clock_.channel(c); }
+    Cycle now() const { return clock_.now(); }
+
+    /** Cycles run() and runUntil() have jumped over so far. */
+    Cycle jumped() const { return clock_.jumped(); }
 
   private:
+    /** An agent on its channel, as the clock steps it. */
     struct Pinned
     {
         MemAgent *agent;
-        std::uint32_t channel;
+        MemoryController *mem;
+
+        /** Due at every cycle while awake, never while asleep. */
+        Cycle nextEventAt() const { return agent->asleep() ? kNeverCycle : 0; }
+        void tick(Cycle now) { agent->tick(*mem, now); }
     };
 
-    StatSet stats_;
-    std::vector<std::unique_ptr<MemoryController>> mems_;
+    StatSet stats_; //!< before clock_: the controllers resolve into it
+    EventClock clock_;
     std::vector<Pinned> agents_;
 };
 

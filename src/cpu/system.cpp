@@ -41,28 +41,30 @@ normalizedPerf(const RunResult &design, const RunResult &baseline)
     return sum / static_cast<double>(design.cores.size());
 }
 
+namespace {
+
+/** config.mem with the interleave knobs SystemConfig carries. */
+ControllerConfig
+interleaved(const SystemConfig &config)
+{
+    ControllerConfig mem = config.mem;
+    mem.interleave.granularityBytes = config.channelInterleaveBytes;
+    mem.interleave.xorFold = config.xorFoldChannelBits;
+    return mem;
+}
+
+} // namespace
+
 System::System(const SystemConfig &config,
                std::vector<std::unique_ptr<WorkloadSource>> sources)
-    : config_(config), sources_(std::move(sources))
+    : config_(config),
+      clock_(config.spec, interleaved(config), config.channels, &stats_,
+             "System"),
+      sources_(std::move(sources))
 {
-    if (config_.channels == 0 ||
-        (config_.channels & (config_.channels - 1)) != 0)
-        fatal("System: channels must be a non-zero power of two");
-
-    ControllerConfig mem_config = config_.mem;
-    mem_config.interleave.channels = config_.channels;
-    mem_config.interleave.granularityBytes =
-        config_.channelInterleaveBytes;
-    mem_config.interleave.xorFold = config_.xorFoldChannelBits;
-
-    mems_.reserve(config_.channels);
     std::vector<MemoryController *> mem_ptrs;
-    for (std::uint32_t c = 0; c < config_.channels; ++c) {
-        mem_config.channelIndex = c;
-        mems_.push_back(std::make_unique<MemoryController>(
-            config_.spec, mem_config, &stats_));
-        mem_ptrs.push_back(mems_.back().get());
-    }
+    for (std::size_t c = 0; c < clock_.channelCount(); ++c)
+        mem_ptrs.push_back(&clock_.channel(c));
 
     caches_ = std::make_unique<CacheHierarchy>(
         config_.caches, static_cast<std::uint32_t>(sources_.size()),
@@ -74,71 +76,8 @@ System::System(const SystemConfig &config,
                             config_.core);
 }
 
-void
-System::stepAll()
-{
-    // The skip runs at the *start* of the step so the run loops
-    // always observe the same post-tick clock values (phase
-    // boundaries, finish times) with fast-forward on or off.
-    if (config_.fastForward) {
-        maybeFastForward();
-        if (now() >= config_.maxCycles)
-            return; // the safety stop fires before the next tick
-    }
-    const Cycle current = now();
-    for (auto &core : cores_)
-        core.tick(current);
-    if (config_.fastForward) {
-        // Event-driven channel stepping: a channel with no work due
-        // this cycle jumps its clock instead of ticking, so a busy
-        // channel no longer drags its idle siblings through empty
-        // ticks.  Completions, drains, and refreshes are all part of
-        // the nextWorkAt() bound, so a skipped cycle is provably
-        // dead and the per-core stall pattern -- and every statistic
-        // -- is bit-identical to lockstep (tests/test_eventqueue).
-        for (auto &mem : mems_)
-            mem->advanceTo(current + 1);
-    } else {
-        for (auto &mem : mems_)
-            mem->tick();
-    }
-}
-
-void
-System::maybeFastForward()
-{
-    // Based on the previous cycle's post-tick state: if every core is
-    // stalled past the current cycle and every controller's next
-    // event is later, the cycles in between are provably dead: jump
-    // straight to the earliest event.  Wake-ups are conservative
-    // (never later than the true next event), so simulated behaviour
-    // -- and therefore every reported statistic -- is unchanged.
-    const Cycle current = now();
-    Cycle wake = kNeverCycle;
-    for (const auto &core : cores_) {
-        const Cycle at = core.nextEventAt();
-        if (at <= current)
-            return;
-        wake = std::min(wake, at);
-    }
-    for (const auto &mem : mems_) {
-        const Cycle at = mem->nextWorkAt();
-        if (at <= current)
-            return;
-        wake = std::min(wake, at);
-    }
-    // Never jump past the safety stop: the run loops compare now()
-    // against maxCycles every iteration.
-    wake = std::min(wake, config_.maxCycles);
-    if (wake <= current)
-        return;
-    for (auto &mem : mems_)
-        mem->skipTo(wake);
-    ffSkipped_ += wake - current;
-}
-
 RunResult
-System::run()
+System::run(Advance advance)
 {
     if (ran_)
         fatal("System::run may only be called once");
@@ -155,28 +94,28 @@ System::run()
                            });
     };
     while (!all_warm() && now() < config_.maxCycles)
-        stepAll();
+        advance(clock_, cores_, config_.maxCycles);
 
     // Phase 2: measurement.
     const Cycle measure_start = now();
-    const Cycle ff_skipped_at_measure_start = ffSkipped_;
+    const Cycle jumped_at_measure_start = clock_.jumped();
     std::vector<std::uint64_t> start_instrs(n);
     for (std::size_t i = 0; i < n; ++i)
         start_instrs[i] = cores_[i].instrsRetired();
 
-    const std::size_t nch = mems_.size();
+    const std::size_t nch = clock_.channelCount();
     std::vector<ChannelStats> start_stats(nch);
     std::vector<SchedCounters> start_sched(nch);
     for (std::size_t c = 0; c < nch; ++c) {
-        start_stats[c] = snapshotChannelStats(*mems_[c]);
-        start_sched[c] = mems_[c]->schedCounters();
+        start_stats[c] = snapshotChannelStats(clock_.channel(c));
+        start_sched[c] = clock_.channel(c).schedCounters();
     }
     const std::uint64_t start_row_misses = stats_.get("mem.row_misses");
 
     std::vector<Cycle> finish_at(n, 0);
     std::size_t finished = 0;
     while (finished < n && now() < config_.maxCycles) {
-        stepAll();
+        advance(clock_, cores_, config_.maxCycles);
         for (std::size_t i = 0; i < n; ++i) {
             if (finish_at[i] != 0)
                 continue;
@@ -208,7 +147,7 @@ System::run()
 
     result.channels.resize(nch);
     for (std::size_t c = 0; c < nch; ++c) {
-        const MemoryController &mem = *mems_[c];
+        const MemoryController &mem = clock_.channel(c);
         ChannelResult &ch = result.channels[c];
         ch.stats = snapshotChannelStats(mem);
         ch.tbRfmsSkipped =
@@ -240,7 +179,7 @@ System::run()
     stats_.counter("sched.nextwork_hint_rebuilds") +=
         result.sched.nextWorkHintRebuilds;
     result.rowMisses = stats_.get("mem.row_misses") - start_row_misses;
-    result.ffCyclesSkipped = ffSkipped_ - ff_skipped_at_measure_start;
+    result.ffCyclesSkipped = clock_.jumped() - jumped_at_measure_start;
     if (stats_.hasHistogram("mem.queue_occupancy"))
         result.queueOccupancy =
             stats_.getHistogram("mem.queue_occupancy");

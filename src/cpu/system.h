@@ -10,13 +10,14 @@
  * contention stays representative.  Performance is reported as
  * weighted speedup against a baseline run of the same workloads.
  *
- * Channels tick in lockstep on one clock and are striped by the
- * ChannelInterleave (see mem/address_mapper.h); channels == 1
- * reproduces the classic single-channel system bit-identically.
- * When every core is stalled on memory and no controller has work
- * due before cycle X, the harness jumps the clock to X instead of
- * ticking through dead cycles (idle-cycle fast-forward); this is a
- * pure wall-clock optimization and never changes simulated results.
+ * Channels are striped by the ChannelInterleave (see
+ * mem/address_mapper.h); channels == 1 reproduces the classic
+ * single-channel system bit-identically.  The cores are the actors of
+ * an EventClock (mem/event_clock.h): a cycle ticks only the cores
+ * whose nextEventAt() is due and only the channels with work, and
+ * when no core is due and no channel has work before cycle X the
+ * clock jumps to X.  This never changes a simulated result: it equals
+ * ticking every core and every channel every cycle.
  */
 
 #ifndef PRACLEAK_CPU_SYSTEM_H
@@ -34,6 +35,7 @@
 #include "dram/energy.h"
 #include "mem/channel_stats.h"
 #include "mem/controller.h"
+#include "mem/event_clock.h"
 
 namespace pracleak {
 
@@ -61,8 +63,11 @@ struct SystemConfig
     /** XOR-fold high address bits into the channel selector. */
     bool xorFoldChannelBits = true;
 
-    /** Idle-cycle fast-forward (wall-clock only; results identical). */
-    bool fastForward = true;
+    /**
+     * Always true: run() steps on the event clock.  Kept as a constant
+     * for perfbench's traced System loop, which checks it.
+     */
+    static constexpr bool fastForward = true;
 };
 
 /** Per-core outcome of a run. */
@@ -86,10 +91,10 @@ struct ChannelResult
 
     /**
      * Scheduler-efficiency counters over the measure window
-     * (mem/controller.h SchedCounters deltas).  Deterministic for a
-     * fixed fastForward setting, but lockstep and event-driven runs
-     * legitimately differ here -- equality checks between the two
-     * must not include these.
+     * (mem/controller.h SchedCounters deltas).  Deterministic, but
+     * they count the stepping itself, so a run on the per-cycle
+     * reference legitimately differs here -- equality checks between
+     * the two must not include these.
      */
     SchedCounters sched;
 };
@@ -114,9 +119,9 @@ struct RunResult
     std::vector<ChannelResult> channels;
 
     /**
-     * Dead cycles fast-forward skipped inside the measure window.
-     * Skipped cycles still advance the clock, so this is a subset
-     * of measureCycles, not an addition to it.
+     * Dead cycles the event clock jumped inside the measure window
+     * (EventClock::jumped()).  Jumped cycles still advance the clock,
+     * so this is a subset of measureCycles, not an addition to it.
      */
     Cycle ffCyclesSkipped = 0;
 
@@ -150,28 +155,41 @@ class System
     System(const SystemConfig &config,
            std::vector<std::unique_ptr<WorkloadSource>> sources);
 
-    /** Run warm-up then measurement; may only be called once. */
-    RunResult run();
+    /**
+     * How run() moves the system toward @p end: by at least one cycle,
+     * and never past @p end.
+     */
+    using Advance = void (*)(EventClock &clock,
+                             std::vector<TraceCore> &cores, Cycle end);
 
-    /** Channel-0 controller (single-channel convenience). */
-    MemoryController &mem() { return *mems_[0]; }
+    /** run()'s stepping: EventClock::advance over the cores. */
+    static void
+    advanceOnClock(EventClock &clock, std::vector<TraceCore> &cores,
+                   Cycle end)
+    {
+        clock.advance(cores, end);
+    }
 
-    MemoryController &channel(std::size_t i) { return *mems_[i]; }
-    std::size_t channelCount() const { return mems_.size(); }
+    /**
+     * Run warm-up then measurement; may only be called once.  Only
+     * tests pass another @p advance: the per-cycle reference in
+     * tests/lockstep.h.
+     */
+    RunResult run(Advance advance = advanceOnClock);
+
+    MemoryController &channel(std::size_t i) { return clock_.channel(i); }
+    std::size_t channelCount() const { return clock_.channelCount(); }
     StatSet &stats() { return stats_; }
 
   private:
-    void stepAll();
-    void maybeFastForward();
-    Cycle now() const { return mems_[0]->now(); }
+    Cycle now() const { return clock_.now(); }
 
     SystemConfig config_;
-    StatSet stats_;
-    std::vector<std::unique_ptr<MemoryController>> mems_;
+    StatSet stats_; //!< before clock_: the controllers resolve into it
+    EventClock clock_;
     std::unique_ptr<CacheHierarchy> caches_;
     std::vector<std::unique_ptr<WorkloadSource>> sources_;
     std::vector<TraceCore> cores_;
-    Cycle ffSkipped_ = 0;
     bool ran_ = false;
 };
 

@@ -15,13 +15,16 @@ TraceCore::onLoadDone(Cycle issue_cycle, Cycle latency, bool dependent)
 {
     // Hits report their latency synchronously at issue; DRAM misses
     // report at data-return time.  Either way the data is usable at
-    // issue + latency (never before "now").
+    // issue + latency (never before this core's last tick).  A
+    // stalled core is not ticked, so its now_ may lag: a completion
+    // that lands at or before the current cycle drains on the next
+    // tick either way.
     const Cycle ready = std::max(issue_cycle + latency, now_);
     completions_.push_back(Completion{ready, dependent});
 
     // DRAM misses land *after* this core's tick (the controller
     // ticks last), so a stalled core's published wake-up time must
-    // absorb the new completion or fast-forward would skip past it.
+    // absorb the new completion or the clock would skip past it.
     nextEventAt_ = std::min(nextEventAt_, ready);
 }
 

@@ -73,8 +73,8 @@ class TraceCore
      * in-core load completion when it is stalled on memory; and
      * kNeverCycle when the wake-up event lives in the memory system
      * (an outstanding DRAM miss).  Cycles strictly before the
-     * returned value are provably no-ops for this core -- the
-     * idle-cycle fast-forward contract.
+     * returned value are provably no-ops for this core, so the event
+     * clock (mem/event_clock.h) ticks the core only once it is due.
      */
     Cycle nextEventAt() const { return nextEventAt_; }
 

@@ -58,7 +58,6 @@ makeSystemConfig(const DesignConfig &design, const RunBudget &budget)
         config.spec.org.ranks = design.ranks;
     config.channels = design.channels;
     config.channelInterleaveBytes = design.channelInterleaveBytes;
-    config.fastForward = design.fastForward;
     config.warmupInstrs = budget.warmup;
     config.measureInstrs = budget.measure;
 

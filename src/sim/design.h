@@ -63,9 +63,6 @@ struct DesignConfig
     /** Channel-interleave granularity in bytes (power of two). */
     std::uint32_t channelInterleaveBytes = 256;
 
-    /** Idle-cycle fast-forward (wall-clock only; results identical). */
-    bool fastForward = true;
-
     friend auto operator<=>(const DesignConfig &,
                             const DesignConfig &) = default;
 };

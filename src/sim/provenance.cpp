@@ -4,16 +4,14 @@
 #include <ctime>
 #include <fstream>
 
+#include "git_rev.h" // generated at build time by cmake/git_rev.cmake
+
 namespace pracleak::sim {
 
 const char *
 gitRevision()
 {
-#ifdef PRACLEAK_GIT_REV
     return PRACLEAK_GIT_REV;
-#else
-    return "unknown";
-#endif
 }
 
 std::uint64_t

@@ -20,12 +20,10 @@
 namespace pracleak::sim {
 
 /**
- * Git revision baked in at configure time (PRACLEAK_GIT_REV, from
+ * Git revision baked in at build time (PRACLEAK_GIT_REV, from
  * `git describe --always --dirty`); "unknown" when building outside
  * a git checkout.  The `-dirty` suffix flags results produced from
- * an uncommitted tree.  Caveat: the value refreshes on CMake
- * *configure*, not on every build -- commit-then-rebuild without
- * reconfiguring keeps the previous stamp.
+ * an uncommitted tree.
  */
 const char *gitRevision();
 

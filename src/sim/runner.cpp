@@ -77,8 +77,9 @@ effectiveGrid(const Scenario &scenario, const RunOptions &options)
     ParamGrid grid = scenario.grid;
     for (const auto &[axis, values] : options.overrides)
         grid.overrideAxis(axis, values);
+    // An explicit --set beats a --try-set on the same axis.
     for (const auto &[axis, values] : options.softOverrides)
-        if (grid.findAxis(axis))
+        if (grid.findAxis(axis) && !options.overrides.count(axis))
             grid.overrideAxis(axis, values);
     if (options.firstPointOnly)
         for (const ParamAxis &axis : scenario.grid.axes())

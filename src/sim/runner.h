@@ -34,7 +34,8 @@ struct RunOptions
     /**
      * Like overrides, but silently skipped when the scenario has no
      * such axis (CLI --try-set) -- lets one flag set apply across
-     * scenarios with different grids.
+     * scenarios with different grids -- or when overrides already
+     * names the axis.
      */
     std::map<std::string, std::vector<JsonValue>> softOverrides;
 

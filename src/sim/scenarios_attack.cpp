@@ -99,7 +99,8 @@ characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
     while (harness.now() < end) {
         if (with_victim && victim.done())
             victim.startHammer(spec.prac.nbo + spec.prac.aboAct + 4);
-        harness.step();
+        harness.runUntil([&] { return with_victim && victim.done(); },
+                         end - harness.now());
     }
 
     Fig3Row row;

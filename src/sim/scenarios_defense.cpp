@@ -162,12 +162,11 @@ runLeakExperiment(const std::string &defense,
             if (victim.done())
                 victim.startHammer(spec.prac.nbo + spec.prac.aboAct +
                                    4);
-            harness.step();
+            harness.runUntil([&] { return victim.done(); },
+                             on_end - harness.now());
         }
         victim.stop();
-        const Cycle off_end = harness.now() + phase;
-        while (harness.now() < off_end)
-            harness.step();
+        harness.run(phase);
     }
 
     run.nearSamples = near_probe.samples();

@@ -191,7 +191,8 @@ sidechannelCrossChannel()
             if (victim.done())
                 victim.startHammer(spec.prac.nbo +
                                    spec.prac.aboAct + 4);
-            harness.step();
+            harness.runUntil([&] { return victim.done(); },
+                             end - harness.now());
         }
 
         std::uint64_t spikes = 0;

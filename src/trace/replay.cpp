@@ -99,58 +99,45 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
     for (std::uint32_t c = 0; c < header.channels; ++c)
         cores.emplace_back(*mems[c], trace.channels[c].records);
 
+    // Open loop, one channel at a time: the channels share no state
+    // (each has its own controller, mitigation stack and record
+    // stream, and replay installs no cross-channel stat sink), so each
+    // runs to the horizon alone, alternating between feeding records
+    // due now and advancing its controller to the next record or its
+    // own next event, whichever is earlier.  Per-channel stats equal
+    // ticking every channel every cycle (src/mem/DESIGN.md,
+    // "Drivers"); TB-RFM deadlines are absolute, so the channels still
+    // fire in cross-channel lockstep.
     const Cycle end = header.endCycle;
-    if (options.fastForward) {
-        // Event-driven replay: the channels share no state (each has
-        // its own controller, mitigation stack, and record stream,
-        // and replay installs no cross-channel stat sink), so each
-        // channel runs to the horizon independently, alternating
-        // between feeding records due now and advancing the
-        // controller to the next record or its own next event --
-        // whichever is earlier.  A channel never waits for a busy
-        // sibling, and per-channel stats are bit-identical to the
-        // lockstep loop below (fast-forward invariance; TB-RFM
-        // deadlines are absolute, so lockstep cross-channel firing
-        // is preserved exactly).
-        for (std::uint32_t c = 0; c < header.channels; ++c) {
-            ReplayCore &core = cores[c];
-            MemoryController &mem = *mems[c];
-            while (mem.now() < end) {
-                const Cycle current = mem.now();
-                const Cycle core_at = core.nextEventAt();
-                if (core_at > current) {
-                    mem.advanceTo(std::min(core_at, end));
-                    continue;
-                }
-                core.tick(current);
-                if (core.blocked()) {
-                    // Full queue: a blocked enqueue is side-effect-
-                    // free, and slots only free on the controller's
-                    // own effective ticks, so jump straight to its
-                    // next work instant, tick it there, and retry the
-                    // cycle after -- exactly the first cycle the
-                    // lockstep per-cycle retry could have succeeded.
-                    const Cycle work = mem.nextWorkAt();
-                    if (work >= end) {
-                        mem.advanceTo(end);
-                        continue;
-                    }
-                    if (work > current)
-                        mem.advanceTo(work);
-                    mem.tick();
-                    continue;
-                }
-                mem.tick();
+    for (std::uint32_t c = 0; c < header.channels; ++c) {
+        ReplayCore &core = cores[c];
+        MemoryController &mem = *mems[c];
+        while (mem.now() < end) {
+            const Cycle current = mem.now();
+            const Cycle core_at = core.nextEventAt();
+            if (core_at > current) {
+                mem.advanceTo(std::min(core_at, end));
+                continue;
             }
-        }
-    } else {
-        // Lockstep reference path: every channel ticks every cycle.
-        while (mems[0]->now() < end) {
-            const Cycle now = mems[0]->now();
-            for (ReplayCore &core : cores)
-                core.tick(now);
-            for (auto &mem : mems)
-                mem->tick();
+            core.tick(current);
+            if (core.blocked()) {
+                // Full queue: a blocked enqueue is side-effect-free,
+                // and slots only free on the controller's own
+                // effective ticks, so jump straight to its next work
+                // instant, tick it there, and retry the cycle after --
+                // exactly the first cycle a per-cycle retry could
+                // have succeeded.
+                const Cycle work = mem.nextWorkAt();
+                if (work >= end) {
+                    mem.advanceTo(end);
+                    continue;
+                }
+                if (work > current)
+                    mem.advanceTo(work);
+                mem.tick();
+                continue;
+            }
+            mem.tick();
         }
     }
 

@@ -28,9 +28,6 @@ struct ReplayOptions
 {
     /** Defense to replay under; empty = the recorded defense. */
     std::string mitigation;
-
-    /** Idle-cycle fast-forward (wall-clock only; stats identical). */
-    bool fastForward = true;
 };
 
 /** Outcome of one replay. */

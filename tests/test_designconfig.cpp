@@ -28,7 +28,6 @@ TEST(DesignConfig, AggregateWithDesignatedInitializers)
     EXPECT_EQ(design.channels, 2u);
     // Unmentioned fields keep their member defaults.
     EXPECT_EQ(design.nmit, 1u);
-    EXPECT_TRUE(design.fastForward);
 }
 
 TEST(DesignConfig, BaselineCacheDistinguishesChannelCount)

@@ -4,11 +4,12 @@
  * (MemoryController::advanceTo + the exact nextWorkAt() bound) must
  * be byte-identical to the lockstep per-cycle tick under every
  * registered defense, in multi-channel configurations, for the
- * full-system, trace-replay and attack-harness drivers.  Any
- * divergence here is a bug in the next-work bookkeeping -- most
- * likely a bound that went stale (missed invalidation) or optimistic
- * (skipped an effective tick), the class of bug that motivated the
- * maintenance-drain fast-forward fix (src/mem/DESIGN.md).
+ * trace-replay and attack-harness drivers (System's cases are the
+ * table in tests/test_lockstep.cpp).  Any divergence here is a bug in
+ * the next-work bookkeeping -- most likely a bound that went stale
+ * (missed invalidation) or optimistic (skipped an effective tick),
+ * the class of bug that motivated the maintenance-drain fast-forward
+ * fix (src/mem/DESIGN.md).
  */
 
 #include <gtest/gtest.h>
@@ -20,61 +21,13 @@
 
 #include "attack/agents.h"
 #include "attack/harness.h"
-#include "cpu/system.h"
 #include "dram/timing_checker.h"
+#include "lockstep.h"
 #include "mitigation/registry.h"
-#include "sim/design.h"
 #include "sim/trace_support.h"
-#include "trace/replay.h"
-#include "workload/suite.h"
 
 namespace pracleak {
 namespace {
-
-void
-expectReplaysIdentical(const trace::ReplayResult &lockstep,
-                       const trace::ReplayResult &event,
-                       const std::string &defense)
-{
-    EXPECT_EQ(lockstep.endCycle, event.endCycle) << defense;
-    EXPECT_EQ(lockstep.replayedRequests, event.replayedRequests)
-        << defense;
-    EXPECT_EQ(lockstep.fullyDrained, event.fullyDrained) << defense;
-    ASSERT_EQ(lockstep.channels.size(), event.channels.size())
-        << defense;
-    for (std::size_t c = 0; c < lockstep.channels.size(); ++c)
-        EXPECT_EQ(lockstep.channels[c], event.channels[c])
-            << defense << " channel " << c;
-}
-
-/**
- * Everything a run reports must match except the scheduler counters,
- * which count the stepping itself.
- */
-void
-expectRunsIdentical(const RunResult &lockstep, const RunResult &event)
-{
-    EXPECT_EQ(lockstep.measureCycles, event.measureCycles);
-    EXPECT_EQ(lockstep.stats, event.stats);
-    EXPECT_EQ(lockstep.tbRfmsSkipped, event.tbRfmsSkipped);
-    EXPECT_EQ(lockstep.rowMisses, event.rowMisses);
-    EXPECT_EQ(lockstep.energyCounts, event.energyCounts);
-    EXPECT_DOUBLE_EQ(lockstep.energy.totalNj(), event.energy.totalNj());
-    ASSERT_EQ(lockstep.cores.size(), event.cores.size());
-    for (std::size_t i = 0; i < lockstep.cores.size(); ++i) {
-        EXPECT_EQ(lockstep.cores[i].instrs, event.cores[i].instrs);
-        EXPECT_EQ(lockstep.cores[i].cycles, event.cores[i].cycles);
-    }
-    ASSERT_EQ(lockstep.channels.size(), event.channels.size());
-    for (std::size_t c = 0; c < lockstep.channels.size(); ++c) {
-        EXPECT_EQ(lockstep.channels[c].stats, event.channels[c].stats)
-            << "channel " << c;
-        EXPECT_EQ(lockstep.channels[c].tbRfmsSkipped,
-                  event.channels[c].tbRfmsSkipped);
-        EXPECT_EQ(lockstep.channels[c].energyCounts,
-                  event.channels[c].energyCounts);
-    }
-}
 
 /**
  * Golden: record once, replay under every registered defense with
@@ -102,15 +55,13 @@ TEST(EventQueue, EveryDefenseMultiChannelReplayIdentical)
             const std::string label =
                 defense + " on " + std::to_string(channels) +
                 " channels";
+            SCOPED_TRACE(label);
             trace::ReplayOptions options;
             options.mitigation = defense;
-            options.fastForward = false;
-            const trace::ReplayResult lockstep =
-                trace::replayTrace(recorded.trace, options);
-            options.fastForward = true;
             const trace::ReplayResult event =
                 trace::replayTrace(recorded.trace, options);
-            expectReplaysIdentical(lockstep, event, label);
+            lockstep::expectReplaysIdentical(
+                lockstep::replayTrace(recorded.trace, defense), event);
             if (defense == "none")
                 EXPECT_TRUE(event.matchesRecorded(recorded.trace))
                     << label
@@ -118,63 +69,6 @@ TEST(EventQueue, EveryDefenseMultiChannelReplayIdentical)
                        "the recording bit-for-bit";
         }
     }
-}
-
-/**
- * Golden: the full-system driver (System::stepAll channel stepping)
- * under both schedulers, for the defenses with the trickiest drain
- * behaviour, on a multi-channel config.
- */
-TEST(EventQueue, SystemSchedulersIdenticalAcrossDefenses)
-{
-    for (const std::string &defense :
-         {std::string("tprac"), std::string("graphene"),
-          std::string("pb-rfm")}) {
-        RunResult results[2];
-        for (int ff = 0; ff < 2; ++ff) {
-            sim::DesignConfig design;
-            design.label = "eventqueue";
-            design.mitigation = defense;
-            design.channels = 2;
-            design.fastForward = ff == 1;
-            sim::RunBudget budget;
-            budget.warmup = 5'000;
-            budget.measure = 40'000;
-            results[ff] =
-                sim::runOne(sim::findSuiteEntry("m_blend"), design,
-                            budget, 4);
-        }
-        SCOPED_TRACE(defense);
-        expectRunsIdentical(results[0], results[1]);
-    }
-}
-
-/**
- * A saturated 8-thread system keeps every channel busy nearly every
- * cycle -- the event path's worst case, where skips are short and
- * the cache-rebuild fusion carries the load.  Two independent event
- * runs must agree with each other (determinism) and with lockstep
- * (exactness).
- */
-TEST(EventQueue, SaturatedEightThreadEventPathDeterministic)
-{
-    auto run = [](bool fast_forward) {
-        sim::DesignConfig design;
-        design.label = "eventqueue";
-        design.mitigation = "tprac";
-        design.channels = 2;
-        design.fastForward = fast_forward;
-        sim::RunBudget budget;
-        budget.warmup = 2'000;
-        budget.measure = 20'000;
-        return sim::runOne(sim::findSuiteEntry("h_rand_heavy"),
-                           design, budget, 8);
-    };
-    const RunResult lockstep = run(false);
-    const RunResult event_a = run(true);
-    const RunResult event_b = run(true);
-    expectRunsIdentical(lockstep, event_a);
-    expectRunsIdentical(event_a, event_b);
 }
 
 /** One DRAM command as the channel's trace sink saw it. */
@@ -197,6 +91,7 @@ struct HarnessRun
     std::vector<std::uint64_t> alerts;
     std::vector<std::uint64_t> mitigationEvents; //!< PARA's only trace
     std::uint64_t fullSteps = 0; //!< steps begun with channel 0 full
+    Cycle jumped = 0;            //!< AttackHarness::jumped()
     Cycle endCycle = 0;
 };
 
@@ -209,17 +104,25 @@ sampleTimes(const ProbeAgent &probe)
     return out;
 }
 
+/** How runLeakShape moves the clock. */
+enum class Drive
+{
+    Lockstep, //!< reference: tick every agent, then every channel
+    Step,     //!< AttackHarness::step() once per cycle
+    Run,      //!< runUntil() per ON burst, run() per OFF phase
+};
+
 /**
  * The defense_matrix_leakage shape with refresh on: a victim hammers
  * bank 18 of channel 0 in ON/OFF bursts while a same-bank probe
- * watches on channel 0 and a bank-0 probe on the last channel.  With
- * @p event the harness steps the channels, skipping asleep agents;
- * otherwise the lockstep reference: a local loop ticks every agent,
- * then tick()s every channel.
+ * watches on channel 0 and a bank-0 probe on the last channel.
+ * Drive::Lockstep is the reference loop, local because it ticks the
+ * agents itself; the other two drive the harness.  fullSteps is
+ * counted per step, so Drive::Run leaves it 0.
  */
 HarnessRun
 runLeakShape(const std::string &defense, std::uint32_t channels,
-             bool event, std::size_t queue_capacity)
+             Drive drive, std::size_t queue_capacity)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 64;
@@ -258,12 +161,12 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
 
     const std::vector<std::pair<MemAgent *, std::uint32_t>> agents = {
         {&victim, 0}, {&near_probe, 0}, {&far_probe, last}};
-    if (event)
+    if (drive != Drive::Lockstep)
         for (const auto &[agent, channel] : agents)
             harness.add(agent, channel);
     auto step = [&] {
         run.fullSteps += !harness.mem().canAccept();
-        if (event) {
+        if (drive == Drive::Step) {
             harness.step();
             return;
         }
@@ -281,10 +184,16 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
             if (victim.done())
                 victim.startHammer(spec.prac.nbo + spec.prac.aboAct +
                                    4);
-            step();
+            if (drive == Drive::Run)
+                harness.runUntil([&] { return victim.done(); },
+                                 on_end - harness.now());
+            else
+                step();
         }
         victim.stop();
         const Cycle off_end = harness.now() + phase;
+        if (drive == Drive::Run)
+            harness.run(phase);
         while (harness.now() < off_end)
             step();
     }
@@ -301,29 +210,32 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
         run.alerts.push_back(mem.prac().alerts());
         run.mitigationEvents.push_back(mem.mitigationEvents());
         EXPECT_TRUE(checkers[c].clean())
-            << (event ? "event" : "lockstep") << " channel " << c
-            << ": " << checkers[c].violations().front();
+            << static_cast<int>(drive) << " channel " << c << ": "
+            << checkers[c].violations().front();
     }
+    run.jumped = harness.jumped();
     run.endCycle = harness.now();
     return run;
 }
 
 /**
  * The leak shape under every registered defense on one and two
- * channels, on the harness and on the lockstep reference.  Returns
- * the lockstep runs' total count of steps begun with channel 0 full.
+ * channels, driven by @p drive and by the lockstep reference, which
+ * must agree on everything the experiment observes (and, under
+ * Drive::Step, on the steps begun with a full queue).  Returns the
+ * driven runs, one per defense and channel count.
  */
-std::uint64_t
-expectHarnessMatchesLockstep(std::size_t queue_capacity)
+std::vector<HarnessRun>
+expectHarnessMatchesLockstep(Drive drive, std::size_t queue_capacity)
 {
-    std::uint64_t full_steps = 0;
+    std::vector<HarnessRun> driven;
     for (const std::string &defense : mitigationNames()) {
         for (const std::uint32_t channels : {1u, 2u}) {
             SCOPED_TRACE(defense + " x" + std::to_string(channels));
-            const HarnessRun lockstep =
-                runLeakShape(defense, channels, false, queue_capacity);
+            const HarnessRun lockstep = runLeakShape(
+                defense, channels, Drive::Lockstep, queue_capacity);
             const HarnessRun event =
-                runLeakShape(defense, channels, true, queue_capacity);
+                runLeakShape(defense, channels, drive, queue_capacity);
             EXPECT_FALSE(lockstep.nearSamples.empty());
             EXPECT_FALSE(lockstep.farSamples.empty());
             EXPECT_EQ(lockstep.nearSamples, event.nearSamples);
@@ -332,12 +244,13 @@ expectHarnessMatchesLockstep(std::size_t queue_capacity)
             EXPECT_EQ(lockstep.rfms, event.rfms);
             EXPECT_EQ(lockstep.alerts, event.alerts);
             EXPECT_EQ(lockstep.mitigationEvents, event.mitigationEvents);
-            EXPECT_EQ(lockstep.fullSteps, event.fullSteps);
+            if (drive == Drive::Step)
+                EXPECT_EQ(lockstep.fullSteps, event.fullSteps);
             EXPECT_EQ(lockstep.endCycle, event.endCycle);
-            full_steps += lockstep.fullSteps;
+            driven.push_back(event);
         }
     }
-    return full_steps;
+    return driven;
 }
 
 /**
@@ -349,7 +262,8 @@ expectHarnessMatchesLockstep(std::size_t queue_capacity)
  */
 TEST(EventQueue, AttackHarnessMatchesLockstep)
 {
-    expectHarnessMatchesLockstep(ControllerConfig{}.queueCapacity);
+    expectHarnessMatchesLockstep(Drive::Step,
+                                 ControllerConfig{}.queueCapacity);
 }
 
 /**
@@ -359,8 +273,23 @@ TEST(EventQueue, AttackHarnessMatchesLockstep)
  */
 TEST(EventQueue, AttackHarnessMatchesLockstepUnderBackPressure)
 {
-    EXPECT_GT(expectHarnessMatchesLockstep(2), 0u)
-        << "the queue never filled";
+    std::uint64_t full_steps = 0;
+    for (const HarnessRun &run :
+         expectHarnessMatchesLockstep(Drive::Step, 2))
+        full_steps += run.fullSteps;
+    EXPECT_GT(full_steps, 0u) << "the queue never filled";
+}
+
+/**
+ * The same shape through runUntil() and run(), which also jump the
+ * spans in which every agent sleeps and no channel has work: still
+ * equal to the reference, and the jump must carry most of the run.
+ */
+TEST(EventQueue, AttackHarnessRunPathMatchesLockstep)
+{
+    for (const HarnessRun &run : expectHarnessMatchesLockstep(
+             Drive::Run, ControllerConfig{}.queueCapacity))
+        EXPECT_GT(run.jumped, run.endCycle / 2);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Tests for the pluggable mitigation subsystem (src/mitigation/):
  * the string-keyed registry and its legacy-enum resolution, the
  * parameter derivations of configureDefense, the PARA / Graphene /
- * PB-RFM defense mechanics, per-channel RNG stream derivation, and
- * the fast-forward invariant for every new defense.
+ * PB-RFM defense mechanics, and per-channel RNG stream derivation.
+ * The event-clock invariance of every new defense is a row of
+ * tests/test_lockstep.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,7 @@
 #include "mitigation/para.h"
 #include "mitigation/pb_rfm.h"
 #include "mitigation/registry.h"
-#include "sim/design.h"
 #include "tprac/analysis.h"
-#include "workload/synthetic.h"
 
 namespace pracleak {
 namespace {
@@ -256,47 +255,6 @@ TEST(Para, ChannelsDrawFromIndependentStreams)
     // sequences are not; totals differing is overwhelmingly likely
     // and deterministic for this fixed seed.
     EXPECT_NE(channel0, countRefreshes(1));
-}
-
-// --- Fast-forward invariance for the new defenses ------------------
-
-TEST(MitigationFastForward, ResultsIdenticalForNewDefenses)
-{
-    using sim::DesignConfig;
-    using sim::RunBudget;
-
-    RunBudget budget;
-    budget.warmup = 5'000;
-    budget.measure = 100'000;
-
-    // Low-RBMPKI pointer chase: fast-forward skips most of its
-    // cycles (FastForward.CacheResidentChaseSkipsDeepAndStaysExact),
-    // so nextMaintenanceAt of every new defense is exercised for real.
-    auto run = [&](const char *defense, bool fast_forward) {
-        DesignConfig design;
-        design.label = defense;
-        design.mitigation = defense;
-        design.nbo = 512;
-        design.fastForward = fast_forward;
-        std::vector<std::unique_ptr<WorkloadSource>> sources;
-        sources.push_back(makeWorkload(pointerChaseParams(4096), 0));
-        System system(sim::makeSystemConfig(design, budget),
-                      std::move(sources));
-        return system.run();
-    };
-
-    for (const char *defense : {"para", "graphene", "pb-rfm"}) {
-        const RunResult off = run(defense, false);
-        const RunResult on = run(defense, true);
-
-        EXPECT_EQ(off.measureCycles, on.measureCycles) << defense;
-        EXPECT_EQ(off.rowMisses, on.rowMisses) << defense;
-        EXPECT_EQ(off.stats, on.stats) << defense;
-        EXPECT_EQ(off.energyCounts.acts, on.energyCounts.acts)
-            << defense;
-        EXPECT_EQ(off.ipcSum(), on.ipcSum()) << defense;
-        EXPECT_GT(on.ffCyclesSkipped, 0u) << defense;
-    }
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 
 #include "common/rng.h"
 #include "cpu/system.h"
+#include "lockstep.h"
 #include "mem/address_mapper.h"
 #include "sim/design.h"
 #include "workload/suite.h"
@@ -220,18 +221,19 @@ expectMatchesGolden(const RunResult &result, const Golden &golden)
 TEST(MultiChannelSystem, SingleChannelMatchesPreRefactorGolden)
 {
     for (const Golden &golden : kGolden) {
-        for (const bool fast_forward : {false, true}) {
+        for (const bool event_clock : {false, true}) {
             sim::DesignConfig design;
             design.label = "equivalence";
             design.mitigation = golden.mitigation;
-            design.fastForward = fast_forward;
             sim::RunBudget budget;
             budget.warmup = 20'000;
             budget.measure = 100'000;
-            const RunResult result = sim::runOne(
-                sim::findSuiteEntry(golden.entry), design, budget, 2);
+            const SuiteEntry &entry = sim::findSuiteEntry(golden.entry);
+            const RunResult result =
+                event_clock ? sim::runOne(entry, design, budget, 2)
+                            : lockstep::runOne(entry, design, budget, 2);
             SCOPED_TRACE(std::string(golden.entry) +
-                         (fast_forward ? " ff=on" : " ff=off"));
+                         (event_clock ? " event clock" : " lockstep"));
             expectMatchesGolden(result, golden);
         }
     }

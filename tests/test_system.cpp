@@ -12,6 +12,7 @@
 
 #include "common/log.h"
 #include "cpu/system.h"
+#include "lockstep.h"
 #include "mitigation/registry.h"
 #include "workload/suite.h"
 #include "workload/synthetic.h"
@@ -211,12 +212,12 @@ TEST(System, ObfuscationRfmsReachRunResult)
     EXPECT_EQ(result.stats.rfm(RfmReason::Random), issued);
 }
 
-/** One StatSet counter of a golden System run, per clock mode. */
+/** One StatSet counter of a golden System run, per clock. */
 struct CounterGolden
 {
     const char *name;
-    std::uint64_t lockstep;    //!< fast-forward off
-    std::uint64_t fastForward; //!< fast-forward on
+    std::uint64_t lockstep;   //!< tests/lockstep.h reference
+    std::uint64_t eventClock; //!< System::run's default
 };
 
 /**
@@ -262,17 +263,17 @@ TEST(System, RefusedRetriesBookedExactly)
     for (const SuiteEntry &candidate : standardSuite())
         if (candidate.params.name == "h_rand_heavy")
             entry = candidate;
-    for (const bool fast_forward : {false, true}) {
-        SCOPED_TRACE(fast_forward ? "fast-forward" : "lockstep");
+    for (const bool event_clock : {false, true}) {
+        SCOPED_TRACE(event_clock ? "event clock" : "lockstep");
         SystemConfig config = smallConfig("tprac");
         config.mem.queueCapacity = 8;
         config.warmupInstrs = 0;
         config.measureInstrs = 4'000;
         config.maxCycles = 50'000;
-        config.fastForward = fast_forward;
         System system(config, instantiate(entry, 4));
         const int level = setLogLevel(0); // the run ends at maxCycles
-        const RunResult result = system.run();
+        const RunResult result = system.run(
+            event_clock ? System::advanceOnClock : lockstep::advance);
         setLogLevel(level);
 
         const auto &counters = system.stats().counters();
@@ -280,8 +281,8 @@ TEST(System, RefusedRetriesBookedExactly)
         for (const CounterGolden &golden : kRefusedRetryCounters) {
             const auto it = counters.find(golden.name);
             ASSERT_NE(it, counters.end()) << golden.name;
-            EXPECT_EQ(it->second, fast_forward ? golden.fastForward
-                                               : golden.lockstep)
+            EXPECT_EQ(it->second, event_clock ? golden.eventClock
+                                              : golden.lockstep)
                 << golden.name;
         }
         ASSERT_EQ(result.cores.size(), std::size(kRefusedRetryCores));

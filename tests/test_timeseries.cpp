@@ -20,6 +20,7 @@
 
 #include "attack/visible_bus.h"
 #include "dram/dram_spec.h"
+#include "lockstep.h"
 #include "sim/analyze_support.h"
 #include "sim/design.h"
 #include "sim/json.h"
@@ -188,7 +189,7 @@ TEST(VisibleBus, ThresholdsDeriveFromSpecTiming)
 
 /** Run one small full-system sim under the armed capture. */
 std::string
-renderCapturedRun(const std::string &defense, bool fast_forward)
+renderCapturedRun(const std::string &defense, bool event_clock)
 {
     CaptureGuard guard;
     telemetry::SeriesCapture::setLabel("sched/" + defense);
@@ -196,11 +197,14 @@ renderCapturedRun(const std::string &defense, bool fast_forward)
     design.label = "timeseries";
     design.mitigation = defense;
     design.channels = 2;
-    design.fastForward = fast_forward;
     sim::RunBudget budget;
     budget.warmup = 2'000;
     budget.measure = 20'000;
-    sim::runOne(sim::findSuiteEntry("m_blend"), design, budget, 4);
+    const SuiteEntry &entry = sim::findSuiteEntry("m_blend");
+    if (event_clock)
+        sim::runOne(entry, design, budget, 4);
+    else
+        lockstep::runOne(entry, design, budget, 4);
     return telemetry::SeriesCapture::renderAll(false);
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "lockstep.h"
 #include "sim/design.h"
 #include "sim/thread_pool.h"
 #include "sim/trace_support.h"
@@ -384,15 +385,9 @@ TEST(Golden, TraceReplayBitIdenticalSpecVariant)
 TEST(TraceReplay, FastForwardInvariant)
 {
     const RecordedRun recorded = recordEntry("tprac");
-    trace::ReplayOptions slow;
-    slow.fastForward = false;
-    const trace::ReplayResult with_ff =
-        trace::replayTrace(recorded.trace);
-    const trace::ReplayResult without_ff =
-        trace::replayTrace(recorded.trace, slow);
-    ASSERT_EQ(with_ff.channels.size(), without_ff.channels.size());
-    for (std::size_t c = 0; c < with_ff.channels.size(); ++c)
-        EXPECT_TRUE(with_ff.channels[c] == without_ff.channels[c]);
+    lockstep::expectReplaysIdentical(
+        lockstep::replayTrace(recorded.trace, "tprac"),
+        trace::replayTrace(recorded.trace));
 }
 
 /** Cross-defense replay reacts: the defense's own telemetry moves. */
