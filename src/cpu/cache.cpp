@@ -10,7 +10,9 @@ namespace pracleak {
 
 TagArray::TagArray(const CacheLevelConfig &config)
     : sets_(config.sets()), ways_(config.ways),
-      data_(static_cast<std::size_t>(config.sets()) * config.ways)
+      tags_(static_cast<std::size_t>(config.sets()) * config.ways,
+            kEmpty),
+      lastUse_(tags_.size(), 0), dirty_(tags_.size(), 0)
 {
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         fatal("cache set count must be a non-zero power of two");
@@ -22,91 +24,82 @@ TagArray::setOf(Addr line) const
     return static_cast<std::size_t>(line & (sets_ - 1)) * ways_;
 }
 
+std::size_t
+TagArray::find(Addr line) const
+{
+    const std::size_t base = setOf(line);
+    for (std::size_t w = base; w < base + ways_; ++w)
+        if (tags_[w] == line)
+            return w;
+    return kMissing;
+}
+
 bool
 TagArray::lookup(Addr line)
 {
-    const std::size_t base = setOf(line);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Way &way = data_[base + w];
-        if (way.valid && way.line == line) {
-            way.lastUse = ++useClock_;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t w = find(line);
+    if (w == kMissing)
+        return false;
+    lastUse_[w] = ++useClock_;
+    return true;
 }
 
 bool
 TagArray::probe(Addr line) const
 {
-    const std::size_t base = setOf(line);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Way &way = data_[base + w];
-        if (way.valid && way.line == line)
-            return true;
-    }
-    return false;
+    return find(line) != kMissing;
 }
 
 std::optional<TagArray::Victim>
 TagArray::insert(Addr line, bool dirty)
 {
-    const std::size_t base = setOf(line);
-    std::size_t lru = base;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Way &way = data_[base + w];
-        if (way.valid && way.line == line) {
-            // Already present: refresh recency, merge dirty.
-            way.lastUse = ++useClock_;
-            way.dirty = way.dirty || dirty;
-            return std::nullopt;
-        }
-        if (!way.valid) {
-            way.valid = true;
-            way.line = line;
-            way.dirty = dirty;
-            way.lastUse = ++useClock_;
-            return std::nullopt;
-        }
-        if (way.lastUse < data_[lru].lastUse)
-            lru = base + w;
+    if (const std::size_t w = find(line); w != kMissing) {
+        // Already present: refresh recency, merge dirty.
+        lastUse_[w] = ++useClock_;
+        dirty_[w] |= dirty;
+        return std::nullopt;
     }
 
-    Way &victim = data_[lru];
-    const Victim out{victim.line, victim.dirty};
-    victim.line = line;
-    victim.dirty = dirty;
-    victim.lastUse = ++useClock_;
+    // The first empty way, else the least recently used one.
+    const std::size_t base = setOf(line);
+    std::size_t slot = base;
+    for (std::size_t w = base; w < base + ways_; ++w) {
+        if (tags_[w] == kEmpty) {
+            slot = w;
+            break;
+        }
+        if (lastUse_[w] < lastUse_[slot])
+            slot = w;
+    }
+
+    std::optional<Victim> out;
+    if (tags_[slot] != kEmpty)
+        out = Victim{tags_[slot], dirty_[slot] != 0};
+    tags_[slot] = line;
+    dirty_[slot] = dirty;
+    lastUse_[slot] = ++useClock_;
     return out;
 }
 
 bool
 TagArray::markDirty(Addr line)
 {
-    const std::size_t base = setOf(line);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Way &way = data_[base + w];
-        if (way.valid && way.line == line) {
-            way.dirty = true;
-            way.lastUse = ++useClock_;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t w = find(line);
+    if (w == kMissing)
+        return false;
+    dirty_[w] = 1;
+    lastUse_[w] = ++useClock_;
+    return true;
 }
 
 std::optional<bool>
 TagArray::invalidate(Addr line)
 {
-    const std::size_t base = setOf(line);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Way &way = data_[base + w];
-        if (way.valid && way.line == line) {
-            way.valid = false;
-            return way.dirty;
-        }
-    }
-    return std::nullopt;
+    const std::size_t w = find(line);
+    if (w == kMissing)
+        return std::nullopt;
+    tags_[w] = kEmpty;
+    return dirty_[w] != 0;
 }
 
 // ------------------------------------------------------- CacheHierarchy

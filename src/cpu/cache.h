@@ -88,19 +88,25 @@ class TagArray
     std::optional<bool> invalidate(Addr line);
 
   private:
-    struct Way
-    {
-        Addr line = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an empty way: no line number (an address >> 6) is ~0. */
+    static constexpr Addr kEmpty = ~Addr{0};
 
     std::size_t setOf(Addr line) const;
 
+    /** Index of @p line's way, or kMissing when it is not cached. */
+    std::size_t find(Addr line) const;
+    static constexpr std::size_t kMissing = ~std::size_t{0};
+
     std::uint32_t sets_;
     std::uint32_t ways_;
-    std::vector<Way> data_;
+
+    /**
+     * One entry per way, set by set, in three parallel arrays (17
+     * bytes a way): a lookup scans only the set's tags.
+     */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
 };
 

@@ -1,8 +1,12 @@
 #include "trace/replay.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <memory>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include "cpu/replay_core.h"
 #include "mitigation/registry.h"
@@ -70,6 +74,56 @@ configFromHeader(const TraceHeader &header,
     return config;
 }
 
+namespace {
+
+/** What the result keeps of one channel once it reaches the horizon. */
+struct ChannelSlot
+{
+    ChannelStats stats;
+    SchedCounters sched;
+    Cycle endCycle = 0;
+    bool done = false;
+    std::exception_ptr error;
+};
+
+/**
+ * Open loop: run one channel to @p end alone, alternating between
+ * feeding the records due now and advancing the controller to the
+ * next record or its own next event, whichever is earlier.
+ */
+void
+runChannel(MemoryController &mem, ReplayCore &core, Cycle end)
+{
+    while (mem.now() < end) {
+        const Cycle current = mem.now();
+        const Cycle core_at = core.nextEventAt();
+        if (core_at > current) {
+            mem.advanceTo(std::min(core_at, end));
+            continue;
+        }
+        core.tick(current);
+        if (core.blocked()) {
+            // Full queue: a blocked enqueue is side-effect-free, and
+            // slots only free on the controller's own effective ticks,
+            // so jump straight to its next work instant, tick it there,
+            // and retry the cycle after -- exactly the first cycle a
+            // per-cycle retry could have succeeded.
+            const Cycle work = mem.nextWorkAt();
+            if (work >= end) {
+                mem.advanceTo(end);
+                continue;
+            }
+            if (work > current)
+                mem.advanceTo(work);
+            mem.tick();
+            continue;
+        }
+        mem.tick();
+    }
+}
+
+} // namespace
+
 ReplayResult
 replayTrace(const TraceData &trace, const ReplayOptions &options)
 {
@@ -86,6 +140,8 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
     ControllerConfig config =
         configFromHeader(header, mitigation, spec);
 
+    // Built here, in channel order: a SeriesCapture joins channels
+    // 1..N to the record this thread's channel-0 construction started.
     std::vector<std::unique_ptr<MemoryController>> mems;
     mems.reserve(header.channels);
     for (std::uint32_t c = 0; c < header.channels; ++c) {
@@ -99,59 +155,62 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
     for (std::uint32_t c = 0; c < header.channels; ++c)
         cores.emplace_back(*mems[c], trace.channels[c].records);
 
-    // Open loop, one channel at a time: the channels share no state
-    // (each has its own controller, mitigation stack and record
-    // stream, and replay installs no cross-channel stat sink), so each
-    // runs to the horizon alone, alternating between feeding records
-    // due now and advancing its controller to the next record or its
-    // own next event, whichever is earlier.  Per-channel stats equal
-    // ticking every channel every cycle (src/mem/DESIGN.md,
-    // "Drivers"); TB-RFM deadlines are absolute, so the channels still
-    // fire in cross-channel lockstep.
+    // The channels share no state (each has its own controller,
+    // mitigation stack, record stream and bus observer, and replay
+    // installs no cross-channel stat sink), so each runs to the
+    // horizon alone, on whichever thread takes it next: per-channel
+    // stats equal ticking every channel every cycle, whatever the
+    // thread count (src/mem/DESIGN.md, "Drivers").  TB-RFM deadlines
+    // are absolute, so the channels still fire in cross-channel
+    // lockstep.  A thread copies out what the result needs and frees
+    // the controller before it takes the next channel, so it never
+    // holds more than one channel's state.
     const Cycle end = header.endCycle;
-    for (std::uint32_t c = 0; c < header.channels; ++c) {
-        ReplayCore &core = cores[c];
-        MemoryController &mem = *mems[c];
-        while (mem.now() < end) {
-            const Cycle current = mem.now();
-            const Cycle core_at = core.nextEventAt();
-            if (core_at > current) {
-                mem.advanceTo(std::min(core_at, end));
-                continue;
+    const std::uint32_t channels = header.channels;
+    std::vector<ChannelSlot> slots(channels);
+    std::atomic<std::uint32_t> next{0};
+    const auto work = [&] {
+        for (std::uint32_t c = next++; c < channels; c = next++) {
+            ChannelSlot &slot = slots[c];
+            try {
+                runChannel(*mems[c], cores[c], end);
+                slot.stats = snapshotChannelStats(*mems[c]);
+                slot.stats.requests = cores[c].replayed();
+                slot.sched = mems[c]->schedCounters();
+                slot.endCycle = mems[c]->now();
+                slot.done = cores[c].done();
+            } catch (...) {
+                slot.error = std::current_exception();
             }
-            core.tick(current);
-            if (core.blocked()) {
-                // Full queue: a blocked enqueue is side-effect-free,
-                // and slots only free on the controller's own
-                // effective ticks, so jump straight to its next work
-                // instant, tick it there, and retry the cycle after --
-                // exactly the first cycle a per-cycle retry could
-                // have succeeded.
-                const Cycle work = mem.nextWorkAt();
-                if (work >= end) {
-                    mem.advanceTo(end);
-                    continue;
-                }
-                if (work > current)
-                    mem.advanceTo(work);
-                mem.tick();
-                continue;
-            }
-            mem.tick();
+            mems[c].reset();
+        }
+    };
+    const std::uint32_t threads = std::min(
+        channels, std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::thread> workers;
+    workers.reserve(threads - 1);
+    for (std::uint32_t t = 1; t < threads; ++t) {
+        try {
+            workers.emplace_back(work);
+        } catch (const std::system_error &) {
+            break; // the threads already started share the rest
         }
     }
+    work();
+    for (std::thread &worker : workers)
+        worker.join();
 
     ReplayResult result;
     result.mitigation = mitigation;
-    result.endCycle = mems[0]->now();
-    result.channels.reserve(header.channels);
-    for (std::uint32_t c = 0; c < header.channels; ++c) {
-        ChannelStats stats = snapshotChannelStats(*mems[c]);
-        stats.requests = cores[c].replayed();
-        result.channels.push_back(stats);
-        result.replayedRequests += cores[c].replayed();
-        result.fullyDrained = result.fullyDrained && cores[c].done();
-        result.sched += mems[c]->schedCounters();
+    result.endCycle = slots[0].endCycle;
+    result.channels.reserve(channels);
+    for (const ChannelSlot &slot : slots) {
+        if (slot.error)
+            std::rethrow_exception(slot.error);
+        result.channels.push_back(slot.stats);
+        result.replayedRequests += slot.stats.requests;
+        result.fullyDrained = result.fullyDrained && slot.done;
+        result.sched += slot.sched;
     }
     return result;
 }

@@ -70,6 +70,23 @@ TEST(TagArray, ReinsertMergesDirty)
     EXPECT_TRUE(*dirty);
 }
 
+TEST(TagArray, ReinsertAfterHoleKeepsOneCopy)
+{
+    // A clflush can empty a way in front of a cached line; refilling
+    // that line (as after an L2 or LLC hit) must find the copy it has
+    // rather than take the hole.
+    TagArray tags(CacheLevelConfig{4 * 64, 4, 1}); // 1 set x 4 ways
+    tags.insert(0, false);
+    tags.insert(1, true);
+    tags.invalidate(0);
+    tags.insert(1, false);
+    const auto dirty = tags.invalidate(1);
+    ASSERT_TRUE(dirty);
+    EXPECT_TRUE(*dirty);
+    EXPECT_FALSE(tags.probe(1));
+    EXPECT_FALSE(tags.invalidate(1));
+}
+
 class CacheHierarchyTest : public ::testing::Test
 {
   protected:

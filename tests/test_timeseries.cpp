@@ -3,7 +3,8 @@
  * Windowed command-bus time series and the offline leakage analyzer:
  * BusObserver window addressing and blocked-span spreading, the
  * bit-identical-series contract between the lockstep and event
- * schedulers and across `--jobs` widths, series round-tripping
+ * schedulers, between serial and threaded replay, and across `--jobs`
+ * widths, series round-tripping
  * through the analyzer's loader, synthetic-series verdicts, the
  * observe-only guarantee (`--series-out` never changes sweep rows),
  * and the VisibleBusModel spike thresholds the probes share.
@@ -26,6 +27,7 @@
 #include "sim/json.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
+#include "sim/trace_support.h"
 #include "telemetry/timeseries.h"
 #include "workload/suite.h"
 
@@ -226,6 +228,53 @@ TEST(SeriesCapture, LockstepAndEventSchedulersByteIdentical)
         EXPECT_NE(lockstep.find("\"channels\": 2"),
                   std::string::npos);
         EXPECT_EQ(lockstep, event);
+    }
+}
+
+/** Replay @p trace under @p defense with the capture armed. */
+std::string
+renderCapturedReplay(const trace::TraceData &trace,
+                     const std::string &defense, bool threaded)
+{
+    CaptureGuard guard;
+    telemetry::SeriesCapture::setLabel("replay/" + defense);
+    if (threaded) {
+        trace::ReplayOptions options;
+        options.mitigation = defense;
+        trace::replayTrace(trace, options);
+    } else {
+        lockstep::replayTrace(trace, defense);
+    }
+    return telemetry::SeriesCapture::renderAll(false);
+}
+
+/**
+ * Golden: replayTrace runs a multi-channel trace's channels on
+ * several threads, yet its series must be byte-identical to the
+ * serial per-cycle replay's.  That holds only if every channel keeps
+ * its own observer and the observers attach in channel order on the
+ * calling thread, which joins all eight to one record.
+ */
+TEST(SeriesCapture, SerialAndThreadedReplaysByteIdentical)
+{
+    sim::DesignConfig design;
+    design.label = "timeseries";
+    design.mitigation = "none";
+    design.channels = 8;
+    sim::RunBudget budget;
+    budget.warmup = 2'000;
+    budget.measure = 20'000;
+    const sim::RecordedRun recorded = sim::recordSuiteRun(
+        sim::findSuiteEntry("h_scan_mix"), design, budget);
+
+    for (const std::string defense : {"tprac", "pb-rfm"}) {
+        SCOPED_TRACE(defense);
+        const std::string serial =
+            renderCapturedReplay(recorded.trace, defense, false);
+        const std::string threaded =
+            renderCapturedReplay(recorded.trace, defense, true);
+        EXPECT_NE(serial.find("\"channels\": 8"), std::string::npos);
+        EXPECT_EQ(serial, threaded);
     }
 }
 
