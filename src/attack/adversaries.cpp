@@ -43,93 +43,6 @@ constexpr std::uint32_t kAdaptiveOutstanding = 8;
  */
 constexpr std::uint32_t kDeepOutstanding = 63;
 
-// -------------------------------------------------------------- probe
-
-/** ProbeAgent behind the registry (latency spy, no ACT pressure). */
-class ProbeAttacker final : public AttackerAgent
-{
-  public:
-    ProbeAttacker(const AttackerConfig &config, MemoryController &mem)
-        : AttackerAgent(config), probe_(mem, config)
-    {
-    }
-
-    const char *name() const override { return "probe"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        probe_.tick(mem, now);
-    }
-
-  private:
-    ProbeAgent probe_;
-};
-
-// ------------------------------------------------------------- hammer
-
-/**
- * The defense-oblivious stressor: the security matrix's direct
- * hammer (alternate target and same-bank decoys, restart the burst
- * whenever it drains), now self-driving so it satisfies the plain
- * MemAgent contract without a scenario-side restart loop.
- */
-class ObliviousHammer final : public AttackerAgent
-{
-  public:
-    ObliviousHammer(const AttackerConfig &config,
-                    MemoryController &mem)
-        : AttackerAgent(config), hammer_(mem, config),
-          burst_(mem.dram().spec().prac.nbo +
-                 mem.dram().spec().prac.aboAct + 4)
-    {
-    }
-
-    const char *name() const override { return "hammer"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        if (hammer_.done())
-            hammer_.startHammer(burst_);
-        hammer_.tick(mem, now);
-    }
-
-  private:
-    HammerAgent hammer_;
-    std::uint32_t burst_;
-};
-
-// ----------------------------------------------------------- feinting
-
-/** The Feinting/Wave stressor behind the registry. */
-class FeintingAttacker final : public AttackerAgent
-{
-  public:
-    FeintingAttacker(const AttackerConfig &config,
-                     MemoryController &mem)
-        : AttackerAgent(config), feinting_(mem, config)
-    {
-    }
-
-    const char *name() const override { return "feinting"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        feinting_.tick(mem, now);
-    }
-
-  private:
-    FeintingAgent feinting_;
-};
-
 // ----------------------------------------------------- graphene-thrash
 
 /**
@@ -155,8 +68,8 @@ class GrapheneThrashAttacker final : public AttackerAgent
 {
   public:
     GrapheneThrashAttacker(const AttackerConfig &config,
-                           MemoryController &mem)
-        : AttackerAgent(config)
+                           const MemoryController &mem)
+        : AttackerAgent(config, kAdaptiveOutstanding)
     {
         const DramOrg &org = mem.dram().spec().org;
         const std::uint32_t banks = org.totalBanks();
@@ -188,46 +101,26 @@ class GrapheneThrashAttacker final : public AttackerAgent
                                   banks);
     }
 
-    const char *name() const override { return "graphene-thrash"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        while (outstanding_ < kAdaptiveOutstanding && issueOne(mem)) {
-        }
-    }
-
   private:
-    bool
-    issueOne(MemoryController &mem)
+    std::optional<Addr>
+    next(MemoryController &mem) override
     {
         const bool target_lane =
             noiseBanks_.empty() || slot_ % (1 + ratio_) == 0;
+        ++slot_;
 
-        Request req;
-        req.type = ReqType::Read;
+        Addr addr;
         if (target_lane) {
             if (cursor_ >= pool_.size())
                 endWave(mem);
-            req.addr = attackerAddress(mem, config_.targetBank,
-                                       pool_[cursor_]);
+            addr = attackerAddress(mem, config_.targetBank,
+                                   pool_[cursor_++]);
         } else {
             const std::uint32_t lane =
                 noiseCursor_ % noiseBanks_.size();
             const std::uint32_t row =
                 config_.targetRow + (noiseFlip_ ? 1 : 0);
-            req.addr = attackerAddress(mem, noiseBanks_[lane], row);
-        }
-        req.onComplete = [this](const Request &) { --outstanding_; };
-        if (!mem.enqueue(std::move(req)))
-            return false;
-        ++outstanding_;
-        ++slot_;
-        if (target_lane) {
-            ++cursor_;
-        } else {
+            addr = attackerAddress(mem, noiseBanks_[lane], row);
             ++noiseCursor_;
             if (noiseCursor_ % noiseBanks_.size() == 0)
                 noiseFlip_ = !noiseFlip_;
@@ -236,7 +129,7 @@ class GrapheneThrashAttacker final : public AttackerAgent
             sincePoll_ = 0;
             adapt(mem);
         }
-        return true;
+        return addr;
     }
 
     void
@@ -278,7 +171,6 @@ class GrapheneThrashAttacker final : public AttackerAgent
     std::uint64_t noiseCursor_ = 0;
     bool noiseFlip_ = false;
     std::uint32_t sincePoll_ = 0;
-    std::uint32_t outstanding_ = 0;
 };
 
 // --------------------------------------------------------- para-retry
@@ -298,8 +190,8 @@ class ParaRetryAttacker final : public AttackerAgent
 {
   public:
     ParaRetryAttacker(const AttackerConfig &config,
-                      MemoryController &mem)
-        : AttackerAgent(config)
+                      const MemoryController &mem)
+        : AttackerAgent(config, kAdaptiveOutstanding)
     {
         const DramOrg &org = mem.dram().spec().org;
         if (config_.aggressors == 0)
@@ -319,17 +211,6 @@ class ParaRetryAttacker final : public AttackerAgent
         }
     }
 
-    const char *name() const override { return "para-retry"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        while (outstanding_ < kAdaptiveOutstanding && issueOne(mem)) {
-        }
-    }
-
   private:
     struct Candidate
     {
@@ -337,23 +218,16 @@ class ParaRetryAttacker final : public AttackerAgent
         std::uint32_t row = 0;
     };
 
-    bool
-    issueOne(MemoryController &mem)
+    std::optional<Addr>
+    next(MemoryController &mem) override
     {
         const Candidate &candidate =
             candidates_[focus_[focusCursor_ % focus_.size()]];
         // Alternate the candidate row with a same-bank decoy so
         // every candidate visit costs one real ACT.
-        const std::uint32_t row =
-            flip_ ? candidate.row + 1000 : candidate.row;
-
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = attackerAddress(mem, candidate.bank, row);
-        req.onComplete = [this](const Request &) { --outstanding_; };
-        if (!mem.enqueue(std::move(req)))
-            return false;
-        ++outstanding_;
+        const Addr addr = attackerAddress(
+            mem, candidate.bank,
+            flip_ ? candidate.row + 1000 : candidate.row);
         flip_ = !flip_;
         if (!flip_)
             ++focusCursor_;
@@ -361,7 +235,7 @@ class ParaRetryAttacker final : public AttackerAgent
             sincePoll_ = 0;
             refocus(mem);
         }
-        return true;
+        return addr;
     }
 
     void
@@ -398,7 +272,6 @@ class ParaRetryAttacker final : public AttackerAgent
     bool flip_ = false;
     std::uint32_t sincePoll_ = 0;
     std::uint32_t lastBest_ = 0;
-    std::uint32_t outstanding_ = 0;
 };
 
 // -------------------------------------------------------- pb-parallel
@@ -419,8 +292,8 @@ class PbParallelAttacker final : public AttackerAgent
 {
   public:
     PbParallelAttacker(const AttackerConfig &config,
-                       MemoryController &mem)
-        : AttackerAgent(config)
+                       const MemoryController &mem)
+        : AttackerAgent(config, 0)
     {
         const DramOrg &org = mem.dram().spec().org;
         if (config_.aggressors == 0)
@@ -442,30 +315,27 @@ class PbParallelAttacker final : public AttackerAgent
                 i == 0 ? config_.targetBank
                        : (config_.targetBank + i * (org.banksPerRank() + 1)) %
                              org.totalBanks());
-        active_ = std::min<std::uint32_t>(
-            4, static_cast<std::uint32_t>(lanes_.size()));
-    }
-
-    const char *name() const override { return "pb-parallel"; }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        if (now < config_.phase)
-            return;
-        // Deep pipelining only while noise lanes are worth driving:
-        // FIFO saturation needs hundreds of MACT/s across banks, but
-        // single-bank absorption must stay shallow so stale in-flight
-        // target reads cannot land right after a cover reset.
-        const std::uint32_t depth =
-            active_ > 1 ? kDeepOutstanding : 2;
-        while (outstanding_ < depth && issueOne(mem)) {
-        }
+        setActive(std::min<std::uint32_t>(
+            4, static_cast<std::uint32_t>(lanes_.size())));
     }
 
   private:
-    bool
-    issueOne(MemoryController &mem)
+    /**
+     * Drive @p lanes lanes.  Deep pipelining only while noise lanes
+     * are worth driving: FIFO saturation needs hundreds of MACT/s
+     * across banks, but single-bank absorption must stay shallow so
+     * stale in-flight target reads cannot land right after a cover
+     * reset.
+     */
+    void
+    setActive(std::uint32_t lanes)
+    {
+        active_ = lanes;
+        setDepth(active_ > 1 ? kDeepOutstanding : 2);
+    }
+
+    std::optional<Addr>
+    next(MemoryController &mem) override
     {
         std::uint32_t bank;
         std::uint32_t row;
@@ -492,14 +362,6 @@ class PbParallelAttacker final : public AttackerAgent
             row = config_.targetRow + 1000 +
                   noise * config_.poolSize + rotation;
         }
-
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = attackerAddress(mem, bank, row);
-        req.onComplete = [this](const Request &) { --outstanding_; };
-        if (!mem.enqueue(std::move(req)))
-            return false;
-        ++outstanding_;
         ++slot_;
         if (target_slot)
             ++targetSlot_;
@@ -509,7 +371,7 @@ class PbParallelAttacker final : public AttackerAgent
             sincePoll_ = 0;
             adapt(mem);
         }
-        return true;
+        return attackerAddress(mem, bank, row);
     }
 
     /**
@@ -542,12 +404,12 @@ class PbParallelAttacker final : public AttackerAgent
         const std::size_t backlog =
             mem.mitigation().pendingMitigations();
         if (backlog > lastBacklog_) {
-            active_ = std::min<std::uint32_t>(
+            setActive(std::min<std::uint32_t>(
                 active_ * 2,
-                static_cast<std::uint32_t>(lanes_.size()));
+                static_cast<std::uint32_t>(lanes_.size())));
             ratio_ = std::min<std::uint32_t>(ratio_ * 2, 64);
         } else {
-            active_ = std::max<std::uint32_t>(1, active_ / 2);
+            setActive(std::max<std::uint32_t>(1, active_ / 2));
             ratio_ = std::max<std::uint32_t>(2, ratio_ / 2);
         }
         lastBacklog_ = backlog;
@@ -561,7 +423,6 @@ class PbParallelAttacker final : public AttackerAgent
     std::uint64_t noiseSlot_ = 0;
     std::uint64_t slot_ = 0;
     std::uint32_t sincePoll_ = 0;
-    std::uint32_t outstanding_ = 0;
 };
 
 } // namespace
@@ -656,16 +517,22 @@ attackerForDefense(const std::string &defense)
 
 std::unique_ptr<AttackerAgent>
 attackerByName(const std::string &name, const AttackerConfig &config,
-               MemoryController &mem)
+               const MemoryController &mem)
 {
     AttackerConfig effective = config;
     effective.attacker = name;
     if (name == "probe")
-        return std::make_unique<ProbeAttacker>(effective, mem);
-    if (name == "hammer")
-        return std::make_unique<ObliviousHammer>(effective, mem);
+        return std::make_unique<ProbeAgent>(mem, effective);
+    if (name == "hammer") {
+        // The security matrix's direct hammer: bursts just past the
+        // ABO contract, back to back.
+        auto hammer = std::make_unique<HammerAgent>(mem, effective);
+        const PracParams &prac = mem.dram().spec().prac;
+        hammer->repeat(prac.nbo + prac.aboAct + 4);
+        return hammer;
+    }
     if (name == "feinting")
-        return std::make_unique<FeintingAttacker>(effective, mem);
+        return std::make_unique<FeintingAgent>(mem, effective);
     if (name == "graphene-thrash")
         return std::make_unique<GrapheneThrashAttacker>(effective,
                                                         mem);

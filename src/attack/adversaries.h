@@ -6,17 +6,19 @@
  *
  * The paper's security matrix is argued with defense-oblivious
  * stressors; this registry upgrades it to best-known-attack claims.
- * Each registered attacker implements the MemAgent tick contract and
- * is constructed from one AttackerConfig aggregate, so scenario
- * grids can sweep `--set attacker=...` exactly like `--set
- * mitigation=...`, with `attacker.<knob>=` sub-keys pinning
- * individual knobs.
+ * Each registered attacker is an AttackerAgent -- a MemAgent
+ * (attack/harness.h) constructed from one AttackerConfig aggregate --
+ * so scenario grids can sweep `--set attacker=...` exactly like
+ * `--set mitigation=...`, with `attacker.<knob>=` sub-keys pinning
+ * individual knobs.  The registry returns the agents themselves.
  *
  * Registered attackers (see src/attack/DESIGN.md for the taxonomy):
- *  - "probe"           latency spy (ProbeAgent behind the registry)
- *  - "hammer"          oblivious direct hammer, the security-matrix
- *                      baseline every searched adversary must beat
+ *  - "probe"           latency spy (ProbeAgent)
+ *  - "hammer"          oblivious direct hammer (a repeating
+ *                      HammerAgent), the security-matrix baseline
+ *                      every searched adversary must beat
  *  - "feinting"        mitigation-bandwidth-wasting wave attacker
+ *                      (FeintingAgent)
  *  - "graphene-thrash" Space-Saving-table thrasher: decoy rotation
  *                      in the target bank plus cross-bank trigger
  *                      noise that clogs the serial RFMpb FIFO
@@ -110,22 +112,26 @@ inline constexpr AttackerField kAttackerFields[] = {
 /** The kAttackerFields entry named @p name; nullptr when unknown. */
 const AttackerField *findAttackerField(const std::string &name);
 
-/** A registry-constructed attack actor. */
+/**
+ * An attack actor placed by an AttackerConfig, from its phase on;
+ * attackerByName() constructs one by registry key.
+ */
 class AttackerAgent : public MemAgent
 {
   public:
-    explicit AttackerAgent(AttackerConfig config)
-        : config_(std::move(config))
-    {
-    }
-
     /** Registry key, e.g. "hammer" or "para-retry". */
-    virtual const char *name() const = 0;
+    const std::string &name() const { return config_.attacker; }
 
     /** Effective knobs after zero-value derivation. */
     const AttackerConfig &config() const { return config_; }
 
   protected:
+    /** Keep up to @p depth reads in flight. */
+    AttackerAgent(AttackerConfig config, std::uint32_t depth)
+        : MemAgent(depth, config.phase), config_(std::move(config))
+    {
+    }
+
     AttackerConfig config_;
 };
 
@@ -177,7 +183,7 @@ std::string attackerForDefense(const std::string &defense);
  */
 std::unique_ptr<AttackerAgent>
 attackerByName(const std::string &name, const AttackerConfig &config,
-               MemoryController &mem);
+               const MemoryController &mem);
 
 /**
  * Inverse of AddressMapper::flatBank: the address of @p row in

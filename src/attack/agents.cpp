@@ -25,7 +25,7 @@ deriveFeintingPool(const MemoryController &mem)
     const std::uint64_t act_w =
         std::max<std::uint64_t>(actsPerWindow(cadence_ns, fp), 1);
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        maxActsPerTrefw(cadence_ns, fp) / act_w, 2048));
+        optimalPool(cadence_ns, act_w, fp), 2048));
 }
 
 } // namespace
@@ -34,7 +34,8 @@ deriveFeintingPool(const MemoryController &mem)
 
 ProbeAgent::ProbeAgent(const MemoryController &mem,
                        const AttackerConfig &config, bool record_all)
-    : addr_(attackerAddress(mem, config.targetBank, config.targetRow)),
+    : AttackerAgent(config, 1),
+      addr_(attackerAddress(mem, config.targetBank, config.targetRow)),
       recordAll_(record_all)
 {
     // A full timeline holds one sample per read, up to ~55k per
@@ -56,26 +57,13 @@ ProbeAgent::spikeThreshold()
 }
 
 void
-ProbeAgent::tick(MemoryController &mem, Cycle)
+ProbeAgent::onComplete(const Request &done, std::uint64_t)
 {
-    if (asleep_)
-        return;
-
-    Request req;
-    req.type = ReqType::Read;
-    req.addr = addr_;
-    req.onComplete = [this](const Request &done) {
-        asleep_ = false;
-        ++completed_;
-        const LatencySample sample{done.completed, done.latency()};
-        if (sample.latency >= spikeThreshold())
-            lastSpikeAt_ = sample.doneAt;
-        if (recordAll_ || sample.latency >= spikeThreshold())
-            samples_.push_back(sample);
-    };
-    // A refused read retries next cycle, so only an accepted one
-    // puts the probe to sleep.
-    asleep_ = mem.enqueue(std::move(req));
+    const LatencySample sample{done.completed, done.latency()};
+    if (sample.latency >= spikeThreshold())
+        lastSpikeAt_ = sample.doneAt;
+    if (recordAll_ || sample.latency >= spikeThreshold())
+        samples_.push_back(sample);
 }
 
 bool
@@ -84,17 +72,12 @@ ProbeAgent::spikeSince(Cycle since) const
     return lastSpikeAt_ != 0 && lastSpikeAt_ >= since;
 }
 
-void
-ProbeAgent::clearSamples()
-{
-    samples_.clear();
-}
-
 // ----------------------------------------------------------- HammerAgent
 
 HammerAgent::HammerAgent(const MemoryController &mem,
                          const AttackerConfig &config)
-    : targetAddr_(
+    : AttackerAgent(config, 2), // 2 reads fill the bank's tRC pipeline
+      targetAddr_(
           attackerAddress(mem, config.targetBank, config.targetRow))
 {
     const std::uint32_t count =
@@ -114,7 +97,14 @@ HammerAgent::startHammer(std::uint32_t target_acts)
     nextIsTarget_ = true;
     targetBudget_ = target_acts;
     targetDone_ = 0;
-    updateSleep();
+    wake();
+}
+
+void
+HammerAgent::repeat(std::uint32_t target_acts)
+{
+    repeatActs_ = target_acts;
+    wake();
 }
 
 void
@@ -122,21 +112,26 @@ HammerAgent::stop()
 {
     active_ = false;
     targetBudget_ = 0;
-    updateSleep();
+    repeatActs_ = 0;
 }
 
 bool
 HammerAgent::done() const
 {
-    return !active_ ||
-           (targetBudget_ == 0 && outstanding_ == 0);
+    return !active_ || (targetBudget_ == 0 && inFlight() == 0);
 }
 
-Addr
-HammerAgent::nextAddress()
+std::optional<Addr>
+HammerAgent::next(MemoryController &)
 {
+    if (repeatActs_ != 0 && done())
+        startHammer(repeatActs_);
+    // Idle, or the burst's last reads draining.
+    if (!active_ || (targetBudget_ == 0 && nextIsTarget_))
+        return std::nullopt;
     if (nextIsTarget_) {
         nextIsTarget_ = false;
+        --targetBudget_;
         return targetAddr_;
     }
     nextIsTarget_ = true;
@@ -146,57 +141,17 @@ HammerAgent::nextAddress()
 }
 
 void
-HammerAgent::updateSleep()
+HammerAgent::onComplete(const Request &done, std::uint64_t)
 {
-    // Idle, pipeline full, or the burst's last reads draining: only a
-    // completion callback, startHammer() or stop() changes that.
-    asleep_ = !active_ || outstanding_ >= kMaxOutstanding ||
-              (targetBudget_ == 0 && nextIsTarget_ && outstanding_ > 0);
-}
-
-void
-HammerAgent::tick(MemoryController &mem, Cycle)
-{
-    while (active_ && outstanding_ < kMaxOutstanding) {
-        if (targetBudget_ == 0 && nextIsTarget_) {
-            // Burst complete once in-flight reads drain.
-            if (outstanding_ == 0)
-                active_ = false;
-            break;
-        }
-
-        const bool is_target = nextIsTarget_;
-        const Addr addr = nextAddress();
-
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = addr;
-        req.onComplete = [this, is_target](const Request &) {
-            --outstanding_;
-            if (is_target)
-                ++targetDone_;
-            updateSleep();
-        };
-        if (!mem.enqueue(std::move(req))) {
-            // Queue full: undo the sequencing step and retry later.
-            nextIsTarget_ = is_target;
-            if (!is_target)
-                decoyIdx_ = (decoyIdx_ + decoyAddrs_.size() - 1) %
-                            decoyAddrs_.size();
-            break;
-        }
-        ++outstanding_;
-        if (is_target)
-            --targetBudget_;
-    }
-    updateSleep();
+    if (done.addr == targetAddr_)
+        ++targetDone_;
 }
 
 // --------------------------------------------------------- FeintingAgent
 
-FeintingAgent::FeintingAgent(MemoryController &mem,
+FeintingAgent::FeintingAgent(const MemoryController &mem,
                              const AttackerConfig &config)
-    : mem_(mem), targetRow_(config.targetRow)
+    : AttackerAgent(config, 2), targetRow_(config.targetRow)
 {
     const std::uint32_t pool_size = config.poolSize == 0
                                         ? deriveFeintingPool(mem)
@@ -206,8 +161,8 @@ FeintingAgent::FeintingAgent(MemoryController &mem,
     pool_.push_back(targetRow_);
 }
 
-std::uint32_t
-FeintingAgent::nextRow()
+std::optional<Addr>
+FeintingAgent::next(MemoryController &mem)
 {
     if (cursor_ >= pool_.size()) {
         // End of a wave: drop decoys whose counters were mitigated
@@ -216,30 +171,13 @@ FeintingAgent::nextRow()
         std::vector<std::uint32_t> alive;
         for (const std::uint32_t row : pool_)
             if (row == targetRow_ ||
-                mem_.prac().counters().get(0, row) > 0)
+                mem.prac().counters().get(0, row) > 0)
                 alive.push_back(row);
         pool_ = std::move(alive);
     }
-    if (pool_.size() <= 1)
-        return targetRow_;
-    return pool_[cursor_++];
-}
-
-void
-FeintingAgent::tick(MemoryController &mem, Cycle)
-{
-    // Draw a row only for a request the controller takes: a refused
-    // draw would skip that row for the rest of the wave, and the
-    // wave-end pruning would then drop it as mitigated.
-    while (outstanding_ < 2 && mem.canAccept()) {
-        Request req;
-        req.addr = attackerAddress(mem, 0, nextRow());
-        req.onComplete = [this](const Request &) {
-            --outstanding_;
-        };
-        mem.enqueue(std::move(req));
-        ++outstanding_;
-    }
+    const std::uint32_t row =
+        pool_.size() <= 1 ? targetRow_ : pool_[cursor_++];
+    return attackerAddress(mem, 0, row);
 }
 
 } // namespace pracleak

@@ -1,23 +1,23 @@
 /**
  * @file
- * Reusable attack actors.
+ * The paper's attack actors.
  *
- *  - ProbeAgent: the spy.  Keeps one read outstanding to a private
- *    row and logs completion latencies; an RFM anywhere in the
- *    channel shows up as a latency spike (Section 3.1).
+ *  - ProbeAgent: the spy.  Keeps one read in flight to a private row
+ *    and logs completion latencies; an RFM anywhere in the channel
+ *    shows up as a latency spike (Section 3.1).
  *  - HammerAgent: the trojan's activation engine.  Alternates reads
  *    between a target row and decoy rows in the same bank so every
  *    target read forces a row conflict and hence exactly one ACT of
  *    the target.
+ *  - FeintingAgent: the Feinting/Wave attacker (Section 4.2).
  *
- * Each is placed by an AttackerConfig (targetBank, targetRow and, for
- * the hammer, its decoy layout) on the channel of the controller it
- * is constructed against, which must be the channel it is added to
- * the harness on.
- *
- * Both sleep (MemAgent::asleep()) while their tick() has nothing to
- * do until one of their reads completes or their owner calls in;
- * FeintingAgent ticks every cycle.
+ * Each is an AttackerAgent, so the registry (attack/adversaries.h)
+ * returns them as "probe", "hammer" and "feinting".  Each is placed
+ * by an AttackerConfig (targetBank, targetRow and, for the hammer,
+ * its decoy layout) on the channel of the controller it is
+ * constructed against, which must be the channel it is added to the
+ * harness on.  Like every MemAgent they sleep between their own
+ * events (the rule in attack/harness.h).
  */
 
 #ifndef PRACLEAK_ATTACK_AGENTS_H
@@ -39,11 +39,8 @@ struct LatencySample
     Cycle latency = 0;
 };
 
-/**
- * Spy that measures its own memory-access latency continuously.
- * Asleep exactly while its read is in flight.
- */
-class ProbeAgent : public MemAgent
+/** Spy that measures its own memory-access latency continuously. */
+class ProbeAgent : public AttackerAgent
 {
   public:
     /**
@@ -57,12 +54,7 @@ class ProbeAgent : public MemAgent
     ProbeAgent(const MemoryController &mem,
                const AttackerConfig &config, bool record_all = true);
 
-    void tick(MemoryController &mem, Cycle now) override;
-
     const std::vector<LatencySample> &samples() const { return samples_; }
-
-    /** Number of completed probe reads. */
-    std::uint64_t completed() const { return completed_; }
 
     /** Latency (cycles) above which a sample counts as an RFM spike. */
     static Cycle spikeThreshold();
@@ -74,12 +66,14 @@ class ProbeAgent : public MemAgent
     Cycle lastSpikeAt() const { return lastSpikeAt_; }
 
     /** Forget accumulated samples (keeps the in-flight read). */
-    void clearSamples();
+    void clearSamples() { samples_.clear(); }
 
   private:
+    std::optional<Addr> next(MemoryController &) override { return addr_; }
+    void onComplete(const Request &done, std::uint64_t) override;
+
     Addr addr_;
     bool recordAll_;
-    std::uint64_t completed_ = 0;
     std::vector<LatencySample> samples_;
     Cycle lastSpikeAt_ = 0;
 };
@@ -93,7 +87,7 @@ class ProbeAgent : public MemAgent
  * against; the defense bake-off runs it against every registered
  * mitigation.
  */
-class FeintingAgent : public MemAgent
+class FeintingAgent : public AttackerAgent
 {
   public:
     /**
@@ -103,22 +97,19 @@ class FeintingAgent : public MemAgent
      * worst-case pool from @p mem's spec (the defense bake-off's
      * sizing).
      */
-    FeintingAgent(MemoryController &mem, const AttackerConfig &config);
-
-    void tick(MemoryController &mem, Cycle now) override;
+    FeintingAgent(const MemoryController &mem,
+                  const AttackerConfig &config);
 
   private:
-    std::uint32_t nextRow();
+    std::optional<Addr> next(MemoryController &mem) override;
 
-    MemoryController &mem_;
     std::uint32_t targetRow_;
     std::vector<std::uint32_t> pool_;
     std::size_t cursor_ = 0;
-    std::uint32_t outstanding_ = 0;
 };
 
 /** Trojan-side activation engine. */
-class HammerAgent : public MemAgent
+class HammerAgent : public AttackerAgent
 {
   public:
     /**
@@ -131,12 +122,16 @@ class HammerAgent : public MemAgent
     HammerAgent(const MemoryController &mem,
                 const AttackerConfig &config);
 
-    void tick(MemoryController &mem, Cycle now) override;
-
     /** Begin a burst of @p target_acts activations of the target. */
     void startHammer(std::uint32_t target_acts);
 
-    /** Abort the current burst. */
+    /**
+     * Hammer in bursts of @p target_acts, each begun as soon as the
+     * previous one drains (the registry's oblivious "hammer").
+     */
+    void repeat(std::uint32_t target_acts);
+
+    /** Abort the current burst and any repeat. */
     void stop();
 
     /** Whether the requested burst has fully completed. */
@@ -146,13 +141,8 @@ class HammerAgent : public MemAgent
     std::uint32_t targetActsDone() const { return targetDone_; }
 
   private:
-    Addr nextAddress();
-
-    /** Re-derive asleep_ after any change to the burst state. */
-    void updateSleep();
-
-    /** Reads kept in flight: 2 saturates the bank's tRC pipeline. */
-    static constexpr std::uint32_t kMaxOutstanding = 2;
+    std::optional<Addr> next(MemoryController &) override;
+    void onComplete(const Request &done, std::uint64_t) override;
 
     Addr targetAddr_;
     std::vector<Addr> decoyAddrs_;
@@ -162,7 +152,7 @@ class HammerAgent : public MemAgent
     std::size_t decoyIdx_ = 0;
     std::uint32_t targetBudget_ = 0;   //!< target reads left to issue
     std::uint32_t targetDone_ = 0;
-    std::uint32_t outstanding_ = 0;
+    std::uint32_t repeatActs_ = 0;     //!< repeat()'s burst; 0 = none
 };
 
 } // namespace pracleak

@@ -7,7 +7,6 @@
 #include "attack/harness.h"
 #include "attack/visible_bus.h"
 #include "common/log.h"
-#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -37,108 +36,56 @@ CovertResult::errorRate() const
            static_cast<double>(symbolsSent);
 }
 
-ControllerConfig
-covertControllerConfig(const CovertParams &params)
+namespace {
+
+AttackSetup
+covertSetup(const CovertParams &params)
 {
-    ControllerConfig config;
-    config.refreshEnabled = params.refreshEnabled;
-    // The paper's attack evaluation runs on UPRAC, whose idealized
-    // queue mitigates the true per-bank maximum on every RFM.  (A
-    // single-entry queue is empty for the 2nd..4th RFM of an Alert
-    // burst -- nothing activates while the channel is blocked -- so
-    // decoy rows would accumulate stale counts.)
-    config.prac.queue = QueueKind::Ideal;
-    config.tbRfm.windowCycles = params.tbWindowCycles;
-    config.randomRfmPerTrefi = params.randomRfmPerTrefi;
-    DramSpec spec = params.spec;
-    spec.prac.nbo = params.nbo;
-    configureDefense(config, params.defense, spec);
+    ControllerConfig controller;
+    controller.tbRfm.windowCycles = params.tbWindowCycles;
+    controller.randomRfmPerTrefi = params.randomRfmPerTrefi;
+    return attackSetup(params.spec, params.defense, params.nbo,
+                       params.nmit, params.refreshEnabled, controller);
+}
+
+/** A receiver-side RFM detector probe: row 3 of flat bank @p bank. */
+AttackerConfig
+detectorRow(std::uint32_t bank)
+{
+    AttackerConfig config;
+    config.targetBank = bank;
+    config.targetRow = 3;
     return config;
 }
 
-namespace {
-
-DramSpec
-covertSpec(const CovertParams &params)
-{
-    DramSpec spec = params.spec;
-    spec.prac.nbo = params.nbo;
-    spec.prac.nmit = params.nmit;
-    return spec;
-}
-
 /**
- * Receiver-side RFM detector.  Probes one row in each of two ranks:
- * a per-rank refresh delays only one probe, while an RFMab (which
- * blocks the whole channel) delays both within a tight coincidence
- * window.  This filters refresh-induced false spikes without any
- * timing calibration.
+ * Receiver-side RFM detection over two probes, one in each of two
+ * ranks: a per-rank refresh delays only one probe, while an RFMab
+ * (which blocks the whole channel) delays both within a tight
+ * coincidence window.  This filters refresh-induced false spikes
+ * without any timing calibration.  Whether some spike of @p a
+ * completed since @p since within 500 ns of some spike of @p b;
+ * per-rank refreshes are staggered ~975 ns apart and never coincide.
  */
-class RfmDetector : public MemAgent
+bool
+rfmSince(const ProbeAgent &a, const ProbeAgent &b, Cycle since)
 {
-  public:
-    explicit RfmDetector(const MemoryController &mem)
-        : probeA_(mem, probeRow(0), false),
-          probeB_(mem, probeRow(mem.dram().spec().org.banksPerRank()),
-                  false)
-    {
-    }
-
-    void
-    tick(MemoryController &mem, Cycle now) override
-    {
-        probeA_.tick(mem, now);
-        probeB_.tick(mem, now);
-    }
-
-    /**
-     * Whether a coincident (channel-wide) spike completed since
-     * @p since: some spike of probe A within 500 ns of some spike of
-     * probe B.  Per-rank refreshes are staggered ~975 ns apart and
-     * never coincide.
-     */
-    bool
-    rfmSince(Cycle since) const
-    {
-        const Cycle window = nsToCycles(500);
-        for (const auto &sa : probeA_.samples()) {
-            if (sa.doneAt < since)
+    const Cycle window = nsToCycles(500);
+    for (const auto &sa : a.samples()) {
+        if (sa.doneAt < since)
+            continue;
+        for (const auto &sb : b.samples()) {
+            if (sb.doneAt < since)
                 continue;
-            for (const auto &sb : probeB_.samples()) {
-                if (sb.doneAt < since)
-                    continue;
-                const Cycle gap = sa.doneAt > sb.doneAt
-                                      ? sa.doneAt - sb.doneAt
-                                      : sb.doneAt - sa.doneAt;
-                if (gap <= window)
-                    return true;
-            }
+            const Cycle gap = sa.doneAt > sb.doneAt
+                                  ? sa.doneAt - sb.doneAt
+                                  : sb.doneAt - sa.doneAt;
+            if (gap <= window)
+                return true;
         }
-        return false;
     }
-
-    /** Drop accumulated spike samples (start of a new window). */
-    void
-    clear()
-    {
-        probeA_.clearSamples();
-        probeB_.clearSamples();
-    }
-
-  private:
-    /** Row 3 of flat bank @p bank. */
-    static AttackerConfig
-    probeRow(std::uint32_t bank)
-    {
-        AttackerConfig config;
-        config.targetBank = bank;
-        config.targetRow = 3;
-        return config;
-    }
-
-    ProbeAgent probeA_; //!< first bank of rank 0
-    ProbeAgent probeB_; //!< first bank of rank 1
-};
+    return false;
+}
 
 /**
  * Count-channel receiver: serially re-activates the shared row
@@ -152,7 +99,7 @@ class CountReceiver : public MemAgent
     CountReceiver(const AddressMapper &mapper,
                   const DramAddress &shared_row,
                   const DramAddress &decoy_row, Cycle spike_threshold)
-        : sharedAddr_(mapper.compose(shared_row)),
+        : MemAgent(1), sharedAddr_(mapper.compose(shared_row)),
           decoyAddr_(mapper.compose(decoy_row)),
           threshold_(spike_threshold)
     {
@@ -167,45 +114,40 @@ class CountReceiver : public MemAgent
         actsDone_ = 0;
         maxActs_ = max_acts;
         nextIsShared_ = true;
+        wake();
     }
 
     void disarm() { active_ = false; }
 
     bool spikeSeen() const { return spikeSeen_; }
     std::uint32_t actsAtSpike() const { return actsAtSpike_; }
-    std::uint32_t actsDone() const { return actsDone_; }
+
+  private:
+    std::optional<Addr>
+    next(MemoryController &) override
+    {
+        if (!active_ || spikeSeen_ || actsDone_ >= maxActs_)
+            return std::nullopt;
+        const bool shared = nextIsShared_;
+        nextIsShared_ = !shared;
+        return shared ? sharedAddr_ : decoyAddr_;
+    }
 
     void
-    tick(MemoryController &mem, Cycle) override
+    onComplete(const Request &done, std::uint64_t) override
     {
-        if (!active_ || inFlight_ || spikeSeen_ || actsDone_ >= maxActs_)
-            return;
-
-        const bool is_shared = nextIsShared_;
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = is_shared ? sharedAddr_ : decoyAddr_;
-        req.onComplete = [this, is_shared](const Request &done) {
-            inFlight_ = false;
-            if (is_shared)
-                ++actsDone_;
-            if (!spikeSeen_ && done.latency() >= threshold_) {
-                spikeSeen_ = true;
-                actsAtSpike_ = actsDone_;
-            }
-        };
-        if (mem.enqueue(std::move(req))) {
-            inFlight_ = true;
-            nextIsShared_ = !nextIsShared_;
+        if (done.addr == sharedAddr_)
+            ++actsDone_;
+        if (!spikeSeen_ && done.latency() >= threshold_) {
+            spikeSeen_ = true;
+            actsAtSpike_ = actsDone_;
         }
     }
 
-  private:
     Addr sharedAddr_;
     Addr decoyAddr_;
     Cycle threshold_;
     bool active_ = false;
-    bool inFlight_ = false;
     bool nextIsShared_ = true;
     bool spikeSeen_ = false;
     std::uint32_t actsDone_ = 0;
@@ -226,29 +168,33 @@ std::vector<CovertResult>
 runActivityCovertParallel(const CovertParams &params,
                           const std::vector<std::vector<bool>> &messages)
 {
-    const DramSpec spec = covertSpec(params);
+    const AttackSetup setup = covertSetup(params);
+    const DramSpec &spec = setup.spec;
     const auto channels = static_cast<std::uint32_t>(messages.size());
-    AttackHarness harness(spec, covertControllerConfig(params),
-                          channels);
+    AttackHarness harness(spec, setup.controller, channels);
 
-    // One sender/receiver pair per channel; the sender hammers a
-    // private bank (flat bank 18 = rank 0, bg 4, bank 2, with decoys
-    // at rows 0x200..0x203), far from its channel's detector rows.
+    // One sender/receiver pair per channel.  The receiver's two
+    // detector probes (rfmSince()) read the first bank of rank 0 and
+    // of rank 1; the sender hammers a private bank (flat bank 18 =
+    // rank 0, bg 4, bank 2, with decoys at rows 0x200..0x203), far
+    // from its channel's detector rows.
     AttackerConfig sender_config;
     sender_config.poolSize = 4;
     sender_config.burstSpacing = 0x100;
     sender_config.targetBank = 18;
     sender_config.targetRow = 0x100;
-    std::vector<std::unique_ptr<RfmDetector>> detectors;
+    std::vector<std::unique_ptr<ProbeAgent>> detectors; // two per channel
     std::vector<std::unique_ptr<HammerAgent>> senders;
     for (std::uint32_t c = 0; c < channels; ++c) {
-        detectors.push_back(
-            std::make_unique<RfmDetector>(harness.mem(c)));
+        MemoryController &mem = harness.mem(c);
+        for (const std::uint32_t bank : {0u, spec.org.banksPerRank()}) {
+            detectors.push_back(std::make_unique<ProbeAgent>(
+                mem, detectorRow(bank), false));
+            harness.add(detectors.back().get(), c);
+        }
         senders.push_back(
-            std::make_unique<HammerAgent>(harness.mem(c), sender_config));
-
-        harness.add(detectors[c].get(), c);
-        harness.add(senders[c].get(), c);
+            std::make_unique<HammerAgent>(mem, sender_config));
+        harness.add(senders.back().get(), c);
     }
 
     // Settle caches/row state and the first refresh rounds.
@@ -274,7 +220,8 @@ runActivityCovertParallel(const CovertParams &params,
         for (std::uint32_t c = 0; c < channels; ++c) {
             if (i >= messages[c].size())
                 continue;
-            detectors[c]->clear();
+            detectors[2 * c]->clearSamples();
+            detectors[2 * c + 1]->clearSamples();
             if (messages[c][i])
                 senders[c]->startHammer(params.nbo +
                                         spec.prac.aboAct + 4);
@@ -285,7 +232,8 @@ runActivityCovertParallel(const CovertParams &params,
             if (i >= messages[c].size())
                 continue;
             const bool bit = messages[c][i];
-            const bool decoded = detectors[c]->rfmSince(start);
+            const bool decoded =
+                rfmSince(*detectors[2 * c], *detectors[2 * c + 1], start);
             CovertResult &result = results[c];
             result.sent.push_back(bit ? 1 : 0);
             result.decoded.push_back(decoded ? 1 : 0);
@@ -305,8 +253,9 @@ CovertResult
 runCountCovert(const CovertParams &params,
                const std::vector<std::uint32_t> &symbols)
 {
-    const DramSpec spec = covertSpec(params);
-    AttackHarness harness(spec, covertControllerConfig(params));
+    const AttackSetup setup = covertSetup(params);
+    const DramSpec &spec = setup.spec;
+    AttackHarness harness(spec, setup.controller);
     const AddressMapper &mapper = harness.mem().mapper();
 
     // Sender and receiver share one physical row (different columns),

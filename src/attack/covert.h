@@ -112,9 +112,6 @@ runActivityCovertParallel(const CovertParams &params,
 CovertResult runCountCovert(const CovertParams &params,
                             const std::vector<std::uint32_t> &symbols);
 
-/** Build a ControllerConfig for the given channel parameters. */
-ControllerConfig covertControllerConfig(const CovertParams &params);
-
 } // namespace pracleak
 
 #endif // PRACLEAK_ATTACK_COVERT_H

@@ -7,23 +7,34 @@
  * memory controller directly with cycle-stepped *agents* -- exactly
  * how the paper runs spy/trojan/victim traces in Ramulator2.
  *
+ * Every agent is a MemAgent: it keeps up to a depth of reads in
+ * flight against a row schedule of its own and watches their
+ * latencies.  The base owns that loop, the in-flight count, the start
+ * cycle and the one sleep rule; an agent supplies next() and,
+ * optionally, a completion hook.
+ *
  * The harness can own several interleaved channels (one controller
  * per channel); each agent is pinned to one channel, which is how
  * cross-channel experiments place a victim and a spy on different
  * PRAC engines.  The default is the classic single-channel harness.
  *
  * The agents are the actors of an EventClock (mem/event_clock.h),
- * due while awake (MemAgent::asleep()).  step() ticks the awake
- * agents and moves every channel one cycle, ticking only the
- * controllers with work; run() and runUntil() also jump over spans in
- * which every agent sleeps and no channel has work.  The result is
- * bit-identical to ticking every agent and every channel every cycle
+ * due from MemAgent::wakeAt() on.  step() ticks the due agents and
+ * moves every channel one cycle, ticking only the controllers with
+ * work; run() and runUntil() also jump over spans in which every
+ * agent sleeps and no channel has work.  The result is bit-identical
+ * to ticking every agent and every channel every cycle
  * (src/mem/DESIGN.md, "Drivers"; src/attack/DESIGN.md).
+ *
+ * attackSetup() builds the memory system the attack experiments run
+ * on.
  */
 
 #ifndef PRACLEAK_ATTACK_HARNESS_H
 #define PRACLEAK_ATTACK_HARNESS_H
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/log.h"
@@ -34,31 +45,81 @@
 
 namespace pracleak {
 
-/** A process-like actor issuing memory requests each cycle. */
+/**
+ * An actor that keeps up to a depth of reads in flight against a row
+ * schedule: the spy, trojan, victim or adversary of an experiment.
+ *
+ * The sleep rule: after a tick the agent sleeps while depth reads are
+ * in flight or next() had nothing to issue, and it wakes when one of
+ * its reads completes or its owner calls wake().  Only a refused
+ * enqueue (a full queue) leaves it due, to retry next cycle.  So
+ * next() may answer "nothing" only from state that a completion or a
+ * waking owner call changes.
+ */
 class MemAgent
 {
   public:
     virtual ~MemAgent() = default;
 
-    /**
-     * Called once per cycle, before any channel advances past
-     * @p now, unless the agent is asleep().  The controller state it
-     * sees equals what a per-cycle tick() loop would show.  A tick of
-     * an asleep agent must change nothing, so a loop that ticks every
-     * agent every cycle stays a valid reference.
-     */
-    virtual void tick(MemoryController &mem, Cycle now) = 0;
+    // Its reads' completion callbacks hold the agent's address.
+    MemAgent(const MemAgent &) = delete;
+    MemAgent &operator=(const MemAgent &) = delete;
 
     /**
-     * Whether tick() would change nothing until one of this agent's
-     * own completion callbacks runs or its owner calls into it.  The
-     * agent alone sets the flag, so agents that never touch it tick
-     * every cycle.
+     * Issue reads while fewer than depth are in flight and the
+     * controller takes them, then apply the sleep rule.  Called
+     * before any channel advances past @p now.  A tick before
+     * wakeAt() changes nothing, so a loop that ticks every agent
+     * every cycle stays a valid reference.
      */
-    bool asleep() const { return asleep_; }
+    void tick(MemoryController &mem, Cycle now);
+
+    /**
+     * The cycle the agent is due from: its start while awake,
+     * kNeverCycle while asleep.
+     */
+    Cycle wakeAt() const { return wakeAt_; }
+
+    /** Reads completed so far. */
+    std::uint64_t completed() const { return issued_ - inFlight_; }
 
   protected:
-    bool asleep_ = false;
+    /**
+     * Keep up to @p depth reads in flight from cycle @p start on
+     * (AttackerConfig::phase).
+     */
+    explicit MemAgent(std::uint32_t depth, Cycle start = 0)
+        : depth_(depth), start_(start), wakeAt_(start)
+    {
+    }
+
+    /**
+     * The address of the next read, asked only when the controller
+     * will take it; nullopt when there is nothing to issue.
+     */
+    virtual std::optional<Addr> next(MemoryController &mem) = 0;
+
+    /** Read number seq (0-based, in issue order) completed as done. */
+    virtual void onComplete(const Request & /* done */,
+                            std::uint64_t /* seq */)
+    {
+    }
+
+    /** Make the agent due again (from its start on). */
+    void wake() { wakeAt_ = start_; }
+
+    /** Change the depth; a change made by next() applies next tick. */
+    void setDepth(std::uint32_t depth) { depth_ = depth; }
+
+    std::uint32_t inFlight() const { return inFlight_; }
+    std::uint64_t issued() const { return issued_; }
+
+  private:
+    std::uint32_t depth_;
+    std::uint32_t inFlight_ = 0;
+    std::uint64_t issued_ = 0;
+    Cycle start_;
+    Cycle wakeAt_;
 };
 
 /** Owns one controller per channel and steps agents against them. */
@@ -104,8 +165,8 @@ class AttackHarness
     }
 
     /**
-     * One cycle: tick every agent that is not asleep() at now(), then
-     * advance every channel to now() + 1.
+     * One cycle: tick every agent due at now(), then advance every
+     * channel to now() + 1.
      */
     void step() { clock_.step(agents_); }
 
@@ -123,8 +184,7 @@ class AttackHarness
         MemAgent *agent;
         MemoryController *mem;
 
-        /** Due at every cycle while awake, never while asleep. */
-        Cycle nextEventAt() const { return agent->asleep() ? kNeverCycle : 0; }
+        Cycle nextEventAt() const { return agent->wakeAt(); }
         void tick(Cycle now) { agent->tick(*mem, now); }
     };
 
@@ -132,6 +192,24 @@ class AttackHarness
     EventClock clock_;
     std::vector<Pinned> agents_;
 };
+
+/** The memory system an attack experiment runs on. */
+struct AttackSetup
+{
+    DramSpec spec;
+    ControllerConfig controller;
+};
+
+/**
+ * The paper's attack set-up: @p spec at NBO @p nbo and NMit @p nmit,
+ * UPRAC's idealised mitigation queue, refresh on or off, and
+ * @p defense configured for that spec.  Knobs already set in
+ * @p controller that configureDefense() keeps (a TB-Window, the
+ * obfuscation rate) stay.
+ */
+AttackSetup attackSetup(DramSpec spec, const std::string &defense,
+                        std::uint32_t nbo, std::uint32_t nmit,
+                        bool refresh, ControllerConfig controller = {});
 
 } // namespace pracleak
 

@@ -8,7 +8,6 @@
 #include "attack/visible_bus.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -91,7 +90,7 @@ class AesVictim : public MemAgent
   public:
     AesVictim(const AddressMapper &mapper, const Aes128T::Key &key,
               std::uint8_t p0, int encryptions, std::uint64_t seed)
-        : mapper_(mapper), aes_(key), p0_(p0),
+        : MemAgent(1), mapper_(mapper), aes_(key), p0_(p0),
           remaining_(encryptions), rng_(seed)
     {
         aes_.setAccessHook([this](int table, std::uint8_t index,
@@ -103,30 +102,20 @@ class AesVictim : public MemAgent
 
     bool done() const { return remaining_ == 0 && queue_.empty(); }
 
-    void
-    tick(MemoryController &mem, Cycle) override
+  private:
+    std::optional<Addr>
+    next(MemoryController &) override
     {
-        if (inFlight_)
-            return;
         if (queue_.empty()) {
             if (remaining_ == 0)
-                return;
-            runOneEncryption();
+                return std::nullopt;
+            runOneEncryption(); // always queues four Te0 lookups
         }
-        if (queue_.empty())
-            return;
-
-        Request req;
-        req.type = ReqType::Read;
-        req.addr = queue_.front();
-        req.onComplete = [this](const Request &) { inFlight_ = false; };
-        if (mem.enqueue(std::move(req))) {
-            queue_.pop_front();
-            inFlight_ = true;
-        }
+        const Addr addr = queue_.front();
+        queue_.pop_front();
+        return addr;
     }
 
-  private:
     void
     runOneEncryption()
     {
@@ -148,7 +137,6 @@ class AesVictim : public MemAgent
     Rng rng_;
     std::vector<int> pendingLines_;
     std::deque<Addr> queue_;
-    bool inFlight_ = false;
 };
 
 /**
@@ -158,19 +146,28 @@ class AesVictim : public MemAgent
 class SideProber : public MemAgent
 {
   public:
+    // Two reads stay in flight so the probe activates at the bank's
+    // full row-cycle rate; the controller's ABOACT budget (3 ACTs)
+    // then binds before the 180 ns window does, which makes the
+    // spike's distance from the trigger deterministic.
     SideProber(const AddressMapper &mapper, Cycle spike_threshold,
                bool record_timeline)
-        : threshold_(spike_threshold), recordTimeline_(record_timeline)
+        : MemAgent(2), threshold_(spike_threshold),
+          recordTimeline_(record_timeline)
     {
         for (int line = 0; line < 16; ++line)
             addrs_[line] = mapper.compose(te0Row(line, kAttackerCol));
     }
 
-    void arm() { active_ = true; }
+    void
+    arm()
+    {
+        active_ = true;
+        wake();
+    }
 
     bool spikeSeen() const { return spikeSeen_; }
     int spikeIndex() const { return spikeIndex_; }
-    int completedReads() const { return completed_; }
     const std::vector<LatencySample> &timeline() const
     {
         return timeline_;
@@ -181,89 +178,54 @@ class SideProber : public MemAgent
     actsToRow(int row) const
     {
         // Round-robin: reads i with i % 16 == row.
-        return static_cast<std::uint32_t>((completed_ + 15 - row) / 16);
-    }
-
-    void
-    tick(MemoryController &mem, Cycle) override
-    {
-        // Two reads stay in flight so the probe activates at the
-        // bank's full row-cycle rate; the controller's ABOACT budget
-        // (3 ACTs) then binds before the 180 ns window does, which
-        // makes the spike's distance from the trigger deterministic.
-        while (active_ && !spikeSeen_ && outstanding_ < 2) {
-            const int idx = issued_;
-            Request req;
-            req.type = ReqType::Read;
-            req.addr = addrs_[idx % 16];
-            req.onComplete = [this, idx](const Request &done) {
-                --outstanding_;
-                ++completed_;
-                if (recordTimeline_)
-                    timeline_.push_back(
-                        LatencySample{done.completed, done.latency()});
-                if (!spikeSeen_ && done.latency() >= threshold_) {
-                    spikeSeen_ = true;
-                    spikeIndex_ = idx;
-                }
-            };
-            if (!mem.enqueue(std::move(req)))
-                return;
-            ++outstanding_;
-            ++issued_;
-        }
+        return static_cast<std::uint32_t>((completed() + 15 - row) / 16);
     }
 
   private:
+    std::optional<Addr>
+    next(MemoryController &) override
+    {
+        if (!active_ || spikeSeen_)
+            return std::nullopt;
+        return addrs_[issued() % 16];
+    }
+
+    void
+    onComplete(const Request &done, std::uint64_t seq) override
+    {
+        if (recordTimeline_)
+            timeline_.push_back(
+                LatencySample{done.completed, done.latency()});
+        if (!spikeSeen_ && done.latency() >= threshold_) {
+            spikeSeen_ = true;
+            spikeIndex_ = static_cast<int>(seq);
+        }
+    }
+
     std::array<Addr, 16> addrs_{};
     Cycle threshold_;
     bool recordTimeline_;
     bool active_ = false;
-    std::uint32_t outstanding_ = 0;
     bool spikeSeen_ = false;
     int spikeIndex_ = -1;
-    int issued_ = 0;
-    int completed_ = 0;
     std::vector<LatencySample> timeline_;
 };
-
-ControllerConfig
-sideChannelConfig(const SideChannelParams &params)
-{
-    ControllerConfig config;
-    config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
-    config.tbRfm.windowCycles = params.tbWindowCycles;
-    DramSpec spec = params.spec;
-    spec.prac.nbo = params.nbo;
-    configureDefense(config, params.defense, spec);
-    return config;
-}
 
 } // namespace
 
 SideChannelResult
 runAesSideChannel(const SideChannelParams &params)
 {
-    DramSpec spec = params.spec;
-    spec.prac.nbo = params.nbo;
-    spec.prac.nmit = params.nmit;
+    const int lag =
+        params.probeLag < 0 ? calibrateProbeLag(params) : params.probeLag;
 
-    int lag = params.probeLag;
-    if (lag < 0) {
-        SideChannelParams cal = params;
-        cal.probeLag = 0;
-        cal.key = Aes128T::Key{}; // all-zero key
-        cal.p0 = 0;               // => true trigger row is 0
-        cal.defense = "abo-only";
-        cal.recordTimeline = false;
-        const SideChannelResult dry = runAesSideChannel(cal);
-        if (dry.spikeObserved)
-            lag = (dry.spikeProbeIndex % 16 + 16 - 0) % 16;
-        else
-            lag = 0;
-    }
-
-    AttackHarness harness(spec, sideChannelConfig(params));
+    ControllerConfig controller;
+    controller.tbRfm.windowCycles = params.tbWindowCycles;
+    const AttackSetup setup = attackSetup(
+        params.spec, params.defense, params.nbo, params.nmit, true,
+        controller);
+    const DramSpec &spec = setup.spec;
+    AttackHarness harness(spec, setup.controller);
     const AddressMapper &mapper = harness.mem().mapper();
 
     ActRecorder recorder(mapper, params.recordTimeline);

@@ -128,27 +128,17 @@ class FifoOverflowAgent : public MemAgent
   public:
     FifoOverflowAgent(std::uint32_t target_row,
                       std::uint32_t threshold)
-        : targetRow_(target_row), threshold_(threshold)
+        : MemAgent(2), targetRow_(target_row), threshold_(threshold)
     {
-    }
-
-    void
-    tick(MemoryController &mem, Cycle) override
-    {
-        while (outstanding_ < 2) {
-            Request req;
-            req.addr = mem.mapper().compose(
-                DramAddress{0, 0, 0, nextRow(), 0});
-            req.onComplete = [this](const Request &) {
-                --outstanding_;
-            };
-            if (!mem.enqueue(std::move(req)))
-                return;
-            ++outstanding_;
-        }
     }
 
   private:
+    std::optional<Addr>
+    next(MemoryController &mem) override
+    {
+        return mem.mapper().compose(DramAddress{0, 0, 0, nextRow(), 0});
+    }
+
     std::uint32_t
     nextRow()
     {
@@ -170,7 +160,6 @@ class FifoOverflowAgent : public MemAgent
     std::uint32_t targetRow_;
     std::uint32_t threshold_;
     std::uint32_t step_ = 0;
-    std::uint32_t outstanding_ = 0;
 };
 
 QueueKind
@@ -227,7 +216,7 @@ attackQueue(QueueKind queue, std::uint32_t nbo, double window_scale)
     const std::uint64_t act_w =
         std::max<std::uint64_t>(actsPerWindow(window_ns, fp), 1);
     const auto pool = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        maxActsPerTrefw(window_ns, fp) / act_w, 2048));
+        optimalPool(window_ns, act_w, fp), 2048));
 
     AttackHarness harness(spec, config);
     // Registry-style construction: the pool is pinned explicitly

@@ -66,15 +66,11 @@ Fig3Row
 characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
                 double window_ms)
 {
-    DramSpec spec = DramSpec::ddr5_8000b();
-    spec.prac.nbo = nbo;
-    spec.prac.nmit = nmit;
-
-    ControllerConfig config;
-    config.mitigation = "abo-only";
-    config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
-    config.refreshEnabled = false;        // isolate ABO effects
-    AttackHarness harness(spec, config);
+    // Refresh off isolates the ABO effects.
+    const AttackSetup setup = attackSetup(DramSpec::ddr5_8000b(),
+                                          "abo-only", nbo, nmit, false);
+    const DramSpec &spec = setup.spec;
+    AttackHarness harness(spec, setup.controller);
 
     // Registry-style construction (attack/adversaries.h): flat bank
     // 18 is (rank 0, group 4, bank 2); burstSpacing doubles as the
@@ -95,13 +91,9 @@ characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
     harness.add(&probe);
     harness.add(&victim);
 
-    const Cycle end = nsToCycles(window_ms * 1.0e6);
-    while (harness.now() < end) {
-        if (with_victim && victim.done())
-            victim.startHammer(spec.prac.nbo + spec.prac.aboAct + 4);
-        harness.runUntil([&] { return with_victim && victim.done(); },
-                         end - harness.now());
-    }
+    if (with_victim)
+        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+    harness.run(nsToCycles(window_ms * 1.0e6));
 
     Fig3Row row;
     double baseSum = 0.0;

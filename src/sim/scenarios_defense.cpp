@@ -107,15 +107,12 @@ runLeakExperiment(const std::string &defense,
                   double phase_ms, int bursts,
                   SeriesSim *series = nullptr)
 {
-    DramSpec spec = specByName(spec_name);
-    spec.prac.nbo = nbo;
-
-    ControllerConfig config;
-    config.prac.queue = QueueKind::Ideal; // UPRAC, as in fig03
-    config.refreshEnabled = false;        // isolate mitigation events
-    configureDefense(config, defense, spec);
-
-    AttackHarness harness(spec, config);
+    const DramSpec base = specByName(spec_name);
+    // Refresh off isolates the mitigation events.
+    const AttackSetup setup =
+        attackSetup(base, defense, nbo, base.prac.nmit, false);
+    const DramSpec &spec = setup.spec;
+    AttackHarness harness(spec, setup.controller);
     MemoryController &mem = harness.mem();
 
     // Reuse the observer an armed `--series-out` capture attached in
@@ -158,13 +155,8 @@ runLeakExperiment(const std::string &defense,
         if (series)
             telemetry::SeriesCapture::markOnWindow(harness.now(),
                                                    on_end);
-        while (harness.now() < on_end) {
-            if (victim.done())
-                victim.startHammer(spec.prac.nbo + spec.prac.aboAct +
-                                   4);
-            harness.runUntil([&] { return victim.done(); },
-                             on_end - harness.now());
-        }
+        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+        harness.run(phase);
         victim.stop();
         harness.run(phase);
     }

@@ -154,18 +154,13 @@ sidechannelCrossChannel()
         .constant("window_ms", 1.0);
 
     scenario.runPoint = [](const ParamSet &params) {
-        DramSpec spec = DramSpec::ddr5_8000b();
-        spec.prac.nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
-        spec.prac.nmit =
-            static_cast<std::uint32_t>(params.getInt("nmit"));
-
-        ControllerConfig config;
-        config.mitigation = "abo-only";
-        config.prac.queue = QueueKind::Ideal;
-        config.refreshEnabled = false; // isolate ABO effects
-
-        AttackHarness harness(spec, config, 2);
+        // Refresh off isolates the ABO effects.
+        const AttackSetup setup = attackSetup(
+            DramSpec::ddr5_8000b(), "abo-only",
+            static_cast<std::uint32_t>(params.getInt("nbo")),
+            static_cast<std::uint32_t>(params.getInt("nmit")), false);
+        const DramSpec &spec = setup.spec;
+        AttackHarness harness(spec, setup.controller, 2);
         const std::uint32_t probe_channel =
             params.getString("probe") == "same-channel" ? 0 : 1;
 
@@ -185,15 +180,8 @@ sidechannelCrossChannel()
         harness.add(&probe, probe_channel);
         harness.add(&victim, 0);
 
-        const Cycle end =
-            nsToCycles(params.getDouble("window_ms") * 1.0e6);
-        while (harness.now() < end) {
-            if (victim.done())
-                victim.startHammer(spec.prac.nbo +
-                                   spec.prac.aboAct + 4);
-            harness.runUntil([&] { return victim.done(); },
-                             end - harness.now());
-        }
+        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+        harness.run(nsToCycles(params.getDouble("window_ms") * 1.0e6));
 
         std::uint64_t spikes = 0;
         for (const auto &sample : probe.samples())

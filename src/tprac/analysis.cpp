@@ -73,17 +73,20 @@ maxActsPerTrefw(double window_ns, const FeintingParams &p)
 }
 
 std::uint64_t
+optimalPool(double window_ns, std::uint64_t acts_per_window,
+            const FeintingParams &p)
+{
+    return std::min<std::uint64_t>(
+        maxActsPerTrefw(window_ns, p) / acts_per_window, p.rowsPerBank);
+}
+
+std::uint64_t
 tmaxWithReset(double window_ns, const FeintingParams &p)
 {
     const std::uint64_t act_w = actsPerWindow(window_ns, p);
     if (act_w == 0)
         return 0;
-    // Eq. 5: the optimal pool equals the number of mitigations that
-    // can possibly occur before the counters reset.
-    const std::uint64_t opt_r1 =
-        std::min<std::uint64_t>(maxActsPerTrefw(window_ns, p) / act_w,
-                                p.rowsPerBank);
-    return targetActivations(opt_r1, act_w);
+    return targetActivations(optimalPool(window_ns, act_w, p), act_w);
 }
 
 std::uint64_t

@@ -61,6 +61,15 @@ std::uint64_t targetActivations(std::uint64_t r1,
 std::uint64_t maxActsPerTrefw(double window_ns, const FeintingParams &p);
 
 /**
+ * The optimal initial Feinting pool (Eq. 5): the number of
+ * mitigations that fit in one tREFW when @p acts_per_window (non-zero)
+ * ACTs separate consecutive TB-RFMs, capped at the bank's rows.
+ */
+std::uint64_t optimalPool(double window_ns,
+                          std::uint64_t acts_per_window,
+                          const FeintingParams &p);
+
+/**
  * TMAX with per-tREFW counter reset: the pool is bounded by the number
  * of mitigations that fit in one window (Eq. 5).
  */

@@ -3,9 +3,8 @@
  * The per-cycle reference the event-driven drivers are checked
  * against: every cycle, every actor ticks, then every channel
  * tick()s.  System reaches it through System::run's Advance seam;
- * replay's reference is rebuilt here from replayTrace's public pieces.
- * The attack harness's reference is the loop in runLeakShape
- * (tests/test_eventqueue.cpp), which ticks the agents itself.
+ * replay's reference is rebuilt here from replayTrace's public pieces;
+ * the attack harness's is step() below, which ticks the agents itself.
  */
 
 #ifndef PRACLEAK_TESTS_LOCKSTEP_H
@@ -15,8 +14,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "attack/harness.h"
 #include "cpu/replay_core.h"
 #include "cpu/system.h"
 #include "mem/channel_stats.h"
@@ -35,6 +36,25 @@ advance(EventClock &clock, std::vector<TraceCore> &cores, Cycle)
         core.tick(now);
     for (std::size_t c = 0; c < clock.channelCount(); ++c)
         clock.channel(c).tick();
+}
+
+/** Agents, each with the channel it is pinned to, in tick order. */
+using PinnedAgents = std::vector<std::pair<MemAgent *, std::uint32_t>>;
+
+/**
+ * AttackHarness::step() on the reference: every agent ticks, asleep
+ * or not, then every one of the harness's @p channels tick()s.  The
+ * agents must not be add()ed to @p harness.
+ */
+inline void
+step(AttackHarness &harness, const PinnedAgents &agents,
+     std::uint32_t channels)
+{
+    const Cycle now = harness.now();
+    for (const auto &[agent, channel] : agents)
+        agent->tick(harness.mem(channel), now);
+    for (std::uint32_t c = 0; c < channels; ++c)
+        harness.mem(c).tick();
 }
 
 /** sim::runOne on the reference. */

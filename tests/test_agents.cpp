@@ -146,6 +146,28 @@ TEST(HammerAgentTest, StopAbortsBurst)
     EXPECT_LE(hammer.targetActsDone(), at_stop + 2);
 }
 
+TEST(HammerAgentTest, RepeatRestartsEachDrainedBurstUntilStop)
+{
+    DramSpec spec = DramSpec::ddr5_8000b();
+    spec.prac.nbo = 100000; // never alert
+    AttackHarness harness(spec, quietConfig());
+    HammerAgent hammer(harness.mem(), hammerRow(2));
+    harness.add(&hammer);
+
+    hammer.repeat(50);
+    harness.run(nsToCycles(50000));
+    // Several 50-ACT bursts ran back to back.
+    EXPECT_GT(harness.mem().prac().counters().get(18, 0x100), 150u);
+
+    hammer.stop();
+    harness.run(nsToCycles(5000)); // the in-flight tail drains
+    const std::uint32_t at_stop =
+        harness.mem().prac().counters().get(18, 0x100);
+    harness.run(nsToCycles(50000));
+    EXPECT_TRUE(hammer.done());
+    EXPECT_EQ(harness.mem().prac().counters().get(18, 0x100), at_stop);
+}
+
 TEST(HammerAgentTest, RateApproachesBankPipelineLimit)
 {
     const DramSpec spec = DramSpec::ddr5_8000b();

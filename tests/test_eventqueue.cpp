@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,9 +117,9 @@ enum class Drive
  * The defense_matrix_leakage shape with refresh on: a victim hammers
  * bank 18 of channel 0 in ON/OFF bursts while a same-bank probe
  * watches on channel 0 and a bank-0 probe on the last channel.
- * Drive::Lockstep is the reference loop, local because it ticks the
- * agents itself; the other two drive the harness.  fullSteps is
- * counted per step, so Drive::Run leaves it 0.
+ * Drive::Lockstep is the reference, lockstep::step(); the other two
+ * drive the harness.  fullSteps is counted per step, so Drive::Run
+ * leaves it 0.
  */
 HarnessRun
 runLeakShape(const std::string &defense, std::uint32_t channels,
@@ -159,22 +160,17 @@ runLeakShape(const std::string &defense, std::uint32_t channels,
     far_config.targetRow = 3;
     ProbeAgent far_probe(harness.mem(last), far_config);
 
-    const std::vector<std::pair<MemAgent *, std::uint32_t>> agents = {
+    const lockstep::PinnedAgents agents = {
         {&victim, 0}, {&near_probe, 0}, {&far_probe, last}};
     if (drive != Drive::Lockstep)
         for (const auto &[agent, channel] : agents)
             harness.add(agent, channel);
     auto step = [&] {
         run.fullSteps += !harness.mem().canAccept();
-        if (drive == Drive::Step) {
+        if (drive == Drive::Step)
             harness.step();
-            return;
-        }
-        const Cycle now = harness.now();
-        for (const auto &[agent, channel] : agents)
-            agent->tick(harness.mem(channel), now);
-        for (std::uint32_t c = 0; c < channels; ++c)
-            harness.mem(c).tick();
+        else
+            lockstep::step(harness, agents, channels);
     };
 
     const Cycle phase = nsToCycles(20'000);
@@ -290,6 +286,103 @@ TEST(EventQueue, AttackHarnessRunPathMatchesLockstep)
     for (const HarnessRun &run : expectHarnessMatchesLockstep(
              Drive::Run, ControllerConfig{}.queueCapacity))
         EXPECT_GT(run.jumped, run.endCycle / 2);
+}
+
+/** What the attacker table compares of one run. */
+struct AttackerRun
+{
+    std::vector<IssuedCommand> commands;
+    std::uint32_t maxCounter = 0;
+    std::uint64_t alerts = 0;
+    Cycle jumped = 0;
+    Cycle endCycle = 0;
+};
+
+/**
+ * Registry attacker @p name, from a non-zero phase, against the
+ * defense it targets (tprac for the oblivious ones) with refresh on,
+ * on a queue of @p queue_capacity, for 60 us moved by @p drive
+ * (Drive::Run: one run()).  Its command stream must be timing-clean.
+ */
+AttackerRun
+runAttacker(const std::string &name, std::size_t queue_capacity,
+            Drive drive)
+{
+    const std::string target = findAttacker(name)->targetDefense;
+    DramSpec spec = DramSpec::ddr5_8000b();
+    spec.prac.nbo = 256;
+    ControllerConfig config;
+    config.queueCapacity = queue_capacity;
+    configureDefense(config, target.empty() ? "tprac" : target, spec);
+
+    // Declared before the harness: its trace sink writes into both.
+    AttackerRun run;
+    TimingChecker checker(spec);
+    AttackHarness harness(spec, config);
+    harness.mem().dram().setTraceSink(
+        [&run, &checker](const Command &cmd, Cycle now) {
+            run.commands.push_back(IssuedCommand{
+                cmd.type, cmd.rank, cmd.bankGroup, cmd.bank, cmd.row,
+                cmd.col, now});
+            checker.observe(cmd, now);
+        });
+
+    AttackerConfig attacker_config;
+    attacker_config.phase = 5000;
+    const std::unique_ptr<AttackerAgent> attacker =
+        attackerByName(name, attacker_config, harness.mem());
+    const lockstep::PinnedAgents agents = {{attacker.get(), 0}};
+    if (drive != Drive::Lockstep)
+        harness.add(attacker.get());
+    const Cycle cycles = nsToCycles(60'000);
+    if (drive == Drive::Run) {
+        harness.run(cycles);
+    } else {
+        for (Cycle i = 0; i < cycles; ++i) {
+            if (drive == Drive::Step)
+                harness.step();
+            else
+                lockstep::step(harness, agents, 1);
+        }
+    }
+
+    EXPECT_TRUE(checker.clean()) << checker.violations().front();
+    run.maxCounter = harness.mem().prac().counters().maxEverSeen();
+    run.alerts = harness.mem().prac().alerts();
+    run.jumped = harness.jumped();
+    run.endCycle = harness.now();
+    return run;
+}
+
+/**
+ * Every registry attacker through step() and run(), on the default
+ * queue and on a two-entry one that refuses most of its enqueues,
+ * against the per-cycle reference: the same commands, hottest row,
+ * alerts and end cycle.  run() must also jump, which it can only do
+ * while the attacker is not due: before its phase, or asleep.
+ */
+TEST(EventQueue, EveryAttackerMatchesLockstep)
+{
+    for (const std::string &name : attackerNames()) {
+        for (const std::size_t capacity :
+             {std::size_t{64}, std::size_t{2}}) {
+            SCOPED_TRACE(name + " on a " + std::to_string(capacity) +
+                         "-entry queue");
+            const AttackerRun reference =
+                runAttacker(name, capacity, Drive::Lockstep);
+            EXPECT_FALSE(reference.commands.empty());
+            for (const Drive drive : {Drive::Step, Drive::Run}) {
+                const AttackerRun driven =
+                    runAttacker(name, capacity, drive);
+                EXPECT_TRUE(reference.commands == driven.commands);
+                EXPECT_EQ(reference.maxCounter, driven.maxCounter);
+                EXPECT_EQ(reference.alerts, driven.alerts);
+                EXPECT_EQ(reference.endCycle, driven.endCycle);
+                if (drive == Drive::Run)
+                    EXPECT_GT(driven.jumped, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

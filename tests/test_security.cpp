@@ -60,10 +60,7 @@ TEST_P(FeintingVsTprac, NoRowEverReachesNbo)
     const double window_ns = cyclesToNs(config.tbRfm.windowCycles);
     const std::uint64_t act_w = actsPerWindow(window_ns, fp);
     const auto pool = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::min<std::uint64_t>(
-            maxActsPerTrefw(window_ns, fp) /
-                std::max<std::uint64_t>(act_w, 1),
-            fp.rowsPerBank),
+        optimalPool(window_ns, std::max<std::uint64_t>(act_w, 1), fp),
         2048));
 
     FeintingAgent attacker(harness.mem(), feinting(pool));

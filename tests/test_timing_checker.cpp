@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <string>
+#include <vector>
 
 #include "attack/harness.h"
 #include "common/rng.h"
@@ -134,14 +135,17 @@ class ControllerTimingProperty
 {
 };
 
-/** Chaotic requester hitting random rows across a few banks. */
-class RandomAgent : public MemAgent
+/**
+ * Chaotic requester hitting random rows across a few banks with reads
+ * and writes (a MemAgent issues only reads, so the test ticks it).
+ */
+class RandomAgent
 {
   public:
     explicit RandomAgent(std::uint64_t seed) : rng_(seed) {}
 
     void
-    tick(MemoryController &mem, Cycle) override
+    tick(MemoryController &mem)
     {
         if (outstanding_ >= 8)
             return;
@@ -164,6 +168,18 @@ class RandomAgent : public MemAgent
     std::uint32_t outstanding_ = 0;
 };
 
+/** @p cycles cycles of @p agents' traffic, each ticked every cycle. */
+void
+runRandomTraffic(AttackHarness &harness, std::vector<RandomAgent> &agents,
+                 Cycle cycles)
+{
+    for (const Cycle end = harness.now() + cycles; harness.now() < end;) {
+        for (RandomAgent &agent : agents)
+            agent.tick(harness.mem());
+        harness.step();
+    }
+}
+
 TEST_P(ControllerTimingProperty, RandomTrafficIsTimingClean)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
@@ -184,12 +200,10 @@ TEST_P(ControllerTimingProperty, RandomTrafficIsTimingClean)
             checker.observe(cmd, now);
         });
 
-    RandomAgent agent_a(1), agent_b(2), agent_c(3);
-    harness.add(&agent_a);
-    harness.add(&agent_b);
-    harness.add(&agent_c);
-
-    harness.run(nsToCycles(200000)); // ~50 tREFI of chaos
+    std::vector<RandomAgent> agents = {RandomAgent(1), RandomAgent(2),
+                                       RandomAgent(3)};
+    runRandomTraffic(harness, agents,
+                     nsToCycles(200000)); // ~50 tREFI of chaos
 
     EXPECT_TRUE(checker.clean())
         << checker.violations().size() << " violations, first: "
@@ -228,10 +242,8 @@ TEST(ControllerTiming, TpracPerBankRandomTrafficIsClean)
             checker.observe(cmd, now);
         });
 
-    RandomAgent agent_a(4), agent_b(5);
-    harness.add(&agent_a);
-    harness.add(&agent_b);
-    harness.run(nsToCycles(150000));
+    std::vector<RandomAgent> agents = {RandomAgent(4), RandomAgent(5)};
+    runRandomTraffic(harness, agents, nsToCycles(150000));
 
     EXPECT_TRUE(checker.clean()) << checker.violations().front();
     EXPECT_GT(harness.mem().dram().issueCount(CmdType::RFMpb), 100u);
