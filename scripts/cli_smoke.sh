@@ -2,11 +2,14 @@
 # CLI contract smoke: every verb has exactly one spelling (a
 # subcommand), the retired flat flags, `status`, `merge` and `--shard`
 # are rejected, numeric flag values are checked, an empty flag value
-# is refused, and unknown subcommands / flags / scenarios exit 2 with
-# a "did you mean" hint instead of being silently ignored.  record and
-# replay run through the sweep runner: --jobs works, a grid axis they
-# lack is an unknown-axis error, and a sweep flag they cannot honour
-# exits 2.  An explicit --set beats a --try-set on the same axis.
+# is refused, a --set value must fit its axis's kind, and unknown
+# subcommands / flags / scenarios exit 2 with a "did you mean" hint
+# instead of being silently ignored.  record and replay run through
+# the sweep runner: --jobs works, a grid axis they lack is an
+# unknown-axis error, and a sweep flag they cannot honour is an
+# unknown option.  An explicit --set beats a --try-set on the same
+# axis.  Each command accepts exactly the flags `pracbench help`
+# lists for it.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -118,6 +121,26 @@ expect_reject "did you mean 'attacker.pool_size'" \
 expect_reject "did you mean 'tprac'" \
     "${PRACBENCH}" run defense_matrix_leakage --smoke --set mitigation=tprc
 
+echo "==> a --set/--try-set value must fit its axis, before any point runs"
+expect_reject "axis 'nrh' takes a non-negative integer, got 'abc'" \
+    "${PRACBENCH}" run fig10_performance --smoke --set nrh=abc
+expect_reject "axis 'nrh' takes a non-negative integer, got '-5'" \
+    "${PRACBENCH}" run fig10_performance --smoke --set nrh=-5
+expect_reject "axis 'with_victim' takes true or false, got 'yes'" \
+    "${PRACBENCH}" run fig03_timing_variation --smoke --set with_victim=yes
+expect_reject "axis 'window_ms' takes a number, got 'abc'" \
+    "${PRACBENCH}" run fig03_timing_variation --smoke --try-set window_ms=abc
+"${PRACBENCH}" run fig03_timing_variation --smoke --quiet --no-table \
+    --set window_ms=1 --out "${OUT_DIR}/window_ms.json"
+python3 - "${OUT_DIR}/window_ms.json" <<'PY'
+import json
+import sys
+
+axis = json.load(open(sys.argv[1]))["grid"]["window_ms"]
+if axis != [1]:
+    sys.exit(f"error: --set window_ms=1 ran {axis}")
+PY
+
 echo "==> an explicit --set beats a --try-set on the same axis"
 "${PRACBENCH}" run defense_matrix_leakage --smoke --quiet --no-table \
     --set mitigation=para --try-set mitigation=tprac \
@@ -142,9 +165,9 @@ TRACE="${TRACES}/h_rand_heavy.trc"
 python3 -m json.tool "${OUT_DIR}/replay.json" > /dev/null
 
 echo "==> record/replay flags take effect or exit 2"
-expect_reject "--no-table do not apply" \
+expect_reject "unknown option" \
     "${PRACBENCH}" record "${TRACES}" --no-table
-expect_reject "--smoke do not apply" \
+expect_reject "unknown option" \
     "${PRACBENCH}" replay "${TRACE}" --smoke
 expect_reject "unknown axis 'nbo'" \
     "${PRACBENCH}" replay "${TRACE}" --set nbo=3
@@ -154,5 +177,58 @@ expect_reject "unknown axis 'nrh'" \
     "${PRACBENCH}" record "${TRACES}" --set nrh=1024
 expect_reject "takes exactly one value" \
     "${PRACBENCH}" record "${TRACES}" --set measure=1000,2000
+
+echo "==> each command takes exactly the flags help lists for it"
+# Every spelling help lists for any command, tried on every command
+# with no positional argument (so nothing runs) and a dummy value
+# where the flag takes one: listed for the command means it is not
+# an unknown option there, listed only for others means it is.
+python3 - "${PRACBENCH}" "${OUT_DIR}" <<'PY'
+import os
+import re
+import subprocess
+import sys
+
+pracbench, cwd = os.path.abspath(sys.argv[1]), sys.argv[2]
+usage = subprocess.run([pracbench, "help"], capture_output=True,
+                       text=True, check=True).stdout
+commands, flags, section = [], {}, None
+for line in usage.splitlines():
+    if line == "commands:":
+        section = "commands"
+    elif match := re.fullmatch(r"(\w+) options:", line):
+        section = match.group(1)
+        flags[section] = {}
+    elif not line:
+        section = None
+    elif section == "commands" and (match := re.match(r"  (\w+)", line)):
+        commands.append(match.group(1))
+    elif section in flags and (
+            match := re.match(r"  (--[\w-]+)(?:/(-\w))?( \S+)?", line)):
+        for spelling in filter(None, match.group(1, 2)):
+            flags[section][spelling] = match.group(3) is not None
+
+if len(commands) < 7 or len(flags) < 5 or not all(flags.values()):
+    sys.exit(f"error: cannot read commands/flags from help: {commands} "
+             f"{flags}")
+takes = {spelling: value for listed in flags.values()
+         for spelling, value in listed.items()}
+failures = []
+for command in commands:
+    for spelling, value in sorted(takes.items()):
+        args = [pracbench, command, spelling] + (["x=1"] if value else [])
+        run = subprocess.run(args, capture_output=True, text=True, cwd=cwd)
+        unknown = "unknown option" in run.stderr
+        if unknown == (spelling in flags.get(command, {})):
+            failures.append(f"{' '.join(args[1:])}: exit {run.returncode}: "
+                            f"{run.stderr.strip()}")
+    for spelling in ("--help", "-h"):
+        if subprocess.run([pracbench, command, spelling],
+                          capture_output=True, cwd=cwd).returncode != 0:
+            failures.append(f"{command} {spelling} did not exit 0")
+if failures:
+    sys.exit("error: help and parser disagree:\n  " + "\n  ".join(failures))
+print(f"    {len(commands)} commands x {len(takes)} spellings agree")
+PY
 
 echo "cli smoke passed"

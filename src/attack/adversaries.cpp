@@ -527,8 +527,7 @@ attackerByName(const std::string &name, const AttackerConfig &config,
         // The security matrix's direct hammer: bursts just past the
         // ABO contract, back to back.
         auto hammer = std::make_unique<HammerAgent>(mem, effective);
-        const PracParams &prac = mem.dram().spec().prac;
-        hammer->repeat(prac.nbo + prac.aboAct + 4);
+        hammer->repeat(pastContractBurst(mem.dram().spec().prac));
         return hammer;
     }
     if (name == "feinting")

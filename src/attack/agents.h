@@ -155,6 +155,34 @@ class HammerAgent : public AttackerAgent
     std::uint32_t repeatActs_ = 0;     //!< repeat()'s burst; 0 = none
 };
 
+/**
+ * Target ACTs of a hammer burst just past the ABO contract: the
+ * registry's oblivious "hammer", the activity covert sender and the
+ * leak victim all hammer in bursts of this length.
+ */
+inline std::uint32_t
+pastContractBurst(const PracParams &prac)
+{
+    return prac.aboContract() + 4;
+}
+
+/**
+ * The leak victim's placement, which the activity covert sender
+ * shares: flat bank 18 (rank 0, bank group 4, bank 2), target row
+ * 0x100, and 4 decoys at rows 0x200..0x203 (burstSpacing doubles as
+ * the decoy stride).
+ */
+inline AttackerConfig
+leakVictimPlacement()
+{
+    AttackerConfig config;
+    config.targetBank = 18;
+    config.targetRow = 0x100;
+    config.poolSize = 4;
+    config.burstSpacing = 0x100;
+    return config;
+}
+
 } // namespace pracleak
 
 #endif // PRACLEAK_ATTACK_AGENTS_H

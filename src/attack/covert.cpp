@@ -175,14 +175,9 @@ runActivityCovertParallel(const CovertParams &params,
 
     // One sender/receiver pair per channel.  The receiver's two
     // detector probes (rfmSince()) read the first bank of rank 0 and
-    // of rank 1; the sender hammers a private bank (flat bank 18 =
-    // rank 0, bg 4, bank 2, with decoys at rows 0x200..0x203), far
-    // from its channel's detector rows.
-    AttackerConfig sender_config;
-    sender_config.poolSize = 4;
-    sender_config.burstSpacing = 0x100;
-    sender_config.targetBank = 18;
-    sender_config.targetRow = 0x100;
+    // of rank 1; the sender hammers where the leak victim does (flat
+    // bank 18), far from its channel's detector rows.
+    const AttackerConfig sender_config = leakVictimPlacement();
     std::vector<std::unique_ptr<ProbeAgent>> detectors; // two per channel
     std::vector<std::unique_ptr<HammerAgent>> senders;
     for (std::uint32_t c = 0; c < channels; ++c) {
@@ -223,8 +218,7 @@ runActivityCovertParallel(const CovertParams &params,
             detectors[2 * c]->clearSamples();
             detectors[2 * c + 1]->clearSamples();
             if (messages[c][i])
-                senders[c]->startHammer(params.nbo +
-                                        spec.prac.aboAct + 4);
+                senders[c]->startHammer(pastContractBurst(spec.prac));
         }
         harness.run(window);
         for (std::uint32_t c = 0; c < channels; ++c) {

@@ -94,6 +94,13 @@ struct PracParams
     /** Min ACTs after the RFM burst before the next Alert (== nmit). */
     std::uint32_t aboDelay() const { return nmit; }
 
+    /**
+     * The ABO contract: the highest activation count a row may reach,
+     * NBO plus the ABOACT allowance the controller may still issue
+     * before the RFM lands.
+     */
+    std::uint32_t aboContract() const { return nbo + aboAct; }
+
     /** Victim rows refreshed per RFM per bank (blast radius coverage). */
     std::uint32_t victimsPerMitigation = 4;
 };

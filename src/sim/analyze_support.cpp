@@ -1,10 +1,12 @@
 #include "sim/analyze_support.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/json.h"
 #include "telemetry/io.h"
@@ -13,11 +15,26 @@ namespace pracleak::sim {
 
 namespace {
 
+/**
+ * @p value as a count; throws std::invalid_argument naming @p key
+ * unless it is a non-negative integer (a negative or text count
+ * would wrap into a huge one).
+ */
+std::uint64_t
+asCount(const JsonValue &value, const std::string &key)
+{
+    if (value.kind() != JsonValue::Kind::Int || value.asInt() < 0)
+        throw std::invalid_argument("'" + key +
+                                    "' is not a non-negative integer: " +
+                                    value.dump());
+    return static_cast<std::uint64_t>(value.asInt());
+}
+
 std::uint64_t
 fieldU64(const JsonValue &row, const char *key)
 {
     const JsonValue *value = row.get(key);
-    return value ? static_cast<std::uint64_t>(value->asInt()) : 0;
+    return value ? asCount(*value, key) : 0;
 }
 
 bool
@@ -30,14 +47,15 @@ parseHeader(const JsonValue &line, SeriesSim &sim)
     sim.windowCycles = fieldU64(line, "window_cycles");
     sim.channels = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(fieldU64(line, "channels"), 1));
-    if (const JsonValue *bank = line.get("victim_bank"))
-        sim.victimBank = bank->asInt();
+    if (line.has("victim_bank"))
+        sim.victimBank =
+            static_cast<std::int64_t>(fieldU64(line, "victim_bank"));
     if (const JsonValue *ranges = line.get("on_windows"))
         for (const JsonValue &range : ranges->items())
             if (range.items().size() == 2)
                 sim.onWindows.emplace_back(
-                    static_cast<Cycle>(range.items()[0].asInt()),
-                    static_cast<Cycle>(range.items()[1].asInt()));
+                    asCount(range.items()[0], "on_windows"),
+                    asCount(range.items()[1], "on_windows"));
     return sim.windowCycles > 0;
 }
 
@@ -62,10 +80,17 @@ parseWindow(const JsonValue &line)
     window.qSum = fieldU64(line, "q_sum");
     window.qMax = fieldU64(line, "q_max");
     if (const JsonValue *banks = line.get("rfm_pb_banks"))
-        for (const auto &[bank, count] : banks->members())
-            window.rfmPbBanks[static_cast<std::uint32_t>(
-                std::stoul(bank))] =
-                static_cast<std::uint64_t>(count.asInt());
+        for (const auto &[bank, rfms] : banks->members()) {
+            std::uint32_t index = 0;
+            const char *end = bank.data() + bank.size();
+            const auto [stop, error] =
+                std::from_chars(bank.data(), end, index);
+            if (error != std::errc() || stop != end)
+                throw std::invalid_argument(
+                    "'rfm_pb_banks' key '" + bank +
+                    "' is not a bank number");
+            window.rfmPbBanks[index] = asCount(rfms, "rfm_pb_banks");
+        }
     return window;
 }
 
@@ -112,40 +137,35 @@ loadSeriesFile(const std::string &path, std::string *error)
         ++line_no;
         if (line.empty())
             continue;
-        std::string parse_error;
-        const JsonValue value = parseJson(line, &parse_error);
-        if (!parse_error.empty()) {
+        // Every malformed line is one `path:line: what` error.
+        try {
+            std::string parse_error;
+            const JsonValue value = parseJson(line, &parse_error);
+            if (!parse_error.empty())
+                throw std::invalid_argument(parse_error);
+            const JsonValue *kind = value.get("kind");
+            const std::string kind_name = kind ? kind->asString() : "";
+            if (kind_name == "header") {
+                SeriesSim sim;
+                if (!parseHeader(value, sim))
+                    throw std::invalid_argument(
+                        "header without window_cycles");
+                sims.push_back(std::move(sim));
+            } else if (kind_name == "window") {
+                if (sims.empty())
+                    throw std::invalid_argument(
+                        "window line before any header");
+                sims.back().windows.push_back(parseWindow(value));
+            } else if (kind_name != "summary") {
+                // Summaries are for humans and spot checks; the
+                // analyzer recomputes everything from the windows.
+                throw std::invalid_argument("unknown record kind '" +
+                                            kind_name + "'");
+            }
+        } catch (const std::invalid_argument &bad) {
             if (error)
                 *error = path + ":" + std::to_string(line_no) + ": " +
-                         parse_error;
-            return sims;
-        }
-        const JsonValue *kind = value.get("kind");
-        const std::string kind_name = kind ? kind->asString() : "";
-        if (kind_name == "header") {
-            SeriesSim sim;
-            if (!parseHeader(value, sim)) {
-                if (error)
-                    *error = path + ":" + std::to_string(line_no) +
-                             ": header without window_cycles";
-                return sims;
-            }
-            sims.push_back(std::move(sim));
-        } else if (kind_name == "window") {
-            if (sims.empty()) {
-                if (error)
-                    *error = path + ":" + std::to_string(line_no) +
-                             ": window line before any header";
-                return sims;
-            }
-            sims.back().windows.push_back(parseWindow(value));
-        } else if (kind_name == "summary") {
-            // Summaries are for humans and spot checks; the analyzer
-            // recomputes everything from the window lines.
-        } else {
-            if (error)
-                *error = path + ":" + std::to_string(line_no) +
-                         ": unknown record kind '" + kind_name + "'";
+                         bad.what();
             return sims;
         }
     }

@@ -1,10 +1,51 @@
 #include "sim/param_grid.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "sim/suggest.h"
 
 namespace pracleak::sim {
+
+namespace {
+
+/**
+ * Throw std::invalid_argument unless @p value fits the kind @p axis
+ * was declared with: a non-negative integer for an integer axis
+ * (every one is a count, a row, a key byte, a seed or a budget), a
+ * finite number for a double axis, true/false for a boolean one.
+ * The getters would coerce anything else into a wrong sweep
+ * (strtoll("abc") is 0, asBool("yes") is false).  String axes keep
+ * their scenarios' own checks.
+ */
+void
+checkKind(const ParamAxis &axis, const JsonValue &value)
+{
+    using Kind = JsonValue::Kind;
+    const auto declared = [&axis](bool (*test)(const JsonValue &)) {
+        return std::all_of(axis.values.begin(), axis.values.end(), test);
+    };
+    const char *kind = nullptr;
+    bool fits = true;
+    if (declared([](const JsonValue &v) { return v.kind() == Kind::Int; })) {
+        kind = "a non-negative integer";
+        fits = value.kind() == Kind::Int && value.asInt() >= 0;
+    } else if (declared([](const JsonValue &v) { return v.isNumber(); })) {
+        kind = "a number";
+        fits = value.isNumber() && std::isfinite(value.asDouble());
+    } else if (declared(
+                   [](const JsonValue &v) { return v.kind() == Kind::Bool; })) {
+        kind = "true or false";
+        fits = value.kind() == Kind::Bool;
+    }
+    if (!fits)
+        throw std::invalid_argument("ParamGrid: axis '" + axis.name +
+                                    "' takes " + kind + ", got '" +
+                                    value.asString() + "'");
+}
+
+} // namespace
 
 void
 ParamSet::add(const std::string &name, JsonValue value)
@@ -142,6 +183,8 @@ ParamGrid::overrideAxis(const std::string &name,
                                     "' has no values");
     for (auto &axis : axes_) {
         if (axis.name == name) {
+            for (const JsonValue &value : values)
+                checkKind(axis, value);
             axis.values = std::move(values);
             return;
         }

@@ -80,8 +80,11 @@ class ParamGrid
 
     /**
      * Replace the values of an existing axis; throws
-     * std::invalid_argument when no such axis is declared (catches
-     * CLI typos instead of silently sweeping the wrong thing).
+     * std::invalid_argument when no such axis is declared, or when a
+     * value does not fit the kind the axis was declared with (a
+     * non-negative integer, a number, or true/false; string axes
+     * take any value) -- catches CLI typos instead of silently
+     * sweeping the wrong thing.
      */
     void overrideAxis(const std::string &name,
                       std::vector<JsonValue> values);

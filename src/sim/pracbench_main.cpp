@@ -11,6 +11,12 @@
  *   pracbench record traces/ --workload h_rand_heavy
  *   pracbench replay traces/h_rand_heavy.trc --set mitigation=none,tprac
  *
+ * Each flag is declared once, as a row of kFlags: its spellings, the
+ * value it takes, its help line, the commands that take it and what
+ * it sets in Cli.  Each command is a row of kCommands.  One parse
+ * loop serves every command, and `pracbench help` is printed from
+ * the two tables, so the help cannot drift from what is accepted.
+ *
  * Every verb has exactly one spelling.  Unknown flags and subcommands
  * are hard errors with a "did you mean" hint, a numeric flag value
  * that is not a number in range is rejected, and so is an empty flag
@@ -24,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -47,139 +54,6 @@ using namespace pracleak::sim;
 using pracleak::telemetry::writeAtomic;
 
 namespace {
-
-void
-printUsage()
-{
-    std::string knobs;
-    for (const pracleak::AttackerField &field : pracleak::kAttackerFields)
-        if (field.tunable)
-            knobs += (knobs.empty() ? "" : ", ") + std::string(field.name);
-    std::printf(
-        "usage: pracbench COMMAND [options]\n"
-        "\n"
-        "commands:\n"
-        "  run NAME...            run scenarios ('all' runs every "
-        "one)\n"
-        "  list                   list registered scenarios, "
-        "defenses, and attackers\n"
-        "  search SCENARIO        successive-halving attacker-knob "
-        "search against one\n"
-        "                         defense; SCENARIO supplies the "
-        "evaluation universe\n"
-        "                         (its spec/nbo/window_ms constants), "
-        "e.g.\n"
-        "                         defense_matrix_adaptive\n"
-        "  record DIR             record memory-request traces into "
-        "DIR/<name>.trc\n"
-        "  replay FILE            replay a recorded trace against "
-        "fresh defenses\n"
-        "  analyze SERIES...      offline leakage analysis over "
-        "--series-out files:\n"
-        "                         burst detection and ON/OFF "
-        "distinguishability of\n"
-        "                         the bus-visible mitigation "
-        "traffic, per defense\n"
-        "  help                   this message\n"
-        "\n"
-        "run options:\n"
-        "  --jobs N               worker threads, 0-4096 (default 0: "
-        "hardware\n"
-        "                         concurrency)\n"
-        "  --out PATH             write JSON results; a .json path "
-        "for a single\n"
-        "                         scenario, else a directory "
-        "(NAME.json per scenario)\n"
-        "  --csv PATH             same for CSV output\n"
-        "  --set AXIS=V1[,V2...]  override a grid axis (repeatable; "
-        "unknown axes error)\n"
-        "  --try-set AXIS=V1[,..] like --set, but skipped when the "
-        "scenario has no such axis\n"
-        "  --checkpoint DIR       journal each completed sweep point "
-        "under DIR as\n"
-        "                         workers finish (overwrites an "
-        "existing journal\n"
-        "                         unless --resume is given)\n"
-        "  --resume               with --checkpoint: skip points "
-        "already journaled by\n"
-        "                         an earlier (killed) run and merge "
-        "their rows back in\n"
-        "  --smoke                one-point sweep with a tiny "
-        "budget (CI smoke)\n"
-        "  --quiet                suppress per-point progress lines\n"
-        "  --no-table             skip the text tables on stdout\n"
-        "  --trace-out PATH       write a Chrome trace-event JSON "
-        "of the sweep\n"
-        "                         (Perfetto-loadable: one lane per "
-        "worker, a span\n"
-        "                         per point; single scenario only)\n"
-        "  --series-out PATH      write the windowed command-bus "
-        "time series of\n"
-        "                         every simulation the sweep runs "
-        "(JSONL, or CSV\n"
-        "                         when PATH ends in .csv; single "
-        "scenario only);\n"
-        "                         with --trace-out, ACT/RFM counter "
-        "lanes are\n"
-        "                         merged into the trace\n"
-        "  --log-level LEVEL      quiet|warn|info|debug or 0-9 "
-        "(default: warn)\n"
-        "\n"
-        "search options:\n"
-        "  --target-defense D     defense under attack (required; "
-        "see `pracbench list`)\n"
-        "  --attacker NAME        attacker whose knobs are walked "
-        "(default: the\n"
-        "                         defense-matched adversary)\n"
-        "  --budget N             candidate configurations, "
-        "including the oblivious\n"
-        "                         baseline (default: the scenario's "
-        "'budget' constant)\n"
-        "  --rounds N             successive-halving rounds, 0-32; the "
-        "last runs the\n"
-        "                         full window (default: the scenario's "
-        "'rounds'\n"
-        "                         constant)\n"
-        "  --seed S               candidate-sampling seed\n"
-        "  --set attacker.K=V     pin knob K to V >= 1 instead of "
-        "sampling it, K one of\n"
-        "                         %s;\n"
-        "                         --set attacker=NAME is an alias for "
-        "--attacker\n"
-        "  --out FILE.json        write the search result JSON "
-        "(default: stdout)\n"
-        "  --jobs/--checkpoint/--resume/--quiet  as for run; the "
-        "result is\n"
-        "                         byte-identical at any jobs width "
-        "and across a\n"
-        "                         kill + --resume cycle\n"
-        "\n"
-        "record options: --workload NAME (repeatable), --jobs N, "
-        "--set/--try-set AXIS=V\n"
-        "                (workload, mitigation, spec, nbo, warmup, "
-        "measure, channels,\n"
-        "                cores; one value each except workload), "
-        "--smoke (one workload),\n"
-        "                --quiet, --trace-out PATH, --series-out PATH\n"
-        "replay options: --jobs N, --set mitigation=A,B, --verify, "
-        "--out FILE.json,\n"
-        "                --no-table, --quiet, --trace-out PATH, "
-        "--series-out PATH\n"
-        "\n"
-        "analyze options:\n"
-        "  --defense-matrix       also print/emit the per-defense "
-        "worst-case\n"
-        "                         summary (the defense_matrix_"
-        "leakage verdicts)\n"
-        "  --out FILE.json        write verdicts (and summary) as "
-        "JSON\n"
-        "  --no-table             skip the text tables on stdout\n"
-        "\n"
-        "Flag values are checked: an empty value, or a numeric value "
-        "that is not a\n"
-        "decimal integer in range, exits 2.\n",
-        knobs.c_str());
-}
 
 bool
 endsWith(const std::string &text, const std::string &suffix)
@@ -250,6 +124,22 @@ prepareOutputDir(const std::string &base, const char *extension,
     return true;
 }
 
+/**
+ * The --out of @p command that writes one file: it must end in .json,
+ * and its directory is created now (see prepareOutputDir()).
+ */
+bool
+prepareJsonOut(const char *command, const std::string &path)
+{
+    if (!path.empty() && !endsWith(path, ".json")) {
+        std::fprintf(stderr,
+                     "pracbench: %s --out must be a .json file path\n",
+                     command);
+        return false;
+    }
+    return prepareOutputDir(path, ".json", /*single=*/true);
+}
+
 /** "unknown X 'word' (did you mean 'hint'?)" on stderr; exits 2. */
 [[noreturn]] void
 rejectUnknown(const std::string &what, const std::string &word,
@@ -264,16 +154,31 @@ rejectUnknown(const std::string &what, const std::string &word,
     std::exit(2);
 }
 
-/** Sweep flags shared by run, record and replay. */
-struct RunCli
+/**
+ * Everything a command line can set.  Each flag's action writes its
+ * part; each command reads the parts its flags fill.
+ */
+struct Cli
 {
-    std::vector<std::string> names;
+    std::vector<std::string> positional;
+    /** --set/--try-set, --quiet, --checkpoint/--resume, telemetry. */
     RunOptions options;
+    /** --jobs as given: search's default (1) is not RunOptions' (0). */
+    std::optional<std::uint64_t> jobs;
     std::string outJson;
     std::string outCsv;
-    std::string checkpointDir;
+    std::vector<std::string> workloads;
     bool table = true;
     bool smoke = false;
+    bool verify = false;
+    bool defenseMatrix = false;
+    // search
+    std::string targetDefense;
+    std::string attacker;
+    pracleak::AttackerConfig knobs; //!< pinned by --set attacker.K=V
+    std::optional<std::uint64_t> budget;
+    std::optional<std::uint64_t> rounds;
+    std::optional<std::uint64_t> seed;
 };
 
 /** Tiny budgets for every knob a scenario might sweep (--smoke). */
@@ -303,26 +208,6 @@ applySmokeBudgets(RunOptions &options)
 }
 
 /**
- * Fetch the value after a flag; exits 2 when it is missing or empty.
- * An empty value is what an unset shell variable expands to, and
- * for a path flag it would otherwise silently mean "off".
- */
-std::string
-nextValue(const std::vector<std::string> &args, std::size_t &i,
-          const std::string &flag)
-{
-    if (i + 1 >= args.size() || args[i + 1].empty()) {
-        std::fprintf(stderr, "pracbench: %s needs a non-empty value\n",
-                     flag.c_str());
-        std::exit(2);
-    }
-    return args[++i];
-}
-
-/** Worker threads a --jobs value may ask for (0 = hardware). */
-constexpr std::uint64_t kMaxJobs = 4096;
-
-/**
  * The one integer parser behind every numeric flag: @p text as a
  * decimal integer in [0, @p max].  Anything else (empty, a sign,
  * trailing junk, overflow) exits 2 naming @p flag -- a mistyped count
@@ -346,82 +231,219 @@ parseCount(const std::string &flag, const std::string &text,
     return value;
 }
 
-/** The value after a numeric flag, checked by parseCount(). */
-std::uint64_t
-nextCount(const std::vector<std::string> &args, std::size_t &i,
-          const std::string &flag, std::uint64_t max)
+/** What a flag takes after it. */
+enum class Takes
 {
-    return parseCount(flag, nextValue(args, i, flag), max);
-}
+    Nothing,
+    Text,     //!< a non-empty text or path
+    Count,    //!< a decimal integer from 0 to Flag::max
+    Axis,     //!< AXIS=V1[,V2...]
+    LogLevel, //!< quiet|warn|info|debug or 0-9
+};
 
-/**
- * Parse the sweep flags every data-producing command shares.
- * Returns false when @p arg is not one of them (positional or a
- * command-specific flag).
- */
-bool
-parseCommonFlag(RunCli &cli, const std::vector<std::string> &args,
-                std::size_t &i)
+/** A flag's value, checked against what the flag takes. */
+struct Value
 {
-    const std::string &arg = args[i];
-    if (arg == "--jobs" || arg == "-j") {
-        cli.options.jobs =
-            static_cast<unsigned>(nextCount(args, i, arg, kMaxJobs));
-    } else if (arg == "--out" || arg == "-o") {
-        cli.outJson = nextValue(args, i, arg);
-    } else if (arg == "--csv") {
-        cli.outCsv = nextValue(args, i, arg);
-    } else if (arg == "--set" || arg == "--try-set") {
-        const std::string spec = nextValue(args, i, arg);
-        const std::size_t eq = spec.find('=');
+    std::string text;              //!< as given; Axis: the axis name
+    std::uint64_t number = 0;      //!< Count, LogLevel
+    std::vector<JsonValue> values; //!< Axis: V1, V2, ...
+};
+
+/** One bit per command that takes flags, for Flag::commands. */
+enum : unsigned
+{
+    kRun = 1,
+    kSearch = 2,
+    kRecord = 4,
+    kReplay = 8,
+    kAnalyze = 16,
+    kSweeps = kRun | kRecord | kReplay,
+};
+
+/** One flag, declared once. */
+struct Flag
+{
+    const char *name;
+    const char *alias;   //!< short spelling, or nullptr
+    Takes takes;
+    const char *metavar; //!< the value's name in help
+    std::uint64_t max;   //!< Takes::Count: the largest value
+    unsigned commands;   //!< bits of the commands that take it
+    const char *help;    //!< KNOBS: the knobs search may pin
+    void (*set)(Cli &, const Value &);
+};
+
+/** The value after @p flag at @p args[i]; exits 2 when it does not fit. */
+Value
+takeValue(const Flag &flag, const std::vector<std::string> &args,
+          std::size_t &i)
+{
+    const std::string &spelling = args[i];
+    Value value;
+    if (flag.takes == Takes::Nothing)
+        return value;
+    // An empty value is what an unset shell variable expands to, and
+    // for a path flag it would otherwise silently mean "off".
+    if (i + 1 >= args.size() || args[i + 1].empty()) {
+        std::fprintf(stderr, "pracbench: %s needs a non-empty value\n",
+                     spelling.c_str());
+        std::exit(2);
+    }
+    value.text = args[++i];
+    if (flag.takes == Takes::Count) {
+        value.number = parseCount(spelling, value.text, flag.max);
+    } else if (flag.takes == Takes::Axis) {
+        const std::size_t eq = value.text.find('=');
         if (eq == std::string::npos || eq == 0) {
-            std::fprintf(stderr,
-                         "pracbench: %s expects AXIS=V1[,V2]\n",
-                         arg.c_str());
+            std::fprintf(stderr, "pracbench: %s expects AXIS=V1[,V2]\n",
+                         spelling.c_str());
             std::exit(2);
         }
-        auto &target = arg == "--set" ? cli.options.overrides
-                                      : cli.options.softOverrides;
-        target[spec.substr(0, eq)] =
-            parseValueList(spec.substr(eq + 1));
-    } else if (arg == "--smoke") {
-        cli.smoke = true;
-    } else if (arg == "--quiet" || arg == "-q") {
-        cli.options.progress = false;
-    } else if (arg == "--no-table") {
-        cli.table = false;
-    } else if (arg == "--trace-out") {
-        cli.options.telemetry.traceOut = nextValue(args, i, arg);
-    } else if (arg == "--series-out") {
-        cli.options.telemetry.seriesOut = nextValue(args, i, arg);
-    } else if (arg == "--log-level") {
-        const std::string value = nextValue(args, i, arg);
-        const int level = pracleak::parseLogLevel(value);
+        value.values = parseValueList(value.text.substr(eq + 1));
+        value.text.resize(eq);
+    } else if (flag.takes == Takes::LogLevel) {
+        const int level = pracleak::parseLogLevel(value.text);
         if (level < 0) {
             std::fprintf(stderr,
-                         "pracbench: --log-level expects "
-                         "quiet|warn|info|debug or 0-9, got '%s'\n",
-                         value.c_str());
+                         "pracbench: %s expects quiet|warn|info|debug "
+                         "or 0-9, got '%s'\n",
+                         spelling.c_str(), value.text.c_str());
             std::exit(2);
         }
-        pracleak::setLogLevel(level);
-    } else {
-        return false;
+        value.number = static_cast<std::uint64_t>(level);
     }
-    return true;
+    return value;
 }
 
-int
-commandList(const std::vector<std::string> &args)
+/** search's `--set attacker.K=V` (pin knob K) or `--set attacker=NAME`. */
+void
+setSearchKnob(Cli &cli, const Value &value)
 {
-    for (std::size_t i = 0; i < args.size(); ++i)
-        if (args[i] == "--help" || args[i] == "-h") {
-            printUsage();
-            return 0;
-        } else {
-            rejectUnknown("option for `list`", args[i],
-                          {"--help"});
-        }
+    const std::size_t eq = value.text.find('=');
+    if (eq == std::string::npos || eq == 0) {
+        std::fprintf(stderr, "pracbench: --set expects KEY=VALUE\n");
+        std::exit(2);
+    }
+    const std::string key = value.text.substr(0, eq);
+    const std::string text = value.text.substr(eq + 1);
+    if (key == "attacker") {
+        cli.attacker = text;
+        return;
+    }
+    const std::string prefix = "attacker.";
+    const pracleak::AttackerField *field =
+        key.starts_with(prefix)
+            ? pracleak::findAttackerField(key.substr(prefix.size()))
+            : nullptr;
+    if (!field || !field->tunable) {
+        std::vector<std::string> keys = {"attacker"};
+        for (const pracleak::AttackerField &knob : pracleak::kAttackerFields)
+            if (knob.tunable)
+                keys.push_back(prefix + knob.name);
+        rejectUnknown("search --set key", key, keys);
+    }
+    const auto knob = static_cast<std::uint32_t>(
+        parseCount("--set " + key, text, UINT32_MAX));
+    if (knob == 0) {
+        // The search reads 0 as "not pinned".
+        std::fprintf(stderr,
+                     "pracbench: --set %s=0 cannot pin the knob: 0 "
+                     "leaves it sampled; pin it to 1 or more\n",
+                     key.c_str());
+        std::exit(2);
+    }
+    cli.knobs.*field->field = knob;
+}
+
+const Flag kFlags[] = {
+    {"--target-defense", nullptr, Takes::Text, "D", 0, kSearch,
+     "defense under attack (required; see `pracbench list`)",
+     [](Cli &c, const Value &v) { c.targetDefense = v.text; }},
+    {"--attacker", nullptr, Takes::Text, "NAME", 0, kSearch,
+     "attacker whose knobs are walked (default: the defense-matched one)",
+     [](Cli &c, const Value &v) { c.attacker = v.text; }},
+    {"--budget", nullptr, Takes::Count, "N", UINT32_MAX, kSearch,
+     "candidates, incl. the oblivious baseline (default: scenario's)",
+     [](Cli &c, const Value &v) { c.budget = v.number; }},
+    // Round r of R runs window / 2^(R-r): R must keep that shift
+    // inside 32 bits.
+    {"--rounds", nullptr, Takes::Count, "N", 32, kSearch,
+     "successive-halving rounds, 0-32; the last runs the full window "
+     "(default: scenario's)",
+     [](Cli &c, const Value &v) { c.rounds = v.number; }},
+    {"--seed", nullptr, Takes::Count, "S", UINT64_MAX, kSearch,
+     "candidate-sampling seed",
+     [](Cli &c, const Value &v) { c.seed = v.number; }},
+    {"--workload", "-w", Takes::Text, "NAME", 0, kRecord,
+     "record this suite workload (repeatable; default: every one)",
+     [](Cli &c, const Value &v) { c.workloads.push_back(v.text); }},
+    {"--verify", nullptr, Takes::Nothing, nullptr, 0, kReplay,
+     "exit 1 unless the recorded defense's replay matches the recording",
+     [](Cli &c, const Value &) { c.verify = true; }},
+    {"--defense-matrix", nullptr, Takes::Nothing, nullptr, 0, kAnalyze,
+     "also print/emit the per-defense worst-case summary",
+     [](Cli &c, const Value &) { c.defenseMatrix = true; }},
+    {"--jobs", "-j", Takes::Count, "N", 4096, kSweeps | kSearch,
+     "worker threads, 0-4096 (default 0: hardware concurrency; search: 1)",
+     [](Cli &c, const Value &v) {
+         c.jobs = v.number;
+         c.options.jobs = static_cast<unsigned>(v.number);
+     }},
+    {"--out", "-o", Takes::Text, "PATH", 0,
+     kRun | kSearch | kReplay | kAnalyze,
+     "write JSON to a .json file (run: or a directory, NAME.json each)",
+     [](Cli &c, const Value &v) { c.outJson = v.text; }},
+    {"--csv", nullptr, Takes::Text, "PATH", 0, kRun,
+     "same for CSV output",
+     [](Cli &c, const Value &v) { c.outCsv = v.text; }},
+    {"--set", nullptr, Takes::Axis, "AXIS=V1[,V2]", 0, kSweeps,
+     "override a grid axis (repeatable); an unknown axis, or a value "
+     "that does not fit it, exits 2",
+     [](Cli &c, const Value &v) { c.options.overrides[v.text] = v.values; }},
+    {"--try-set", nullptr, Takes::Axis, "AXIS=V1[,V2]", 0, kSweeps,
+     "like --set, but skipped when the scenario has no such axis",
+     [](Cli &c, const Value &v) {
+         c.options.softOverrides[v.text] = v.values;
+     }},
+    {"--set", nullptr, Takes::Text, "attacker.K=V", 0, kSearch,
+     "pin knob K to V >= 1 instead of sampling it, K one of KNOBS; "
+     "--set attacker=NAME is an alias for --attacker",
+     setSearchKnob},
+    {"--smoke", nullptr, Takes::Nothing, nullptr, 0, kRun | kRecord,
+     "one-point sweep with a tiny budget (CI smoke)",
+     [](Cli &c, const Value &) { c.smoke = true; }},
+    {"--quiet", "-q", Takes::Nothing, nullptr, 0, kSweeps | kSearch,
+     "suppress per-point progress lines",
+     [](Cli &c, const Value &) { c.options.progress = false; }},
+    {"--no-table", nullptr, Takes::Nothing, nullptr, 0,
+     kRun | kReplay | kAnalyze, "skip the text tables on stdout",
+     [](Cli &c, const Value &) { c.table = false; }},
+    {"--trace-out", nullptr, Takes::Text, "PATH", 0, kSweeps,
+     "write a Chrome trace-event JSON of the sweep (Perfetto-loadable; "
+     "one scenario only)",
+     [](Cli &c, const Value &v) { c.options.telemetry.traceOut = v.text; }},
+    {"--series-out", nullptr, Takes::Text, "PATH", 0, kSweeps,
+     "write every simulation's command-bus time series (JSONL, or CSV "
+     "for a .csv PATH; one scenario only)",
+     [](Cli &c, const Value &v) { c.options.telemetry.seriesOut = v.text; }},
+    {"--log-level", nullptr, Takes::LogLevel, "LEVEL", 0, kSweeps,
+     "quiet|warn|info|debug or 0-9 (default: warn)",
+     [](Cli &, const Value &v) {
+         pracleak::setLogLevel(static_cast<int>(v.number));
+     }},
+    {"--checkpoint", nullptr, Takes::Text, "DIR", 0, kRun | kSearch,
+     "journal each completed point under DIR (overwritten unless --resume)",
+     [](Cli &c, const Value &v) { c.options.checkpoint.directory = v.text; }},
+    {"--resume", nullptr, Takes::Nothing, nullptr, 0, kRun | kSearch,
+     "with --checkpoint: skip points an earlier (killed) run journaled",
+     [](Cli &c, const Value &) { c.options.checkpoint.resume = true; }},
+};
+
+int
+commandList(Cli &cli)
+{
+    if (!cli.positional.empty())
+        rejectUnknown("option for `list`", cli.positional[0], {"--help"});
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
     std::printf("%-28s %7s  %s\n", "scenario", "points", "tags");
     for (const Scenario *scenario : registry.all()) {
@@ -469,66 +491,42 @@ checkAxisValues(const RunOptions &options, const std::string &axis,
 }
 
 int
-commandRun(const std::vector<std::string> &args)
+commandRun(Cli &cli)
 {
-    RunCli cli;
-    static const std::vector<std::string> known = {
-        "--jobs",       "--out",       "--csv",
-        "--set",        "--try-set",   "--smoke",
-        "--quiet",      "--no-table",  "--checkpoint",
-        "--resume",     "--trace-out", "--series-out",
-        "--log-level",  "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (parseCommonFlag(cli, args, i))
-            continue;
-        if (arg == "--checkpoint") {
-            cli.checkpointDir = nextValue(args, i, arg);
-        } else if (arg == "--resume") {
-            cli.options.checkpoint.resume = true;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `run`", arg, known);
-        } else {
-            cli.names.push_back(arg);
-        }
-    }
-
     if (cli.smoke)
         applySmokeBudgets(cli.options);
     checkAxisValues(cli.options, "mitigation",
                     pracleak::mitigationNames());
-    if (cli.options.checkpoint.resume && cli.checkpointDir.empty()) {
+    const std::string &checkpointDir = cli.options.checkpoint.directory;
+    if (cli.options.checkpoint.resume && checkpointDir.empty()) {
         std::fprintf(stderr,
                      "pracbench: --resume requires --checkpoint\n");
         return 2;
     }
-    cli.options.checkpoint.directory = cli.checkpointDir;
 
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
-    if (cli.names.empty()) {
+    std::vector<std::string> &names = cli.positional;
+    if (names.empty()) {
         std::fprintf(stderr,
                      "pracbench: run needs at least one scenario "
                      "name (or 'all'); try `pracbench list`\n");
         return 2;
     }
-    if (cli.names.size() == 1 && cli.names[0] == "all") {
-        cli.names.clear();
+    if (names.size() == 1 && names[0] == "all") {
+        names.clear();
         for (const Scenario *scenario : registry.all())
-            cli.names.push_back(scenario->name);
+            names.push_back(scenario->name);
     }
     // Validate every name before running anything: a typo in the
     // third of five scenarios must not surface after the first ran.
     std::vector<std::string> knownNames;
     for (const Scenario *scenario : registry.all())
         knownNames.push_back(scenario->name);
-    for (const std::string &name : cli.names)
+    for (const std::string &name : names)
         if (!registry.find(name))
             rejectUnknown("scenario", name, knownNames);
 
-    const bool single = cli.names.size() == 1;
+    const bool single = names.size() == 1;
     if (!single && (endsWith(cli.outJson, ".json") ||
                     endsWith(cli.outCsv, ".csv"))) {
         std::fprintf(stderr,
@@ -536,16 +534,13 @@ commandRun(const std::vector<std::string> &args)
                      "for --out/--csv, not a file path\n");
         return 2;
     }
-    if (!single && !cli.options.telemetry.traceOut.empty()) {
+    const std::string &traceOut = cli.options.telemetry.traceOut;
+    if (!single &&
+        (!traceOut.empty() || !cli.options.telemetry.seriesOut.empty())) {
         std::fprintf(stderr,
-                     "pracbench: --trace-out records one sweep per "
-                     "file; run the scenarios separately\n");
-        return 2;
-    }
-    if (!single && !cli.options.telemetry.seriesOut.empty()) {
-        std::fprintf(stderr,
-                     "pracbench: --series-out records one sweep per "
-                     "file; run the scenarios separately\n");
+                     "pracbench: %s records one sweep per file; run the "
+                     "scenarios separately\n",
+                     traceOut.empty() ? "--series-out" : "--trace-out");
         return 2;
     }
     // Fail fast on bad output locations: create them now rather
@@ -553,39 +548,29 @@ commandRun(const std::vector<std::string> &args)
     // time, after a long sweep.
     if (!prepareOutputDir(cli.outJson, ".json", single) ||
         !prepareOutputDir(cli.outCsv, ".csv", single) ||
-        !prepareOutputDir(cli.checkpointDir, ".jsonl",
-                          /*single=*/false))
+        !prepareOutputDir(checkpointDir, ".jsonl", /*single=*/false))
         return 2;
 
-    for (const std::string &name : cli.names) {
-        try {
-            const SweepResult result =
-                runScenarioByName(name, cli.options);
-            if (cli.table)
-                printTables(result);
-            // Finalize via temp + atomic rename: a crash during
-            // emission must never leave a torn artifact that a
-            // later --resume (or a results consumer) trusts.
-            if (!cli.outJson.empty()) {
-                const std::string path = outputPath(
-                    cli.outJson, name, ".json", single);
-                if (!writeAtomic(path,
-                                 result.toJson().dump(2) + "\n"))
-                    return 1;
-                std::fprintf(stderr, "pracbench: wrote %s\n",
-                             path.c_str());
-            }
-            if (!cli.outCsv.empty()) {
-                const std::string path =
-                    outputPath(cli.outCsv, name, ".csv", single);
-                if (!writeAtomic(path, result.toCsv()))
-                    return 1;
-                std::fprintf(stderr, "pracbench: wrote %s\n",
-                             path.c_str());
-            }
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "pracbench: %s\n", error.what());
-            return 2;
+    for (const std::string &name : names) {
+        const SweepResult result = runScenarioByName(name, cli.options);
+        if (cli.table)
+            printTables(result);
+        // Finalize via temp + atomic rename: a crash during emission
+        // must never leave a torn artifact that a later --resume (or
+        // a results consumer) trusts.
+        if (!cli.outJson.empty()) {
+            const std::string path =
+                outputPath(cli.outJson, name, ".json", single);
+            if (!writeAtomic(path, result.toJson().dump(2) + "\n"))
+                return 1;
+            std::fprintf(stderr, "pracbench: wrote %s\n", path.c_str());
+        }
+        if (!cli.outCsv.empty()) {
+            const std::string path =
+                outputPath(cli.outCsv, name, ".csv", single);
+            if (!writeAtomic(path, result.toCsv()))
+                return 1;
+            std::fprintf(stderr, "pracbench: wrote %s\n", path.c_str());
         }
     }
     return 0;
@@ -599,152 +584,51 @@ commandRun(const std::vector<std::string> &args)
  * the defaults; explicit flags override them.
  */
 int
-commandSearch(const std::vector<std::string> &args)
+commandSearch(Cli &cli)
 {
-    std::string scenarioName;
-    std::string targetDefense;
-    std::string attackerFlag;
-    std::string checkpointDir;
-    std::string outJson;
-    pracleak::AttackerConfig base;
-    std::optional<std::uint32_t> budget;
-    std::optional<std::uint32_t> rounds;
-    std::optional<std::uint64_t> seed;
-    std::optional<int> jobs;
-    bool resume = false;
-    bool quiet = false;
-    static const std::vector<std::string> known = {
-        "--target-defense", "--attacker", "--budget",
-        "--rounds",         "--seed",     "--jobs",
-        "--checkpoint",     "--resume",   "--out",
-        "--set",            "--quiet",    "--help"};
-    std::vector<std::string> knownSetKeys = {"attacker"};
-    for (const pracleak::AttackerField &field : pracleak::kAttackerFields)
-        if (field.tunable)
-            knownSetKeys.push_back(std::string("attacker.") + field.name);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--target-defense") {
-            targetDefense = nextValue(args, i, arg);
-        } else if (arg == "--attacker") {
-            attackerFlag = nextValue(args, i, arg);
-        } else if (arg == "--budget") {
-            budget = static_cast<std::uint32_t>(
-                nextCount(args, i, arg, UINT32_MAX));
-        } else if (arg == "--rounds") {
-            // Round r of R runs window / 2^(R-r): R must keep that
-            // shift inside 32 bits.
-            rounds =
-                static_cast<std::uint32_t>(nextCount(args, i, arg, 32));
-        } else if (arg == "--seed") {
-            seed = nextCount(args, i, arg, UINT64_MAX);
-        } else if (arg == "--jobs" || arg == "-j") {
-            jobs = static_cast<int>(nextCount(args, i, arg, kMaxJobs));
-        } else if (arg == "--checkpoint") {
-            checkpointDir = nextValue(args, i, arg);
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--out" || arg == "-o") {
-            outJson = nextValue(args, i, arg);
-        } else if (arg == "--quiet" || arg == "-q") {
-            quiet = true;
-        } else if (arg == "--set") {
-            const std::string spec = nextValue(args, i, arg);
-            const std::size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr,
-                             "pracbench: --set expects KEY=VALUE\n");
-                return 2;
-            }
-            const std::string key = spec.substr(0, eq);
-            const std::string value = spec.substr(eq + 1);
-            const std::string knob_prefix = "attacker.";
-            const pracleak::AttackerField *field =
-                key.starts_with(knob_prefix)
-                    ? pracleak::findAttackerField(
-                          key.substr(knob_prefix.size()))
-                    : nullptr;
-            if (key == "attacker") {
-                attackerFlag = value;
-            } else if (field && field->tunable) {
-                base.*field->field = static_cast<std::uint32_t>(
-                    parseCount("--set " + key, value, UINT32_MAX));
-                if (base.*field->field == 0) {
-                    // The search reads 0 as "not pinned".
-                    std::fprintf(stderr,
-                                 "pracbench: --set %s=0 cannot pin "
-                                 "the knob: 0 leaves it sampled; pin "
-                                 "it to 1 or more\n",
-                                 key.c_str());
-                    return 2;
-                }
-            } else {
-                rejectUnknown("search --set key", key, knownSetKeys);
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `search`", arg, known);
-        } else if (scenarioName.empty()) {
-            scenarioName = arg;
-        } else {
-            std::fprintf(stderr,
-                         "pracbench: search takes exactly one "
-                         "scenario name\n");
-            return 2;
-        }
-    }
-
-    if (scenarioName.empty()) {
+    if (cli.positional.size() != 1) {
         std::fprintf(stderr,
-                     "pracbench: search needs a scenario name "
+                     "pracbench: search needs exactly one scenario name "
                      "(e.g. defense_matrix_adaptive); try "
                      "`pracbench list`\n");
         return 2;
     }
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
-    const Scenario *scenario = registry.find(scenarioName);
+    const Scenario *scenario = registry.find(cli.positional[0]);
     if (!scenario) {
         std::vector<std::string> knownNames;
         for (const Scenario *entry : registry.all())
             knownNames.push_back(entry->name);
-        rejectUnknown("scenario", scenarioName, knownNames);
+        rejectUnknown("scenario", cli.positional[0], knownNames);
     }
-    if (targetDefense.empty()) {
+    if (cli.targetDefense.empty()) {
         std::fprintf(stderr,
                      "pracbench: search requires --target-defense "
                      "(see `pracbench list`)\n");
         return 2;
     }
-    if (!pracleak::findMitigation(targetDefense))
-        rejectUnknown("defense", targetDefense,
+    if (!pracleak::findMitigation(cli.targetDefense))
+        rejectUnknown("defense", cli.targetDefense,
                       pracleak::mitigationNames());
-    if (!attackerFlag.empty() && attackerFlag != "auto" &&
-        !pracleak::findAttacker(attackerFlag))
-        rejectUnknown("attacker", attackerFlag,
+    if (!cli.attacker.empty() && cli.attacker != "auto" &&
+        !pracleak::findAttacker(cli.attacker))
+        rejectUnknown("attacker", cli.attacker,
                       pracleak::attackerNames());
-    if (resume && checkpointDir.empty()) {
+    const std::string &checkpointDir = cli.options.checkpoint.directory;
+    if (cli.options.checkpoint.resume && checkpointDir.empty()) {
         std::fprintf(stderr,
                      "pracbench: --resume requires --checkpoint\n");
         return 2;
     }
-    if (!outJson.empty() && !endsWith(outJson, ".json")) {
-        std::fprintf(stderr,
-                     "pracbench: search --out must be a .json file "
-                     "path\n");
-        return 2;
-    }
-    if (!prepareOutputDir(outJson, ".json", /*single=*/true) ||
-        !prepareOutputDir(checkpointDir, ".jsonl",
-                          /*single=*/false))
+    if (!prepareJsonOut("search", cli.outJson) ||
+        !prepareOutputDir(checkpointDir, ".jsonl", /*single=*/false))
         return 2;
 
     SearchOptions options;
-    options.targetDefense = targetDefense;
-    options.base = base;
+    options.targetDefense = cli.targetDefense;
+    options.base = cli.knobs;
     options.checkpointDir = checkpointDir;
-    options.resume = resume;
+    options.resume = cli.options.checkpoint.resume;
     // Scenario constants seed the defaults...
     const auto singleValue =
         [&scenario](const char *name) -> const JsonValue * {
@@ -755,103 +639,64 @@ commandSearch(const std::vector<std::string> &args)
     if (const JsonValue *value = singleValue("spec"))
         options.specName = value->asString();
     if (const JsonValue *value = singleValue("nbo"))
-        options.nbo =
-            static_cast<std::uint32_t>(value->asInt());
+        options.nbo = static_cast<std::uint32_t>(value->asInt());
     if (const JsonValue *value = singleValue("window_ms"))
         options.windowMs = value->asDouble();
     if (const JsonValue *value = singleValue("budget"))
-        options.budget =
-            static_cast<std::uint32_t>(value->asInt());
+        options.budget = static_cast<std::uint32_t>(value->asInt());
     if (const JsonValue *value = singleValue("rounds"))
-        options.rounds =
-            static_cast<std::uint32_t>(value->asInt());
+        options.rounds = static_cast<std::uint32_t>(value->asInt());
     if (const JsonValue *value = singleValue("seed"))
-        options.seed =
-            static_cast<std::uint64_t>(value->asInt());
+        options.seed = static_cast<std::uint64_t>(value->asInt());
     if (const JsonValue *value = singleValue("attacker"))
         if (value->asString() != "auto")
             options.attacker = value->asString();
     // ... and explicit flags override them.
-    if (!attackerFlag.empty())
-        options.attacker =
-            attackerFlag == "auto" ? "" : attackerFlag;
-    options.budget = budget.value_or(options.budget);
-    options.rounds = rounds.value_or(options.rounds);
-    options.seed = seed.value_or(options.seed);
-    options.jobs = jobs.value_or(options.jobs);
+    if (!cli.attacker.empty())
+        options.attacker = cli.attacker == "auto" ? "" : cli.attacker;
+    options.budget =
+        static_cast<std::uint32_t>(cli.budget.value_or(options.budget));
+    options.rounds =
+        static_cast<std::uint32_t>(cli.rounds.value_or(options.rounds));
+    options.seed = cli.seed.value_or(options.seed);
+    options.jobs = static_cast<int>(cli.jobs.value_or(options.jobs));
 
-    try {
-        const SearchResult result = runAttackerSearch(options);
-        const std::string text = result.toJson().dump(2) + "\n";
-        if (outJson.empty()) {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            if (!writeAtomic(outJson, text))
-                return 1;
-            std::fprintf(stderr, "pracbench: wrote %s\n",
-                         outJson.c_str());
-        }
-        if (!quiet)
-            std::fprintf(
-                stderr,
-                "pracbench: search vs %s: best %s max_counter=%u "
-                "(oblivious %u, contract %u)\n",
-                options.targetDefense.c_str(),
-                result.best.config.attacker.c_str(),
-                static_cast<unsigned>(result.best.maxCounter),
-                static_cast<unsigned>(result.oblivious.maxCounter),
-                static_cast<unsigned>(result.contract));
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
+    const SearchResult result = runAttackerSearch(options);
+    const std::string text = result.toJson().dump(2) + "\n";
+    if (cli.outJson.empty()) {
+        std::fputs(text.c_str(), stdout);
+    } else {
+        if (!writeAtomic(cli.outJson, text))
+            return 1;
+        std::fprintf(stderr, "pracbench: wrote %s\n",
+                     cli.outJson.c_str());
     }
+    if (cli.options.progress)
+        std::fprintf(stderr,
+                     "pracbench: search vs %s: best %s max_counter=%u "
+                     "(oblivious %u, contract %u)\n",
+                     options.targetDefense.c_str(),
+                     result.best.config.attacker.c_str(),
+                     static_cast<unsigned>(result.best.maxCounter),
+                     static_cast<unsigned>(result.oblivious.maxCounter),
+                     static_cast<unsigned>(result.contract));
     return 0;
 }
 
 int
-commandRecord(const std::vector<std::string> &args)
+commandRecord(Cli &cli)
 {
-    RunCli cli;
-    std::vector<std::string> dirs;
-    std::vector<std::string> workloads;
-    static const std::vector<std::string> known = {
-        "--workload",  "--jobs",       "--set",
-        "--try-set",   "--smoke",      "--quiet",
-        "--trace-out", "--series-out", "--log-level",
-        "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--workload" || arg == "-w") {
-            workloads.push_back(nextValue(args, i, arg));
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (parseCommonFlag(cli, args, i)) {
-            // --out/--csv/--no-table parse but are rejected below
-            // for a precise message.
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `record`", arg, known);
-        } else {
-            dirs.push_back(arg);
-        }
-    }
-    if (dirs.size() != 1) {
+    if (cli.positional.size() != 1) {
         std::fprintf(stderr,
                      "pracbench: record needs exactly one trace "
                      "directory\n");
         return 2;
     }
-    if (!cli.outJson.empty() || !cli.outCsv.empty() || !cli.table) {
-        std::fprintf(stderr,
-                     "pracbench: record writes DIR/<workload>.trc and "
-                     "prints no table; --out/--csv/--no-table do not "
-                     "apply\n");
-        return 2;
-    }
+    const std::string &dir = cli.positional[0];
     if (cli.smoke)
         applySmokeBudgets(cli.options);
-    if (!workloads.empty())
-        cli.options.overrides["workload"] = toValues(workloads);
+    if (!cli.workloads.empty())
+        cli.options.overrides["workload"] = toValues(cli.workloads);
     // Every point writes DIR/<workload>.trc, so only the workload
     // axis may list several values.
     for (const auto *set :
@@ -867,180 +712,238 @@ commandRecord(const std::vector<std::string> &args)
     checkAxisValues(cli.options, "workload", suiteEntryNames());
     checkAxisValues(cli.options, "mitigation",
                     pracleak::mitigationNames());
-    if (!prepareOutputDir(dirs[0], ".trc", /*single=*/false))
+    if (!prepareOutputDir(dir, ".trc", /*single=*/false))
         return 2;
 
-    try {
-        const SweepResult result =
-            runScenario(recordScenario(dirs[0]), cli.options);
-        if (cli.options.progress)
-            for (const ResultRow &row : result.rows)
-                std::fprintf(
-                    stderr,
-                    "pracbench: recorded %s (%lld requests, %lld "
-                    "bytes, end cycle %lld, fnv1a %s)\n",
-                    row.get("path")->asString().c_str(),
-                    static_cast<long long>(row.get("requests")->asInt()),
-                    static_cast<long long>(row.get("bytes")->asInt()),
-                    static_cast<long long>(
-                        row.get("end_cycle")->asInt()),
-                    row.get("fnv1a64")->asString().c_str());
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
-    }
+    const SweepResult result =
+        runScenario(recordScenario(dir), cli.options);
+    if (cli.options.progress)
+        for (const ResultRow &row : result.rows)
+            std::fprintf(
+                stderr,
+                "pracbench: recorded %s (%lld requests, %lld bytes, end "
+                "cycle %lld, fnv1a %s)\n",
+                row.get("path")->asString().c_str(),
+                static_cast<long long>(row.get("requests")->asInt()),
+                static_cast<long long>(row.get("bytes")->asInt()),
+                static_cast<long long>(row.get("end_cycle")->asInt()),
+                row.get("fnv1a64")->asString().c_str());
     return 0;
 }
 
 int
-commandReplay(const std::vector<std::string> &args)
+commandReplay(Cli &cli)
 {
-    RunCli cli;
-    std::vector<std::string> files;
-    bool verify = false;
-    static const std::vector<std::string> known = {
-        "--jobs",      "--set",        "--try-set",   "--verify",
-        "--out",       "--no-table",   "--quiet",     "--trace-out",
-        "--series-out", "--log-level", "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--verify") {
-            verify = true;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (parseCommonFlag(cli, args, i)) {
-            // --csv/--smoke parse but are rejected below for a
-            // precise message.
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `replay`", arg, known);
-        } else {
-            files.push_back(arg);
-        }
-    }
-    if (files.size() != 1) {
+    if (cli.positional.size() != 1) {
         std::fprintf(stderr,
                      "pracbench: replay needs exactly one trace "
                      "file\n");
         return 2;
     }
-    if (!cli.outCsv.empty() || cli.smoke) {
-        std::fprintf(stderr,
-                     "pracbench: --csv/--smoke do not apply to "
-                     "replay\n");
-        return 2;
-    }
-    // Replay writes outJson verbatim as one file; a directory form
-    // would only fail at emission time, after the sweep.
-    if (!cli.outJson.empty() && !endsWith(cli.outJson, ".json")) {
-        std::fprintf(stderr,
-                     "pracbench: replay --out must be a .json file "
-                     "path\n");
-        return 2;
-    }
     checkAxisValues(cli.options, "mitigation",
                     pracleak::mitigationNames());
-    if (!prepareOutputDir(cli.outJson, ".json", /*single=*/true))
+    // Replay writes outJson verbatim as one file; a directory form
+    // would only fail at emission time, after the sweep.
+    if (!prepareJsonOut("replay", cli.outJson))
         return 2;
 
-    try {
-        const std::string &path = files[0];
-        const pracleak::trace::TraceReader reader(path);
-        const pracleak::trace::TraceData &trace = reader.data();
-        const std::string &recorded = trace.header.mitigation;
-        // --verify is a statement about the *recorded* defense; make
-        // sure that leg runs even when the --set list omits it,
-        // instead of passing vacuously.
-        if (verify)
-            for (auto *set :
-                 {&cli.options.overrides, &cli.options.softOverrides}) {
-                const auto it = set->find("mitigation");
-                if (it != set->end() &&
-                    std::none_of(it->second.begin(), it->second.end(),
-                                 [&](const JsonValue &value) {
-                                     return value.asString() == recorded;
-                                 }))
-                    it->second.emplace_back(recorded);
-            }
-
-        const SweepResult result =
-            runScenario(replayScenario(trace, path), cli.options);
-        bool verified = true;
-        for (const ResultRow &row : result.rows)
-            if (const JsonValue *identical = row.get("bit_identical"))
-                verified = verified && identical->asBool();
-
-        if (cli.table)
-            printTables(result);
-        if (!cli.outJson.empty()) {
-            JsonValue root = result.toJson();
-            root.set("trace", path);
-            root.set("trace_fnv1a64", fileHashHex(path));
-            root.set("workload", trace.header.workload);
-            root.set("recorded_mitigation", recorded);
-            root.set("spec", trace.header.spec);
-            if (!writeAtomic(cli.outJson, root.dump(2) + "\n"))
-                return 1;
-            std::fprintf(stderr, "pracbench: wrote %s\n",
-                         cli.outJson.c_str());
+    const std::string &path = cli.positional[0];
+    const pracleak::trace::TraceReader reader(path);
+    const pracleak::trace::TraceData &trace = reader.data();
+    const std::string &recorded = trace.header.mitigation;
+    // --verify is a statement about the *recorded* defense; make sure
+    // that leg runs even when the --set list omits it, instead of
+    // passing vacuously.
+    if (cli.verify)
+        for (auto *set :
+             {&cli.options.overrides, &cli.options.softOverrides}) {
+            const auto it = set->find("mitigation");
+            if (it != set->end() &&
+                std::none_of(it->second.begin(), it->second.end(),
+                             [&](const JsonValue &value) {
+                                 return value.asString() == recorded;
+                             }))
+                it->second.emplace_back(recorded);
         }
 
-        if (verify && !verified) {
-            std::fprintf(stderr,
-                         "pracbench: FAIL: same-defense replay did "
-                         "not reproduce the recorded stats\n");
+    const SweepResult result =
+        runScenario(replayScenario(trace, path), cli.options);
+    bool verified = true;
+    for (const ResultRow &row : result.rows)
+        if (const JsonValue *identical = row.get("bit_identical"))
+            verified = verified && identical->asBool();
+
+    if (cli.table)
+        printTables(result);
+    if (!cli.outJson.empty()) {
+        JsonValue root = result.toJson();
+        root.set("trace", path);
+        root.set("trace_fnv1a64", fileHashHex(path));
+        root.set("workload", trace.header.workload);
+        root.set("recorded_mitigation", recorded);
+        root.set("spec", trace.header.spec);
+        if (!writeAtomic(cli.outJson, root.dump(2) + "\n"))
             return 1;
-        }
-        if (verify)
-            std::fprintf(stderr,
-                         "pracbench: same-defense replay is "
-                         "bit-identical to the recording\n");
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "pracbench: %s\n", error.what());
-        return 2;
+        std::fprintf(stderr, "pracbench: wrote %s\n",
+                     cli.outJson.c_str());
     }
+
+    if (cli.verify && !verified) {
+        std::fprintf(stderr,
+                     "pracbench: FAIL: same-defense replay did not "
+                     "reproduce the recorded stats\n");
+        return 1;
+    }
+    if (cli.verify)
+        std::fprintf(stderr,
+                     "pracbench: same-defense replay is bit-identical "
+                     "to the recording\n");
     return 0;
 }
 
 int
-commandAnalyze(const std::vector<std::string> &args)
+commandAnalyze(Cli &cli)
 {
-    AnalyzeCliOptions options;
-    static const std::vector<std::string> known = {
-        "--defense-matrix", "--out", "--no-table", "--help"};
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--defense-matrix") {
-            options.defenseMatrix = true;
-        } else if (arg == "--out" || arg == "-o") {
-            options.outJson = nextValue(args, i, arg);
-        } else if (arg == "--no-table") {
-            options.table = false;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            rejectUnknown("option for `analyze`", arg, known);
-        } else {
-            options.paths.push_back(arg);
-        }
-    }
-    if (options.paths.empty()) {
+    if (cli.positional.empty()) {
         std::fprintf(stderr,
                      "pracbench: analyze needs at least one "
                      "--series-out file\n");
         return 2;
     }
-    if (!options.outJson.empty() &&
-        !endsWith(options.outJson, ".json")) {
-        std::fprintf(stderr,
-                     "pracbench: analyze --out must be a .json "
-                     "file path\n");
+    if (!prepareJsonOut("analyze", cli.outJson))
         return 2;
+    return runAnalyzeCommand(AnalyzeCliOptions{
+        cli.positional, cli.defenseMatrix, cli.outJson, cli.table});
+}
+
+void printUsage();
+
+/** One command (verb). */
+struct Command
+{
+    const char *name;
+    const char *synopsis; //!< its positional arguments
+    const char *summary;
+    unsigned bit;         //!< its Flag::commands bit; 0: takes no flag
+    int (*run)(Cli &);
+};
+
+const Command kCommands[] = {
+    {"run", "NAME...", "run scenarios ('all' runs every one)", kRun,
+     commandRun},
+    {"list", "", "list registered scenarios, defenses, and attackers", 0,
+     commandList},
+    {"search", "SCENARIO",
+     "successive-halving attacker-knob search against one defense in "
+     "SCENARIO's universe (its spec/nbo/window_ms constants), e.g. "
+     "defense_matrix_adaptive; the result is byte-identical at any "
+     "--jobs and across a kill + --resume",
+     kSearch, commandSearch},
+    {"record", "DIR",
+     "record memory-request traces into DIR/<workload>.trc; axes other "
+     "than workload take one value each",
+     kRecord, commandRecord},
+    {"replay", "FILE", "replay a recorded trace against fresh defenses",
+     kReplay, commandReplay},
+    {"analyze", "SERIES...",
+     "offline leakage analysis over --series-out files: ON/OFF "
+     "distinguishability of the bus-visible mitigation traffic, per "
+     "defense",
+     kAnalyze, commandAnalyze},
+    {"help", "", "this message", 0, [](Cli &) {
+         printUsage();
+         return 0;
+     }},
+};
+
+/** @p head, then @p text word-wrapped from column 26 to column 80. */
+void
+printEntry(std::string line, const std::string &text)
+{
+    constexpr std::size_t kIndent = 26;
+    line.resize(std::max(kIndent, line.size() + 2), ' ');
+    for (std::size_t start = 0, end = 0; start < text.size();
+         start = end + 1) {
+        end = std::min(text.find(' ', start), text.size());
+        if (line.size() > kIndent && line.size() + end - start >= 80) {
+            std::printf("%s\n", line.c_str());
+            line.assign(kIndent, ' ');
+        }
+        line += (line.size() > kIndent ? " " : "") +
+                text.substr(start, end - start);
     }
-    if (!prepareOutputDir(options.outJson, ".json", /*single=*/true))
-        return 2;
-    return runAnalyzeCommand(options);
+    std::printf("%s\n", line.c_str());
+}
+
+/** The help, generated from kCommands and kFlags. */
+void
+printUsage()
+{
+    std::printf("usage: pracbench COMMAND [options]\n\ncommands:\n");
+    for (const Command &command : kCommands)
+        printEntry(std::string("  ") + command.name + " " +
+                       command.synopsis,
+                   command.summary);
+    std::string knobs;
+    for (const pracleak::AttackerField &knob : pracleak::kAttackerFields)
+        if (knob.tunable)
+            knobs += (knobs.empty() ? "" : ", ") + std::string(knob.name);
+    for (const Command &command : kCommands) {
+        if (command.bit)
+            std::printf("\n%s options:\n", command.name);
+        for (const Flag &flag : kFlags) {
+            if (!(flag.commands & command.bit))
+                continue;
+            std::string help = flag.help;
+            if (const std::size_t at = help.find("KNOBS");
+                at != std::string::npos)
+                help.replace(at, 5, knobs);
+            printEntry(std::string("  ") + flag.name +
+                           (flag.alias ? std::string("/") + flag.alias : "") +
+                           (flag.metavar ? std::string(" ") + flag.metavar
+                                         : ""),
+                       help);
+        }
+    }
+    std::printf("\nEvery command takes --help/-h.  Flag values are "
+                "checked: an empty value, or a\nnumeric value that is "
+                "not a decimal integer in range, exits 2.\n");
+}
+
+/**
+ * @p args after @p command's name as a Cli: --help/-h prints help
+ * and exits 0, a flag of the command takes its value and runs its
+ * action, any other word starting with '-' exits 2 with a hint, and
+ * every other word is positional.
+ */
+Cli
+parse(const Command &command, const std::vector<std::string> &args)
+{
+    std::vector<std::string> spellings = {"--help"}; // for the hint
+    for (const Flag &flag : kFlags)
+        if (flag.commands & command.bit)
+            spellings.emplace_back(flag.name);
+    Cli cli;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags), [&](const Flag &f) {
+                return (f.commands & command.bit) &&
+                       (arg == f.name || (f.alias && arg == f.alias));
+            });
+        if (arg == "--help" || arg == "-h") {
+            printUsage();
+            std::exit(0);
+        } else if (flag != std::end(kFlags)) {
+            flag->set(cli, takeValue(*flag, args, i));
+        } else if (!arg.empty() && arg[0] == '-') {
+            rejectUnknown(std::string("option for `") + command.name + "`",
+                          arg, spellings);
+        } else {
+            cli.positional.push_back(arg);
+        }
+    }
+    return cli;
 }
 
 } // namespace
@@ -1050,31 +953,25 @@ main(int argc, char **argv)
 {
     registerBuiltinScenarios();
 
-    std::vector<std::string> args(argv + 1, argv + argc);
+    const std::vector<std::string> args(argv + 1, argv + argc);
     if (args.empty()) {
         printUsage();
         return 2;
     }
-
-    const std::string command = args[0];
-    args.erase(args.begin());
-    if (command == "help" || command == "--help" || command == "-h") {
-        printUsage();
-        return 0;
+    const std::string verb =
+        args[0] == "--help" || args[0] == "-h" ? "help" : args[0];
+    std::vector<std::string> names;
+    for (const Command &command : kCommands) {
+        names.emplace_back(command.name);
+        if (verb != command.name)
+            continue;
+        Cli cli = parse(command, {args.begin() + 1, args.end()});
+        try {
+            return command.run(cli);
+        } catch (const std::exception &error) {
+            std::fprintf(stderr, "pracbench: %s\n", error.what());
+            return 2;
+        }
     }
-    if (command == "list")
-        return commandList(args);
-    if (command == "run")
-        return commandRun(args);
-    if (command == "search")
-        return commandSearch(args);
-    if (command == "record")
-        return commandRecord(args);
-    if (command == "replay")
-        return commandReplay(args);
-    if (command == "analyze")
-        return commandAnalyze(args);
-    rejectUnknown("command", command,
-                  {"run", "list", "search", "record", "replay",
-                   "analyze", "help"});
+    rejectUnknown("command", args[0], names);
 }

@@ -72,27 +72,20 @@ characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
     const DramSpec &spec = setup.spec;
     AttackHarness harness(spec, setup.controller);
 
-    // Registry-style construction (attack/adversaries.h): flat bank
-    // 18 is (rank 0, group 4, bank 2); burstSpacing doubles as the
-    // decoy row stride, so 4 decoys at 0x100+0x100+i = 0x200..0x203
-    // -- the exact layout the figure has always used.
+    // Registry-style construction (attack/adversaries.h); the victim
+    // is placed like the leak experiment's -- the exact layout the
+    // figure has always used.
     AttackerConfig probe_config;
     probe_config.targetBank = 0;
     probe_config.targetRow = 3;
     ProbeAgent probe(harness.mem(), probe_config);
-
-    AttackerConfig victim_config;
-    victim_config.targetBank = 18;
-    victim_config.targetRow = 0x100;
-    victim_config.poolSize = 4;
-    victim_config.burstSpacing = 0x100;
-    HammerAgent victim(harness.mem(), victim_config);
+    HammerAgent victim(harness.mem(), leakVictimPlacement());
 
     harness.add(&probe);
     harness.add(&victim);
 
     if (with_victim)
-        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+        victim.repeat(pastContractBurst(spec.prac));
     harness.run(nsToCycles(window_ms * 1.0e6));
 
     Fig3Row row;

@@ -125,13 +125,7 @@ runLeakExperiment(const std::string &defense,
         mem.setBusObserver(local.get());
     }
 
-    // burstSpacing doubles as the decoy row stride, so the 4 decoys
-    // land at rows 0x200..0x203.
-    AttackerConfig victim_config;
-    victim_config.targetBank = 18;
-    victim_config.targetRow = 0x100;
-    victim_config.poolSize = 4;
-    victim_config.burstSpacing = 0x100;
+    const AttackerConfig victim_config = leakVictimPlacement();
     if (series)
         telemetry::SeriesCapture::setVictimBank(victim_config.targetBank);
     HammerAgent victim(mem, victim_config);
@@ -155,7 +149,7 @@ runLeakExperiment(const std::string &defense,
         if (series)
             telemetry::SeriesCapture::markOnWindow(harness.now(),
                                                    on_end);
-        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+        victim.repeat(pastContractBurst(spec.prac));
         harness.run(phase);
         victim.stop();
         harness.run(phase);

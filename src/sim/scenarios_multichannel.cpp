@@ -164,23 +164,18 @@ sidechannelCrossChannel()
         const std::uint32_t probe_channel =
             params.getString("probe") == "same-channel" ? 0 : 1;
 
-        // The victim hammers flat bank 18 on channel 0 (4 decoys at
-        // rows 0x200..0x203); the probe reads its own private row on
+        // The victim hammers on channel 0, placed like the leak
+        // experiment's; the probe reads its own private row on
         // probe_channel.
         AttackerConfig probe_config;
         probe_config.targetRow = 3;
         ProbeAgent probe(harness.mem(probe_channel), probe_config);
-        AttackerConfig victim_config;
-        victim_config.poolSize = 4;
-        victim_config.burstSpacing = 0x100;
-        victim_config.targetBank = 18;
-        victim_config.targetRow = 0x100;
-        HammerAgent victim(harness.mem(0), victim_config);
+        HammerAgent victim(harness.mem(0), leakVictimPlacement());
 
         harness.add(&probe, probe_channel);
         harness.add(&victim, 0);
 
-        victim.repeat(spec.prac.nbo + spec.prac.aboAct + 4);
+        victim.repeat(pastContractBurst(spec.prac));
         harness.run(nsToCycles(params.getDouble("window_ms") * 1.0e6));
 
         std::uint64_t spikes = 0;

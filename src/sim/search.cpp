@@ -124,10 +124,7 @@ runScaledAttack(const std::string &defense, const AttackerConfig &config,
 void
 ScaledAttack::setVerdict(ResultRow &row) const
 {
-    // ABO's contract allows the counter to touch NBO plus the ABOACT
-    // allowance before the RFM lands.
-    const PracParams &prac = mem().dram().spec().prac;
-    const std::uint32_t contract = prac.nbo + prac.aboAct;
+    const std::uint32_t contract = mem().dram().spec().prac.aboContract();
     row.set("max_counter", stats.maxCounterSeen);
     row.set("contract", contract);
     row.set("secure", stats.maxCounterSeen <= contract);
@@ -171,8 +168,9 @@ runAttackerSearch(const SearchOptions &options)
                           : options.attacker;
     result.seed = options.seed;
     result.budget = std::max<std::uint32_t>(2, options.budget);
-    result.contract =
-        options.nbo + specByName(options.specName).prac.aboAct;
+    PracParams prac = specByName(options.specName).prac;
+    prac.nbo = options.nbo;
+    result.contract = prac.aboContract();
 
     // Candidate 0 is the oblivious baseline; it is exempt from
     // elimination so the final full-window round always contains it

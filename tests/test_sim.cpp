@@ -10,6 +10,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "sim/json.h"
@@ -108,6 +109,58 @@ TEST(ParamGrid, OverrideReplacesValuesAndRejectsUnknownAxes)
     EXPECT_EQ(grid.point(0).getInt("nrh"), 512);
     EXPECT_THROW(grid.overrideAxis("bogus", {1}),
                  std::invalid_argument);
+}
+
+/**
+ * An override must fit the kind its axis was declared with: the
+ * coercive getters would read "abc" as 0 and "yes" as false, and a
+ * negative count wraps.  String axes are left to their scenarios.
+ */
+TEST(ParamGrid, OverrideValuesMustFitTheAxisKind)
+{
+    ParamGrid grid;
+    grid.axis("nrh", {128, 1024})
+        .constant("window_ms", 2.0)
+        .axis("with_victim", {true, false})
+        .constant("mitigation", "tprac");
+    // {axis, --set text, how the error message shows the value}
+    const std::tuple<const char *, const char *, const char *> bad[] = {
+        {"nrh", "abc", "abc"},
+        {"nrh", "-5", "-5"},
+        {"nrh", "1.5", "1.5"},
+        {"nrh", "true", "true"},
+        {"window_ms", "abc", "abc"},
+        {"window_ms", "nan", "null"},
+        {"window_ms", "false", "false"},
+        {"with_victim", "yes", "yes"},
+        {"with_victim", "1", "1"},
+    };
+    for (const auto &[axis, text, shown] : bad) {
+        ParamGrid copy = grid;
+        try {
+            // A fitting first value: every value is checked.
+            copy.overrideAxis(axis, {copy.findAxis(axis)->values[0],
+                                     parseScalar(text)});
+            ADD_FAILURE() << axis << "=" << text << " accepted";
+        } catch (const std::invalid_argument &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(std::string("axis '") + axis + "'"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::string("'") + shown + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+
+    grid.overrideAxis("nrh", {parseScalar("0"), parseScalar("512")});
+    grid.overrideAxis("window_ms", {parseScalar("1")});
+    grid.overrideAxis("with_victim", {parseScalar("false")});
+    grid.overrideAxis("mitigation", {parseScalar("anything")});
+    ASSERT_EQ(grid.size(), 2u);
+    EXPECT_EQ(grid.point(1).getInt("nrh"), 512);
+    EXPECT_DOUBLE_EQ(grid.point(0).getDouble("window_ms"), 1.0);
+    EXPECT_FALSE(grid.point(0).getBool("with_victim"));
 }
 
 TEST(ParamSet, CoerciveGettersAndMissingKeyThrows)

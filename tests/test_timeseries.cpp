@@ -7,7 +7,8 @@
  * widths, series round-tripping
  * through the analyzer's loader, synthetic-series verdicts, the
  * observe-only guarantee (`--series-out` never changes sweep rows),
- * and the VisibleBusModel spike thresholds the probes share.
+ * the loader's handling of truncated and corrupted files, and the
+ * VisibleBusModel spike thresholds the probes share.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/visible_bus.h"
@@ -528,6 +530,121 @@ TEST(SeriesCapture, SweepSeriesInvariantAcrossJobsAndObserveOnly)
 
     std::remove(path1.c_str());
     std::remove(path2.c_str());
+}
+
+// ------------------------------------------------------ series loader
+
+/** Load @p text through a file named @p name (one per test). */
+std::vector<sim::SeriesSim>
+loadSeriesText(const std::string &name, const std::string &text,
+               std::string *error)
+{
+    const std::string path = tempPath(name);
+    std::ofstream(path, std::ios::binary) << text;
+    std::vector<sim::SeriesSim> sims = sim::loadSeriesFile(path, error);
+    std::remove(path.c_str());
+    return sims;
+}
+
+/**
+ * A count the loader cannot read is a `path:line:` error like an
+ * unknown record kind: a text or over-long rfm_pb_banks key used to
+ * escape std::stoul and end `pracbench analyze` in std::terminate,
+ * and a negative or text count used to wrap.
+ */
+TEST(SeriesLoader, MalformedCountsAreLineErrors)
+{
+    const std::string header =
+        R"({"kind": "header", "window_cycles": 100, "channels": 1})"
+        "\n";
+    const std::pair<std::string, std::string> cases[] = {
+        {header + R"({"kind": "window", "w": 1, "rfm_pb_banks": {"x": 1}})",
+         ":2: 'rfm_pb_banks' key 'x'"},
+        {header + R"({"kind": "window", "w": 1, )"
+                  R"("rfm_pb_banks": {"99999999999999999999": 1}})",
+         ":2: 'rfm_pb_banks' key '99999999999999999999'"},
+        {header + R"({"kind": "window", "w": 1, "rfm_pb_banks": {"3": -1}})",
+         ":2: 'rfm_pb_banks' is not a non-negative integer"},
+        {header + R"({"kind": "window", "w": 1, "act": "x"})",
+         ":2: 'act' is not"},
+        {header + R"({"kind": "window", "w": -2})", ":2: 'w' is not"},
+        {R"({"kind": "header", "window_cycles": -5})",
+         ":1: 'window_cycles' is not"},
+        {R"({"kind": "header", "window_cycles": 100, )"
+         R"("on_windows": [[-1, 5]]})",
+         ":1: 'on_windows' is not"},
+        {R"({"kind": "header", "window_cycles": 100, "victim_bank": "x"})",
+         ":1: 'victim_bank' is not"},
+    };
+    for (const auto &[text, expected] : cases) {
+        std::string error;
+        EXPECT_NO_THROW(
+            loadSeriesText("series_malformed.jsonl", text, &error))
+            << text;
+        EXPECT_NE(error.find(expected), std::string::npos)
+            << text << " -> " << error;
+    }
+}
+
+/**
+ * Every truncation and every single-field corruption of a real
+ * `--series-out` file either loads or is reported as an error; the
+ * loader never throws.
+ */
+TEST(SeriesLoader, TruncationsAndCorruptionsNeverThrow)
+{
+    sim::registerBuiltinScenarios();
+    const std::string source = tempPath("series_walk_source.jsonl");
+    sim::RunOptions options;
+    options.progress = false;
+    options.jobs = 1;
+    options.overrides["mitigation"] = {sim::JsonValue("graphene")};
+    options.overrides["window_ms"] = {sim::JsonValue(0.05)};
+    options.overrides["bursts"] = {sim::JsonValue(std::int64_t{1})};
+    options.telemetry.seriesOut = source;
+    sim::runScenarioByName("leakage_timeline", options);
+    const std::string image = slurp(source);
+    std::remove(source.c_str());
+    ASSERT_NE(image.find("\"rfm_pb_banks\""), std::string::npos);
+    ASSERT_NE(image.find("\"on_windows\""), std::string::npos);
+
+    const auto loads = [](const std::string &text, const std::string &what) {
+        std::string error;
+        EXPECT_NO_THROW(loadSeriesText("series_walk.jsonl", text, &error))
+            << what;
+        return error.empty();
+    };
+    EXPECT_TRUE(loads(image, "the whole file"));
+    for (std::size_t cut = 0; cut < image.size(); cut += 7)
+        loads(image.substr(0, cut),
+              "prefix of " + std::to_string(cut) + " bytes");
+
+    std::vector<std::string> lines;
+    std::istringstream in(image);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    const sim::JsonValue corruptions[] = {
+        sim::parseScalar("-5"),
+        sim::parseScalar("x"),
+        sim::parseScalar("1.5"),
+        sim::parseScalar("true"),
+        sim::JsonValue(),
+        sim::parseJson(R"([[-1, 2], ["a"]])"),
+        sim::parseJson(R"({"x": 1, "99999999999999999999": -1})"),
+    };
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const sim::JsonValue row = sim::parseJson(lines[i]);
+        for (const auto &member : row.members())
+            for (const sim::JsonValue &bad : corruptions) {
+                sim::JsonValue changed = row;
+                changed.set(member.first, bad);
+                std::string text;
+                for (std::size_t j = 0; j < lines.size(); ++j)
+                    text += (j == i ? changed.dump() : lines[j]) + "\n";
+                loads(text, "line " + std::to_string(i + 1) + ": " +
+                                member.first + " = " + bad.dump());
+            }
+    }
 }
 
 } // namespace
