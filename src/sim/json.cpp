@@ -565,8 +565,11 @@ parseScalar(const std::string &text)
         return JsonValue();
     if (!text.empty()) {
         char *end = nullptr;
+        errno = 0;
         const long long asInt = std::strtoll(text.c_str(), &end, 10);
-        if (end && *end == '\0')
+        // Past int64 (ERANGE) it is the double it spells, as in
+        // parseJson, not the clamped LLONG_MAX.
+        if (end && *end == '\0' && errno == 0)
             return JsonValue(static_cast<std::int64_t>(asInt));
         const double asDouble = std::strtod(text.c_str(), &end);
         if (end && *end == '\0')

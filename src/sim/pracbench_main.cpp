@@ -211,7 +211,7 @@ applySmokeBudgets(RunOptions &options)
  * The one integer parser behind every numeric flag: @p text as a
  * decimal integer in [0, @p max].  Anything else (empty, a sign,
  * trailing junk, overflow) exits 2 naming @p flag -- a mistyped count
- * must never fall back to a default or wrap into a huge thread pool.
+ * must never fall back to a default or wrap into a huge thread count.
  */
 std::uint64_t
 parseCount(const std::string &flag, const std::string &text,
@@ -384,7 +384,8 @@ const Flag kFlags[] = {
      "also print/emit the per-defense worst-case summary",
      [](Cli &c, const Value &) { c.defenseMatrix = true; }},
     {"--jobs", "-j", Takes::Count, "N", 4096, kSweeps | kSearch,
-     "worker threads, 0-4096 (default 0: hardware concurrency; search: 1)",
+     "run at most N points at once, the calling thread included; "
+     "0-4096 (default 0: hardware concurrency; search: 1)",
      [](Cli &c, const Value &v) {
          c.jobs = v.number;
          c.options.jobs = static_cast<unsigned>(v.number);
@@ -659,7 +660,8 @@ commandSearch(Cli &cli)
     options.rounds =
         static_cast<std::uint32_t>(cli.rounds.value_or(options.rounds));
     options.seed = cli.seed.value_or(options.seed);
-    options.jobs = static_cast<int>(cli.jobs.value_or(options.jobs));
+    options.jobs =
+        static_cast<unsigned>(cli.jobs.value_or(options.jobs));
 
     const SearchResult result = runAttackerSearch(options);
     const std::string text = result.toJson().dump(2) + "\n";

@@ -1,6 +1,7 @@
 #include "sim/runner.h"
 
 #include "common/log.h"
+#include "common/parallel.h"
 #include "sim/checkpoint.h"
 #include "sim/provenance.h"
 #include "telemetry/stopwatch.h"
@@ -89,16 +90,15 @@ effectiveGrid(const Scenario &scenario, const RunOptions &options)
 }
 
 /**
- * Run every not-yet-journaled point through the pool, journaling as
- * workers finish.  Both restored and live rows land in per-point
- * slots, so the output is ordered by grid index -- independent of
- * --jobs, kill timing, and completion order.
+ * Run every not-yet-journaled point on --jobs threads, the caller
+ * included, journaling as points finish.  Both restored and live rows
+ * land in per-point slots, so the output is ordered by grid index --
+ * independent of --jobs, kill timing, and completion order.
  */
 SweepResult
 runSweep(const Scenario &scenario, const ParamGrid &grid,
          const RunOptions &options, telemetry::TraceSession *trace)
 {
-    ThreadPool pool(options.jobs);
     const std::size_t n = grid.size();
 
     SweepResult result;
@@ -106,7 +106,7 @@ runSweep(const Scenario &scenario, const ParamGrid &grid,
     result.title = scenario.title;
     result.notes = scenario.notes;
     result.grid = grid.toJson();
-    result.jobs = pool.threadCount();
+    result.jobs = resolveThreadCount(options.jobs);
     result.points = n;
 
     CheckpointState restored;
@@ -143,57 +143,47 @@ runSweep(const Scenario &scenario, const ParamGrid &grid,
                           ? " (torn final record re-run)"
                           : ""));
 
-    std::vector<std::function<std::vector<ResultRow>()>> jobs;
-    jobs.reserve(pendingPoints.size());
-    for (const std::size_t i : pendingPoints) {
-        jobs.push_back([&, i] {
-            const ParamSet params = grid.point(i);
-            const int lane = ThreadPool::currentLane();
-            JsonValue spanArgs;
-            if (trace) {
-                spanArgs = JsonValue::object();
-                spanArgs.set("index", static_cast<std::int64_t>(i));
-            }
-            // Labels series records this point's simulations create
-            // with the grid-point label (no-op when no series sink
-            // is armed).
-            telemetry::SeriesCapture::setLabel(params.label());
-            telemetry::TraceSpan pointSpan(trace, params.label(),
-                                           "point", lane,
-                                           std::move(spanArgs));
-            const std::uint64_t simStartUs =
-                trace ? trace->nowMicros() : 0;
-            telemetry::TraceSpan simSpan(trace, "sim", "phase", lane);
-            std::vector<ResultRow> rows = scenario.runPoint(params);
-            simSpan.end();
+    parallelFor(pendingPoints.size(), result.jobs, [&](std::size_t k) {
+        const std::size_t i = pendingPoints[k];
+        const ParamSet params = grid.point(i);
+        const int lane = parallelLane();
+        JsonValue spanArgs;
+        if (trace) {
+            spanArgs = JsonValue::object();
+            spanArgs.set("index", static_cast<std::int64_t>(i));
+        }
+        // Labels series records this point's simulations create with
+        // the grid-point label (no-op when no series sink is armed).
+        telemetry::SeriesCapture::setLabel(params.label());
+        telemetry::TraceSpan pointSpan(trace, params.label(), "point",
+                                       lane, std::move(spanArgs));
+        const std::uint64_t simStartUs = trace ? trace->nowMicros() : 0;
+        telemetry::TraceSpan simSpan(trace, "sim", "phase", lane);
+        std::vector<ResultRow> rows = scenario.runPoint(params);
+        simSpan.end();
+        if (trace)
+            telemetry::SeriesCapture::emitTraceCounters(
+                trace, lane, simStartUs, trace->nowMicros());
+        for (ResultRow &row : rows)
+            row = mergeParams(params, std::move(row));
+        // Journal before reporting done: a kill after the progress
+        // line can never lose an unjournaled point.
+        if (journal) {
+            telemetry::TraceSpan flushSpan(trace, "journal-flush",
+                                           "phase", lane);
+            journal->writePoint(i, rows);
+            flushSpan.end();
             if (trace)
-                telemetry::SeriesCapture::emitTraceCounters(
-                    trace, lane, simStartUs, trace->nowMicros());
-            for (ResultRow &row : rows)
-                row = mergeParams(params, std::move(row));
-            // Journal before reporting done: a kill after the
-            // progress line can never lose an unjournaled point.
-            if (journal) {
-                telemetry::TraceSpan flushSpan(trace, "journal-flush",
-                                               "phase", lane);
-                journal->writePoint(i, rows);
-                flushSpan.end();
-                if (trace)
-                    trace->instant("checkpoint-write", "checkpoint",
-                                   lane);
-            }
-            const std::size_t done =
-                completed.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (options.progress)
-                progress(scenario.name, std::to_string(done) + "/" +
-                                            std::to_string(n) + " " +
-                                            params.label());
-            return rows;
-        });
-    }
-    auto rowsPerJob = pool.map(std::move(jobs));
-    for (std::size_t k = 0; k < pendingPoints.size(); ++k)
-        rowsPerPoint[pendingPoints[k]] = std::move(rowsPerJob[k]);
+                trace->instant("checkpoint-write", "checkpoint", lane);
+        }
+        const std::size_t done =
+            completed.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (options.progress)
+            progress(scenario.name, std::to_string(done) + "/" +
+                                        std::to_string(n) + " " +
+                                        params.label());
+        rowsPerPoint[i] = std::move(rows);
+    });
 
     for (auto &rows : rowsPerPoint)
         for (ResultRow &row : rows)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Parallel sweep runner: enumerate a scenario's parameter grid, fan
- * the points across a thread pool, collect per-point result rows,
- * and emit machine-readable JSON / CSV plus an aligned text table.
+ * Parallel sweep runner: enumerate a scenario's parameter grid, run
+ * the points on --jobs threads (common/parallel.h), collect per-point
+ * result rows, and emit machine-readable JSON / CSV plus an aligned
+ * text table.
  */
 
 #ifndef PRACLEAK_SIM_RUNNER_H
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "sim/scenario.h"
-#include "sim/thread_pool.h"
 
 namespace pracleak::sim {
 
@@ -25,7 +25,10 @@ namespace pracleak::sim {
  */
 struct RunOptions
 {
-    /** Worker threads; 0 = hardware concurrency. */
+    /**
+     * Points run at once, the calling thread included; 0 = hardware
+     * concurrency.
+     */
     unsigned jobs = 0;
 
     /** Axis overrides: name -> replacement values (CLI --set). */
@@ -78,7 +81,7 @@ struct RunOptions
     {
         /**
          * Write a Chrome trace-event JSON (Perfetto-loadable) of the
-         * sweep here: one lane per pool worker, a span per grid
+         * sweep here: one lane per sweep thread, a span per grid
          * point with nested sim / journal-flush phases, instants for
          * checkpoint writes.  "" disables (no timing calls, no allocation).  Tracing
          * observes the harness only -- sweep output is byte-identical
@@ -109,7 +112,7 @@ struct SweepResult
     JsonValue grid;                  //!< effective axes after overrides
     std::vector<ResultRow> rows;     //!< point params merged in
     std::vector<ResultRow> summary;
-    unsigned jobs = 0;
+    unsigned jobs = 0;               //!< --jobs, 0 resolved
     std::size_t points = 0;          //!< grid size
     double wallSeconds = 0.0;
 

@@ -3,8 +3,8 @@
  * The scenario registry: every reproduced paper figure/table (and
  * any future experiment) registers under a stable name with a
  * declarative parameter grid and a per-point run function.  The
- * sweep runner (sim/runner.h) fans registered grids across the
- * thread pool; the `pracbench` CLI is its client.
+ * sweep runner (sim/runner.h) runs a registered grid's points on
+ * --jobs threads; the `pracbench` CLI is its client.
  */
 
 #ifndef PRACLEAK_SIM_SCENARIO_H

@@ -646,8 +646,9 @@ defenseMatrixAdaptive()
             static_cast<std::uint32_t>(params.getInt("nbo"));
         options.windowMs = params.getDouble("window_ms");
         options.base = attackerKnobs(params);
-        // Inline, serial, unjournalled: the outer sweep runner owns
-        // checkpointing and parallelism for this scenario.
+        // Inline on this point's thread, serial, unjournalled: the
+        // outer sweep runner owns checkpointing and parallelism for
+        // this scenario.
         options.jobs = 1;
 
         const SearchResult result = runAttackerSearch(options);

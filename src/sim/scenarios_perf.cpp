@@ -3,7 +3,7 @@
  * Performance-evaluation scenarios: Figures 10-14 plus Tables 4 and 5.
  *
  * Each grid point is one (workload entry x design) pair; the runner
- * fans points across the thread pool and the "none" baseline
+ * runs up to --jobs points at once and the "none" baseline
  * leg is memoized (sim/design.h), so comparing N designs costs one
  * baseline simulation per workload, not N.
  */

@@ -65,8 +65,11 @@ struct SearchOptions
     std::uint32_t nbo = 512;
     double windowMs = 4.0;
 
-    /** Inner-sweep width (rows stay in grid order at any width). */
-    int jobs = 1;
+    /**
+     * Inner-sweep width, as RunOptions::jobs (rows stay in grid order
+     * at any width).
+     */
+    unsigned jobs = 1;
 
     /** Journal directory for kill/resume; "" = in-memory only. */
     std::string checkpointDir;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Chrome trace-event export for sweep runs: one lane per pool
- * worker, a span per grid point and per phase (sim / journal-flush),
+ * Chrome trace-event export for sweep runs: one lane per sweep
+ * thread, a span per grid point and per phase (sim / journal-flush),
  * a span per recorded workload or replayed defense, and instant
  * events for checkpoint writes.  The emitted JSON loads in Perfetto / chrome://tracing, so
  * scheduling gaps and straggler points are visible at a glance.
@@ -33,8 +33,9 @@ namespace pracleak::telemetry {
 /**
  * One trace recording: thread-safe event buffer plus the steady
  * clock all timestamps are relative to.  Lanes are small integers
- * (ThreadPool worker index; -1 for the calling/main thread) mapped
- * to Chrome thread ids with human-readable names.
+ * (parallelLane(): 0.. on a thread parallelFor started, -1 on the
+ * calling thread) mapped to Chrome thread ids with human-readable
+ * names.
  */
 class TraceSession
 {

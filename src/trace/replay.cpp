@@ -1,13 +1,10 @@
 #include "trace/replay.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 
+#include "common/parallel.h"
 #include "cpu/replay_core.h"
 #include "mitigation/registry.h"
 
@@ -83,7 +80,6 @@ struct ChannelSlot
     SchedCounters sched;
     Cycle endCycle = 0;
     bool done = false;
-    std::exception_ptr error;
 };
 
 /**
@@ -168,45 +164,22 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
     const Cycle end = header.endCycle;
     const std::uint32_t channels = header.channels;
     std::vector<ChannelSlot> slots(channels);
-    std::atomic<std::uint32_t> next{0};
-    const auto work = [&] {
-        for (std::uint32_t c = next++; c < channels; c = next++) {
-            ChannelSlot &slot = slots[c];
-            try {
-                runChannel(*mems[c], cores[c], end);
-                slot.stats = snapshotChannelStats(*mems[c]);
-                slot.stats.requests = cores[c].replayed();
-                slot.sched = mems[c]->schedCounters();
-                slot.endCycle = mems[c]->now();
-                slot.done = cores[c].done();
-            } catch (...) {
-                slot.error = std::current_exception();
-            }
-            mems[c].reset();
-        }
-    };
-    const std::uint32_t threads = std::min(
-        channels, std::max(1u, std::thread::hardware_concurrency()));
-    std::vector<std::thread> workers;
-    workers.reserve(threads - 1);
-    for (std::uint32_t t = 1; t < threads; ++t) {
-        try {
-            workers.emplace_back(work);
-        } catch (const std::system_error &) {
-            break; // the threads already started share the rest
-        }
-    }
-    work();
-    for (std::thread &worker : workers)
-        worker.join();
+    parallelFor(channels, 0, [&](std::size_t c) {
+        runChannel(*mems[c], cores[c], end);
+        ChannelSlot &slot = slots[c];
+        slot.stats = snapshotChannelStats(*mems[c]);
+        slot.stats.requests = cores[c].replayed();
+        slot.sched = mems[c]->schedCounters();
+        slot.endCycle = mems[c]->now();
+        slot.done = cores[c].done();
+        mems[c].reset();
+    });
 
     ReplayResult result;
     result.mitigation = mitigation;
     result.endCycle = slots[0].endCycle;
     result.channels.reserve(channels);
     for (const ChannelSlot &slot : slots) {
-        if (slot.error)
-            std::rethrow_exception(slot.error);
         result.channels.push_back(slot.stats);
         result.replayedRequests += slot.stats.requests;
         result.fullyDrained = result.fullyDrained && slot.done;

@@ -11,11 +11,12 @@
  * defense is the cheap leg of a defense sweep: the request stream is
  * fixed (open-loop), only the controller+defense reaction differs.
  *
- * The channels share no state, so replayTrace() runs them
- * concurrently on up to one thread per host CPU, the calling thread
- * included; the result does not depend on the thread count.  The
- * controllers are still built on the calling thread in channel order,
- * which is what a telemetry::SeriesCapture relies on to group them.
+ * The channels share no state, so replayTrace() runs them through
+ * parallelFor() (common/parallel.h) on up to one thread per host CPU,
+ * the calling thread included; the result does not depend on the
+ * thread count.  The controllers are still built on the calling
+ * thread in channel order, which is what a telemetry::SeriesCapture
+ * relies on to group them.
  */
 
 #ifndef PRACLEAK_TRACE_REPLAY_H

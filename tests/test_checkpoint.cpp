@@ -319,8 +319,8 @@ TEST_F(CheckpointTest, ResumeWithDifferentWorkerCount)
 {
     const std::string reference = canonical(run(baseOptions(8)));
 
-    // First leg serial, killed after three records; resume with an
-    // 8-thread pool.  The merged output is keyed by grid index, so
+    // First leg serial, killed after three records; resume on 8
+    // threads.  The merged output is keyed by grid index, so
     // the worker count of either leg must not matter.
     RunOptions serial = baseOptions(1);
     serial.checkpoint.directory = directory_;
@@ -339,7 +339,7 @@ TEST_F(CheckpointTest, ResumeWithDifferentWorkerCount)
 
 TEST_F(CheckpointTest, DeterministicUnderSaturatedPool)
 {
-    // Two full checkpointed runs on an 8-thread pool: identical
+    // Two full checkpointed runs on 8 threads: identical
     // output and, record order aside, identical journals.
     RunOptions checkpointed = baseOptions(8);
     checkpointed.checkpoint.directory = directory_;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Determinism tests for the sweep runner: the same scenario grid run
- * with 1 worker and with 8 workers must produce byte-identical rows
- * and summaries -- thread-pool scheduling (and the memoized-baseline
- * cache it races on) must never leak into results.
+ * at --jobs 1 and at --jobs 8 must produce byte-identical rows and
+ * summaries -- thread scheduling (and the memoized-baseline cache the
+ * threads race on) must never leak into results.
  */
 
 #include <gtest/gtest.h>

@@ -1,23 +1,28 @@
 /**
  * @file
  * Unit tests for the scenario-runner subsystem: JSON emission,
- * parameter grids, the thread pool (including nested fan-out), the
+ * parameter grids, the parallel loop (including nested loops), the
  * scenario registry, and an end-to-end sweep through the runner.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <utility>
 
+#include "common/parallel.h"
 #include "sim/json.h"
 #include "sim/param_grid.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
-#include "sim/thread_pool.h"
 
 namespace pracleak::sim {
 namespace {
@@ -66,6 +71,11 @@ TEST(Json, ParseScalarDetectsTypes)
     EXPECT_EQ(parseScalar("42").asInt(), 42);
     EXPECT_EQ(parseScalar("0.5").kind(), JsonValue::Kind::Double);
     EXPECT_EQ(parseScalar("tprac").kind(), JsonValue::Kind::String);
+    // Past int64 the literal is the double it spells, not INT64_MAX,
+    // so an integer axis rejects it.
+    const JsonValue huge = parseScalar("99999999999999999999");
+    EXPECT_EQ(huge.kind(), JsonValue::Kind::Double);
+    EXPECT_DOUBLE_EQ(huge.asDouble(), 1e20);
 }
 
 TEST(Json, NumbersCompareAcrossKinds)
@@ -176,53 +186,106 @@ TEST(ParamSet, CoerciveGettersAndMissingKeyThrows)
     EXPECT_THROW(set.at("missing"), std::out_of_range);
 }
 
-// --- Thread pool ---------------------------------------------------
+// --- Parallel loop -----------------------------------------------
 
-TEST(ThreadPool, MapPreservesOrder)
+TEST(Parallel, MapPreservesOrder)
 {
-    ThreadPool pool(4);
-    std::vector<std::function<int()>> jobs;
-    for (int i = 0; i < 100; ++i)
-        jobs.push_back([i] { return i * i; });
-    const std::vector<int> results = pool.map(std::move(jobs));
-    ASSERT_EQ(results.size(), 100u);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(results[i], i * i);
+    std::vector<std::atomic<int>> runs(100);
+    std::vector<std::size_t> squares(runs.size());
+    parallelFor(runs.size(), 4, [&](std::size_t i) {
+        ++runs[i];
+        squares[i] = i * i;
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+        EXPECT_EQ(squares[i], i * i);
+    }
 }
 
-TEST(ThreadPool, NestedMapDoesNotDeadlock)
+TEST(Parallel, NestedMapDoesNotDeadlock)
 {
-    ThreadPool pool(2); // fewer workers than nested collectors
-    std::vector<std::function<int()>> outer;
-    for (int i = 0; i < 8; ++i)
-        outer.push_back([&pool, i] {
-            std::vector<std::function<int()>> inner;
-            for (int j = 0; j < 8; ++j)
-                inner.push_back([i, j] { return i + j; });
-            int sum = 0;
-            for (const int v : pool.map(std::move(inner)))
-                sum += v;
-            return sum;
-        });
-    const std::vector<int> sums = pool.map(std::move(outer));
-    for (int i = 0; i < 8; ++i)
+    std::vector<std::size_t> sums(8);
+    parallelFor(sums.size(), 2, [&sums](std::size_t i) {
+        std::vector<std::size_t> inner(8);
+        parallelFor(inner.size(), 2,
+                    [&inner, i](std::size_t j) { inner[j] = i + j; });
+        sums[i] = std::accumulate(inner.begin(), inner.end(),
+                                  std::size_t{0});
+    });
+    for (std::size_t i = 0; i < sums.size(); ++i)
         EXPECT_EQ(sums[i], 8 * i + 28);
 }
 
-TEST(ThreadPool, MapPropagatesExceptionsAfterDraining)
+TEST(Parallel, MapPropagatesExceptionsAfterDraining)
 {
-    ThreadPool pool(2);
+    // Index 3 throws only after index 7 has thrown, so the rethrown
+    // exception is the lowest index's, not the first in time.
     std::atomic<int> ran{0};
-    std::vector<std::function<int()>> jobs;
-    for (int i = 0; i < 10; ++i)
-        jobs.push_back([&ran, i]() -> int {
+    std::atomic<bool> sevenThrew{false};
+    const auto waitForSeven = [&sevenThrew] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!sevenThrew && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    };
+    try {
+        parallelFor(10, 2, [&](std::size_t i) {
             ++ran;
-            if (i == 3)
-                throw std::runtime_error("boom");
-            return i;
+            if (i == 3) {
+                waitForSeven();
+                throw std::runtime_error("index 3");
+            }
+            if (i == 7) {
+                sevenThrew = true;
+                throw std::runtime_error("index 7");
+            }
         });
-    EXPECT_THROW(pool.map(std::move(jobs)), std::runtime_error);
+        ADD_FAILURE() << "parallelFor swallowed the exceptions";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "index 3");
+    }
+    EXPECT_TRUE(sevenThrew);
     EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(Parallel, ThreadsBoundTheIndicesRunningAtOnce)
+{
+    // Four indices meet at a latch, so four threads run at once: the
+    // caller on lane -1 and the three it started on lanes 0..2.
+    std::mutex mutex;
+    std::multiset<int> lanes;
+    std::latch meet(4);
+    parallelFor(4, 4, [&](std::size_t) {
+        meet.arrive_and_wait();
+        const std::lock_guard<std::mutex> lock(mutex);
+        lanes.insert(parallelLane());
+    });
+    EXPECT_EQ(lanes, (std::multiset<int>{-1, 0, 1, 2}));
+    EXPECT_EQ(parallelLane(), -1);
+
+    // No more threads start than there are indices: two indices run
+    // on the caller and at most one started thread (lane 0).
+    lanes.clear();
+    parallelFor(2, 16, [&](std::size_t) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        lanes.insert(parallelLane());
+    });
+    EXPECT_EQ(lanes.size(), 2u);
+    for (const int lane : lanes)
+        EXPECT_LE(lane, 0);
+
+    // And never more than that.
+    std::atomic<int> active{0};
+    std::atomic<int> peak{0};
+    parallelFor(24, 3, [&](std::size_t) {
+        const int now = ++active;
+        int seen = peak;
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        --active;
+    });
+    EXPECT_LE(peak.load(), 3);
 }
 
 // --- Registry + runner ---------------------------------------------
@@ -346,6 +409,42 @@ TEST(Runner, OverridesNarrowTheSweepAndBadAxisThrows)
     options.overrides["bogus"] = {JsonValue(1)};
     EXPECT_THROW(runScenario(scenario, options),
                  std::invalid_argument);
+}
+
+TEST(Runner, OneJobRunsEveryPointOnTheCallingThread)
+{
+    // Each point sleeps, so a second thread would have time to take
+    // one; with --jobs 1 none may, and the points run in grid order.
+    std::mutex mutex;
+    std::vector<std::pair<std::int64_t, std::thread::id>> calls;
+    Scenario scenario;
+    scenario.name = "unit_one_job";
+    scenario.title = "one job";
+    scenario.grid.axis("x", {0, 1, 2, 3, 4, 5, 6, 7});
+    scenario.runPoint = [&](const ParamSet &params) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            calls.emplace_back(params.getInt("x"),
+                               std::this_thread::get_id());
+        }
+        ResultRow row = JsonValue::object();
+        row.set("ran", true);
+        return std::vector<ResultRow>{std::move(row)};
+    };
+
+    RunOptions options;
+    options.jobs = 1;
+    options.progress = false;
+    const SweepResult result = runScenario(scenario, options);
+    EXPECT_EQ(result.jobs, 1u);
+    EXPECT_EQ(result.rows.size(), 8u);
+    ASSERT_EQ(calls.size(), 8u);
+    for (std::size_t k = 0; k < calls.size(); ++k) {
+        EXPECT_EQ(calls[k].first, static_cast<std::int64_t>(k));
+        EXPECT_EQ(calls[k].second, std::this_thread::get_id())
+            << "point " << k << " ran off the calling thread";
+    }
 }
 
 TEST(Runner, EmptyPointRowsAreSkipped)

@@ -5,8 +5,8 @@
  * bit-identity fidelity contract (replaying a trace under the
  * recorded defense must reproduce the recorded controller/mitigation
  * stats exactly, for every registered defense and across channel
- * counts and spec variants), and replay determinism under a
- * saturated thread pool.
+ * counts and spec variants), and replay determinism when eight
+ * replays run at once.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "lockstep.h"
 #include "sim/design.h"
-#include "sim/thread_pool.h"
 #include "sim/trace_support.h"
 #include "trace/recorder.h"
 #include "trace/replay.h"
@@ -409,22 +409,18 @@ TEST(TraceReplay, CrossDefenseReplayExercisesDefense)
 }
 
 /**
- * Replay determinism under a saturated pool (the `--jobs 8` case):
- * eight concurrent replays of one trace must agree field-for-field.
+ * Replay determinism at `--jobs 8`: eight replays of one trace
+ * running at once must agree field-for-field.
  */
 TEST(TraceReplay, DeterministicUnderEightJobs)
 {
     const RecordedRun recorded = recordEntry("none");
-    sim::ThreadPool pool(8);
-    std::vector<std::function<trace::ReplayResult()>> jobs;
-    for (int i = 0; i < 8; ++i)
-        jobs.push_back([&recorded] {
-            trace::ReplayOptions options;
-            options.mitigation = "graphene";
-            return trace::replayTrace(recorded.trace, options);
-        });
-    const std::vector<trace::ReplayResult> results =
-        pool.map(std::move(jobs));
+    std::vector<trace::ReplayResult> results(8);
+    parallelFor(results.size(), 8, [&](std::size_t i) {
+        trace::ReplayOptions options;
+        options.mitigation = "graphene";
+        results[i] = trace::replayTrace(recorded.trace, options);
+    });
     for (std::size_t i = 1; i < results.size(); ++i) {
         ASSERT_EQ(results[i].channels.size(),
                   results[0].channels.size());
