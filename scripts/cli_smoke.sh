@@ -129,6 +129,9 @@ expect_reject "axis 'nrh' takes a non-negative integer, got '-5'" \
 expect_reject "axis 'nbo' takes a non-negative integer, got '1e+20'" \
     "${PRACBENCH}" run fig03_timing_variation --smoke \
     --set nbo=99999999999999999999
+expect_reject "axis 'nbo' takes an integer in [0, 4294967295], got 4294967296" \
+    "${PRACBENCH}" run fig03_timing_variation --smoke \
+    --set nbo=4294967296
 expect_reject "axis 'with_victim' takes true or false, got 'yes'" \
     "${PRACBENCH}" run fig03_timing_variation --smoke --set with_victim=yes
 expect_reject "axis 'window_ms' takes a number, got 'abc'" \

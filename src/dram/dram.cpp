@@ -24,41 +24,6 @@ DramDevice::addListener(DramListener *listener)
     listeners_.push_back(listener);
 }
 
-std::size_t
-DramDevice::bankIndex(std::uint32_t rank, std::uint32_t bg,
-                      std::uint32_t bank) const
-{
-    return (static_cast<std::size_t>(rank) * spec_.org.bankGroups + bg) *
-               spec_.org.banksPerGroup +
-           bank;
-}
-
-const DramDevice::BankState &
-DramDevice::bankOf(const Command &cmd) const
-{
-    return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
-}
-
-DramDevice::BankState &
-DramDevice::bankOf(const Command &cmd)
-{
-    return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
-}
-
-bool
-DramDevice::isOpen(std::uint32_t rank, std::uint32_t bg,
-                   std::uint32_t bank) const
-{
-    return banks_[bankIndex(rank, bg, bank)].open;
-}
-
-std::uint32_t
-DramDevice::openRow(std::uint32_t rank, std::uint32_t bg,
-                    std::uint32_t bank) const
-{
-    return banks_[bankIndex(rank, bg, bank)].row;
-}
-
 bool
 DramDevice::anyOpenInRank(std::uint32_t rank) const
 {
@@ -87,10 +52,12 @@ Cycle
 DramDevice::earliestIssue(const Command &cmd) const
 {
     switch (cmd.type) {
-      case CmdType::ACT: return earliestAct(cmd);
-      case CmdType::PRE: return earliestPre(cmd);
-      case CmdType::RD: return earliestCas(cmd, true);
-      case CmdType::WR: return earliestCas(cmd, false);
+      case CmdType::ACT:
+      case CmdType::PRE:
+      case CmdType::RD:
+      case CmdType::WR:
+        return std::max(bankReadyAt(cmd),
+                        sharedReadyAt(cmd.type, cmd.rank, cmd.bankGroup));
       case CmdType::REFab: return earliestRef(cmd);
       case CmdType::RFMab: return earliestRfm();
       case CmdType::RFMpb: return earliestRfmPb(cmd);
@@ -103,69 +70,6 @@ DramDevice::canIssue(const Command &cmd, Cycle now) const
 {
     const Cycle earliest = earliestIssue(cmd);
     return earliest != kNeverCycle && earliest <= now;
-}
-
-Cycle
-DramDevice::earliestAct(const Command &cmd) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (bank.open)
-        return kNeverCycle;
-
-    const RankState &rank = ranks_[cmd.rank];
-    Cycle t = std::max({bank.nextAct, rank.blockedUntil,
-                        channelBlockedUntil_});
-
-    // tFAW: at most four ACTs per rank per window.
-    const Cycle oldest = rank.actTimes[rank.actPtr];
-    if (oldest != kNeverCycle)
-        t = std::max(t, oldest + spec_.timing.tFAW);
-
-    // tRRD: ACT-to-ACT spacing within the rank.
-    if (rank.lastActAny != kNeverCycle)
-        t = std::max(t, rank.lastActAny + spec_.timing.tRRD_S);
-    const Cycle last_same_bg = rank.lastActByBg[cmd.bankGroup];
-    if (last_same_bg != kNeverCycle)
-        t = std::max(t, last_same_bg + spec_.timing.tRRD_L);
-
-    return t;
-}
-
-Cycle
-DramDevice::earliestPre(const Command &cmd) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (!bank.open)
-        return kNeverCycle;
-    return std::max({bank.nextPre, ranks_[cmd.rank].blockedUntil,
-                     channelBlockedUntil_});
-}
-
-Cycle
-DramDevice::earliestCas(const Command &cmd, bool is_read) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (!bank.open || bank.row != cmd.row)
-        return kNeverCycle;
-
-    const RankState &rank = ranks_[cmd.rank];
-    Cycle t = std::max({is_read ? bank.nextRd : bank.nextWr,
-                        rank.blockedUntil, channelBlockedUntil_});
-    t = std::max(t, rank.nextCasAny);
-    t = std::max(t, rank.nextCasByBg[cmd.bankGroup]);
-    // The data bus changes direction channel-wide; tWTR additionally
-    // gates same-rank reads after a write.
-    t = std::max(t, is_read ? busRdAllowedAt_ : busWrAllowedAt_);
-    if (is_read)
-        t = std::max(t, rank.rdAllowedAt);
-
-    // The data bus must be free when this burst's data would start.
-    const Cycle data_lead =
-        is_read ? spec_.timing.tCL : spec_.timing.tCWL;
-    if (busFreeAt_ > t + data_lead)
-        t = busFreeAt_ - data_lead;
-
-    return t;
 }
 
 Cycle

@@ -9,6 +9,13 @@
  * issue(); issuing too early is a simulator bug (panic), not a
  * recoverable error.
  *
+ * The legality of an ACT, PRE, RD or WR splits into two parts whose
+ * max is earliestIssue(): the addressed bank's own limits
+ * (bankReadyAt()) and a gate shared by every bank of the rank or
+ * channel (sharedReadyAt()).  Only a command to the bank moves the
+ * first, so the controller caches it per bank and reads the shared
+ * gate live (src/mem/DESIGN.md, "Cached bank parts").
+ *
  * PRAC bookkeeping (per-row counters, Alert Back-Off) is layered on
  * top through the DramListener interface so the device model stays a
  * pure timing engine.
@@ -17,6 +24,7 @@
 #ifndef PRACLEAK_DRAM_DRAM_H
 #define PRACLEAK_DRAM_DRAM_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -73,6 +81,38 @@ class DramDevice
      */
     Cycle earliestIssue(const Command &cmd) const;
 
+    /**
+     * The addressed bank's own limit on an ACT, PRE, RD or WR:
+     * kNeverCycle when the command is structurally illegal (ACT to an
+     * open bank, PRE to a closed one, CAS to a row that is not open).
+     * Only a command to the bank itself (ACT, PRE, RD, WR, RFMpb)
+     * changes it.  A REFab or RFMab raises it no further than a block
+     * time sharedReadyAt() already contains, so a value read before
+     * either stays exact in the max with the current shared gate.
+     */
+    Cycle bankReadyAt(const Command &cmd) const;
+
+    /**
+     * The rank- and channel-wide limits on an ACT, PRE, RD or WR to
+     * bank group @p bg of @p rank: for every such @p cmd,
+     * earliestIssue(cmd) == max(bankReadyAt(cmd), sharedReadyAt(
+     * cmd.type, cmd.rank, cmd.bankGroup)).
+     */
+    Cycle sharedReadyAt(CmdType type, std::uint32_t rank,
+                        std::uint32_t bg) const;
+
+    /**
+     * The part of sharedReadyAt() common to every RD (or WR) of the
+     * channel: the RFMab block, the bus turnaround and the data bus.
+     */
+    Cycle casChannelReadyAt(bool is_read) const;
+
+    /**
+     * The part of sharedReadyAt() common to every ACT of @p rank: the
+     * REFab and RFMab blocks, tFAW and tRRD_S.
+     */
+    Cycle actRankReadyAt(std::uint32_t rank) const;
+
     /** True if @p cmd may issue exactly at @p now. */
     bool canIssue(const Command &cmd, Cycle now) const;
 
@@ -80,12 +120,18 @@ class DramDevice
     void issue(const Command &cmd, Cycle now);
 
     /** Whether the given bank has an open row. */
-    bool isOpen(std::uint32_t rank, std::uint32_t bg,
-                std::uint32_t bank) const;
+    bool
+    isOpen(std::uint32_t rank, std::uint32_t bg, std::uint32_t bank) const
+    {
+        return banks_[bankIndex(rank, bg, bank)].open;
+    }
 
     /** Open row of a bank (only valid when isOpen()). */
-    std::uint32_t openRow(std::uint32_t rank, std::uint32_t bg,
-                          std::uint32_t bank) const;
+    std::uint32_t
+    openRow(std::uint32_t rank, std::uint32_t bg, std::uint32_t bank) const
+    {
+        return banks_[bankIndex(rank, bg, bank)].row;
+    }
 
     /** Whether any bank in @p rank has an open row. */
     bool anyOpenInRank(std::uint32_t rank) const;
@@ -143,14 +189,25 @@ class DramDevice
         Cycle rdAllowedAt = 0;              //!< tWTR gate (same rank)
     };
 
-    std::size_t bankIndex(std::uint32_t rank, std::uint32_t bg,
-                          std::uint32_t bank) const;
-    const BankState &bankOf(const Command &cmd) const;
-    BankState &bankOf(const Command &cmd);
+    std::size_t
+    bankIndex(std::uint32_t rank, std::uint32_t bg,
+              std::uint32_t bank) const
+    {
+        return (static_cast<std::size_t>(rank) * spec_.org.bankGroups +
+                bg) * spec_.org.banksPerGroup +
+               bank;
+    }
+    const BankState &
+    bankOf(const Command &cmd) const
+    {
+        return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
+    }
+    BankState &
+    bankOf(const Command &cmd)
+    {
+        return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
+    }
 
-    Cycle earliestAct(const Command &cmd) const;
-    Cycle earliestPre(const Command &cmd) const;
-    Cycle earliestCas(const Command &cmd, bool is_read) const;
     Cycle earliestRef(const Command &cmd) const;
     Cycle earliestRfm() const;
     Cycle earliestRfmPb(const Command &cmd) const;
@@ -173,6 +230,81 @@ class DramDevice
     std::function<void(const Command &, Cycle)> traceSink_;
     std::array<std::uint64_t, 7> issueCounts_{};
 };
+
+// The split parts are inline: the controller's demand scan reads
+// them for every candidate it walks.
+
+inline Cycle
+DramDevice::bankReadyAt(const Command &cmd) const
+{
+    const BankState &bank = bankOf(cmd);
+    switch (cmd.type) {
+      case CmdType::ACT: return bank.open ? kNeverCycle : bank.nextAct;
+      case CmdType::PRE: return bank.open ? bank.nextPre : kNeverCycle;
+      case CmdType::RD:
+      case CmdType::WR:
+        if (!bank.open || bank.row != cmd.row)
+            return kNeverCycle;
+        return cmd.type == CmdType::RD ? bank.nextRd : bank.nextWr;
+      default: return kNeverCycle;
+    }
+}
+
+inline Cycle
+DramDevice::casChannelReadyAt(bool is_read) const
+{
+    Cycle t = std::max(channelBlockedUntil_,
+                       is_read ? busRdAllowedAt_ : busWrAllowedAt_);
+    // The data bus must be free when the burst's data would start.
+    const Cycle data_lead =
+        is_read ? spec_.timing.tCL : spec_.timing.tCWL;
+    if (busFreeAt_ > data_lead)
+        t = std::max(t, busFreeAt_ - data_lead);
+    return t;
+}
+
+inline Cycle
+DramDevice::actRankReadyAt(std::uint32_t rank_index) const
+{
+    const RankState &rank = ranks_[rank_index];
+    Cycle t = std::max(rank.blockedUntil, channelBlockedUntil_);
+    // tFAW: at most four ACTs per rank per window.
+    const Cycle oldest = rank.actTimes[rank.actPtr];
+    if (oldest != kNeverCycle)
+        t = std::max(t, oldest + spec_.timing.tFAW);
+    // tRRD_S: ACT-to-ACT spacing within the rank.
+    if (rank.lastActAny != kNeverCycle)
+        t = std::max(t, rank.lastActAny + spec_.timing.tRRD_S);
+    return t;
+}
+
+inline Cycle
+DramDevice::sharedReadyAt(CmdType type, std::uint32_t rank_index,
+                          std::uint32_t bg) const
+{
+    const RankState &rank = ranks_[rank_index];
+    switch (type) {
+      case CmdType::ACT: {
+        const Cycle t = actRankReadyAt(rank_index);
+        const Cycle last_same_bg = rank.lastActByBg[bg];
+        return last_same_bg == kNeverCycle
+                   ? t
+                   : std::max(t, last_same_bg + spec_.timing.tRRD_L);
+      }
+      case CmdType::PRE:
+        return std::max(rank.blockedUntil, channelBlockedUntil_);
+      case CmdType::RD:
+      case CmdType::WR: {
+        const bool is_read = type == CmdType::RD;
+        // The bus direction changes channel-wide; tWTR additionally
+        // gates same-rank reads after a write.
+        return std::max({casChannelReadyAt(is_read), rank.blockedUntil,
+                         rank.nextCasAny, rank.nextCasByBg[bg],
+                         is_read ? rank.rdAllowedAt : Cycle{0}});
+      }
+      default: return kNeverCycle;
+    }
+}
 
 } // namespace pracleak
 

@@ -48,6 +48,9 @@ MemoryController::MemoryController(const DramSpec &spec,
         freeSlots_.push_back(static_cast<std::uint32_t>(slot));
 
     const DramOrg &org = spec.org;
+    if (org.totalBanks() > 0x10000)
+        fatal("a channel of more than 65536 banks does not fit the "
+              "scheduler's 16-bit bank index");
     banks_.resize(org.totalBanks());
     for (std::uint32_t flat = 0; flat < org.totalBanks(); ++flat) {
         const std::uint32_t in_rank = flat % org.banksPerRank();
@@ -56,9 +59,7 @@ MemoryController::MemoryController(const DramSpec &spec,
         banks_[flat].bank = in_rank % org.banksPerGroup;
     }
     queuedBanks_.assign((org.totalBanks() + 63) / 64, 0);
-    dueBanks_.assign(queuedBanks_.size(), 0);
-    bound_.assign(org.totalBanks(), 0);
-    stamp_.assign(org.totalBanks(), kRebuild);
+    staleBanks_.assign(queuedBanks_.size(), 0);
     tickets_.assign(org.totalBanks(), 0);
 
     // Resolve the hot stats once.  Queue occupancy is in requests, one
@@ -105,6 +106,7 @@ MemoryController::enqueue(Request request)
     q.tail = slot;
     queuedBanks_[flat / 64] |= bankBit(flat);
     invalidate(flat);
+    demandIdleUntil_ = 0;
     pool_[slot] = std::move(request);
 
     nextWorkCacheValid_ = false;
@@ -181,12 +183,13 @@ void
 MemoryController::issue(const Command &cmd)
 {
     dram_.issue(cmd, now_);
-    // DRAM timing limits only move later as commands issue, so every
-    // cached bound stays a lower bound -- except on the addressed
-    // bank, whose open row, streak or queue may have changed.
-    ++issued_;
+    demandIdleUntil_ = 0;
+    // Only a command to a bank moves its bank part; a REFab or RFMab
+    // raises bank parts no further than the shared gate they also
+    // raise (DramDevice::bankReadyAt).
     if (cmd.type == CmdType::ACT || cmd.type == CmdType::PRE ||
-        cmd.type == CmdType::RD || cmd.type == CmdType::WR)
+        cmd.type == CmdType::RD || cmd.type == CmdType::WR ||
+        cmd.type == CmdType::RFMpb)
         invalidate(spec_.org.flatBank(
             cmd.rank, cmd.bankGroup * spec_.org.banksPerGroup + cmd.bank));
     if (bus_)
@@ -196,50 +199,8 @@ MemoryController::issue(const Command &cmd)
 void
 MemoryController::invalidate(std::uint32_t flat)
 {
-    stamp_[flat] = kRebuild;
-    markDue(flat);
-}
-
-void
-MemoryController::markDue(std::uint32_t flat) const
-{
-    dueBanks_[flat / 64] |= queuedBanks_[flat / 64] & bankBit(flat);
+    staleBanks_[flat / 64] |= queuedBanks_[flat / 64] & bankBit(flat);
     ++tickets_[flat];
-}
-
-void
-MemoryController::park(std::uint32_t flat) const
-{
-    dueBanks_[flat / 64] &= ~bankBit(flat);
-    parked_.push_back(Parked{bound_[flat], flat, tickets_[flat]});
-    std::push_heap(parked_.begin(), parked_.end(), std::greater<>());
-}
-
-void
-MemoryController::popParked() const
-{
-    std::pop_heap(parked_.begin(), parked_.end(), std::greater<>());
-    parked_.pop_back();
-}
-
-void
-MemoryController::reparkTop() const
-{
-    // The key only rose, so sift it down: one pass instead of a pop
-    // and a push.
-    Parked item = parked_.front();
-    item.at = bound_[item.bank];
-    const std::size_t size = parked_.size();
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
-        if (child + 1 < size && parked_[child + 1].at < parked_[child].at)
-            ++child;
-        if (parked_[child].at >= item.at)
-            break;
-        parked_[hole] = parked_[child];
-        hole = child;
-    }
-    parked_[hole] = item;
 }
 
 bool
@@ -406,157 +367,197 @@ MemoryController::candidateCommand(const BankQueue &q,
 }
 
 void
-MemoryController::refreshBank(std::uint32_t flat) const
+MemoryController::listBank(std::uint32_t flat) const
 {
     const BankQueue &q = banks_[flat];
-    if (stamp_[flat] == kRebuild)
-        rebuildCandidates(q);
-    Cycle bound = kNeverCycle;
+    rebuildCandidates(q);
     for (std::uint32_t i = 0; i < q.count; ++i) {
-        Candidate &c = q.cands[i];
-        c.at = dram_.earliestIssue(candidateCommand(q, c));
-        bound = std::min(bound, c.at);
+        const Candidate &c = q.cands[i];
+        // The bank part reads no column: candidateCommand() without
+        // the pool lookup.
+        const Cycle at = dram_.bankReadyAt(Command{
+            c.type, q.rank, q.bankGroup, q.bank, pending_[c.slot].row, 0});
+        Listed entry{c.seq, tickets_[flat],
+                     static_cast<std::uint16_t>(flat), c.type,
+                     static_cast<std::uint8_t>(i)};
+        if (at <= now_) {
+            insertReady(entry);
+        } else if (at != kNeverCycle) {
+            entry.key = at;
+            parked_.push_back(entry);
+            std::push_heap(parked_.begin(), parked_.end(),
+                           std::greater<>());
+        }
     }
-    bound_[flat] = bound;
-    stamp_[flat] = issued_;
+}
+
+void
+MemoryController::insertReady(const Listed &entry) const
+{
+    std::vector<Listed> &list =
+        ready_[entry.type == CmdType::ACT   ? kAct
+               : entry.type == CmdType::PRE ? kPre
+                                            : kCas];
+    // Most entries are the youngest: a new request's candidate.
+    if (list.empty() || list.back().key < entry.key) {
+        list.push_back(entry);
+        return;
+    }
+    list.insert(std::upper_bound(list.begin(), list.end(), entry.key,
+                                 [](std::uint64_t key, const Listed &e) {
+                                     return key < e.key;
+                                 }),
+                entry);
+}
+
+Cycle
+MemoryController::sharedReadyAt(const Listed &entry) const
+{
+    const BankQueue &q = banks_[entry.bank];
+    return dram_.sharedReadyAt(entry.type, q.rank, q.bankGroup);
+}
+
+bool
+MemoryController::drained(const Listed &entry) const
+{
+    if (!maint_.active)
+        return false;
+    if (!maint_.isRfm)
+        return banks_[entry.bank].rank == maint_.rank;
+    return maint_.perBank && entry.bank == maint_.flatBank;
+}
+
+void
+MemoryController::boundParked(std::size_t index, Cycle &bound,
+                              bool acts_blocked) const
+{
+    // Every key in a subtree is >= its root's, and a gated cycle is
+    // >= its key, so only subtrees keyed below the bound can lower it.
+    if (index >= parked_.size() || parked_[index].key >= bound)
+        return;
+    const Listed &e = parked_[index];
+    if (e.ticket == tickets_[e.bank] && !drained(e) &&
+        !(acts_blocked && e.type == CmdType::ACT))
+        bound = std::min(bound, std::max(e.key, sharedReadyAt(e)));
+    boundParked(2 * index + 1, bound, acts_blocked);
+    boundParked(2 * index + 2, bound, acts_blocked);
 }
 
 Cycle
 MemoryController::nextDemandIssueAt(DemandPick *pick) const
 {
-    // A maintenance drain holds back demand on the banks it needs (a
-    // refresh drain's rank, an RFMpb drain's bank), and a spent ABOACT
-    // budget holds every closed bank: its only candidate is an ACT.
-    const bool refresh_drain = maint_.active && !maint_.isRfm;
-    const bool rfmpb_drain =
-        maint_.active && maint_.isRfm && maint_.perBank;
+    if (now_ < demandIdleUntil_)
+        return demandIdleUntil_;
+
+    // List the candidates of every bank a command or an enqueue
+    // touched, then move the heap entries whose bank part has come due
+    // to their ready lists.
+    for (std::size_t w = 0; w < staleBanks_.size(); ++w) {
+        for (std::uint64_t bits = staleBanks_[w]; bits != 0;
+             bits &= bits - 1)
+            listBank(static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+        staleBanks_[w] = 0;
+    }
+    while (!parked_.empty() && parked_.front().key <= now_) {
+        Listed entry = parked_.front();
+        std::pop_heap(parked_.begin(), parked_.end(), std::greater<>());
+        parked_.pop_back();
+        if (entry.ticket != tickets_[entry.bank])
+            continue;
+        entry.key = banks_[entry.bank].cands[entry.index].seq;
+        insertReady(entry);
+    }
+
+    // A ready candidate's bank part is <= now, so it is legal once its
+    // shared gate is, and otherwise becomes legal exactly there.  Each
+    // walk goes oldest first, drops the dead entries it passes, and
+    // ends at its first legal candidate, or, for the bound, once the
+    // running minimum reaches a floor no candidate of the list can
+    // undercut.
+    Cycle bound = kNeverCycle;
+    auto walk = [&](std::vector<Listed> &list, auto floor_of,
+                    std::uint64_t older_than) -> const Listed * {
+        if (list.empty())
+            return nullptr;
+        // The floor is read at the first illegal candidate; until then
+        // 0 stands for it, which ends no walk: every bound lies past
+        // now.
+        Cycle floor = 0;
+        const Listed *legal = nullptr;
+        std::size_t keep = 0;
+        std::size_t i = 0;
+        for (; i < list.size() && list[i].key < older_than && bound > floor;
+             ++i) {
+            const Listed &e = list[i];
+            if (e.ticket != tickets_[e.bank])
+                continue;
+            if (keep != i)
+                list[keep] = e;
+            ++keep;
+            if (drained(e))
+                continue;
+            const Cycle at = sharedReadyAt(e);
+            if (at <= now_) {
+                legal = &list[keep - 1];
+                ++i;
+                break;
+            }
+            bound = std::min(bound, at);
+            if (floor == 0)
+                floor = floor_of();
+        }
+        if (keep != i)
+            list.erase(list.begin() + static_cast<std::ptrdiff_t>(keep),
+                       list.begin() + static_cast<std::ptrdiff_t>(i));
+        return legal;
+    };
+    auto choose = [&](const Listed *e) {
+        if (pick)
+            *pick = DemandPick{e->bank, e->index};
+        return now_;
+    };
+
+    // FR-FCFS: the oldest legal CAS, else the older of the oldest legal
+    // PRE and the oldest legal ACT.  A spent ABOACT budget holds every
+    // ACT.  Each floor is the least shared gate of its class.
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    const Listed *cas = walk(
+        ready_[kCas],
+        [&] {
+            return std::min(dram_.casChannelReadyAt(true),
+                            dram_.casChannelReadyAt(false));
+        },
+        kAll);
+    if (cas)
+        return choose(cas);
+    const Listed *pre = walk(
+        ready_[kPre], [&] { return dram_.channelBlockedUntil(); }, kAll);
     const bool acts_blocked =
         prac_->alertAsserted() &&
         prac_->actsSinceAlert() >= spec_.prac.aboAct;
-    auto drained = [&](std::uint32_t flat) {
-        return (refresh_drain && banks_[flat].rank == maint_.rank) ||
-               (rfmpb_drain && flat == maint_.flatBank);
-    };
-    auto act_held = [&](std::uint32_t flat) {
-        return acts_blocked && banks_[flat].cands[0].type == CmdType::ACT;
-    };
-
-    // Legality: only a bank whose cached bound has come due -- one in
-    // the due set, or a parked one whose key is <= now -- can hold a
-    // legal candidate.  FR-FCFS takes the oldest legal CAS, else the
-    // oldest legal PRE/ACT.
-    constexpr std::uint64_t kNone = ~std::uint64_t{0};
-    std::uint64_t cas_seq = kNone;
-    std::uint64_t other_seq = kNone;
-    DemandPick cas_pick;
-    DemandPick other_pick;
-    bool legal = false;
-
-    // Once a candidate is legal the scan returns now(), so a bank
-    // whose known candidates cannot beat it (younger CAS, or PRE/ACT
-    // against a legal CAS) needs no re-query.
-    auto can_win = [&](const BankQueue &q) {
-        for (std::uint32_t i = 0; i < q.count; ++i) {
-            const Candidate &c = q.cands[i];
-            if (c.type == CmdType::RD || c.type == CmdType::WR
-                    ? c.seq < cas_seq
-                    : cas_seq == kNone && c.seq < other_seq)
-                return true;
-        }
-        return false;
-    };
-    // Re-query a bank whose bound has come due, unless it is held or
-    // pruned: false leaves it in (or moves it to) the due set as is.
-    auto requery = [&](std::uint32_t flat) {
-        if (drained(flat))
-            return false;
-        if (stamp_[flat] != issued_) {
-            if (legal && stamp_[flat] != kRebuild &&
-                !can_win(banks_[flat]))
-                return false;
-            refreshBank(flat);
-        }
-        return !act_held(flat);
-    };
-    // Take a fresh due bank's legal candidates into the choice.
-    auto offer = [&](std::uint32_t flat) {
-        const BankQueue &q = banks_[flat];
-        for (std::uint32_t i = 0; i < q.count; ++i) {
-            const Candidate &c = q.cands[i];
-            if (c.at > now_)
-                continue;
-            legal = true;
-            const bool cas =
-                c.type == CmdType::RD || c.type == CmdType::WR;
-            std::uint64_t &best = cas ? cas_seq : other_seq;
-            if (c.seq < best) {
-                best = c.seq;
-                (cas ? cas_pick : other_pick) = DemandPick{flat, i};
-            }
-        }
-    };
-
-    // The due set first: a bank with no legal candidate is parked.
-    for (std::size_t w = 0; w < dueBanks_.size(); ++w) {
-        for (std::uint64_t bits = dueBanks_[w]; bits != 0;
-             bits &= bits - 1) {
-            const auto flat = static_cast<std::uint32_t>(
-                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-            if (!requery(flat))
-                continue;
-            if (bound_[flat] > now_) {
-                park(flat);
-                continue;
-            }
-            offer(flat);
-        }
+    if (!acts_blocked) {
+        const Listed *act = walk(
+            ready_[kAct],
+            [&] {
+                Cycle floor = kNeverCycle;
+                for (std::uint32_t r = 0; r < spec_.org.ranks; ++r)
+                    floor = std::min(floor, dram_.actRankReadyAt(r));
+                return floor;
+            },
+            pre ? pre->key : kAll);
+        if (act)
+            return choose(act);
     }
+    if (pre)
+        return choose(pre);
 
-    // Then the parked banks whose key has come due, where they sit:
-    // while its bound still lies past now a bank's key rises in
-    // place; otherwise it joins the due set.
-    while (!parked_.empty() && parked_.front().at <= now_) {
-        const std::uint32_t flat = parked_.front().bank;
-        if (parked_.front().ticket != tickets_[flat]) {
-            popParked();
-            continue;
-        }
-        const bool queried = requery(flat);
-        if (queried && bound_[flat] > now_) {
-            reparkTop();
-            continue;
-        }
-        popParked();
-        markDue(flat);
-        if (queried)
-            offer(flat);
-    }
-    if (legal) {
-        if (pick)
-            *pick = cas_seq != kNone ? cas_pick : other_pick;
-        return now_;
-    }
-
-    // Nothing is legal, so every bank that is not held is parked.  The
-    // smallest live key is the exact next demand issue once its bank
-    // is fresh: every other key is at most its bank's true next
-    // issue.  A stale top is re-queried and re-parked; a held bank
-    // that surfaces moves to the due set, out of the bound.
-    while (!parked_.empty()) {
-        const std::uint32_t flat = parked_.front().bank;
-        if (parked_.front().ticket != tickets_[flat]) {
-            popParked();
-        } else if (drained(flat) || act_held(flat)) {
-            popParked();
-            markDue(flat);
-        } else if (stamp_[flat] != issued_) {
-            refreshBank(flat);
-            reparkTop();
-        } else {
-            return parked_.front().at;
-        }
-    }
-    return kNeverCycle;
+    // Nothing is legal: a parked candidate's gated cycle is the max of
+    // its key and its shared gate.
+    if (!parked_.empty())
+        boundParked(0, bound, acts_blocked);
+    demandIdleUntil_ = bound;
+    return bound;
 }
 
 bool
@@ -595,7 +596,7 @@ MemoryController::tickDemand()
             q.tail = prev;
         if (q.head == kNoSlot) {
             queuedBanks_[pick.bank / 64] &= ~bankBit(pick.bank);
-            dueBanks_[pick.bank / 64] &= ~bankBit(pick.bank);
+            staleBanks_[pick.bank / 64] &= ~bankBit(pick.bank);
         }
         break;
       }
@@ -638,12 +639,16 @@ MemoryController::tick()
         }
     }
 
-    if (!maint_.active)
+    if (!maint_.active) {
         startAboServiceIfNeeded();
-    if (!maint_.active)
-        startProactiveRfmIfNeeded();
-    if (!maint_.active)
-        startRefreshIfNeeded();
+        if (!maint_.active)
+            startProactiveRfmIfNeeded();
+        if (!maint_.active)
+            startRefreshIfNeeded();
+        // A new drain holds banks back from demand.
+        if (maint_.active)
+            demandIdleUntil_ = 0;
+    }
 
     bool issued = false;
     if (maint_.active)

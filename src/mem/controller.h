@@ -276,9 +276,6 @@ class MemoryController
     /** End of a bank's request list. */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    /** The bank's candidates must be rebuilt before their next use. */
-    static constexpr std::uint64_t kRebuild = ~std::uint64_t{0};
-
     /** Bit of flat bank @p flat in a per-bank mask word. */
     static constexpr std::uint64_t
     bankBit(std::uint32_t flat)
@@ -299,15 +296,16 @@ class MemoryController
     };
 
     /**
-     * A command one bank's queued requests need next, the oldest
-     * request it serves, and its cached earliestIssue() bound.
+     * A command one bank's queued requests need next and the oldest
+     * request it serves.  It is listed by its bank part
+     * (DramDevice::bankReadyAt), which stays exact until a command
+     * addresses the bank, and that drops the bank's candidates.
      */
     struct Candidate
     {
         CmdType type = CmdType::ACT;
         std::uint32_t slot = 0;   //!< the request it serves
         std::uint64_t seq = 0;    //!< that request's age
-        Cycle at = kNeverCycle;   //!< exact when fresh, else a lower bound
     };
 
     /**
@@ -316,8 +314,8 @@ class MemoryController
      * hit, and one PRE or ACT (a closed bank's ACT is its only
      * candidate).  All queued requests of a bank need the same next
      * command with the same legality, so these (at most three) stand
-     * for the whole list.  The candidate cache is a memo that the
-     * const bound functions refresh in place.
+     * for the whole list.  The candidates are a memo that the const
+     * demand scan rebuilds in place.
      */
     struct BankQueue
     {
@@ -332,22 +330,30 @@ class MemoryController
         mutable std::uint32_t count = 0;
     };
 
-    /**
-     * A queued bank parked in the heap until its cached bound comes
-     * due.  Live while @c ticket equals the bank's current ticket:
-     * leaving the heap for the due set retires it.
-     */
-    struct Parked
-    {
-        Cycle at;
-        std::uint32_t bank;
-        std::uint32_t ticket;
+    /** The three ready lists: one per command class. */
+    enum ReadyClass : std::uint8_t { kCas, kPre, kAct, kClasses };
 
-        /** Ordered by bound alone (std::greater makes a min-heap). */
+    /**
+     * One listed candidate: in its class's ready list, ordered by
+     * @c key = its seq, or in the heap, ordered by @c key = its bank
+     * part.  Live while @c ticket equals its bank's ticket; dropping a
+     * bank's candidates bumps the ticket, and the dead entries stay
+     * behind until a walk or the heap's top reaches them (lazy
+     * deletion).
+     */
+    struct Listed
+    {
+        std::uint64_t key;
+        std::uint32_t ticket;
+        std::uint16_t bank;
+        CmdType type;
+        std::uint8_t index;     //!< into the bank's candidates
+
+        /** Ordered by key alone (std::greater makes a min-heap). */
         friend bool
-        operator>(const Parked &a, const Parked &b)
+        operator>(const Listed &a, const Listed &b)
         {
-            return a.at > b.at;
+            return a.key > b.key;
         }
     };
 
@@ -384,36 +390,43 @@ class MemoryController
      * nextWorkAt().  Returns now() when a demand command is legal
      * this cycle -- choosing it into @p pick, when given -- and
      * otherwise the exact first cycle one becomes legal (kNeverCycle
-     * when none can).  It visits only the due set and the parked
-     * banks whose key has come due (src/mem/DESIGN.md, "Cached
-     * bounds").  The refresh-drain, RFMpb-drain and ABOACT blocks are
-     * filters inside this scan.
+     * when none can).  It walks the age-ordered ready lists, whose
+     * candidates' bank parts are <= now, gating each with the live
+     * shared part, and stops at the first legal candidate; only when
+     * none is legal does it read the heap for the bound
+     * (src/mem/DESIGN.md, "Cached bank parts").  The refresh-drain,
+     * RFMpb-drain and ABOACT holds are filters inside this scan.
      */
     Cycle nextDemandIssueAt(DemandPick *pick = nullptr) const;
 
-    /** Re-query bank @p flat's bounds, rebuilding stale candidates. */
-    void refreshBank(std::uint32_t flat) const;
-
     /**
-     * Drop bank @p flat's candidates (its next commands may differ)
-     * and move it to the due set.
+     * Drop bank @p flat's candidates (its next commands may differ):
+     * the next scan rebuilds and lists them.
      */
     void invalidate(std::uint32_t flat);
 
-    /** Move queued bank @p flat to the due set, retiring its entry. */
-    void markDue(std::uint32_t flat) const;
+    /** Rebuild bank @p flat's candidates and list each by bank part. */
+    void listBank(std::uint32_t flat) const;
 
-    /** Park due bank @p flat in the heap under its cached bound. */
-    void park(std::uint32_t flat) const;
-
-    /** Drop the heap's top entry. */
-    void popParked() const;
+    /** Insert @p entry into its class's ready list, by seq. */
+    void insertReady(const Listed &entry) const;
 
     /**
-     * Re-key the heap's top under its bank's re-queried bound, which
-     * never lies below the old key, and restore the heap order.
+     * Lower @p bound to the gated cycle of every live, unheld entry of
+     * the heap subtree at @p index keyed below it.
      */
-    void reparkTop() const;
+    void boundParked(std::size_t index, Cycle &bound,
+                     bool acts_blocked) const;
+
+    /**
+     * Whether a drain holds back demand on @p entry's bank: a refresh
+     * drain's rank, or an RFMpb drain's bank.
+     */
+    bool drained(const Listed &entry) const;
+
+    /** @p entry's shared gate (DramDevice::sharedReadyAt). */
+    Cycle sharedReadyAt(const Listed &entry) const;
+
     void rebuildCandidates(const BankQueue &q) const;
     Command candidateCommand(const BankQueue &q,
                              const Candidate &c) const;
@@ -429,9 +442,9 @@ class MemoryController
     Cycle composeNextWorkAt(Cycle demand_at, Cycle maint_at) const;
 
     /**
-     * The one issue choke point: every command goes to the DRAM
-     * here, which stales every bank's cached bounds and drops the
-     * candidates of a bank it addresses.
+     * The one issue choke point: every command goes to the DRAM here,
+     * which drops the candidates of a bank it addresses (ACT, PRE,
+     * RD, WR, RFMpb): only those move a bank part.
      */
     void issue(const Command &cmd);
     bool issueOrTrack(const Command &cmd, Cycle &hint);
@@ -460,9 +473,6 @@ class MemoryController
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
 
-    /** Commands issued so far: the freshness stamp of cached bounds. */
-    std::uint64_t issued_ = 0;
-
     /** queueCapacity request slots; the free ones are in freeSlots_. */
     std::vector<Request> pool_;
     std::vector<Pending> pending_;
@@ -473,24 +483,24 @@ class MemoryController
     std::vector<std::uint64_t> queuedBanks_;
 
     /**
-     * Per flat bank: the smallest cached candidate bound, and issued_
-     * when it was queried (kRebuild once the candidates are dropped).
-     * The bound is exact while its stamp is current, else a lower
-     * bound.
+     * Every live candidate of a queued bank is listed once: in its
+     * class's ready list (CAS, PRE, ACT), ordered by seq, once its
+     * bank part is <= now, else in parked_, a binary min-heap on the
+     * bank part.  A bank whose candidates were dropped is in
+     * staleBanks_ (one bit per bank) until the next scan lists them.
      */
-    mutable std::vector<Cycle> bound_;
-    mutable std::vector<std::uint64_t> stamp_;
+    mutable std::vector<std::uint64_t> staleBanks_;
+    mutable std::array<std::vector<Listed>, kClasses> ready_;
+    mutable std::vector<Listed> parked_;
+    std::vector<std::uint32_t> tickets_;
 
     /**
-     * Every queued bank is either in the due set (one bit per bank:
-     * its bound is <= now, unknown, or held by a drain or a spent ACT
-     * budget) or has exactly one live entry in parked_, a binary
-     * min-heap on the bound.  Entries of banks that left the heap
-     * stay behind, dead, until they surface (lazy deletion).
+     * No demand command is legal before this cycle: the bound of the
+     * last scan that found none legal.  Exact until a command, an
+     * enqueue or the start of a drain, each of which resets it to 0,
+     * so a tick that changed nothing does not walk the lists again.
      */
-    mutable std::vector<std::uint64_t> dueBanks_;
-    mutable std::vector<Parked> parked_;
-    mutable std::vector<std::uint32_t> tickets_;
+    mutable Cycle demandIdleUntil_ = 0;
 
     /** Completed-in-future requests waiting for their done time. */
     struct InFlight

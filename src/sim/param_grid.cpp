@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/suggest.h"
@@ -82,6 +83,17 @@ std::int64_t
 ParamSet::getInt(const std::string &name) const
 {
     return at(name).asInt();
+}
+
+std::uint32_t
+ParamSet::getUint32(const std::string &name) const
+{
+    const std::int64_t value = getInt(name);
+    if (value < 0 || value > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument(
+            "axis '" + name + "' takes an integer in [0, 4294967295], got " +
+            std::to_string(value));
+    return static_cast<std::uint32_t>(value);
 }
 
 double

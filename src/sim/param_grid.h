@@ -39,6 +39,13 @@ class ParamSet
     const JsonValue &at(const std::string &name) const;
 
     std::int64_t getInt(const std::string &name) const;
+
+    /**
+     * An integer axis that must fit 32 bits; throws
+     * std::invalid_argument naming the axis and the value when it does
+     * not (a value past 2^32 - 1 would otherwise wrap).
+     */
+    std::uint32_t getUint32(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
     std::string getString(const std::string &name) const;

@@ -251,8 +251,7 @@ ablationQueues()
     scenario.runPoint = [](const ParamSet &params) {
         const QueueKind queue =
             parseQueueKind(params.getString("queue"));
-        const auto nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        const auto nbo = params.getUint32("nbo");
         const double scale = params.getDouble("window_scale");
 
         ChannelStats outcome;
@@ -299,7 +298,7 @@ ablationRfmpb()
     scenario.runPoint = [](const ParamSet &params) {
         const DesignConfig design = designFromLabel(
             params.getString("design"),
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
+            params.getUint32("nrh"), 1);
 
         RunBudget budget;
         budget.warmup =

@@ -128,8 +128,7 @@ fig03TimingVariation()
             params.getInt("nmit") != 1)
             return std::vector<ResultRow>{};
         const Fig3Row data = characterizeAbo(
-            static_cast<std::uint32_t>(params.getInt("nbo")),
-            static_cast<std::uint32_t>(params.getInt("nmit")),
+            params.getUint32("nbo"), params.getUint32("nmit"),
             params.getBool("with_victim"),
             params.getDouble("window_ms"));
         ResultRow row = JsonValue::object();

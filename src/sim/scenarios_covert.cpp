@@ -40,8 +40,7 @@ table2CovertChannels()
         .constant("symbols", 24);  // count-channel message length
 
     scenario.runPoint = [](const ParamSet &params) {
-        const auto nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        const auto nbo = params.getUint32("nbo");
         CovertParams config;
         config.nbo = nbo;
 

@@ -75,8 +75,8 @@ attackerKnobs(const ParamSet &params)
     AttackerConfig config;
     for (const AttackerField &field : kAttackerFields)
         if (field.tunable)
-            config.*field.field = static_cast<std::uint32_t>(
-                params.getInt(std::string("attacker.") + field.name));
+            config.*field.field =
+                params.getUint32(std::string("attacker.") + field.name);
     return config;
 }
 
@@ -243,8 +243,7 @@ defenseMatrixLeakage()
     scenario.runPoint = [](const ParamSet &params) {
         const std::string defense = params.getString("mitigation");
         const std::string spec_name = params.getString("spec");
-        const auto nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        const auto nbo = params.getUint32("nbo");
         const double phase_ms = params.getDouble("window_ms");
         const int bursts = static_cast<int>(params.getInt("bursts"));
 
@@ -344,7 +343,7 @@ leakageTimeline()
         sim.mitigation = defense;
         runLeakExperiment(
             defense, params.getString("spec"),
-            static_cast<std::uint32_t>(params.getInt("nbo")),
+            params.getUint32("nbo"),
             params.getDouble("window_ms"),
             static_cast<int>(params.getInt("bursts")), &sim);
         const LeakVerdict verdict = analyzeSeries(sim);
@@ -422,8 +421,7 @@ defenseMatrixPerf()
         design.label = params.getString("mitigation");
         design.mitigation = design.label;
         design.spec = params.getString("spec");
-        design.nbo =
-            static_cast<std::uint32_t>(params.getInt("nrh"));
+        design.nbo = params.getUint32("nrh");
 
         RunBudget budget;
         budget.warmup =
@@ -540,8 +538,7 @@ defenseMatrixSecurity()
 
     scenario.runPoint = [](const ParamSet &params) {
         const std::string defense = params.getString("mitigation");
-        const auto nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        const auto nbo = params.getUint32("nbo");
 
         // Registry construction: a default AttackerConfig reproduces
         // the historical hand-built agents stream-for-stream
@@ -635,15 +632,12 @@ defenseMatrixAdaptive()
         options.targetDefense = params.getString("mitigation");
         const std::string attacker = params.getString("attacker");
         options.attacker = attacker == "auto" ? "" : attacker;
-        options.budget =
-            static_cast<std::uint32_t>(params.getInt("budget"));
-        options.rounds =
-            static_cast<std::uint32_t>(params.getInt("rounds"));
+        options.budget = params.getUint32("budget");
+        options.rounds = params.getUint32("rounds");
         options.seed =
             static_cast<std::uint64_t>(params.getInt("seed"));
         options.specName = params.getString("spec");
-        options.nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        options.nbo = params.getUint32("nbo");
         options.windowMs = params.getDouble("window_ms");
         options.base = attackerKnobs(params);
         // Inline on this point's thread, serial, unjournalled: the

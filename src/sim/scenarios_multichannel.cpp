@@ -55,9 +55,8 @@ perfChannelSweep()
     scenario.runPoint = [](const ParamSet &params) {
         DesignConfig design = designFromLabel(
             params.getString("design"),
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
-        design.channels =
-            static_cast<std::uint32_t>(params.getInt("channels"));
+            params.getUint32("nrh"), 1);
+        design.channels = params.getUint32("channels");
 
         RunBudget budget;
         budget.warmup =
@@ -157,8 +156,8 @@ sidechannelCrossChannel()
         // Refresh off isolates the ABO effects.
         const AttackSetup setup = attackSetup(
             DramSpec::ddr5_8000b(), "abo-only",
-            static_cast<std::uint32_t>(params.getInt("nbo")),
-            static_cast<std::uint32_t>(params.getInt("nmit")), false);
+            params.getUint32("nbo"),
+            params.getUint32("nmit"), false);
         const DramSpec &spec = setup.spec;
         AttackHarness harness(spec, setup.controller, 2);
         const std::uint32_t probe_channel =
@@ -240,10 +239,8 @@ covertChannelParallel()
         .constant("bits", 24);
 
     scenario.runPoint = [](const ParamSet &params) {
-        const auto channels =
-            static_cast<std::uint32_t>(params.getInt("channels"));
-        const auto nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        const auto channels = params.getUint32("channels");
+        const auto nbo = params.getUint32("nbo");
         const auto bits =
             static_cast<std::size_t>(params.getInt("bits"));
 

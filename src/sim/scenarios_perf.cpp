@@ -134,7 +134,7 @@ fig10Performance()
     scenario.runPoint = [](const ParamSet &params) {
         const DesignConfig design = designFromLabel(
             params.getString("design"),
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
+            params.getUint32("nrh"), 1);
         return std::vector<ResultRow>{perfRow(
             params.getString("entry"), design, budgetFrom(params))};
     };
@@ -190,8 +190,8 @@ fig11PracLevels()
     scenario.runPoint = [](const ParamSet &params) {
         const DesignConfig design = designFromLabel(
             params.getString("design"),
-            static_cast<std::uint32_t>(params.getInt("nrh")),
-            static_cast<std::uint32_t>(params.getInt("nmit")));
+            params.getUint32("nrh"),
+            params.getUint32("nmit"));
         return std::vector<ResultRow>{perfRow(
             params.getString("entry"), design, budgetFrom(params))};
     };
@@ -223,9 +223,8 @@ fig12TrefSensitivity()
     scenario.runPoint = [](const ParamSet &params) {
         DesignConfig design = designFromLabel(
             "tprac",
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
-        design.trefPeriodRefs =
-            static_cast<std::uint32_t>(params.getInt("tref_period"));
+            params.getUint32("nrh"), 1);
+        design.trefPeriodRefs = params.getUint32("tref_period");
         return std::vector<ResultRow>{perfRow(
             params.getString("entry"), design, budgetFrom(params))};
     };
@@ -281,7 +280,7 @@ fig13NrhSweep()
     scenario.runPoint = [](const ParamSet &params) {
         const DesignConfig design = designFromLabel(
             params.getString("design"),
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
+            params.getUint32("nrh"), 1);
         return std::vector<ResultRow>{perfRow(
             params.getString("entry"), design, budgetFrom(params))};
     };
@@ -314,10 +313,9 @@ fig14CounterReset()
     scenario.runPoint = [](const ParamSet &params) {
         DesignConfig design = designFromLabel(
             "tprac",
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
+            params.getUint32("nrh"), 1);
         design.counterReset = params.getBool("reset");
-        design.trefPeriodRefs =
-            static_cast<std::uint32_t>(params.getInt("tref_period"));
+        design.trefPeriodRefs = params.getUint32("tref_period");
         return std::vector<ResultRow>{perfRow(
             params.getString("entry"), design, budgetFrom(params))};
     };
@@ -412,7 +410,7 @@ table5Energy()
     scenario.runPoint = [](const ParamSet &params) {
         const DesignConfig tprac = designFromLabel(
             "tprac",
-            static_cast<std::uint32_t>(params.getInt("nrh")), 1);
+            params.getUint32("nrh"), 1);
         const SuiteEntry &entry =
             findSuiteEntry(params.getString("entry"));
         const PairResult pair =

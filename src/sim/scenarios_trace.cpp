@@ -58,8 +58,7 @@ traceReplayDefenseSweep()
 
         DesignConfig design;
         design.spec = params.getString("spec");
-        design.nbo =
-            static_cast<std::uint32_t>(params.getInt("nbo"));
+        design.nbo = params.getUint32("nbo");
         RunBudget budget;
         budget.warmup =
             static_cast<std::uint64_t>(params.getInt("warmup"));

@@ -206,8 +206,7 @@ runAttackerSearch(const SearchOptions &options)
         const std::uint32_t nbo = options.nbo;
         inner.runPoint = [&candidates, defense, spec_name, nbo,
                           window_ms](const ParamSet &params) {
-            const auto id = static_cast<std::uint32_t>(
-                params.getInt("candidate"));
+            const auto id = params.getUint32("candidate");
             return std::vector<ResultRow>{
                 evaluateAttacker(defense, candidates[id], spec_name,
                                  nbo, window_ms)};

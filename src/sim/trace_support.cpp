@@ -95,9 +95,8 @@ recordScenario(const std::string &dir)
         design.mitigation = params.getString("mitigation");
         design.label = design.mitigation;
         design.spec = params.getString("spec");
-        design.nbo = static_cast<std::uint32_t>(params.getInt("nbo"));
-        design.channels =
-            static_cast<std::uint32_t>(params.getInt("channels"));
+        design.nbo = params.getUint32("nbo");
+        design.channels = params.getUint32("channels");
         RunBudget budget;
         budget.warmup =
             static_cast<std::uint64_t>(params.getInt("warmup"));
@@ -105,7 +104,7 @@ recordScenario(const std::string &dir)
             static_cast<std::uint64_t>(params.getInt("measure"));
         const RecordedRun recorded = recordSuiteRun(
             findSuiteEntry(workload), design, budget,
-            static_cast<std::uint32_t>(params.getInt("cores")));
+            params.getUint32("cores"));
 
         const std::string path =
             (std::filesystem::path(dir) / (workload + ".trc")).string();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the DDR5 device model: spec defaults (Tables 1 and
- * 3), per-bank state, enforcement of every timing constraint, and the
- * monotonicity of earliestIssue() that the controller's cached bounds
- * rest on.
+ * 3), per-bank state, enforcement of every timing constraint, the
+ * monotonicity of earliestIssue(), and its split into a bank part and
+ * a shared part that the controller's demand scan rests on.
  */
 
 #include <gtest/gtest.h>
@@ -246,13 +246,98 @@ TEST(DramDevice, ReadLatencyIsClPlusBurst)
               100 + spec.timing.tCL + spec.timing.tBL);
 }
 
+/** Flat bank @p flat as (rank, bank group, bank). */
+std::array<std::uint32_t, 3>
+coordsOf(const DramOrg &org, std::uint32_t flat)
+{
+    const std::uint32_t in_rank = flat % org.banksPerRank();
+    return {flat / org.banksPerRank(), in_rank / org.banksPerGroup,
+            in_rank % org.banksPerGroup};
+}
+
 /**
- * The lower-bound property behind the controller's cached bounds
- * (src/mem/DESIGN.md): timing limits only move later as commands
- * issue.  Random legal command streams run on every registered spec;
- * after each issue, every bank whose open state and row it left alone
- * must report no earlier earliestIssue() for a fixed ACT, PRE, RD or
- * WR than before the issue.
+ * The ACT, PRE, RD and WR probes of flat bank @p flat: a fixed row for
+ * the ACT, the open row (0 when closed) for the CAS.
+ */
+std::array<Command, 4>
+probesOf(const DramDevice &dev, std::uint32_t flat)
+{
+    const auto [r, bg, b] = coordsOf(dev.spec().org, flat);
+    const std::uint32_t row = dev.isOpen(r, bg, b) ? dev.openRow(r, bg, b)
+                                                   : 0;
+    return {act(r, bg, b, 3), pre(r, bg, b), rd(r, bg, b, row),
+            Command{CmdType::WR, r, bg, b, row, 0}};
+}
+
+/**
+ * A random legal command stream of @p steps steps on @p dev, each
+ * command handed to @p issue, which must issue it at a legal cycle.
+ * Hot banks in two bank groups of the outer ranks: same- and
+ * cross-group pairs keep tRRD, tFAW, tCCD and bus turnaround limits
+ * binding; the other banks serve as closed probes.  About 4% of the
+ * steps are a REF, RFMab or RFMpb, after closing the banks in its
+ * scope -- each PRE handed to @p issue on its own.
+ */
+template <typename Issue>
+void
+randomLegalStream(const DramDevice &dev, Rng &rng, int steps, Issue issue)
+{
+    const DramOrg &org = dev.spec().org;
+    std::vector<std::uint32_t> hot;
+    for (const std::uint32_t r : {0u, org.ranks - 1})
+        for (std::uint32_t in_rank : {0u, 1u, org.banksPerGroup,
+                                      org.banksPerGroup + 1})
+            hot.push_back(org.flatBank(r, in_rank));
+
+    for (int step = 0; step < steps; ++step) {
+        const std::uint32_t flat = hot[rng.range(hot.size())];
+        const auto [r, bg, b] = coordsOf(org, flat);
+        const bool open = dev.isOpen(r, bg, b);
+        const std::uint64_t pick = rng.range(100);
+        if (pick < 4) {
+            const Command cmd =
+                pick < 2   ? Command{CmdType::REFab, r, 0, 0, 0, 0}
+                : pick < 3 ? Command{CmdType::RFMab, 0, 0, 0, 0, 0}
+                           : Command{CmdType::RFMpb, r, bg, b, 0, 0};
+            for (const std::uint32_t h : hot) {
+                const auto [hr, hbg, hb] = coordsOf(org, h);
+                const bool in_scope =
+                    cmd.type == CmdType::RFMab ||
+                    (cmd.type == CmdType::REFab && hr == r) || h == flat;
+                if (in_scope && dev.isOpen(hr, hbg, hb))
+                    issue(pre(hr, hbg, hb));
+            }
+            issue(cmd);
+        } else if (!open) {
+            issue(act(r, bg, b, static_cast<std::uint32_t>(rng.range(4))));
+        } else if (pick < 40) {
+            issue(pre(r, bg, b));
+        } else {
+            issue(Command{rng.chance(0.5) ? CmdType::WR : CmdType::RD, r,
+                          bg, b, dev.openRow(r, bg, b), 0});
+        }
+    }
+}
+
+/** Every command type went through @p dev at least once. */
+void
+expectEveryCommandIssued(const DramDevice &dev, const std::string &name)
+{
+    for (CmdType type : {CmdType::ACT, CmdType::PRE, CmdType::RD,
+                         CmdType::WR, CmdType::REFab, CmdType::RFMab,
+                         CmdType::RFMpb})
+        EXPECT_GT(dev.issueCount(type), 0u)
+            << name << " never issued " << cmdName(type);
+}
+
+/**
+ * Timing limits only move later as commands issue: after each issue,
+ * every bank whose open state and row it left alone must report no
+ * earlier earliestIssue() for a fixed ACT, PRE, RD or WR than before
+ * the issue.  The controller no longer rests on this (it caches bank
+ * parts, which are exact: see the next test), so this pins a property
+ * of the device model, checked on random legal command streams for
+ * every registered spec.
  */
 TEST(DramDevice, EarliestIssueNeverDecreasesWhileBankStateHolds)
 {
@@ -268,39 +353,21 @@ TEST(DramDevice, EarliestIssueNeverDecreasesWhileBankStateHolds)
             std::uint32_t row;
             std::array<Cycle, 4> at;
         };
-        auto coords = [&](std::uint32_t flat) {
-            const std::uint32_t in_rank = flat % org.banksPerRank();
-            return std::array<std::uint32_t, 3>{
-                flat / org.banksPerRank(), in_rank / org.banksPerGroup,
-                in_rank % org.banksPerGroup};
-        };
         auto probe = [&](std::uint32_t flat) {
-            const auto [r, bg, b] = coords(flat);
+            const auto [r, bg, b] = coordsOf(org, flat);
             Probe p{dev.isOpen(r, bg, b), dev.openRow(r, bg, b), {}};
-            const std::uint32_t row = p.open ? p.row : 0;
-            p.at = {dev.earliestIssue(act(r, bg, b, 3)),
-                    dev.earliestIssue(pre(r, bg, b)),
-                    dev.earliestIssue(rd(r, bg, b, row)),
-                    dev.earliestIssue(
-                        Command{CmdType::WR, r, bg, b, row, 0})};
+            const std::array<Command, 4> cmds = probesOf(dev, flat);
+            for (std::size_t k = 0; k < cmds.size(); ++k)
+                p.at[k] = dev.earliestIssue(cmds[k]);
             return p;
         };
-
-        // Hot banks in two bank groups of the outer ranks: same- and
-        // cross-group pairs keep tRRD, tFAW, tCCD and bus turnaround
-        // limits binding; the other banks serve as closed probes.
-        std::vector<std::uint32_t> hot;
-        for (const std::uint32_t r : {0u, org.ranks - 1})
-            for (std::uint32_t in_rank : {0u, 1u, org.banksPerGroup,
-                                          org.banksPerGroup + 1})
-                hot.push_back(org.flatBank(r, in_rank));
 
         Cycle now = 0;
         std::uint64_t issued = 0;
         std::uint64_t checked = 0;
         std::string first_failure;
         std::vector<Probe> before(org.totalBanks());
-        auto issue_checked = [&](const Command &cmd) {
+        randomLegalStream(dev, rng, 6000, [&](const Command &cmd) {
             for (std::uint32_t f = 0; f < org.totalBanks(); ++f)
                 before[f] = probe(f);
             now = std::max(now, dev.earliestIssue(cmd)) + rng.range(3);
@@ -322,49 +389,108 @@ TEST(DramDevice, EarliestIssueNeverDecreasesWhileBankStateHolds)
                             " at " + std::to_string(now);
                 }
             }
-        };
-
-        for (int step = 0; step < 6000; ++step) {
-            const std::uint32_t flat = hot[rng.range(hot.size())];
-            const auto [r, bg, b] = coords(flat);
-            const bool open = dev.isOpen(r, bg, b);
-            const std::uint64_t pick = rng.range(100);
-            if (pick < 4) {
-                // REF, RFMab or RFMpb, after closing the banks in its
-                // scope -- each PRE a checked issue of its own.
-                const Command cmd =
-                    pick < 2   ? Command{CmdType::REFab, r, 0, 0, 0, 0}
-                    : pick < 3 ? Command{CmdType::RFMab, 0, 0, 0, 0, 0}
-                               : Command{CmdType::RFMpb, r, bg, b, 0, 0};
-                for (const std::uint32_t h : hot) {
-                    const auto [hr, hbg, hb] = coords(h);
-                    const bool in_scope =
-                        cmd.type == CmdType::RFMab ||
-                        (cmd.type == CmdType::REFab && hr == r) ||
-                        h == flat;
-                    if (in_scope && dev.isOpen(hr, hbg, hb))
-                        issue_checked(pre(hr, hbg, hb));
-                }
-                issue_checked(cmd);
-            } else if (!open) {
-                issue_checked(
-                    act(r, bg, b, static_cast<std::uint32_t>(rng.range(4))));
-            } else if (pick < 40) {
-                issue_checked(pre(r, bg, b));
-            } else {
-                issue_checked(Command{
-                    rng.chance(0.5) ? CmdType::WR : CmdType::RD, r, bg, b,
-                    dev.openRow(r, bg, b), 0});
-            }
-        }
+        });
         EXPECT_TRUE(first_failure.empty()) << first_failure;
         EXPECT_GT(issued, 1000u) << name;
         EXPECT_GT(checked, 0u) << name;
-        for (CmdType type : {CmdType::ACT, CmdType::PRE, CmdType::RD,
-                             CmdType::WR, CmdType::REFab, CmdType::RFMab,
-                             CmdType::RFMpb})
-            EXPECT_GT(dev.issueCount(type), 0u)
-                << name << " never issued " << cmdName(type);
+        expectEveryCommandIssued(dev, name);
+    }
+}
+
+/**
+ * The split the controller's demand scan rests on (src/mem/DESIGN.md,
+ * "Cached bank parts"), on random legal command streams for every
+ * registered spec:
+ *  - every ACT, PRE, RD and WR probe on every bank has earliestIssue()
+ *    == max(bankReadyAt(), sharedReadyAt()), and its class floor
+ *    (casChannelReadyAt(), actRankReadyAt()) never exceeds its shared
+ *    part;
+ *  - a bank part read before a command stays exact in the max with the
+ *    shared part after it, on every bank the command did not address
+ *    (REFab and RFMab address none).
+ * The stream must also show both halves of the invalidation rule: a
+ * REFab or RFMab moves the bank parts of banks it does not address
+ * (so the max is needed), and an RFMpb leaves its own bank's old part
+ * short of the truth (so the controller must drop its candidates).
+ */
+TEST(DramDevice, BankAndSharedPartsComposeEarliestIssue)
+{
+    for (const std::string &name : specNames()) {
+        const DramSpec spec = specByName(name);
+        const DramOrg &org = spec.org;
+        DramDevice dev(spec);
+        Rng rng(0x5B17ULL + org.totalBanks());
+
+        struct Parts
+        {
+            std::array<Cycle, 4> bank;
+            std::array<Cycle, 4> shared;
+            std::array<Cycle, 4> at;
+        };
+        std::string first_failure;
+        auto fail = [&](const std::string &what) {
+            if (first_failure.empty())
+                first_failure = name + ": " + what;
+        };
+        auto parts = [&](std::uint32_t flat) {
+            Parts p{};
+            const std::array<Command, 4> cmds = probesOf(dev, flat);
+            for (std::size_t k = 0; k < cmds.size(); ++k) {
+                const Command &c = cmds[k];
+                p.bank[k] = dev.bankReadyAt(c);
+                p.shared[k] = dev.sharedReadyAt(c.type, c.rank, c.bankGroup);
+                p.at[k] = dev.earliestIssue(c);
+                if (p.at[k] != std::max(p.bank[k], p.shared[k]))
+                    fail(c.str() + " is not the max of its parts");
+                const Cycle floor =
+                    c.type == CmdType::ACT ? dev.actRankReadyAt(c.rank)
+                    : c.type == CmdType::PRE
+                        ? dev.channelBlockedUntil()
+                        : dev.casChannelReadyAt(c.type == CmdType::RD);
+                if (floor > p.shared[k])
+                    fail(c.str() + " lies below its class floor");
+            }
+            return p;
+        };
+
+        Cycle now = 0;
+        std::uint64_t checked = 0;
+        std::uint64_t moved_unaddressed = 0;
+        std::uint64_t rfmpb_stale = 0;
+        std::vector<Parts> before(org.totalBanks());
+        randomLegalStream(dev, rng, 6000, [&](const Command &cmd) {
+            for (std::uint32_t f = 0; f < org.totalBanks(); ++f)
+                before[f] = parts(f);
+            now = std::max(now, dev.earliestIssue(cmd)) + rng.range(3);
+            dev.issue(cmd, now);
+            const bool addresses_bank = cmd.type != CmdType::REFab &&
+                                        cmd.type != CmdType::RFMab;
+            const std::uint32_t addressed = org.flatBank(
+                cmd.rank, cmd.bankGroup * org.banksPerGroup + cmd.bank);
+            for (std::uint32_t f = 0; f < org.totalBanks(); ++f) {
+                const Parts after = parts(f);
+                for (std::size_t k = 0; k < after.at.size(); ++k) {
+                    const Cycle cached =
+                        std::max(before[f].bank[k], after.shared[k]);
+                    if (addresses_bank && f == addressed) {
+                        rfmpb_stale += cmd.type == CmdType::RFMpb &&
+                                       cached != after.at[k];
+                        continue;
+                    }
+                    ++checked;
+                    moved_unaddressed += before[f].bank[k] != after.bank[k];
+                    if (cached != after.at[k])
+                        fail("bank " + std::to_string(f) + " probe " +
+                             std::to_string(k) + " went stale after " +
+                             cmd.str() + " at " + std::to_string(now));
+                }
+            }
+        });
+        EXPECT_TRUE(first_failure.empty()) << first_failure;
+        EXPECT_GT(checked, 0u) << name;
+        EXPECT_GT(moved_unaddressed, 0u) << name;
+        EXPECT_GT(rfmpb_stale, 0u) << name;
+        expectEveryCommandIssued(dev, name);
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include "attack/agents.h"
 #include "attack/harness.h"
+#include "common/rng.h"
 #include "mem/controller.h"
 #include "tprac/tb_rfm.h"
 
@@ -56,19 +57,55 @@ TEST(TpracPb, RotatesThroughEveryBank)
 {
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 1024;
+    const DramOrg &org = spec.org;
 
     ControllerConfig config;
     config.mitigation = "tprac";
     config.tbRfm = TbRfmConfig::forNbo(1024, true, spec);
     config.tbRfm.perBank = true;
-    MemoryController mem(spec, config);
 
-    // One full window must produce one RFMpb per bank.
-    mem.run(config.tbRfm.windowCycles + spec.timing.tREFI);
-    const std::uint64_t pbs = mem.dram().issueCount(CmdType::RFMpb);
-    EXPECT_GE(pbs, static_cast<std::uint64_t>(
-                       spec.org.totalBanks()));
-    EXPECT_EQ(mem.dram().issueCount(CmdType::RFMab), 0u);
+    // Idle, and with the queue kept full of reads to random lines.
+    // Loaded, an RFMpb often meets a closed bank whose ACT waits with
+    // its bank part already due; the RFMpb moves that bank part, so
+    // the controller must drop the bank's candidates as it issues, or
+    // the ACT issues before tRFMpb has passed and DramDevice::issue
+    // panics.
+    for (const bool loaded : {false, true}) {
+        MemoryController mem(spec, config);
+        std::vector<Cycle> rfmpb_at(org.totalBanks(), kNeverCycle);
+        std::uint64_t waited = 0;
+        mem.dram().setTraceSink([&](const Command &cmd, Cycle at) {
+            const std::uint32_t flat = org.flatBank(
+                cmd.rank, cmd.bankGroup * org.banksPerGroup + cmd.bank);
+            if (cmd.type == CmdType::RFMpb) {
+                rfmpb_at[flat] = at;
+            } else if (cmd.type == CmdType::ACT &&
+                       rfmpb_at[flat] != kNeverCycle) {
+                // An ACT at the first legal cycle was waiting on the
+                // RFMpb alone.
+                waited += at == rfmpb_at[flat] + spec.timing.tRFMpb;
+                rfmpb_at[flat] = kNeverCycle;
+            }
+        });
+
+        // One full window must produce one RFMpb per bank.
+        Rng rng(7);
+        const Cycle end = config.tbRfm.windowCycles + spec.timing.tREFI;
+        while (mem.now() < end) {
+            while (loaded && mem.canAccept()) {
+                Request request;
+                request.addr = rng.range(org.totalLines()) * 64;
+                mem.enqueue(std::move(request));
+            }
+            mem.advanceTo(mem.now() + 1);
+        }
+        const std::uint64_t pbs = mem.dram().issueCount(CmdType::RFMpb);
+        EXPECT_GE(pbs, static_cast<std::uint64_t>(org.totalBanks()))
+            << "loaded " << loaded;
+        EXPECT_EQ(mem.dram().issueCount(CmdType::RFMab), 0u);
+        if (loaded)
+            EXPECT_GT(waited, 0u);
+    }
 }
 
 TEST(TpracPb, StillPreventsAlerts)

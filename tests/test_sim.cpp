@@ -186,6 +186,25 @@ TEST(ParamSet, CoerciveGettersAndMissingKeyThrows)
     EXPECT_THROW(set.at("missing"), std::out_of_range);
 }
 
+TEST(ParamSet, Uint32ReadRejectsValuesPastThirtyTwoBits)
+{
+    ParamSet set;
+    set.add("nbo", std::int64_t{4294967295});
+    set.add("nrh", std::int64_t{4294967296});
+    set.add("nmit", -1);
+    EXPECT_EQ(set.getUint32("nbo"), 4294967295u);
+    // 2^32 would wrap to 0: an NBO of 0 alerts on every activation.
+    try {
+        set.getUint32("nrh");
+        ADD_FAILURE() << "getUint32 accepted 4294967296";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "axis 'nrh' takes an integer in [0, 4294967295], got "
+                  "4294967296");
+    }
+    EXPECT_THROW(set.getUint32("nmit"), std::invalid_argument);
+}
+
 // --- Parallel loop -----------------------------------------------
 
 TEST(Parallel, MapPreservesOrder)
