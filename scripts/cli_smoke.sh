@@ -147,6 +147,18 @@ if axis != [1]:
     sys.exit(f"error: --set window_ms=1 ran {axis}")
 PY
 
+echo "==> a value no point can be built with exits 2, and records nothing"
+expect_reject "channels must be a non-zero power of two" \
+    "${PRACBENCH}" run perf_channel_sweep --smoke --set channels=3
+expect_reject "nmit must be at least 1" \
+    "${PRACBENCH}" run sidechannel_cross_channel --smoke --set nmit=0
+expect_reject "needs at least one core" \
+    "${PRACBENCH}" record "${OUT_DIR}/no_cores" --smoke --set cores=0
+if compgen -G "${OUT_DIR}/no_cores/*.trc" > /dev/null; then
+    echo "error: record --set cores=0 wrote a trace" >&2
+    exit 1
+fi
+
 echo "==> an explicit --set beats a --try-set on the same axis"
 "${PRACBENCH}" run defense_matrix_leakage --smoke --quiet --no-table \
     --set mitigation=para --try-set mitigation=tprac \

@@ -1,6 +1,7 @@
 #include "cpu/system.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/log.h"
 
@@ -62,6 +63,9 @@ System::System(const SystemConfig &config,
              "System"),
       sources_(std::move(sources))
 {
+    if (sources_.empty())
+        throw std::invalid_argument(
+            "System: needs at least one core (workload source)");
     std::vector<MemoryController *> mem_ptrs;
     for (std::size_t c = 0; c < clock_.channelCount(); ++c)
         mem_ptrs.push_back(&clock_.channel(c));

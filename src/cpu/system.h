@@ -152,6 +152,11 @@ double normalizedPerf(const RunResult &design, const RunResult &baseline);
 class System
 {
   public:
+    /**
+     * One core per workload source; throws std::invalid_argument
+     * without one, or when config.channels is not a non-zero power
+     * of two.
+     */
     System(const SystemConfig &config,
            std::vector<std::unique_ptr<WorkloadSource>> sources);
 

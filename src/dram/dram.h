@@ -133,12 +133,6 @@ class DramDevice
         return banks_[bankIndex(rank, bg, bank)].row;
     }
 
-    /** Whether any bank in @p rank has an open row. */
-    bool anyOpenInRank(std::uint32_t rank) const;
-
-    /** Whether any bank in the channel has an open row. */
-    bool anyOpen() const;
-
     /** Channel blocked (RFMab in flight) until this cycle. */
     Cycle channelBlockedUntil() const { return channelBlockedUntil_; }
 
@@ -207,6 +201,12 @@ class DramDevice
     {
         return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
     }
+
+    /** Whether any bank in @p rank has an open row. */
+    bool anyOpenInRank(std::uint32_t rank) const;
+
+    /** Whether any bank in the channel has an open row. */
+    bool anyOpen() const;
 
     Cycle earliestRef(const Command &cmd) const;
     Cycle earliestRfm() const;

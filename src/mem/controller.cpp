@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "mem/channel_stats.h"
@@ -16,6 +17,12 @@ MemoryController::MemoryController(const DramSpec &spec,
     : spec_(spec), config_(config), stats_(stats), dram_(spec),
       mapper_(spec.org, config.mapping, config.interleave)
 {
+    // Alert service is nmit RFMabs; PRAC levels are 1, 2 and 4.
+    if (spec.prac.nmit == 0)
+        throw std::invalid_argument(
+            "nmit must be at least 1: an Alert is serviced with nmit "
+            "RFMs");
+
     const MitigationInfo *info = findMitigation(config_.mitigation);
     if (!info)
         fatal("unknown mitigation '" + config_.mitigation + "'");
@@ -120,63 +127,32 @@ MemoryController::enqueue(Request request)
 }
 
 void
-MemoryController::startAboServiceIfNeeded()
+MemoryController::startDrainIfDue()
 {
-    if (!prac_->alertAsserted())
+    const std::uint32_t banks = spec_.org.totalBanks();
+    if (aboServiceAt() <= now_) {
+        // Alert service is always Nmit channel-wide RFMabs.
+        drain_ = {CmdType::RFMab, 0, banks, spec_.prac.nmit,
+                  RfmReason::Abo};
+    } else if (const MaintenanceRequest req =
+                   mitigation_->maintenanceCommands(now_);
+               req.wanted) {
+        // An RFMpb drain issues one RFMpb, whatever req.rfms says.
+        drain_ = req.perBank ? Drain{CmdType::RFMpb, req.flatBank,
+                                     req.flatBank + 1, 1, req.reason}
+                             : Drain{CmdType::RFMab, 0, banks, req.rfms,
+                                     req.reason};
+    } else if (config_.refreshEnabled &&
+               nextRefreshAt_[firstDueRank()] <= now_) {
+        const std::uint32_t rank = firstDueRank();
+        const std::uint32_t per_rank = spec_.org.banksPerRank();
+        drain_ = {CmdType::REFab, rank * per_rank, (rank + 1) * per_rank,
+                  1};
+    } else {
         return;
-    const bool act_budget_spent =
-        prac_->actsSinceAlert() >= spec_.prac.aboAct;
-    const bool window_elapsed =
-        now_ >= prac_->alertAssertedAt() + spec_.timing.tABOACT;
-    if (!act_budget_spent && !window_elapsed)
-        return;
-
-    maint_.active = true;
-    maint_.isRfm = true;
-    // Alert service is always Nmit channel-wide RFMabs: clear any
-    // per-bank targeting left over from a prior RFMpb, or the drain
-    // would service the Alert with one RFMpb to a stale bank.
-    maint_.perBank = false;
-    maint_.reason = RfmReason::Abo;
-    maint_.rfmsRemaining = spec_.prac.nmit;
-}
-
-void
-MemoryController::startProactiveRfmIfNeeded()
-{
-    const MaintenanceRequest req =
-        mitigation_->maintenanceCommands(now_);
-    if (!req.wanted)
-        return;
-    maint_.active = true;
-    maint_.isRfm = true;
-    maint_.perBank = req.perBank;
-    maint_.reason = req.reason;
-    maint_.flatBank = req.flatBank;
-    maint_.rfmsRemaining = req.rfms;
-}
-
-void
-MemoryController::startRefreshIfNeeded()
-{
-    if (!config_.refreshEnabled)
-        return;
-    // Service the most overdue rank first.
-    std::uint32_t best_rank = 0;
-    bool found = false;
-    Cycle best_due = kNeverCycle;
-    for (std::uint32_t r = 0; r < spec_.org.ranks; ++r) {
-        if (now_ >= nextRefreshAt_[r] && nextRefreshAt_[r] < best_due) {
-            best_due = nextRefreshAt_[r];
-            best_rank = r;
-            found = true;
-        }
     }
-    if (!found)
-        return;
-    maint_.active = true;
-    maint_.isRfm = false;
-    maint_.rank = best_rank;
+    // A new drain holds banks back from demand.
+    demandIdleUntil_ = 0;
 }
 
 void
@@ -203,22 +179,6 @@ MemoryController::invalidate(std::uint32_t flat)
     ++tickets_[flat];
 }
 
-bool
-MemoryController::issueOrTrack(const Command &cmd, Cycle &hint)
-{
-    // A declined command's earliest-legal cycle feeds the next-work
-    // hint, so a tick that issues nothing leaves a ready-made
-    // nextWorkAt() cache behind (structurally illegal commands report
-    // kNeverCycle and drop out of the min).
-    const Cycle at = dram_.earliestIssue(cmd);
-    if (at > now_) {
-        hint = std::min(hint, at);
-        return false;
-    }
-    issue(cmd);
-    return true;
-}
-
 void
 MemoryController::countRfm(RfmReason reason, bool per_bank)
 {
@@ -232,82 +192,48 @@ MemoryController::countRfm(RfmReason reason, bool per_bank)
     mitigation_->onRfmIssued(reason, per_bank, now_);
 }
 
-bool
-MemoryController::tickMaintenance()
+MemoryController::DrainStep
+MemoryController::nextDrainStep() const
 {
-    const DramOrg &org = spec_.org;
-
-    if (maint_.isRfm && maint_.perBank) {
-        // RFMpb drain: precharge only the target bank.
-        const std::uint32_t rank =
-            maint_.flatBank / org.banksPerRank();
-        const std::uint32_t in_rank =
-            maint_.flatBank % org.banksPerRank();
-        const std::uint32_t bg = in_rank / org.banksPerGroup;
-        const std::uint32_t bank = in_rank % org.banksPerGroup;
-
-        if (dram_.isOpen(rank, bg, bank)) {
-            Command pre{CmdType::PRE, rank, bg, bank, 0, 0};
-            return issueOrTrack(pre, maintHint_);
-        }
-        Command rfm{CmdType::RFMpb, rank, bg, bank, 0, 0};
-        if (!issueOrTrack(rfm, maintHint_))
-            return false;
-        countRfm(maint_.reason, /*per_bank=*/true);
-        maint_.active = false;
-        return true;
+    // Held open banks close in flat order (rank, bank group, bank):
+    // the first whose PRE is legal now, else the earliest PRE, the
+    // first of equals, which is the one tick() issues then (timing
+    // state is frozen between commands).  An open bank's PRE is never
+    // kNeverCycle.  The terminal command waits for every held bank.
+    DrainStep pre;
+    for (std::uint32_t flat = drain_.first; flat < drain_.end; ++flat) {
+        const BankQueue &q = banks_[flat];
+        if (!dram_.isOpen(q.rank, q.bankGroup, q.bank))
+            continue;
+        const Command cmd{CmdType::PRE, q.rank, q.bankGroup, q.bank, 0, 0};
+        const Cycle at = dram_.earliestIssue(cmd);
+        if (at <= now_)
+            return {cmd, at};
+        if (at < pre.at)
+            pre = {cmd, at};
     }
+    if (pre.at != kNeverCycle)
+        return pre;
+    const BankQueue &q = banks_[drain_.first];
+    const Command cmd{drain_.terminal, q.rank, q.bankGroup, q.bank, 0, 0};
+    return {cmd, dram_.earliestIssue(cmd)};
+}
 
-    if (maint_.isRfm) {
-        // Drain: precharge every open bank in the channel.
-        for (std::uint32_t r = 0; r < org.ranks; ++r) {
-            for (std::uint32_t bg = 0; bg < org.bankGroups; ++bg) {
-                for (std::uint32_t b = 0; b < org.banksPerGroup; ++b) {
-                    if (!dram_.isOpen(r, bg, b))
-                        continue;
-                    Command pre{CmdType::PRE, r, bg, b, 0, 0};
-                    if (issueOrTrack(pre, maintHint_))
-                        return true;
-                }
-            }
-        }
-        if (dram_.anyOpen())
-            return false; // a precharge is pending but not yet legal
-
-        Command rfm{CmdType::RFMab, 0, 0, 0, 0, 0};
-        if (!issueOrTrack(rfm, maintHint_))
-            return false;
-
-        countRfm(maint_.reason, /*per_bank=*/false);
-
-        if (--maint_.rfmsRemaining == 0)
-            maint_.active = false;
-        return true;
+void
+MemoryController::issueDrainStep(const Command &cmd)
+{
+    issue(cmd);
+    if (cmd.type == CmdType::PRE)
+        return;
+    if (cmd.type == CmdType::REFab) {
+        nextRefreshAt_[cmd.rank] += spec_.timing.tREFI;
+        if (stats_)
+            ++stats_->counter("mem.refreshes");
+        mitigation_->onRefresh(cmd.rank, now_);
+    } else {
+        countRfm(drain_.reason, cmd.type == CmdType::RFMpb);
     }
-
-    // Refresh drain: precharge open banks of the target rank only.
-    for (std::uint32_t bg = 0; bg < org.bankGroups; ++bg) {
-        for (std::uint32_t b = 0; b < org.banksPerGroup; ++b) {
-            if (!dram_.isOpen(maint_.rank, bg, b))
-                continue;
-            Command pre{CmdType::PRE, maint_.rank, bg, b, 0, 0};
-            if (issueOrTrack(pre, maintHint_))
-                return true;
-        }
-    }
-    if (dram_.anyOpenInRank(maint_.rank))
-        return false;
-
-    Command ref{CmdType::REFab, maint_.rank, 0, 0, 0, 0};
-    if (!issueOrTrack(ref, maintHint_))
-        return false;
-
-    nextRefreshAt_[maint_.rank] += spec_.timing.tREFI;
-    maint_.active = false;
-    if (stats_)
-        ++stats_->counter("mem.refreshes");
-    mitigation_->onRefresh(maint_.rank, now_);
-    return true;
+    --drain_.remaining;
 }
 
 void
@@ -417,16 +343,6 @@ MemoryController::sharedReadyAt(const Listed &entry) const
     return dram_.sharedReadyAt(entry.type, q.rank, q.bankGroup);
 }
 
-bool
-MemoryController::drained(const Listed &entry) const
-{
-    if (!maint_.active)
-        return false;
-    if (!maint_.isRfm)
-        return banks_[entry.bank].rank == maint_.rank;
-    return maint_.perBank && entry.bank == maint_.flatBank;
-}
-
 void
 MemoryController::boundParked(std::size_t index, Cycle &bound,
                               bool acts_blocked) const
@@ -533,9 +449,7 @@ MemoryController::nextDemandIssueAt(DemandPick *pick) const
         return choose(cas);
     const Listed *pre = walk(
         ready_[kPre], [&] { return dram_.channelBlockedUntil(); }, kAll);
-    const bool acts_blocked =
-        prac_->alertAsserted() &&
-        prac_->actsSinceAlert() >= spec_.prac.aboAct;
+    const bool acts_blocked = actsHeld();
     if (!acts_blocked) {
         const Listed *act = walk(
             ready_[kAct],
@@ -622,7 +536,7 @@ MemoryController::tick()
     ++sched_.ticksFired;
     prac_->maybePeriodicReset(now_);
     demandHint_ = kNeverCycle;
-    maintHint_ = kNeverCycle;
+    drainHint_ = kNeverCycle;
 
     // Deliver finished requests.
     for (std::size_t i = 0; i < inFlight_.size();) {
@@ -639,27 +553,24 @@ MemoryController::tick()
         }
     }
 
-    if (!maint_.active) {
-        startAboServiceIfNeeded();
-        if (!maint_.active)
-            startProactiveRfmIfNeeded();
-        if (!maint_.active)
-            startRefreshIfNeeded();
-        // A new drain holds banks back from demand.
-        if (maint_.active)
-            demandIdleUntil_ = 0;
-    }
+    if (!drain_.active())
+        startDrainIfDue();
 
     bool issued = false;
-    if (maint_.active)
-        issued = tickMaintenance();
+    if (drain_.active()) {
+        const DrainStep step = nextDrainStep();
+        issued = step.at <= now_;
+        if (issued)
+            issueDrainStep(step.cmd);
+        else
+            drainHint_ = step.at;
+    }
 
-    // Demand may proceed when no maintenance holds the channel, or
-    // when only a single-rank refresh / single-bank RFMpb drain is in
-    // progress (that's the point of the per-bank extension).
+    // Demand runs on the banks the drain leaves free; an RFMab drain
+    // holds them all, so the scan could find nothing.
     bool demand_issued = false;
     if (!issued &&
-        (!maint_.active || !maint_.isRfm || maint_.perBank))
+        !(drain_.active() && drain_.terminal == CmdType::RFMab))
         demand_issued = tickDemand();
 
     if (bus_) {
@@ -691,7 +602,7 @@ MemoryController::tick()
         // + ranks) glue instead of a second queue sweep.  The hints
         // are absolute legality instants, so they remain exact at the
         // incremented clock.
-        nextWorkCache_ = composeNextWorkAt(demandHint_, maintHint_);
+        nextWorkCache_ = composeNextWorkAt(demandHint_, drainHint_);
         nextWorkCacheValid_ = true;
         ++sched_.nextWorkHintRebuilds;
     }
@@ -703,75 +614,6 @@ MemoryController::run(Cycle cycles)
     const Cycle end = now_ + cycles;
     while (now_ < end)
         tick();
-}
-
-Cycle
-MemoryController::nextMaintenanceIssueAt() const
-{
-    // First cycle tickMaintenance() issues its next command.  Exact
-    // because the drain state machine is deterministic and the DRAM
-    // timing state is frozen between commands: a per-bank PRE's
-    // legality depends only on its own bank's last ACT/CAS, and the
-    // terminal RFM/REF becomes legal only once every required bank is
-    // precharged -- which is exactly when the drain stops issuing
-    // PREs.  tickMaintenance() takes the first *ready* PRE in scan
-    // order, so the earliest legality over all open banks is the
-    // cycle the next PRE actually fires.
-    const DramOrg &org = spec_.org;
-
-    if (maint_.isRfm && maint_.perBank) {
-        const std::uint32_t rank =
-            maint_.flatBank / org.banksPerRank();
-        const std::uint32_t in_rank =
-            maint_.flatBank % org.banksPerRank();
-        const std::uint32_t bg = in_rank / org.banksPerGroup;
-        const std::uint32_t bank = in_rank % org.banksPerGroup;
-        if (dram_.isOpen(rank, bg, bank))
-            return dram_.earliestIssue(
-                Command{CmdType::PRE, rank, bg, bank, 0, 0});
-        return dram_.earliestIssue(
-            Command{CmdType::RFMpb, rank, bg, bank, 0, 0});
-    }
-
-    if (maint_.isRfm) {
-        Cycle next = kNeverCycle;
-        bool any_open = false;
-        for (std::uint32_t r = 0; r < org.ranks; ++r) {
-            for (std::uint32_t bg = 0; bg < org.bankGroups; ++bg) {
-                for (std::uint32_t b = 0; b < org.banksPerGroup;
-                     ++b) {
-                    if (!dram_.isOpen(r, bg, b))
-                        continue;
-                    any_open = true;
-                    next = std::min(
-                        next, dram_.earliestIssue(Command{
-                                  CmdType::PRE, r, bg, b, 0, 0}));
-                }
-            }
-        }
-        if (any_open)
-            return next;
-        return dram_.earliestIssue(
-            Command{CmdType::RFMab, 0, 0, 0, 0, 0});
-    }
-
-    Cycle next = kNeverCycle;
-    bool any_open = false;
-    for (std::uint32_t bg = 0; bg < org.bankGroups; ++bg) {
-        for (std::uint32_t b = 0; b < org.banksPerGroup; ++b) {
-            if (!dram_.isOpen(maint_.rank, bg, b))
-                continue;
-            any_open = true;
-            next = std::min(next,
-                            dram_.earliestIssue(Command{
-                                CmdType::PRE, maint_.rank, bg, b, 0,
-                                0}));
-        }
-    }
-    if (any_open)
-        return next;
-    return dram_.earliestIssue(
-        Command{CmdType::REFab, maint_.rank, 0, 0, 0, 0});
 }
 
 Cycle
@@ -794,15 +636,15 @@ Cycle
 MemoryController::computeNextWorkAt() const
 {
     return composeNextWorkAt(nextDemandIssueAt(),
-                             maint_.active ? nextMaintenanceIssueAt()
-                                           : kNeverCycle);
+                             drain_.active() ? nextDrainStep().at
+                                             : kNeverCycle);
 }
 
 Cycle
 MemoryController::composeNextWorkAt(Cycle demand_at,
-                                    Cycle maint_at) const
+                                    Cycle drain_at) const
 {
-    Cycle next = kNeverCycle;
+    Cycle next = std::min(demand_at, drain_at);
 
     // Deliveries and the tREFW counter reset are absolute deadlines,
     // live in every controller state.  A delivery is an effect only
@@ -815,35 +657,15 @@ MemoryController::composeNextWorkAt(Cycle demand_at,
             next = std::min(next, flight.doneAt);
     next = std::min(next, prac_->nextCounterResetAt());
 
-    if (maint_.active) {
-        // An active drain owns the command engine: the next effect
-        // is the drain's own next legal command, plus demand on the
-        // banks a single-rank refresh / single-bank RFMpb drain
-        // leaves schedulable.  Defense deadlines, refresh due times,
-        // and Alert-service triggers are NOT polled while a drain is
-        // active -- the drain's terminal RFM/REF is itself a tick,
-        // after which the bound is recomputed with them back in.
-        next = std::min(next, maint_at);
-        if (!maint_.isRfm || maint_.perBank)
-            next = std::min(next, demand_at);
-        return std::max(next, now_);
+    // An active drain owns the command engine until its last terminal
+    // command, itself a tick, after which the bound is recomputed:
+    // until then the drain triggers are not polled.
+    if (!drain_.active()) {
+        next = std::min({next, aboServiceAt(),
+                         mitigation_->nextMaintenanceAt(now_)});
+        if (config_.refreshEnabled)
+            next = std::min(next, nextRefreshAt_[firstDueRank()]);
     }
-
-    if (prac_->alertAsserted()) {
-        // Alert service starts the moment the ACT budget is spent;
-        // until then the tABOACT window expiry is a hard trigger and
-        // demand (which burns the budget) keeps running.
-        if (prac_->actsSinceAlert() >= spec_.prac.aboAct)
-            return now_;
-        next = std::min(next, prac_->alertAssertedAt() +
-                                  spec_.timing.tABOACT);
-    }
-
-    next = std::min(next, demand_at);
-    if (config_.refreshEnabled)
-        for (const Cycle due : nextRefreshAt_)
-            next = std::min(next, due);
-    next = std::min(next, mitigation_->nextMaintenanceAt(now_));
     return std::max(next, now_);
 }
 

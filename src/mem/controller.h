@@ -27,8 +27,9 @@
  * parameters from the spec.
  *
  * The controller issues at most one command per cycle, with priority
- * maintenance-over-demand: an in-flight RFM sequence first, then due
- * refreshes, then demand requests.
+ * maintenance-over-demand: an active drain first (Alert service, a
+ * defense's RFMs or a due refresh), then demand on the banks the
+ * drain leaves free.
  */
 
 #ifndef PRACLEAK_MEM_CONTROLLER_H
@@ -200,13 +201,13 @@ class MemoryController
      * the first cycle a queued request's CAS/PRE/ACT becomes legal
      * under the DRAM timing state, an in-flight completion, a refresh
      * deadline, the defense's next maintenance deadline, the tREFW
-     * counter reset, or -- during an active RFM/REF drain -- the
-     * first cycle the drain's next PRE/RFM/REF command itself becomes
-     * legal (plus demand on the banks a per-rank/per-bank drain
-     * leaves schedulable).  Cycles strictly before the returned value
-     * are provably dead and may be skipped; exactness (never later
-     * than the first effective tick) is the contract the event-driven
-     * scheduler rests on -- see src/mem/DESIGN.md.
+     * counter reset, or -- during an active drain -- the first cycle
+     * the drain's next PRE/RFM/REF command becomes legal (plus demand
+     * on the banks the drain does not hold).  Cycles strictly before
+     * the returned value are provably dead and may be skipped;
+     * exactness (never later than the first effective tick) is the
+     * contract the event-driven scheduler rests on -- see
+     * src/mem/DESIGN.md.
      */
     Cycle nextWorkAt() const;
 
@@ -364,26 +365,84 @@ class MemoryController
         std::uint32_t index = 0;
     };
 
-    /** Multi-cycle maintenance sequence (precharge-all then RFM/REF). */
-    struct Maintenance
+    /**
+     * A maintenance drain: precharge the flat banks [first, end), then
+     * issue the terminal command @c remaining times; it is active while
+     * any are left.  An Alert service or a defense's RFMab drain holds
+     * every bank, an RFMpb drain its one bank, a refresh drain (REFab)
+     * the banks of its rank.
+     */
+    struct Drain
     {
-        bool active = false;
-        bool isRfm = false;     //!< else refresh
-        bool perBank = false;   //!< RFMpb instead of RFMab
-        RfmReason reason = RfmReason::Abo;
-        std::uint32_t rank = 0; //!< refresh target
-        std::uint32_t flatBank = 0; //!< RFMpb target
-        std::uint32_t rfmsRemaining = 0;
+        CmdType terminal = CmdType::RFMab;  //!< REFab, RFMab or RFMpb
+        std::uint32_t first = 0;
+        std::uint32_t end = 0;
+        std::uint32_t remaining = 0;        //!< terminal commands left
+        RfmReason reason = RfmReason::Abo;  //!< booked for each RFM
+
+        bool active() const { return remaining != 0; }
+    };
+
+    /** A drain's next command and the first cycle it is legal. */
+    struct DrainStep
+    {
+        Command cmd{};
+        Cycle at = kNeverCycle;
     };
 
     /** advanceTo() past its inline fast path: jump or tick per span. */
     void advanceBySteps(Cycle target);
 
-    void startAboServiceIfNeeded();
-    void startProactiveRfmIfNeeded();
-    void startRefreshIfNeeded();
-    bool tickMaintenance();
+    /**
+     * Start the drain that is due at now(), if any: Alert service
+     * first, then the defense's maintenanceCommands(), then the most
+     * overdue rank's refresh.
+     */
+    void startDrainIfDue();
+
+    /**
+     * The one drain walk behind both tick() and nextWorkAt(): the
+     * first held open bank (in flat order) whose PRE is legal now,
+     * else the earliest of their PREs, and once every held bank is
+     * closed the terminal command.
+     */
+    DrainStep nextDrainStep() const;
+
+    /** Issue a drain step's command and book a terminal one. */
+    void issueDrainStep(const Command &cmd);
+
     bool tickDemand();
+
+    /** An Alert is asserted and its ABOACT budget is spent. */
+    bool
+    actsHeld() const
+    {
+        return prac_->alertAsserted() &&
+               prac_->actsSinceAlert() >= spec_.prac.aboAct;
+    }
+
+    /**
+     * The cycle Alert service is due: now() once actsHeld(), else the
+     * end of the tABOACT window (demand burns the budget until then),
+     * and kNeverCycle without an Alert.
+     */
+    Cycle
+    aboServiceAt() const
+    {
+        if (!prac_->alertAsserted())
+            return kNeverCycle;
+        return actsHeld() ? now_
+                          : prac_->alertAssertedAt() + spec_.timing.tABOACT;
+    }
+
+    /** The rank whose refresh is due first (the lowest on a tie). */
+    std::uint32_t
+    firstDueRank() const
+    {
+        return static_cast<std::uint32_t>(
+            std::min_element(nextRefreshAt_.begin(), nextRefreshAt_.end()) -
+            nextRefreshAt_.begin());
+    }
 
     /**
      * The single FR-FCFS candidate scan behind both tickDemand() and
@@ -394,8 +453,8 @@ class MemoryController
      * candidates' bank parts are <= now, gating each with the live
      * shared part, and stops at the first legal candidate; only when
      * none is legal does it read the heap for the bound
-     * (src/mem/DESIGN.md, "Cached bank parts").  The refresh-drain,
-     * RFMpb-drain and ABOACT holds are filters inside this scan.
+     * (src/mem/DESIGN.md, "Cached bank parts").  The drain and ABOACT
+     * holds are filters inside this scan.
      */
     Cycle nextDemandIssueAt(DemandPick *pick = nullptr) const;
 
@@ -418,11 +477,13 @@ class MemoryController
     void boundParked(std::size_t index, Cycle &bound,
                      bool acts_blocked) const;
 
-    /**
-     * Whether a drain holds back demand on @p entry's bank: a refresh
-     * drain's rank, or an RFMpb drain's bank.
-     */
-    bool drained(const Listed &entry) const;
+    /** Whether an active drain holds back demand on @p entry's bank. */
+    bool
+    drained(const Listed &entry) const
+    {
+        return drain_.active() && entry.bank >= drain_.first &&
+               entry.bank < drain_.end;
+    }
 
     /** @p entry's shared gate (DramDevice::sharedReadyAt). */
     Cycle sharedReadyAt(const Listed &entry) const;
@@ -432,14 +493,12 @@ class MemoryController
                              const Candidate &c) const;
 
     /**
-     * Exact event bounds backing nextWorkAt().  Each returns the
-     * first cycle the corresponding tick path could issue a command,
-     * so the scheduler and its bound cannot drift (the fast-forward
-     * exactness invariant, src/mem/DESIGN.md).
+     * nextWorkAt() from the demand scan and the drain walk, the two
+     * scans tick() runs, so the scheduler and its bound cannot drift
+     * (the fast-forward exactness invariant, src/mem/DESIGN.md).
      */
-    Cycle nextMaintenanceIssueAt() const;
     Cycle computeNextWorkAt() const;
-    Cycle composeNextWorkAt(Cycle demand_at, Cycle maint_at) const;
+    Cycle composeNextWorkAt(Cycle demand_at, Cycle drain_at) const;
 
     /**
      * The one issue choke point: every command goes to the DRAM here,
@@ -447,7 +506,6 @@ class MemoryController
      * RD, WR, RFMpb): only those move a bank part.
      */
     void issue(const Command &cmd);
-    bool issueOrTrack(const Command &cmd, Cycle &hint);
     void countRfm(RfmReason reason, bool per_bank);
 
     DramSpec spec_;
@@ -511,7 +569,7 @@ class MemoryController
     std::vector<InFlight> inFlight_;
 
     std::vector<Cycle> nextRefreshAt_;
-    Maintenance maint_;
+    Drain drain_;
 
     /**
      * Memoized nextWorkAt().  Every bound is an absolute cycle valid
@@ -526,7 +584,7 @@ class MemoryController
      * behind: they rebuild the next-work cache without a second scan.
      */
     Cycle demandHint_ = kNeverCycle;
-    Cycle maintHint_ = kNeverCycle;
+    Cycle drainHint_ = kNeverCycle;
 
     /** mutable: nextWorkAt() is const but counts hits/rebuilds. */
     mutable SchedCounters sched_;

@@ -23,10 +23,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "mem/controller.h"
@@ -40,15 +40,17 @@ class EventClock
     /**
      * Build @p channels controllers (a non-zero power of two) from
      * @p config, fanning its interleave out over them and giving each
-     * its channelIndex.  @p owner names the driver in the error.
+     * its channelIndex.  @p owner names the driver in the
+     * std::invalid_argument any other channel count throws.
      */
     EventClock(const DramSpec &spec, ControllerConfig config,
                std::uint32_t channels, StatSet *stats,
                const char *owner)
     {
         if (channels == 0 || (channels & (channels - 1)) != 0)
-            fatal(std::string(owner) +
-                  ": channels must be a non-zero power of two");
+            throw std::invalid_argument(
+                std::string(owner) +
+                ": channels must be a non-zero power of two");
         config.interleave.channels = channels;
         mems_.reserve(channels);
         for (std::uint32_t c = 0; c < channels; ++c) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,24 @@ TEST(Controller, AboServiceIssuesNmitRfms)
     EXPECT_EQ(mem.prac().alerts(), 1u);
     EXPECT_EQ(mem.rfmCount(RfmReason::Abo), 4u);
     EXPECT_EQ(mem.dram().issueCount(CmdType::RFMab), 4u);
+}
+
+/**
+ * Alert service is nmit RFMabs: a drain started with none left would
+ * wrap its count after the first RFMab and never end, so demand would
+ * never run again.  Every defense's controller refuses nmit 0.
+ */
+TEST(Controller, RejectsZeroNmit)
+{
+    for (const std::string &defense : mitigationNames()) {
+        ControllerConfig config;
+        configureDefense(config, defense, specWith(32, 1));
+        EXPECT_THROW(MemoryController(specWith(32, 0), config),
+                     std::invalid_argument)
+            << defense;
+        EXPECT_NO_THROW(MemoryController(specWith(32, 1), config))
+            << defense;
+    }
 }
 
 TEST(Controller, AcbIssuesProactiveRfms)

@@ -8,6 +8,7 @@
 
 #include <iterator>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "common/log.h"
@@ -291,6 +292,27 @@ TEST(System, RefusedRetriesBookedExactly)
             EXPECT_EQ(result.cores[i].cycles, kRefusedRetryCores[i].second);
         }
     }
+}
+
+/**
+ * A System is refused at construction with std::invalid_argument,
+ * which the CLI reports with exit 2: without a core (a recording would
+ * be an empty trace), or with a channel count that is not a non-zero
+ * power of two.
+ */
+TEST(System, RejectsNoCoresAndBadChannelCounts)
+{
+    const SuiteEntry entry = standardSuite().front();
+    for (const std::uint32_t channels : {0u, 3u}) {
+        SystemConfig config = smallConfig("none");
+        config.channels = channels;
+        EXPECT_THROW(System(config, instantiate(entry, 1)),
+                     std::invalid_argument)
+            << channels;
+    }
+    EXPECT_THROW(System(smallConfig("none"), instantiate(entry, 0)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(System(smallConfig("none"), instantiate(entry, 1)));
 }
 
 TEST(System, WeightedSpeedupIdentity)
