@@ -362,6 +362,11 @@ MemoryController::boundParked(std::size_t index, Cycle &bound,
 Cycle
 MemoryController::nextDemandIssueAt(DemandPick *pick) const
 {
+    // A drain over every bank leaves demand nothing to issue; the
+    // listing below waits for its end.
+    if (drain_.active() &&
+        drain_.end - drain_.first == spec_.org.totalBanks())
+        return kNeverCycle;
     if (now_ < demandIdleUntil_)
         return demandIdleUntil_;
 
@@ -566,12 +571,8 @@ MemoryController::tick()
             drainHint_ = step.at;
     }
 
-    // Demand runs on the banks the drain leaves free; an RFMab drain
-    // holds them all, so the scan could find nothing.
-    bool demand_issued = false;
-    if (!issued &&
-        !(drain_.active() && drain_.terminal == CmdType::RFMab))
-        demand_issued = tickDemand();
+    // Demand runs on the banks the drain leaves free.
+    const bool demand_issued = !issued && tickDemand();
 
     if (bus_) {
         // Delta-poll ABO assertions and defense mitigation events at

@@ -454,7 +454,8 @@ class MemoryController
      * shared part, and stops at the first legal candidate; only when
      * none is legal does it read the heap for the bound
      * (src/mem/DESIGN.md, "Cached bank parts").  The drain and ABOACT
-     * holds are filters inside this scan.
+     * holds are filters inside this scan; a drain over every bank
+     * returns kNeverCycle before it.
      */
     Cycle nextDemandIssueAt(DemandPick *pick = nullptr) const;
 
